@@ -1,7 +1,7 @@
 """Evaluation of the explicit bound formulas and the window checks.
 
-The two scaling constants 32*pi*e and 16*pi*e are always computed from
-mp.pi and mp.e at working precision, never from decimal literals.
+The scaling constant 32*pi*e comes from ``hp.pi_e`` at working
+precision, never from a decimal literal.
 
 Absolute constants that the theory leaves non-explicit (the lower-bound
 multiplier c1, the ell-dependent window constants, the prolate
@@ -18,23 +18,13 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import InvalidParameterError
-from .geometry import ClusterSpec, validate_config
-from .hp import as_mpf, decimal_str
+from .geometry import ClusterSpec
+from .hp import as_mpf, decimal_str, pi_e
 from .matrices import VandermondeSpec
 
 #: stand-in for the non-explicit window constant: the window check asks
 #: N*theta >= s * DEFAULT_WINDOW_FLOOR.  Advisory only.
 DEFAULT_WINDOW_FLOOR = 10
-
-
-def thirtytwo_pi_e(bits: int | None = None):
-    with mp.workprec(bits if bits is not None else mp.prec):
-        return 32 * mp.pi * mp.e
-
-
-def sixteen_pi_e(bits: int | None = None):
-    with mp.workprec(bits if bits is not None else mp.prec):
-        return 16 * mp.pi * mp.e
 
 
 def _check_common(N: int, delta, ell: int):
@@ -50,7 +40,7 @@ def lower_bound_shape(N: int, delta, ell: int, bits: int | None = None):
     """sqrt(N) * (N*delta / (32*pi*e))^(ell-1), the lower-bound shape."""
     _check_common(N, delta, ell)
     with mp.workprec(bits if bits is not None else mp.prec):
-        return mp.sqrt(N) * (N * as_mpf(delta) / (32 * mp.pi * mp.e)) ** (ell - 1)
+        return mp.sqrt(N) * (N * as_mpf(delta) / pi_e(32)) ** (ell - 1)
 
 
 def upper_bound_explicit(N: int, delta, ell: int, tau, bits: int | None = None):
@@ -123,7 +113,6 @@ def evaluate_all(spec: VandermondeSpec, cluster: ClusterSpec,
     non-explicit ell-dependent constant.  The report also records the
     raw products so callers can judge window membership themselves.
     """
-    validate_config(spec.nodes, cluster)
     p = bits if bits is not None else mp.prec
     with mp.workprec(p):
         lower = lower_bound_shape(spec.N, cluster.delta, cluster.ell)

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen-config, sweep, spectrum, bounds, prolate, inequalities,
-limit-check.  Every flag has an environment-variable override named
-VANDELAB_<FLAG> (dashes become underscores, upper case); an explicit
-flag wins over the environment, which wins over the default.
+limit-check.  The flags --out, --precision-bits, --c1, --seed and
+--workers have environment-variable overrides named VANDELAB_<FLAG>
+(dashes become underscores, upper case); an explicit flag wins over the
+environment, which wins over the default.
 
 Exit codes: 0 on success with no failed rows, 1 if any row failed,
 2 on usage or configuration errors.
@@ -12,15 +13,19 @@ Exit codes: 0 on success with no failed rows, 1 if any row failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
+from mpmath import mp
+
 from .errors import VandelabError
 from .experiments import (
     ExperimentManifest,
+    resolve_point,
     run_bounds,
     run_limit_check,
     run_prolate,
@@ -28,9 +33,9 @@ from .experiments import (
     run_sweep,
     write_config,
 )
-from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, ClusterSpec, generate_config
-from .hp import DEFAULT_POLICY, parse_decimal
-from .suites import ALL_SUITES, DEFAULT_SUITE_SEED, default_centers
+from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, generate_config
+from .hp import parse_decimal
+from .suites import ALL_SUITES, DEFAULT_SUITE_SEED
 
 ENV_PREFIX = "VANDELAB_"
 
@@ -65,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-config", help="generate and store a node configuration")
     p.add_argument("--delta", required=True)
-    p.add_argument("--theta", default="3.14159265358979323846")
+    p.add_argument("--theta", default=None,
+                   help="default: pi for one cluster, 2*pi/M - 1 for M")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--tau", default=None)
@@ -106,28 +112,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_config(args) -> int:
-    from mpmath import mp
-
-    bits = args.precision_bits or DEFAULT_POLICY.floor_bits
-    tau = args.tau if args.tau is not None else str(max(args.ell - 1, 0))
-    spec = ClusterSpec(
-        delta=parse_decimal(args.delta, bits),
-        theta=parse_decimal(args.theta, bits),
-        s=args.s, ell=args.ell,
-        tau=parse_decimal(tau, bits))
+    spec, N, centers, bits = resolve_point({
+        "ell": args.ell, "N": args.N, "delta": args.delta, "s": args.s,
+        "tau": args.tau, "theta": args.theta,
+        "precision_override": args.precision_bits})
     with mp.workprec(bits):
         if args.centers:
             centers = [parse_decimal(c, bits) for c in args.centers.split(",")]
-        else:
-            import math
-
-            centers = default_centers(max(1, math.ceil(args.s / args.ell)))
         nodes = generate_config(spec, args.layout, centers, args.seed,
                                 args.domain)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "config.json"
-    write_config(path, nodes, spec, N=args.N, bits=bits)
+    write_config(path, nodes, spec, N=N, bits=bits)
     print(f"wrote {path}")
     return 0
 
@@ -135,10 +132,8 @@ def _cmd_gen_config(args) -> int:
 def _cmd_sweep(args) -> int:
     manifest = ExperimentManifest.load(args.manifest)
     if args.precision_bits:
-        manifest = ExperimentManifest(
-            experiment_id=manifest.experiment_id, kind=manifest.kind,
-            grid=manifest.grid, precision_override=args.precision_bits,
-            created_at=manifest.created_at, tool_version=manifest.tool_version)
+        manifest = dataclasses.replace(manifest,
+                                       precision_override=args.precision_bits)
     summary = run_sweep(manifest, args.out, workers=args.workers)
     print(json.dumps(summary.to_json_dict(), indent=2))
     return 0 if summary.failed == 0 else 1
@@ -165,6 +160,17 @@ def _cmd_inequalities(args) -> int:
     return 0 if all_ok else 1
 
 
+def _run_config_command(args) -> dict:
+    """spectrum, bounds, prolate or limit-check on one config file."""
+    common = {"out_dir": args.out, "bits_override": args.precision_bits}
+    if args.command == "limit-check":
+        n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+        return run_limit_check(args.config, n_list, **common)
+    run = {"spectrum": run_spectrum, "bounds": run_bounds,
+           "prolate": run_prolate}[args.command]
+    return run(args.config, user_c1=args.c1, **common)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -175,33 +181,10 @@ def main(argv=None) -> int:
             return _cmd_gen_config(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
-        if args.command == "spectrum":
-            result = run_spectrum(args.config, user_c1=args.c1,
-                                  out_dir=args.out,
-                                  bits_override=args.precision_bits)
-            print(json.dumps(result, indent=2))
-            return 0
-        if args.command == "bounds":
-            result = run_bounds(args.config, user_c1=args.c1,
-                                out_dir=args.out,
-                                bits_override=args.precision_bits)
-            print(json.dumps(result, indent=2))
-            return 0
-        if args.command == "prolate":
-            result = run_prolate(args.config, user_c1=args.c1,
-                                 out_dir=args.out,
-                                 bits_override=args.precision_bits)
-            print(json.dumps(result, indent=2))
-            return 0
         if args.command == "inequalities":
             return _cmd_inequalities(args)
-        if args.command == "limit-check":
-            n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
-            result = run_limit_check(args.config, n_list, out_dir=args.out,
-                                     bits_override=args.precision_bits)
-            print(json.dumps(result, indent=2))
-            return 0
-        raise AssertionError(f"unhandled command {args.command}")
+        print(json.dumps(_run_config_command(args), indent=2))
+        return 0
     except VandelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,12 +26,7 @@ from pathlib import Path
 from mpmath import mp, mpf
 
 from . import __version__ as TOOL_VERSION
-from .bounds import (
-    DEFAULT_WINDOW_FLOOR,
-    evaluate_all,
-    sixteen_pi_e,
-    slepian_constant,
-)
+from .bounds import evaluate_all, slepian_constant
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -47,10 +42,15 @@ from .geometry import (
     generate_config,
     validate_config,
 )
-from .hp import DEFAULT_POLICY, decimal_str, parse_decimal
+from .hp import DEFAULT_POLICY, decimal_str, parse_decimal, pi_e
 from .matrices import VandermondeSpec, build_prolate
-from .spectra import hermitian_eigenvalues, singular_values
-from .suites import DEFAULT_SUITE_SEED, band_counts, default_centers
+from .spectra import (
+    hermitian_eigenvalues,
+    normalized_lambda,
+    prolate_limit_check,
+    singular_values,
+)
+from .suites import DEFAULT_SUITE_SEED, band_counts, count_bands, default_centers
 from .svgplot import write_scatter_svg
 
 log = logging.getLogger(__name__)
@@ -182,30 +182,69 @@ def _blank_row(point: dict) -> dict:
     return row
 
 
-def _resolve_point(point: dict, bits_probe: int = 192):
-    """Turn raw grid values into a ClusterSpec plus derived geometry."""
+def policy_bits(cluster: ClusterSpec, N: int | None = None) -> int:
+    """The policy's working bits for a configuration.
+
+    With N they are sized for the Vandermonde spectrum at cluster size
+    ell; without N for the prolate matrix of all s nodes, whose
+    line-domain delta already stands for the product N*delta.
+    """
+    if N is None:
+        return DEFAULT_POLICY.required_bits(cluster.s, 1, cluster.delta)
+    return DEFAULT_POLICY.required_bits(cluster.ell, N, cluster.delta)
+
+
+def resolve_point(point: dict):
+    """Grid values or gen-config flags -> (ClusterSpec, N, centers, bits).
+
+    ``s``, ``tau`` and ``theta`` of None or "auto" mean s = ell, tau =
+    ell - 1, and the widest theta the default centers allow: pi for one
+    cluster, 2*pi/M - 1 for M clusters.  The spec is read at the policy
+    floor, which checks the point and sizes its precision, then at the
+    working bits: ``point["precision_override"]`` or ``policy_bits``.
+    """
     ell = int(point["ell"])
-    N = int(point["N"])
+    N = None if point["N"] is None else int(point["N"])
     s = point["s"]
     s = ell if s in (None, "auto") else int(s)
-    delta = parse_decimal(point["delta"], bits_probe)
-    tau_raw = point["tau"]
-    if tau_raw in (None, "auto"):
-        tau = mpf(max(ell - 1, 0))
-    else:
-        tau = parse_decimal(tau_raw, bits_probe)
-    n_clusters = max(1, math.ceil(s / ell))
-    theta_raw = point["theta"]
-    if theta_raw in (None, "auto"):
-        theta = mp.pi if n_clusters == 1 else 2 * mp.pi / n_clusters - 1
-        if theta <= 0:
-            raise InvalidParameterError(
-                f"no room for {n_clusters} default cluster centers; "
-                "set theta explicitly")
-    else:
-        theta = parse_decimal(theta_raw, bits_probe)
-    spec = ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
-    return spec, N, n_clusters
+
+    def spec_at(bits):
+        delta = parse_decimal(point["delta"], bits)
+        tau_raw = point["tau"]
+        if tau_raw in (None, "auto"):
+            tau = mpf(max(ell - 1, 0))
+        else:
+            tau = parse_decimal(tau_raw, bits)
+        n_clusters = max(1, math.ceil(s / ell))
+        theta_raw = point["theta"]
+        if theta_raw in (None, "auto"):
+            theta = mp.pi if n_clusters == 1 else 2 * mp.pi / n_clusters - 1
+            if theta <= 0:
+                raise InvalidParameterError(
+                    f"no room for {n_clusters} default cluster centers; "
+                    "set theta explicitly")
+        else:
+            theta = parse_decimal(theta_raw, bits)
+        spec = ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
+        return spec, n_clusters
+
+    probe, _ = spec_at(DEFAULT_POLICY.floor_bits)
+    bits = point["precision_override"] or policy_bits(probe, N)
+    with mp.workprec(bits):
+        spec, n_clusters = spec_at(bits)
+        return spec, N, default_centers(n_clusters), bits
+
+
+def _vandermonde_core(nodes: NodeSet, cluster: ClusterSpec, N: int, bits: int,
+                      user_c1=1):
+    """Validate once, then (partition, spectrum, bound report, (lambda,
+    log10 lambda)) of one configuration at the ambient ``bits``."""
+    partition = validate_config(nodes, cluster)
+    vspec = VandermondeSpec(N, nodes)
+    spectrum = singular_values(vspec, bits=bits)
+    report = evaluate_all(vspec, cluster, user_c1=user_c1, bits=bits)
+    lam = normalized_lambda(spectrum.min_value, N, cluster.delta, cluster.ell)
+    return partition, spectrum, report, lam
 
 
 def compute_sweep_point(point: dict) -> dict:
@@ -214,30 +253,20 @@ def compute_sweep_point(point: dict) -> dict:
     row = _blank_row(point)
     details = {"index": point["index"]}
     try:
-        spec, N, n_clusters = _resolve_point(point)
-        bits = point["precision_override"] or DEFAULT_POLICY.required_bits(
-            spec.ell, N, spec.delta)
+        spec, N, centers, bits = resolve_point(point)
         with mp.workprec(bits):
-            spec, N, n_clusters = _resolve_point(point, bits)
             row["s"] = str(spec.s)
             row["tau"] = decimal_str(spec.tau, bits)
             row["delta"] = decimal_str(spec.delta, bits)
             row["theta"] = decimal_str(spec.theta, bits)
             row["precision_bits"] = str(bits)
-            nodes = generate_config(spec, str(point["layout"]),
-                                    default_centers(n_clusters),
+            nodes = generate_config(spec, str(point["layout"]), centers,
                                     int(point["seed"]), PERIODIC)
-            partition = validate_config(nodes, spec)
-            vspec = VandermondeSpec(N, nodes)
-            spectrum = singular_values(vspec, spec, bits)
-            report = evaluate_all(vspec, spec, bits=bits)
-            sigma_min = spectrum.min_value
-            scale = mp.sqrt(N) * (N * spec.delta) ** (spec.ell - 1)
-            lam = sigma_min / scale
-            row["sigma_min"] = decimal_str(sigma_min, bits)
+            partition, spectrum, report, (lam, log10_lam) = _vandermonde_core(
+                nodes, spec, N, bits)
+            row["sigma_min"] = decimal_str(spectrum.min_value, bits)
             row["lambda"] = decimal_str(lam, bits)
-            row["log10_lambda"] = decimal_str(
-                mp.log10(lam) if lam > 0 else mpf("-inf"), bits)
+            row["log10_lambda"] = decimal_str(log10_lam, bits)
             row["lower_shape"] = decimal_str(report.lower_shape, bits)
             row["upper_explicit"] = decimal_str(report.upper_explicit, bits)
             row["srf"] = decimal_str(report.srf, bits)
@@ -296,7 +325,7 @@ def _write_figure(out_dir: Path, manifest: ExperimentManifest, rows):
     pts = [(float(r["ell"]), float(mpf(r["log10_lambda"])))
            for r in rows if r["status"] == STATUS_OK and r["log10_lambda"]]
     with mp.workprec(64):
-        lower_slope = -float(mp.log10(sixteen_pi_e(64)))
+        lower_slope = -float(mp.log10(pi_e(16)))
     taus = [float(mpf(r["tau"])) for r in rows
             if r["status"] == STATUS_OK and r["tau"]]
     tau_max = max(taus) if taus else 1.0
@@ -350,8 +379,12 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
 # ---------------------------------------------------------------- configs
 
 
-def load_config(path, bits_probe: int = 192) -> dict:
-    """Read a single-instance config file (nodes + cluster + N)."""
+def load_config(path) -> dict:
+    """Read a single-instance config file (nodes + cluster + N).
+
+    Its reals stay decimal strings until ``_load_instance`` reads them at
+    the bits the command runs at.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -361,16 +394,41 @@ def load_config(path, bits_probe: int = 192) -> dict:
         raise ConfigParseError("config missing key 'nodes'", key="nodes")
     if "cluster" not in obj:
         raise ConfigParseError("config missing key 'cluster'", key="cluster")
-    bits = int(obj.get("precision_bits") or 0) or None
-    cluster = ClusterSpec.from_json_dict(obj["cluster"], bits or bits_probe)
-    nodes = NodeSet.from_json_dict(obj["nodes"], bits or bits_probe)
     n_val = obj.get("N")
     return {
-        "nodes": nodes,
-        "cluster": cluster,
+        "nodes": obj["nodes"],
+        "cluster": obj["cluster"],
         "N": int(n_val) if n_val is not None else None,
-        "precision_bits": bits,
+        "precision_bits": int(obj.get("precision_bits") or 0) or None,
     }
+
+
+def _load_instance(config_path, bits_override, with_N: bool):
+    """(nodes, cluster, N, bits) of a config file, its reals parsed at bits.
+
+    A config's precision_bits pins the bits, and bits_override pins them
+    over that; otherwise they are policy_bits for the cluster read at the
+    policy floor, and for N when the command needs one (with_N).
+    """
+    cfg = load_config(config_path)
+    N = cfg["N"] if with_N else None
+    if with_N and N is None:
+        raise ConfigParseError("config missing key 'N'", key="N")
+    bits = bits_override or cfg["precision_bits"] or policy_bits(
+        ClusterSpec.from_json_dict(cfg["cluster"], DEFAULT_POLICY.floor_bits), N)
+    cluster = ClusterSpec.from_json_dict(cfg["cluster"], bits)
+    return NodeSet.from_json_dict(cfg["nodes"], bits), cluster, N, bits
+
+
+def _write_result(result: dict, out_dir) -> dict:
+    """Write a single-instance result to <kind>.json under out_dir."""
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        name = result["kind"].replace("-", "_") + ".json"
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
+    return result
 
 
 def write_config(path, nodes: NodeSet, cluster: ClusterSpec,
@@ -407,24 +465,14 @@ def run_spectrum(config_path, user_c1=1, out_dir=None,
                  bits_override: int | None = None) -> dict:
     """Full singular spectrum, bound report, and per-level counts."""
     t0 = time.perf_counter()
-    cfg = load_config(config_path)
-    nodes, cluster = cfg["nodes"], cfg["cluster"]
-    if cfg["N"] is None:
-        raise ConfigParseError("config missing key 'N'", key="N")
-    N = cfg["N"]
-    bits = bits_override or cfg["precision_bits"] or \
-        DEFAULT_POLICY.required_bits(cluster.ell, N, cluster.delta)
+    nodes, cluster, N, bits = _load_instance(config_path, bits_override, True)
     with mp.workprec(bits):
-        partition = validate_config(nodes, cluster)
-        vspec = VandermondeSpec(N, nodes)
-        spectrum = singular_values(vspec, cluster, bits)
-        report = evaluate_all(vspec, cluster, user_c1=user_c1, bits=bits)
+        partition, spectrum, report, (lam, _) = _vandermonde_core(
+            nodes, cluster, N, bits, user_c1)
         counts, thresholds = band_counts(
             spectrum.values, partition.q, N, cluster.delta, mpf(user_c1), bits)
         cumulative = [sum(1 for v in spectrum.values if v >= t)
                       for t in thresholds]
-        lam = spectrum.min_value / (mp.sqrt(N) * (N * cluster.delta)
-                                    ** (cluster.ell - 1))
         result = {
             "kind": "spectrum",
             "N": N,
@@ -444,39 +492,27 @@ def run_spectrum(config_path, user_c1=1, out_dir=None,
             "user_c1": decimal_str(mpf(user_c1), bits),
             "runtime_ms": int((time.perf_counter() - t0) * 1000),
         }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "spectrum.json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-    return result
+    return _write_result(result, out_dir)
 
 
 def run_prolate(config_path, user_c1=1, out_dir=None,
                 bits_override: int | None = None) -> dict:
     """Eigenvalues of the generalized prolate matrix plus comparisons."""
     t0 = time.perf_counter()
-    cfg = load_config(config_path)
-    nodes, cluster = cfg["nodes"], cfg["cluster"]
+    nodes, cluster, _, bits = _load_instance(config_path, bits_override, False)
     if nodes.domain != LINE:
         raise ConfigParseError("prolate runs need line-domain nodes",
                                key="nodes")
-    bits = bits_override or cfg["precision_bits"] or \
-        DEFAULT_POLICY.required_bits(cluster.s, 1, cluster.delta)
     with mp.workprec(bits):
         partition = validate_config(nodes, cluster)
         G = build_prolate(nodes, bits)
         spectrum = hermitian_eigenvalues(G)
         lam_min = spectrum.min_value
         ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
-        base = cluster.delta / sixteen_pi_e(bits)
+        base = cluster.delta / pi_e(16)
         thresholds = [mpf(user_c1) * base ** (2 * (m - 1))
                       for m in range(1, cluster.ell + 1)]
-        counts = []
-        prev = mpf("inf")
-        for t in thresholds:
-            counts.append(sum(1 for v in spectrum.values if t <= v < prev))
-            prev = t
+        counts = count_bands(spectrum.values, thresholds)
         result = {
             "kind": "prolate",
             "precision_bits": bits,
@@ -494,63 +530,38 @@ def run_prolate(config_path, user_c1=1, out_dir=None,
             "user_c1": decimal_str(mpf(user_c1), bits),
             "runtime_ms": int((time.perf_counter() - t0) * 1000),
         }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "prolate.json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-    return result
+    return _write_result(result, out_dir)
 
 
-def run_bounds(config_path, user_c1=1, window_floor=DEFAULT_WINDOW_FLOOR,
-               out_dir=None, bits_override: int | None = None) -> dict:
-    cfg = load_config(config_path)
-    nodes, cluster = cfg["nodes"], cfg["cluster"]
-    if cfg["N"] is None:
-        raise ConfigParseError("config missing key 'N'", key="N")
-    bits = bits_override or cfg["precision_bits"] or \
-        DEFAULT_POLICY.required_bits(cluster.ell, cfg["N"], cluster.delta)
+def run_bounds(config_path, user_c1=1, out_dir=None,
+               bits_override: int | None = None) -> dict:
+    """The bound formulas for one configuration, without its spectrum."""
+    nodes, cluster, N, bits = _load_instance(config_path, bits_override, True)
     with mp.workprec(bits):
-        report = evaluate_all(VandermondeSpec(cfg["N"], nodes), cluster,
-                              user_c1=user_c1, window_floor=window_floor,
-                              bits=bits)
+        validate_config(nodes, cluster)
+        report = evaluate_all(VandermondeSpec(N, nodes), cluster,
+                              user_c1=user_c1, bits=bits)
         result = {
             "kind": "bounds",
-            "N": cfg["N"],
+            "N": N,
             "precision_bits": bits,
             "cluster": cluster.to_json_dict(bits),
             "bounds": report.to_json_dict(),
         }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "bounds.json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-    return result
+    return _write_result(result, out_dir)
 
 
 def run_limit_check(config_path, N_list, out_dir=None,
                     bits_override: int | None = None) -> dict:
-    from .spectra import prolate_limit_check
-
-    cfg = load_config(config_path)
-    nodes = cfg["nodes"]
+    """Prolate limit gaps over N_list, and lambda_min(G) at their bits."""
+    nodes, _, _, bits = _load_instance(config_path, bits_override, False)
     if nodes.domain != LINE:
         raise ConfigParseError("limit check needs line-domain nodes",
                                key="nodes")
-    gaps = prolate_limit_check(nodes, list(N_list), bits_override)
-    bits = bits_override or DEFAULT_POLICY.floor_bits
-    G = build_prolate(nodes, bits)
-    lam_min = hermitian_eigenvalues(G).min_value
-    result = {
+    check = prolate_limit_check(nodes, list(N_list), bits)
+    return _write_result({
         "kind": "limit-check",
         "nodes": nodes.to_json_dict(bits),
-        "lambda_min": decimal_str(lam_min, bits),
-        "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in gaps],
-    }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "limit_check.json", "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-    return result
+        "lambda_min": decimal_str(check.lambda_min, bits),
+        "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in check],
+    }, out_dir)

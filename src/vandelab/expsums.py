@@ -27,7 +27,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .geometry import wrap_distance
-from .hp import as_mpc, as_mpf, decimal_str
+from .hp import as_mpc, as_mpf, decimal_str, pi_e
 
 DEFAULT_MAX_SUP_SAMPLES = 2_000_000
 MIN_SUP_SAMPLES = 64
@@ -57,16 +57,6 @@ class ExpSum:
 
     def coeff_norm_sq(self):
         return mp.fsum(abs(c) ** 2 for c in self.coeffs)
-
-
-@dataclass(frozen=True)
-class IntervalNorm:
-    """A computed ||P||_{L^p(a, b)} with the normalized measure."""
-
-    a: object
-    b: object
-    p: object
-    value: object
 
 
 @dataclass(frozen=True)
@@ -406,7 +396,7 @@ def check_cor_turan(P: ExpSum, N: int, delta) -> InequalityCheck:
     ell = P.degree
     lhs = l2_norm_exact(P, mpf(0), mpf(N))
     big = l2_norm_exact(P, mpf(0), 4 * mp.pi / delta)
-    factor = 2 / (mp.pi * ell) * (N * delta / (16 * mp.pi * mp.e)) ** (ell - 1)
+    factor = 2 / (mp.pi * ell) * (N * delta / pi_e(16)) ** (ell - 1)
     rhs = factor * big
     return InequalityCheck(
         name="cor-turan", lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs),

@@ -71,12 +71,21 @@ class PrecisionPolicy:
         if not delta > 0:
             raise InvalidParameterError(f"delta must be > 0, got {delta}")
         with mp.workprec(_POLICY_EVAL_BITS):
-            growth = mp.log(32 * mp.pi * mp.e / (N * delta), 2)
+            growth = mp.log(pi_e(32) / (N * delta), 2)
             expr = int(mp.ceil(2 * (ell - 1) * growth)) + 32 * ell + self.guard_bits
         return max(self.floor_bits, expr)
 
 
 DEFAULT_POLICY = PrecisionPolicy()
+
+
+def pi_e(k: int):
+    """k*pi*e from mp.pi and mp.e at the ambient precision.
+
+    The bound formulas scale by 32*pi*e and 16*pi*e; they take them from
+    here, never from decimal literals.
+    """
+    return k * mp.pi * mp.e
 
 
 def required_bits(ell: int, N: int, delta, policy: PrecisionPolicy = DEFAULT_POLICY) -> int:

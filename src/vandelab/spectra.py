@@ -29,7 +29,7 @@ from .errors import (
     PrecisionError,
 )
 from .geometry import LINE, ClusterSpec, NodeSet, scale_to_circle, validate_config
-from .hp import DEFAULT_POLICY, PrecisionPolicy, decimal_str
+from .hp import DEFAULT_POLICY, decimal_str
 from .matrices import HPMatrix, VandermondeSpec, build_gram_closed_form
 
 MAX_EIGEN_DIM = 256
@@ -199,8 +199,7 @@ def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
 
 def singular_values(spec: VandermondeSpec,
                     cluster: ClusterSpec | None = None,
-                    bits: int | None = None,
-                    policy: PrecisionPolicy = DEFAULT_POLICY) -> SpectrumResult:
+                    bits: int | None = None) -> SpectrumResult:
     """Singular values of the Vandermonde matrix via its closed-form Gram.
 
     Working precision is ``bits`` when given, otherwise sized by the
@@ -208,37 +207,45 @@ def singular_values(spec: VandermondeSpec,
     """
     if bits is None:
         if cluster is not None:
-            bits = policy.required_bits(cluster.ell, spec.N, cluster.delta)
+            bits = DEFAULT_POLICY.required_bits(cluster.ell, spec.N, cluster.delta)
         else:
-            bits = policy.floor_bits
+            bits = DEFAULT_POLICY.floor_bits
     gram = build_gram_closed_form(spec, bits)
     eig = hermitian_eigenvalues(gram)
     return _sqrt_spectrum(eig, gram.frobenius_norm())
 
 
+def normalized_lambda(sigma_min, N: int, delta, ell: int):
+    """(lambda, log10 lambda) at the ambient precision, where lambda is
+    sigma_min / (sqrt(N) (N delta)^(ell-1)); log10 of 0 is -inf."""
+    lam = sigma_min / (mp.sqrt(N) * (N * delta) ** (ell - 1))
+    return lam, mp.log10(lam) if lam > 0 else mpf("-inf")
+
+
 def normalized_min_sv(spec: VandermondeSpec, cluster: ClusterSpec,
-                      bits: int | None = None,
-                      policy: PrecisionPolicy = DEFAULT_POLICY) -> NormalizedMinSV:
+                      bits: int | None = None) -> NormalizedMinSV:
     """sigma_min / (sqrt(N) (N delta)^(ell-1)) for a validated configuration."""
     validate_config(spec.nodes, cluster)
-    result = singular_values(spec, cluster, bits, policy)
-    p = result.precision_bits
-    with mp.workprec(p):
-        scale = mp.sqrt(spec.N) * (spec.N * cluster.delta) ** (cluster.ell - 1)
-        lam = result.min_value / scale
-        log10lam = mp.log10(lam) if lam > 0 else mpf("-inf")
+    result = singular_values(spec, cluster, bits)
+    with mp.workprec(result.precision_bits):
+        lam, log10lam = normalized_lambda(result.min_value, spec.N,
+                                          cluster.delta, cluster.ell)
     return NormalizedMinSV(lam, log10lam, spec.N, cluster.delta, cluster.ell)
 
 
-def prolate_limit_check(nodes: NodeSet, N_list,
-                        bits: int | None = None,
-                        policy: PrecisionPolicy = DEFAULT_POLICY) -> list:
+class LimitCheck(list):
+    """(N, gap) pairs in the order given; lambda_min is lambda_min(G),
+    computed at the same bits as every gap."""
+
+    lambda_min = None
+
+
+def prolate_limit_check(nodes: NodeSet, N_list, bits: int) -> LimitCheck:
     """Gap between sigma^2_min of the shifted matrix and lambda_min(G).
 
     For each N, sigma_min of the shifted normalized matrix equals
     sigma_min(V_2N(x/N)) / sqrt(2N), so its square is computed from the
-    closed-form Gram of V_2N at the scaled nodes.  Returns a list of
-    (N, gap) pairs in the order given.
+    closed-form Gram of V_2N at the scaled nodes, at ``bits``.
     """
     from .matrices import build_prolate
 
@@ -246,16 +253,9 @@ def prolate_limit_check(nodes: NodeSet, N_list,
         raise InvalidParameterError("prolate limit check expects line nodes")
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("every N must be >= 1")
-    s = nodes.count
-    with mp.workprec(policy.floor_bits):
-        seps = [abs(a - b) for i, a in enumerate(nodes.nodes)
-                for b in nodes.nodes[i + 1:]]
-        dmin = min(seps) if seps else mpf(1)
-    if bits is None:
-        bits = policy.required_bits(s, 2 * max(N_list), dmin / max(N_list))
     G = build_prolate(nodes, bits)
     lam_g = hermitian_eigenvalues(G).min_value
-    out = []
+    out = LimitCheck()
     for N in N_list:
         with mp.workprec(bits):
             scaled = scale_to_circle(nodes, N)
@@ -265,4 +265,5 @@ def prolate_limit_check(nodes: NodeSet, N_list,
             sig2_tilde = lam / (2 * N)
             gap = abs(sig2_tilde - lam_g)
         out.append((N, gap))
+    out.lambda_min = lam_g
     return out

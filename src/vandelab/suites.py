@@ -31,7 +31,7 @@ from .geometry import (
     NodeSet,
     generate_config,
 )
-from .hp import as_mpf, decimal_str
+from .hp import as_mpf, decimal_str, pi_e
 
 DEFAULT_SUITE_SEED = 20240601
 DEFAULT_SUITE_BITS = 192
@@ -354,7 +354,7 @@ def fit_level_constant(spectra_and_partitions, bits: int = DEFAULT_SUITE_BITS) -
     lo_all, hi_all = mpf(0), mpf("inf")
     count = 0
     with mp.workprec(bits):
-        c2 = 32 * mp.pi * mp.e
+        c2 = pi_e(32)
         for sigma, q, N, delta in spectra_and_partitions:
             count += 1
             s = len(sigma)
@@ -379,12 +379,18 @@ def band_counts(sigma, q, N, delta, c1, bits: int = DEFAULT_SUITE_BITS):
     """
     ell = len(q)
     with mp.workprec(bits):
-        c2 = 32 * mp.pi * mp.e
+        c2 = pi_e(32)
         thresholds = [as_mpf(c1) * mp.sqrt(N) * (N * as_mpf(delta) / c2) ** (m - 1)
                       for m in range(1, ell + 1)]
-        counts = []
-        prev = mpf("inf")
-        for t in thresholds:
-            counts.append(sum(1 for v in sigma if t <= v < prev))
-            prev = t
-    return counts, thresholds
+    return count_bands(sigma, thresholds), thresholds
+
+
+def count_bands(values, thresholds) -> list:
+    """Number of values in each band [t_m, t_{m-1}), with t_0 = +inf,
+    for decreasing thresholds t_1 > t_2 > ..."""
+    counts = []
+    prev = mpf("inf")
+    for t in thresholds:
+        counts.append(sum(1 for v in values if t <= v < prev))
+        prev = t
+    return counts

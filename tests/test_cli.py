@@ -106,3 +106,67 @@ def test_installed_entry_point(tmp_path):
          "--manifest", str(manifest), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _line_config(path, nodes, delta):
+    s = len(nodes)
+    path.write_text(json.dumps({
+        "nodes": {"domain": "line", "nodes": nodes},
+        "cluster": {"delta": delta, "theta": "1", "s": s, "ell": s,
+                    "tau": str(s - 1)}}))
+    return path
+
+
+def _sinc_lambda_min(nodes, dps):
+    """Smallest eigenvalue of the sinc matrix, by mpmath's eigsy."""
+    with mp.workdps(dps):
+        xs = [mpf(x) for x in nodes]
+        G = mp.matrix([[mp.sinc(a - b) for b in xs] for a in xs])
+        return min(mp.eigsy(G, eigvals_only=True))
+
+
+def _rel_diff(a, b):
+    with mp.workdps(60):
+        a, b = mpf(a), mpf(b)
+        return abs(a - b) / abs(b)
+
+
+def test_limit_check_lambda_min_at_chosen_bits(tmp_path, capsys):
+    nodes = ["-1.5e-20", "-5e-21", "5e-21", "1.5e-20"]
+    cfg = _line_config(tmp_path / "line.json", nodes, "1e-20")
+    code = main(["limit-check", "--config", str(cfg), "--N-list", "10,50,250",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)
+    expect = _sinc_lambda_min(nodes, 200)
+    assert mp.nstr(expect, 7) == "1.142857e-123"
+    assert _rel_diff(result["lambda_min"], expect) < mpf("1e-6")
+
+
+def test_prolate_without_precision_bits(tmp_path, capsys):
+    for delta, nodes in (("1e-2", ["-0.015", "-0.005", "0.005", "0.015"]),
+                         ("1e-3", ["-0.0015", "-0.0005", "0.0005", "0.0015"])):
+        cfg = _line_config(tmp_path / f"line-{delta}.json", nodes, delta)
+        code = main(["prolate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 0, delta
+        result = json.loads(capsys.readouterr().out)
+        expect = _sinc_lambda_min(nodes, 80)
+        assert _rel_diff(result["lambda_min"], expect) < mpf("1e-15"), delta
+
+
+def test_gen_config_runs_at_sweep_bits(tmp_path, capsys):
+    point = {"ell": [6], "s": [6], "N": [100], "delta": ["1e-10"],
+             "theta": ["1"]}
+    manifest = make_manifest(tmp_path, **point)
+    assert main(["sweep", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    payload = json.loads((tmp_path / "sweep" / "results.json").read_text())
+    row = payload["rows"][0]
+    assert main(["gen-config", "--delta", "1e-10", "--s", "6", "--ell", "6",
+                 "--N", "100", "--theta", "1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["precision_bits"] == int(row["precision_bits"]) == 603
+    assert _rel_diff(result["lambda"], row["lambda"]) < mpf("1e-40")
