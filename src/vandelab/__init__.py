@@ -30,6 +30,7 @@ from .geometry import (
 from .matrices import (
     HPMatrix,
     VandermondeSpec,
+    build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
     build_shifted_vandermonde,

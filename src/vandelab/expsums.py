@@ -147,6 +147,22 @@ def lq_norm_quadrature(P: ExpSum, a, b, q):
     return (integral / (b - a)) ** (1 / q)
 
 
+def _progression_prec(count: int):
+    """Precision for count steps of ``_progression``: 16 + log2(count) guard bits."""
+    return mp.workprec(mp.prec + 16 + max(count, 1).bit_length())
+
+
+def _progression(P: ExpSum, start, step, count: int):
+    """Yield P(start + k*step) for k = 0..count at the ambient precision,
+    by the recurrence z_j <- z_j e^(i x_j step); run it inside
+    ``_progression_prec(count)``."""
+    steps = [mp.expj(x * step) for x in P.freqs]
+    zs = [c * mp.expj(x * start) for c, x in zip(P.coeffs, P.freqs)]
+    for _ in range(count + 1):
+        yield mp.fsum(zs, absolute=False)
+        zs = [z * st for z, st in zip(zs, steps)]
+
+
 def discrete_norm(P: ExpSum, N: int):
     """The integer-sample norm (sum_{k=0}^{N} |P(k)|^2)^(1/2).
 
@@ -154,15 +170,8 @@ def discrete_norm(P: ExpSum, N: int):
     """
     if N < 0:
         raise InvalidParameterError("N must be >= 0")
-    guard = 16 + max(N, 1).bit_length()
-    p = mp.prec
-    with mp.workprec(p + guard):
-        steps = [mp.expj(x) for x in P.freqs]
-        zs = list(P.coeffs)
-        total = mpf(0)
-        for _ in range(N + 1):
-            total += abs(mp.fsum(zs, absolute=False)) ** 2
-            zs = [z * st for z, st in zip(zs, steps)]
+    with _progression_prec(N):
+        total = sum((abs(v) ** 2 for v in _progression(P, 0, 1, N)), mpf(0))
         val = mp.sqrt(total)
     return +val
 
@@ -170,17 +179,8 @@ def discrete_norm(P: ExpSum, N: int):
 def _grid_max(P: ExpSum, a, b, samples: int):
     """max |P| over samples+1 uniform points on [a, b]."""
     h = (as_mpf(b) - as_mpf(a)) / samples
-    guard = 16 + samples.bit_length()
-    p = mp.prec
-    with mp.workprec(p + guard):
-        steps = [mp.expj(x * h) for x in P.freqs]
-        zs = [c * mp.expj(x * as_mpf(a)) for c, x in zip(P.coeffs, P.freqs)]
-        best = mpf(0)
-        for _ in range(samples + 1):
-            v = abs(mp.fsum(zs, absolute=False))
-            if v > best:
-                best = v
-            zs = [z * st for z, st in zip(zs, steps)]
+    with _progression_prec(samples):
+        best = max(abs(v) for v in _progression(P, as_mpf(a), h, samples))
     return +best
 
 

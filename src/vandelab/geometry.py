@@ -350,18 +350,17 @@ def assign_multiplicities(s: int, ell: int, n_clusters: int) -> list:
     return mults
 
 
-def _cluster_offsets(r: int, spec: ClusterSpec, layout: str, rng) -> list:
+def cluster_offsets(r: int, ell: int, tau, delta, layout: str, rng) -> list:
     """Node offsets of one cluster relative to its center, min+max = 0."""
     if r == 1:
         return [mpf(0)]
     if layout == EQUISPACED:
-        gaps = [spec.delta] * (r - 1)
+        gaps = [delta] * (r - 1)
     elif layout == RANDOM:
         # gaps in [delta, tau*delta/(ell-1)] keep every pairwise distance
         # inside [delta, tau*delta] for any multiplicity r <= ell
-        hi = spec.tau * spec.delta / (spec.ell - 1)
-        gaps = [spec.delta + (hi - spec.delta) * mpf(rng.random())
-                for _ in range(r - 1)]
+        hi = tau * delta / (ell - 1)
+        gaps = [delta + (hi - delta) * mpf(rng.random()) for _ in range(r - 1)]
     else:
         raise InvalidParameterError(f"unknown layout {layout!r}")
     offs = [mpf(0)]
@@ -395,7 +394,7 @@ def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
     rng = random.Random(seed)
     out = []
     for center, r in zip(centers, mults):
-        for off in _cluster_offsets(r, spec, layout, rng):
+        for off in cluster_offsets(r, spec.ell, spec.tau, spec.delta, layout, rng):
             x = center + off
             out.append(wrap_to_interval(x) if domain == PERIODIC else x)
     nodes = NodeSet(tuple(out), domain)

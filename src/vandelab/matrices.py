@@ -1,11 +1,13 @@
-"""Assembly of the Vandermonde, Gram, prolate, and shifted matrices.
+"""Assembly of the Vandermonde, Gram, kernel, prolate and shifted matrices.
 
-Spectral work downstream routes through the s x s Gram matrix with
-closed-form Dirichlet-kernel entries rather than the tall (N+1) x s
-factor: the node counts here are small (s <= 40) while N reaches a few
-hundred, and a closed-form entry carries no accumulated summation error.
-The price is that the Gram eigenvalues are the squared singular values,
-which the precision policy already budgets for.
+Spectral work downstream routes through an s x s matrix with
+closed-form entries rather than the tall (N+1) x s factor: the node
+counts here are small (s <= 40) while N reaches a few hundred, and a
+closed-form entry carries no accumulated summation error.  That matrix
+is the real Dirichlet kernel K (Slepian's discrete prolate kernel), with
+G = V^H V = U^H K U for U = diag(e^(i N x_j / 2)); G is kept as its test
+reference.  The eigenvalues are the squared singular values, which the
+precision policy already budgets for.
 """
 
 from __future__ import annotations
@@ -71,12 +73,12 @@ class HPMatrix:
                 f"matrix dump has {len(flat)} entries, expected {rows * cols}",
                 key="entries")
         with mp.workprec(bits):
-            ent = tuple(
-                tuple(
-                    mpc(parse_decimal(flat[i * cols + j][0], bits),
-                        parse_decimal(flat[i * cols + j][1], bits))
-                    for j in range(cols))
-                for i in range(rows))
+            parts = [(parse_decimal(e[0], bits), parse_decimal(e[1], bits))
+                     for e in flat]
+            # a dump with no imaginary part reads back real, as solver input
+            real = all(im == 0 for _, im in parts)
+            vals = [re if real else mpc(re, im) for re, im in parts]
+        ent = tuple(tuple(vals[i * cols:(i + 1) * cols]) for i in range(rows))
         return cls(ent, rows, cols, bits, bool(obj.get("hermitian", False)))
 
 
@@ -113,17 +115,19 @@ def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> HPMatri
     return HPMatrix(ent, N + 1, len(xs), p, hermitian=False)
 
 
-def _dirichlet_sum(delta, N: int):
-    """sum_{k=0}^{N} e^(i k delta) in closed form.
-
-    Algebraically (e^{i(N+1)delta} - 1)/(e^{i delta} - 1); evaluated as
-    e^{i N delta / 2} * sin((N+1) delta / 2) / sin(delta / 2), the same
-    quantity without the subtractive cancellation at small delta.
-    """
+def _dirichlet_ratio(delta, N: int):
+    """sin((N+1) delta/2) / sin(delta/2), and its limit N+1 at delta = 0."""
     if delta == 0:
-        return mpc(N + 1)
+        return mpf(N + 1)
     half = delta / 2
-    return mp.expj(N * half) * mp.sin((N + 1) * half) / mp.sin(half)
+    return mp.sin((N + 1) * half) / mp.sin(half)
+
+
+def _dirichlet_sum(delta, N: int):
+    """sum_{k=0}^{N} e^(i k delta) as e^(i N delta/2) times the Dirichlet
+    ratio: (e^(i(N+1)delta) - 1)/(e^(i delta) - 1) without its
+    subtractive cancellation at small delta."""
+    return mp.expj(N * delta / 2) * _dirichlet_ratio(delta, N)
 
 
 def build_gram_closed_form(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
@@ -147,6 +151,23 @@ def build_gram_closed_form(spec: VandermondeSpec, bits: int | None = None) -> HP
                     val = +val
                 rows[j][m] = val
                 rows[m][j] = mp.conj(val)
+    return HPMatrix(tuple(tuple(r) for r in rows), s, s, p, hermitian=True)
+
+
+def build_dirichlet_kernel(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
+    """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
+    with the spectrum of G: entry(j, m) = sin((N+1) d/2) / sin(d/2) for
+    d = x_m - x_j, rounded as the Gram builder rounds."""
+    p = bits if bits is not None else mp.prec
+    N, xs = spec.N, spec.nodes.nodes
+    s = len(xs)
+    rows = [[mpf(N + 1) if j == m else None for m in range(s)] for j in range(s)]
+    with mp.workprec(p + 32 + max(N, 1).bit_length()):
+        for j in range(s):
+            for m in range(j + 1, s):
+                val = _dirichlet_ratio(xs[m] - xs[j], N)
+                with mp.workprec(p):
+                    rows[j][m] = rows[m][j] = +val
     return HPMatrix(tuple(tuple(r) for r in rows), s, s, p, hermitian=True)
 
 

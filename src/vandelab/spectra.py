@@ -1,19 +1,18 @@
-"""Arbitrary-precision Hermitian eigensolver and derived singular values.
+"""Arbitrary-precision real symmetric eigensolver and derived singular values.
 
 The solver is a cyclic-by-rows Jacobi iteration on the full matrix.
 Jacobi is the right tool here for two reasons: it is trivial to run at
-any mpmath precision, and on the graded positive definite Gram matrices
-this laboratory produces it computes even the smallest eigenvalues to
-high *relative* accuracy, which QR-type methods do not guarantee.  The
+any mpmath precision, and on the graded positive definite matrices this
+laboratory produces it computes even the smallest eigenvalues to high
+*relative* accuracy, which QR-type methods do not guarantee.  The
 spectra of interest span hundreds of orders of magnitude, so that
 property is load-bearing.
 
-Each rotation eliminates one off-diagonal pair (p, q).  For a Hermitian
-pair with a_pq = |a_pq| e^(i phi), the 2x2 block factors as
-D B D^H with D = diag(1, e^(-i phi)) and B real symmetric, so the
-classical real Jacobi angle applied with the phase folded in zeroes the
-entry exactly.  Convergence is declared when the off-diagonal Frobenius
-norm falls below 2^-(p-8) times the matrix Frobenius norm.
+Every matrix it is given is real: the prolate matrix, and the Dirichlet
+kernel K that stands in for the Vandermonde Gram G = U^H K U.  Each
+rotation zeroes one off-diagonal pair with the classical real angle;
+the iteration stops when the off-diagonal Frobenius norm falls below
+2^-(p-8) times the matrix Frobenius norm.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .geometry import LINE, ClusterSpec, NodeSet, scale_to_circle, validate_config
 from .hp import DEFAULT_POLICY, decimal_str
-from .matrices import HPMatrix, VandermondeSpec, build_gram_closed_form
+from .matrices import HPMatrix, VandermondeSpec, build_dirichlet_kernel, build_prolate
 
 MAX_EIGEN_DIM = 256
 
@@ -85,16 +84,17 @@ class NormalizedMinSV:
 
 
 def _offdiag_frobenius(a, n):
-    return mp.sqrt(mp.fsum(abs(a[i][j]) ** 2
+    return mp.sqrt(mp.fsum(a[i][j] ** 2
                            for i in range(n) for j in range(n) if i != j))
 
 
 def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> SpectrumResult:
-    """All eigenvalues of a Hermitian HPMatrix by cyclic Jacobi rotations.
+    """All eigenvalues of a real symmetric HPMatrix by cyclic Jacobi rotations.
 
     Values come back sorted non-increasing, ties broken by the original
-    diagonal index.  Raises ConvergenceError (carrying the final
-    off-diagonal residual) if the sweep budget is exhausted.
+    diagonal index.  A complex entry raises InvalidParameterError, and an
+    exhausted sweep budget ConvergenceError (carrying the final
+    off-diagonal residual).
     """
     if not A.hermitian:
         raise InvalidParameterError("matrix is not tagged hermitian")
@@ -106,19 +106,20 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
         max_sweeps = 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
     with mp.workprec(p):
-        a = [[A.entries[i][j] for j in range(n)] for i in range(n)]
-        norm_f = mp.sqrt(mp.fsum(abs(a[i][j]) ** 2
+        try:
+            a = [[mpf(A.entries[i][j]) for j in range(n)] for i in range(n)]
+        except TypeError as exc:  # mpf() refuses mpc and complex entries
+            raise InvalidParameterError("complex entry in a real eigensolve") from exc
+        norm_f = mp.sqrt(mp.fsum(a[i][j] ** 2
                                  for i in range(n) for j in range(n)))
         if norm_f == 0 or n == 1:
-            vals = sorted((mpf(a[i][i].real if hasattr(a[i][i], "real") else a[i][i])
-                           for i in range(n)), reverse=True)
+            vals = sorted((a[i][i] for i in range(n)), reverse=True)
             return SpectrumResult(tuple(vals), "eigen", p, mpf(0), 0)
 
         threshold = mp.ldexp(norm_f, -(p - 8))
         # rotations on entries this far below the matrix scale only churn
         # rounding noise; skip them
         rotation_floor = mp.ldexp(norm_f, -(p + 4))
-        one = mpf(1)
         sweeps = 0
         off = _offdiag_frobenius(a, n)
         while off > threshold and sweeps < max_sweeps:
@@ -129,44 +130,34 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
                     h = abs(apq)
                     if h <= rotation_floor:
                         continue
-                    app = a[pi][pi].real
-                    aqq = a[qi][qi].real
-                    phase = apq / h
-                    phase_c = mp.conj(phase)
-                    tau = (aqq - app) / (2 * h)
-                    if tau >= 0:
-                        t = one / (tau + mp.sqrt(1 + tau * tau))
-                    else:
-                        t = -one / (-tau + mp.sqrt(1 + tau * tau))
-                    c = one / mp.sqrt(1 + t * t)
+                    tau = (a[qi][qi] - a[pi][pi]) / (2 * h)
+                    t = 1 / (abs(tau) + mp.sqrt(1 + tau * tau))
+                    # sign(tau) * sign(a_pq), with sign(0) = +1: t stays odd
+                    # in a_pq also at tau = 0 (equal diagonals)
+                    if (tau < 0) != (apq < 0):
+                        t = -t
+                    c = 1 / mp.sqrt(1 + t * t)
                     s = t * c
-                    s_ph = s * phase
-                    s_phc = s * phase_c
-                    c_phc = c * phase_c
-                    c_ph = c * phase
                     for i in range(n):
                         aip = a[i][pi]
                         aiq = a[i][qi]
-                        a[i][pi] = c * aip - s_phc * aiq
-                        a[i][qi] = s * aip + c_phc * aiq
+                        a[i][pi] = c * aip - s * aiq
+                        a[i][qi] = s * aip + c * aiq
                     for i in range(n):
                         api = a[pi][i]
                         aqi = a[qi][i]
-                        a[pi][i] = c * api - s_ph * aqi
-                        a[qi][i] = s * api + c_ph * aqi
-                    # the rotation annihilates (p, q) exactly; write the
-                    # exact zeros and strip rounding dust off the pair
+                        a[pi][i] = c * api - s * aqi
+                        a[qi][i] = s * api + c * aqi
+                    # the rotation annihilates (p, q) exactly
                     a[pi][qi] = mpf(0)
                     a[qi][pi] = mpf(0)
-                    a[pi][pi] = mpf(a[pi][pi].real)
-                    a[qi][qi] = mpf(a[qi][qi].real)
             off = _offdiag_frobenius(a, n)
         if off > threshold:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {max_sweeps} sweeps "
                 f"(residual {decimal_str(off, p)})",
                 residual=off, sweeps=sweeps)
-        diag = [(mpf(a[i][i].real), i) for i in range(n)]
+        diag = [(a[i][i], i) for i in range(n)]
         diag.sort(key=lambda vi: (-vi[0], vi[1]))
         return SpectrumResult(tuple(v for v, _ in diag), "eigen", p, off, sweeps)
 
@@ -200,7 +191,8 @@ def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
 def singular_values(spec: VandermondeSpec,
                     cluster: ClusterSpec | None = None,
                     bits: int | None = None) -> SpectrumResult:
-    """Singular values of the Vandermonde matrix via its closed-form Gram.
+    """Singular values of the Vandermonde matrix: square roots of the
+    eigenvalues of its Dirichlet kernel K, which has the Gram spectrum.
 
     Working precision is ``bits`` when given, otherwise sized by the
     policy from the cluster parameters, otherwise the policy floor.
@@ -210,9 +202,9 @@ def singular_values(spec: VandermondeSpec,
             bits = DEFAULT_POLICY.required_bits(cluster.ell, spec.N, cluster.delta)
         else:
             bits = DEFAULT_POLICY.floor_bits
-    gram = build_gram_closed_form(spec, bits)
-    eig = hermitian_eigenvalues(gram)
-    return _sqrt_spectrum(eig, gram.frobenius_norm())
+    kernel = build_dirichlet_kernel(spec, bits)
+    eig = hermitian_eigenvalues(kernel)
+    return _sqrt_spectrum(eig, kernel.frobenius_norm())
 
 
 def normalized_lambda(sigma_min, N: int, delta, ell: int):
@@ -245,10 +237,8 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int) -> LimitCheck:
 
     For each N, sigma_min of the shifted normalized matrix equals
     sigma_min(V_2N(x/N)) / sqrt(2N), so its square is computed from the
-    closed-form Gram of V_2N at the scaled nodes, at ``bits``.
+    Dirichlet kernel of V_2N at the scaled nodes, at ``bits``.
     """
-    from .matrices import build_prolate
-
     if nodes.domain != LINE:
         raise InvalidParameterError("prolate limit check expects line nodes")
     if any(N < 1 for N in N_list):
@@ -259,8 +249,8 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int) -> LimitCheck:
     for N in N_list:
         with mp.workprec(bits):
             scaled = scale_to_circle(nodes, N)
-        gram = build_gram_closed_form(VandermondeSpec(2 * N, scaled), bits)
-        lam = hermitian_eigenvalues(gram).min_value
+        kernel = build_dirichlet_kernel(VandermondeSpec(2 * N, scaled), bits)
+        lam = hermitian_eigenvalues(kernel).min_value
         with mp.workprec(bits):
             sig2_tilde = lam / (2 * N)
             gap = abs(sig2_tilde - lam_g)

@@ -29,6 +29,7 @@ from .geometry import (
     RANDOM,
     ClusterSpec,
     NodeSet,
+    cluster_offsets,
     generate_config,
 )
 from .hp import as_mpf, decimal_str, pi_e
@@ -94,19 +95,6 @@ def random_expsum(rng, ell: int, freq_range=5.0, min_sep=1e-3) -> ExpSum:
             freqs.append(x)
     coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(ell)]
     return ExpSum(tuple(coeffs), tuple(freqs))
-
-
-def random_clustered_nodes(rng, ell: int, tau, delta):
-    """One cluster of ell nodes centered at 0 with gaps in
-    [delta, tau*delta/(ell-1)]."""
-    if ell == 1:
-        return (mpf(0),)
-    hi = mpf(tau) * mpf(delta) / (ell - 1)
-    xs = [mpf(0)]
-    for _ in range(ell - 1):
-        xs.append(xs[-1] + _rng_floats(rng, mpf(delta), hi))
-    mid = (xs[0] + xs[-1]) / 2
-    return tuple(x - mid for x in xs)
 
 
 @dataclass(frozen=True)
@@ -223,7 +211,7 @@ def run_cor_turan_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
             ell = rng.randint(1, ell_max)
             tau = mpf(max(ell - 1, 1)) + mpf(rng.uniform(0, 1))
             delta = mpf(10) ** (-_rng_floats(rng, mpf(2), mpf(5)))
-            nodes = random_clustered_nodes(rng, ell, tau, delta)
+            nodes = cluster_offsets(ell, ell, tau, delta, RANDOM, rng)
             coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for _ in range(ell)]
             P = ExpSum(tuple(coeffs), nodes)
@@ -298,7 +286,7 @@ def run_riemann_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
             ell = rng.randint(1, ell_max)
             tau = mpf(max(ell - 1, 1)) + mpf(rng.uniform(0, 1))
             delta = mpf(10) ** (-_rng_floats(rng, mpf(3), mpf(6)))
-            nodes = random_clustered_nodes(rng, ell, tau, delta)
+            nodes = cluster_offsets(ell, ell, tau, delta, RANDOM, rng)
             coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                       for _ in range(ell)]
             P = ExpSum(tuple(coeffs), nodes)

@@ -43,6 +43,18 @@ def eighe_eigenvalues(A: HPMatrix):
 
 
 def random_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
+    """A real symmetric matrix, the only Hermitian form the solver takes."""
+    with mp.workprec(bits):
+        rows = [[mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = mpf(rng.uniform(-2, 2))
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = mpf(rng.uniform(-1, 1))
+    return HPMatrix(tuple(tuple(r) for r in rows), n, n, bits, hermitian=True)
+
+
+def random_complex_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
+    """A complex Hermitian matrix with nonzero imaginary parts off the diagonal."""
     with mp.workprec(bits):
         rows = [[mpc(0)] * n for _ in range(n)]
         for i in range(n):

@@ -161,6 +161,17 @@ class TestSweep:
 
         assert masked(tmp_path / "serial") == masked(tmp_path / "par")
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 2a")
+    @pytest.mark.parametrize("bits", [192, 256])
+    def test_under_resolved_row_is_not_ok(self, tmp_path, bits):
+        # the policy picks 603 bits for this point; pinned far below it,
+        # the spectrum is rounding noise and the row must not pass as ok
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [6], "N": [100], "delta": ["1e-10"]},
+            precision_override=bits))
+        run_sweep(m, tmp_path)
+        assert read_rows(tmp_path)[0]["status"] != "ok"
+
     def test_row_revalidates(self, tmp_path):
         # re-running a row's recorded coordinates reproduces sigma_min
         m = ExperimentManifest.from_json_dict(manifest_dict(

@@ -1,0 +1,109 @@
+"""Byte guards: outputs a refactor must leave unchanged.
+
+Each case runs one command through the CLI and compares its output file,
+with the wall-clock ``runtime_ms`` masked, to the copy in golden/:
+
+- ``results.csv`` of a sweep over the README manifest
+- ``prolate.json`` of the 4-node equispaced line cluster at delta 1e-3
+- ``inequalities.json`` of the five suites at 20 instances
+
+An output that is meant to change is re-recorded with
+``PYTHONPATH=src python tests/test_golden.py``, and the change log says
+which bytes moved and why.
+"""
+
+import csv
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from vandelab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+LINE_CONFIG = {
+    "nodes": {"domain": "line",
+              "nodes": ["-0.0015", "-0.0005", "0.0005", "0.0015"]},
+    "cluster": {"delta": "1e-3", "theta": "1", "s": 4, "ell": 4, "tau": "3"},
+}
+
+
+def _readme_manifest():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    return next(m for m in map(json.loads, blocks) if m.get("kind") == "sweep")
+
+
+def _masked_csv(text):
+    rows = list(csv.reader(io.StringIO(text)))
+    col = rows[0].index("runtime_ms")
+    for row in rows[1:]:
+        row[col] = ""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _masked_json(text):
+    def mask(obj):
+        if isinstance(obj, dict):
+            return {k: None if k == "runtime_ms" else mask(v)
+                    for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [mask(v) for v in obj]
+        return obj
+    return json.dumps(mask(json.loads(text)), indent=2) + "\n"
+
+
+def _sweep(tmp):
+    (tmp / "manifest.json").write_text(json.dumps(_readme_manifest()))
+    argv = ["sweep", "--manifest", str(tmp / "manifest.json"), "--workers", "1"]
+    return argv, "results.csv"
+
+
+def _prolate(tmp):
+    (tmp / "line_config.json").write_text(json.dumps(LINE_CONFIG))
+    return ["prolate", "--config", str(tmp / "line_config.json")], "prolate.json"
+
+
+def _inequalities(tmp):
+    return (["inequalities", "--checks",
+             "turan,nikolskii,cor-turan,salem,riemann", "--instances", "20"],
+            "inequalities.json")
+
+
+CASES = {"readme_results.csv": _sweep, "prolate_s4_1e-3.json": _prolate,
+         "inequalities_20.json": _inequalities}
+
+
+def _run(golden, tmp):
+    argv, name = CASES[golden](tmp)
+    assert main(argv + ["--out", str(tmp / "out")]) == 0
+    text = (tmp / "out" / name).read_text(encoding="utf-8")
+    return _masked_csv(text) if name.endswith(".csv") else _masked_json(text)
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_output_matches_golden(golden, tmp_path, monkeypatch, capsys):
+    for key in [k for k in os.environ if k.startswith("VANDELAB_")]:
+        monkeypatch.delenv(key)
+    got = _run(golden, tmp_path)
+    capsys.readouterr()
+    assert got == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    names = sys.argv[1:] or sorted(CASES)
+    GOLDEN.mkdir(exist_ok=True)
+    for golden in names:
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / golden).write_text(_run(golden, Path(tmp)),
+                                         encoding="utf-8")

@@ -1,7 +1,7 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import gram_entry_direct, random_hermitian
+from conftest import gram_entry_direct, random_complex_hermitian
 from vandelab.errors import InvalidParameterError
 from vandelab.geometry import LINE, PERIODIC, NodeSet
 from vandelab.matrices import (
@@ -12,6 +12,7 @@ from vandelab.matrices import (
     build_shifted_vandermonde,
     build_vandermonde,
 )
+from vandelab.spectra import hermitian_eigenvalues
 
 BITS = 192
 
@@ -208,7 +209,7 @@ class TestShiftedVandermonde:
 
 class TestHPMatrixSerialization:
     def test_json_round_trip(self, rng):
-        M = random_hermitian(rng, 3, BITS)
+        M = random_complex_hermitian(rng, 3, BITS)
         back = HPMatrix.from_json_dict(M.to_json_dict())
         assert back.rows == 3 and back.hermitian
         with mp.workprec(BITS):
@@ -217,3 +218,16 @@ class TestHPMatrixSerialization:
                 for j in range(3):
                     assert abs(back.entry(i, j) - M.entry(i, j)) <= \
                         tol * max(1, abs(M.entry(i, j)))
+
+    def test_real_dump_reads_back_real(self):
+        # a real symmetric dump must come back as solver input
+        with mp.workprec(BITS):
+            P = build_prolate(NodeSet((mpf(0), mpf("0.1"), mpf("0.3")), LINE),
+                              BITS)
+            back = HPMatrix.from_json_dict(P.to_json_dict())
+            assert all(isinstance(x, mpf)
+                       for row in back.entries for x in row)
+            want = hermitian_eigenvalues(P).values
+            got = hermitian_eigenvalues(back).values
+            for a, b in zip(want, got):
+                assert abs(a - b) <= mpf(10) ** -50 * max(1, abs(a))

@@ -1,5 +1,5 @@
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from conftest import eighe_eigenvalues, random_hermitian
 from vandelab.errors import ConvergenceError, InvalidParameterError, PrecisionError
@@ -8,6 +8,7 @@ from vandelab.hp import required_bits
 from vandelab.matrices import (
     HPMatrix,
     VandermondeSpec,
+    build_dirichlet_kernel,
     build_gram_closed_form,
     build_vandermonde,
 )
@@ -51,7 +52,7 @@ class TestJacobi:
         with mp.workprec(BITS):
             M = random_hermitian(rng, 4, BITS)
             eig = hermitian_eigenvalues(M)
-            trace = mp.fsum(M.entry(i, i).real for i in range(4))
+            trace = mp.fsum(M.entry(i, i) for i in range(4))
             total = mp.fsum(eig.values)
             assert abs(total - trace) <= \
                 mpf(2) ** -(BITS - 16) * max(1, abs(trace))
@@ -67,29 +68,31 @@ class TestJacobi:
                     assert abs(a - b) <= scale * mpf(2) ** -(BITS - 24)
 
     def test_graded_gram_full_relative_accuracy(self):
-        # the Gram of a 5-node cluster at delta=1e-6 spans ~50 orders of
-        # magnitude; Jacobi must track every eigenvalue in relative terms
+        # spec(K) == spec(G): the Gram of a 5-node cluster at delta=1e-6
+        # spans ~50 orders of magnitude; Jacobi on the real kernel K must
+        # track every eigenvalue of the complex Gram G in relative terms
         ell, N = 5, 100
         bits = required_bits(ell, N, mpf("1e-6"))
         with mp.workprec(bits):
             delta = mpf("1e-6")
             nodes = NodeSet(tuple((k - mpf(ell - 1) / 2) * delta
                                   for k in range(ell)))
-            G = build_gram_closed_form(VandermondeSpec(N, nodes), bits)
-            mine = hermitian_eigenvalues(G).values
-            ref = eighe_eigenvalues(G)
+            spec = VandermondeSpec(N, nodes)
+            mine = hermitian_eigenvalues(
+                build_dirichlet_kernel(spec, bits)).values
+            ref = eighe_eigenvalues(build_gram_closed_form(spec, bits))
             for a, b in zip(mine, ref):
                 assert b > 0
                 assert abs(a - b) / b < mpf(10) ** -30
 
     def test_diagonal_similarity_invariance(self, rng):
-        # conjugating by a unimodular diagonal must not move eigenvalues
+        # conjugating by a diagonal of signs must not move eigenvalues
         with mp.workprec(BITS):
             n = 4
             M = random_hermitian(rng, n, BITS)
-            phases = [mp.expj(mpf(rng.uniform(-3, 3))) for _ in range(n)]
+            signs = [rng.choice((-1, 1)) for _ in range(n)]
             rows = tuple(
-                tuple(phases[i] * M.entry(i, j) * mp.conj(phases[j])
+                tuple(signs[i] * M.entry(i, j) * signs[j]
                       for j in range(n)) for i in range(n))
             conj = HPMatrix(rows, n, n, BITS, hermitian=True)
             a_vals = hermitian_eigenvalues(M).values
@@ -97,6 +100,13 @@ class TestJacobi:
             scale = max(abs(v) for v in a_vals) + 1
             for a, b in zip(a_vals, b_vals):
                 assert abs(a - b) <= scale * mpf(2) ** -(BITS - 16)
+
+    def test_rejects_complex_entry(self):
+        with mp.workprec(BITS):
+            M = HPMatrix(((mpf(1), mpc(0, 1)), (mpc(0, -1), mpf(1))), 2, 2,
+                         BITS, hermitian=True)
+        with pytest.raises(InvalidParameterError):
+            hermitian_eigenvalues(M)
 
     def test_nonconvergence_diagnostic(self, rng):
         M = random_hermitian(rng, 4, BITS)
