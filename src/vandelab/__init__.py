@@ -20,8 +20,6 @@ from .geometry import (
     ClusterSpec,
     NodeSet,
     PartitionResult,
-    center_nodes,
-    count_q,
     generate_config,
     scale_to_circle,
     validate_config,
@@ -37,10 +35,8 @@ from .matrices import (
     build_vandermonde,
 )
 from .spectra import (
-    NormalizedMinSV,
     SpectrumResult,
     hermitian_eigenvalues,
-    normalized_min_sv,
     prolate_limit_check,
     singular_values,
 )

@@ -223,8 +223,8 @@ def linf_norm_certified(P: ExpSum, a, b, bernstein_c=1,
     return CertifiedSup(lower, upper, samples, B)
 
 
-def check_turan(P: ExpSum, interval, subinterval, bernstein_c=1,
-                max_samples: int = DEFAULT_MAX_SUP_SAMPLES) -> InequalityCheck:
+def check_turan(P: ExpSum, interval, subinterval,
+                bernstein_c=1) -> InequalityCheck:
     """sup on I against (4e mu(I)/mu(Omega))^(ell-1) times sup on Omega.
 
     lhs uses the lower sup estimate and rhs the upper one, so holds=False
@@ -237,8 +237,8 @@ def check_turan(P: ExpSum, interval, subinterval, bernstein_c=1,
     if w0 < a or w1 > b:
         raise InvalidParameterError("Omega must be contained in I")
     ell = P.degree
-    lhs = linf_norm_certified(P, a, b, bernstein_c, max_samples).lower
-    omega_sup = linf_norm_certified(P, w0, w1, bernstein_c, max_samples).upper
+    lhs = linf_norm_certified(P, a, b, bernstein_c).lower
+    omega_sup = linf_norm_certified(P, w0, w1, bernstein_c).upper
     factor = (4 * mp.e * (b - a) / (w1 - w0)) ** (ell - 1)
     rhs = factor * omega_sup
     return InequalityCheck(
@@ -247,8 +247,7 @@ def check_turan(P: ExpSum, interval, subinterval, bernstein_c=1,
                 "factor": factor})
 
 
-def check_nikolskii(P: ExpSum, p_exp, q_exp, bernstein_c=1,
-                    max_samples: int = DEFAULT_MAX_SUP_SAMPLES) -> InequalityCheck:
+def check_nikolskii(P: ExpSum, p_exp, q_exp, bernstein_c=1) -> InequalityCheck:
     """||P||_p <= (pi*ell/2)^(2/q - 2/p) ||P||_q on [0, 1].
 
     Needs 0 < q <= 2 and q <= p <= inf; p == q is the degenerate equality
@@ -266,7 +265,7 @@ def check_nikolskii(P: ExpSum, p_exp, q_exp, bernstein_c=1,
     ell = P.degree
     zero, one = mpf(0), mpf(1)
     if inf_p:
-        lhs = linf_norm_certified(P, zero, one, bernstein_c, max_samples).lower
+        lhs = linf_norm_certified(P, zero, one, bernstein_c).lower
         inv_p = mpf(0)
     else:
         lhs = l2_norm_exact(P, zero, one) if pv == 2 \
@@ -318,7 +317,7 @@ class RiemannGapReport:
 
     gap: object
     rhs_shape: object          # (ell^5 / N) * ||T||_inf estimate, or None
-    t_sup_lower: object        # grid-max lower estimate of ||T||_inf, or None
+    t_sup_lower: object        # certified lower estimate of ||T||_inf, or None
     l1_norm: object            # integral of T = ||P||^2_{L2(0,N)}
     discrete_mean: object      # (1/N) sum_{k=0}^{N} T(k/N)
     discrete_sq: object        # ||P||^2_{2,N}
@@ -345,13 +344,12 @@ def _squared_modulus_terms(P: ExpSum, scale):
 
 
 def riemann_gap(P: ExpSum, N: int, with_sup_shape: bool = True,
-                bernstein_c=1,
-                max_samples: int = DEFAULT_MAX_SUP_SAMPLES) -> RiemannGapReport:
+                bernstein_c=1) -> RiemannGapReport:
     """Exact gap |int_0^1 T - (1/N) sum_k T(k/N)| and the paper's shape.
 
     Both the integral and the samples are exact: the integral by
     closed-form term integration, the samples as |P(k)|^2.  rhs_shape is
-    (ell^5/N) times a grid-max (lower) estimate of ||T||_inf, so the
+    (ell^5/N) times the certified lower estimate of ||T||_inf, so the
     reported gap/rhs_shape ratio over-estimates the true ratio; skip it
     with with_sup_shape=False when only the norm relation matters.
     """
@@ -369,9 +367,7 @@ def riemann_gap(P: ExpSum, N: int, with_sup_shape: bool = True,
     rhs_shape = None
     t_sup_lower = None
     if with_sup_shape:
-        B = bernstein_factor(T, mpf(0), mpf(1), bernstein_c)
-        samples = min(max(MIN_SUP_SAMPLES, int(mp.ceil(B)) + 1), max_samples)
-        t_sup_lower = _grid_max(T, mpf(0), mpf(1), samples)
+        t_sup_lower = linf_norm_certified(T, mpf(0), mpf(1), bernstein_c).lower
         rhs_shape = mpf(ell) ** 5 / N * t_sup_lower
     applicable = bool(gap <= l1 / 2)
     holds = bool(disc_sq >= mpf(N) / 2 * l1)

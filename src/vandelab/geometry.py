@@ -204,14 +204,6 @@ class PartitionResult:
         return len(self.clusters)
 
 
-def count_q(partition: PartitionResult, m: int) -> int:
-    """Number of clusters of multiplicity at least m (1 <= m <= ell)."""
-    if not (1 <= m <= len(partition.q)):
-        raise InvalidParameterError(
-            f"m must be in 1..{len(partition.q)}, got {m}")
-    return sum(1 for r in partition.multiplicities if r >= m)
-
-
 def _distance_slack(nodes: NodeSet, delta):
     """Absolute tolerance for the boundary comparisons of the validator.
 
@@ -400,22 +392,6 @@ def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
     nodes = NodeSet(tuple(out), domain)
     validate_config(nodes, spec)
     return nodes
-
-
-def center_nodes(nodes: NodeSet) -> NodeSet:
-    """Shift so that min + max = 0 (single-cluster normalization).
-
-    For periodic sets this assumes the configuration does not straddle
-    the (-pi, pi] boundary, which holds for every cluster this package
-    generates.
-    """
-    lo = min(nodes.nodes)
-    hi = max(nodes.nodes)
-    shift = (lo + hi) / 2
-    moved = [x - shift for x in nodes.nodes]
-    if nodes.domain == PERIODIC:
-        moved = [wrap_to_interval(x) for x in moved]
-    return NodeSet(tuple(moved), nodes.domain)
 
 
 def scale_to_circle(nodes: NodeSet, N: int) -> NodeSet:

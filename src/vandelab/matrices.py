@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import ConfigParseError, DegenerateInputError, InvalidParameterError
+from .errors import DegenerateInputError, InvalidParameterError
 from .geometry import LINE, PERIODIC, NodeSet
-from .hp import decimal_str, parse_decimal
+from .hp import decimal_str
 
 log = logging.getLogger(__name__)
 
@@ -44,42 +44,6 @@ class HPMatrix:
     def frobenius_norm(self):
         with mp.workprec(self.precision_bits):
             return mp.sqrt(mp.fsum(abs(x) ** 2 for row in self.entries for x in row))
-
-    def to_json_dict(self) -> dict:
-        bits = self.precision_bits
-        flat = []
-        for row in self.entries:
-            for x in row:
-                z = mpc(x)
-                flat.append([decimal_str(z.real, bits), decimal_str(z.imag, bits)])
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "precision_bits": bits,
-            "hermitian": self.hermitian,
-            "entries": flat,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "HPMatrix":
-        for key in ("rows", "cols", "precision_bits", "entries"):
-            if key not in obj:
-                raise ConfigParseError(f"matrix dump missing key {key!r}", key=key)
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        bits = int(obj["precision_bits"])
-        flat = obj["entries"]
-        if len(flat) != rows * cols:
-            raise ConfigParseError(
-                f"matrix dump has {len(flat)} entries, expected {rows * cols}",
-                key="entries")
-        with mp.workprec(bits):
-            parts = [(parse_decimal(e[0], bits), parse_decimal(e[1], bits))
-                     for e in flat]
-            # a dump with no imaginary part reads back real, as solver input
-            real = all(im == 0 for _, im in parts)
-            vals = [re if real else mpc(re, im) for re, im in parts]
-        ent = tuple(tuple(vals[i * cols:(i + 1) * cols]) for i in range(rows))
-        return cls(ent, rows, cols, bits, bool(obj.get("hermitian", False)))
 
 
 @dataclass(frozen=True)

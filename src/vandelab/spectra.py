@@ -27,8 +27,8 @@ from .errors import (
     InvalidParameterError,
     PrecisionError,
 )
-from .geometry import LINE, ClusterSpec, NodeSet, scale_to_circle, validate_config
-from .hp import DEFAULT_POLICY, decimal_str
+from .geometry import LINE, NodeSet, scale_to_circle
+from .hp import decimal_str
 from .matrices import HPMatrix, VandermondeSpec, build_dirichlet_kernel, build_prolate
 
 MAX_EIGEN_DIM = 256
@@ -41,8 +41,6 @@ class SpectrumResult:
     values are non-increasing; kind is "singular" or "eigen".
     offdiag_residual is the final off-diagonal Frobenius norm of the
     Jacobi iteration and sweeps_used the number of full sweeps it took.
-    clamped counts eigenvalues of tiny negative rounding dust that were
-    clamped to zero before taking square roots.
     """
 
     values: tuple
@@ -50,7 +48,6 @@ class SpectrumResult:
     precision_bits: int
     offdiag_residual: object
     sweeps_used: int
-    clamped: int = 0
 
     @property
     def min_value(self):
@@ -68,19 +65,7 @@ class SpectrumResult:
             "values": [decimal_str(v, bits) for v in self.values],
             "offdiag_residual": decimal_str(self.offdiag_residual, bits),
             "sweeps_used": self.sweeps_used,
-            "clamped": self.clamped,
         }
-
-
-@dataclass(frozen=True)
-class NormalizedMinSV:
-    """sigma_min scaled by sqrt(N) * (N*delta)^(ell-1), with its log10."""
-
-    lambda_value: object
-    log10_lambda: object
-    N: int
-    delta: object
-    ell: int
 
 
 def _offdiag_frobenius(a, n):
@@ -163,45 +148,32 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
 
 
 def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
-    """Singular values from Gram eigenvalues, clamping rounding dust.
+    """Singular values from Gram eigenvalues that clear their error bound.
 
-    Eigenvalues in (-2^-(p-16) * ||A||_F, 0) are set to zero; anything
-    more negative means the working precision was too small for the
-    instance and raises PrecisionError.
+    By Weyl's inequality each computed eigenvalue lies within ||E||_2 of
+    the exact one, E the Jacobi backward error, which is bounded by
+    32 * n * max(sweeps, 1) * 2^-p * ||K||_F (constant 32).  A smallest
+    eigenvalue at or below that bound is not resolved at p bits, and
+    PrecisionError is raised.
     """
     p = eig.precision_bits
+    n = len(eig.values)
     with mp.workprec(p):
-        dust = mp.ldexp(norm_f, -(p - 16))
-        vals = []
-        clamped = 0
-        for lam in eig.values:
-            if lam < 0:
-                if -lam < dust:
-                    lam = mpf(0)
-                    clamped += 1
-                else:
-                    raise PrecisionError(
-                        f"Gram eigenvalue {decimal_str(lam, p)} is negative "
-                        f"beyond rounding dust at {p} bits; raise precision")
-            vals.append(mp.sqrt(lam))
-    return SpectrumResult(tuple(vals), "singular", p,
-                          eig.offdiag_residual, eig.sweeps_used, clamped)
+        bound = mp.ldexp(32 * n * max(eig.sweeps_used, 1) * norm_f, -p)
+        if eig.min_value <= bound:
+            raise PrecisionError(
+                f"smallest Gram eigenvalue {decimal_str(eig.min_value, p)} "
+                f"does not clear its error bound {decimal_str(bound, p)} at "
+                f"{p} bits; raise precision")
+        vals = tuple(mp.sqrt(lam) for lam in eig.values)
+    return SpectrumResult(vals, "singular", p, eig.offdiag_residual,
+                          eig.sweeps_used)
 
 
-def singular_values(spec: VandermondeSpec,
-                    cluster: ClusterSpec | None = None,
-                    bits: int | None = None) -> SpectrumResult:
-    """Singular values of the Vandermonde matrix: square roots of the
-    eigenvalues of its Dirichlet kernel K, which has the Gram spectrum.
-
-    Working precision is ``bits`` when given, otherwise sized by the
-    policy from the cluster parameters, otherwise the policy floor.
-    """
-    if bits is None:
-        if cluster is not None:
-            bits = DEFAULT_POLICY.required_bits(cluster.ell, spec.N, cluster.delta)
-        else:
-            bits = DEFAULT_POLICY.floor_bits
+def singular_values(spec: VandermondeSpec, bits: int) -> SpectrumResult:
+    """Singular values of the Vandermonde matrix at ``bits``: square roots
+    of the eigenvalues of its Dirichlet kernel K, which has the Gram
+    spectrum."""
     kernel = build_dirichlet_kernel(spec, bits)
     eig = hermitian_eigenvalues(kernel)
     return _sqrt_spectrum(eig, kernel.frobenius_norm())
@@ -212,17 +184,6 @@ def normalized_lambda(sigma_min, N: int, delta, ell: int):
     sigma_min / (sqrt(N) (N delta)^(ell-1)); log10 of 0 is -inf."""
     lam = sigma_min / (mp.sqrt(N) * (N * delta) ** (ell - 1))
     return lam, mp.log10(lam) if lam > 0 else mpf("-inf")
-
-
-def normalized_min_sv(spec: VandermondeSpec, cluster: ClusterSpec,
-                      bits: int | None = None) -> NormalizedMinSV:
-    """sigma_min / (sqrt(N) (N delta)^(ell-1)) for a validated configuration."""
-    validate_config(spec.nodes, cluster)
-    result = singular_values(spec, cluster, bits)
-    with mp.workprec(result.precision_bits):
-        lam, log10lam = normalized_lambda(result.min_value, spec.N,
-                                          cluster.delta, cluster.ell)
-    return NormalizedMinSV(lam, log10lam, spec.N, cluster.delta, cluster.ell)
 
 
 class LimitCheck(list):

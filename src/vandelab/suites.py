@@ -18,6 +18,7 @@ from mpmath import mp, mpc, mpf
 from .errors import InvalidParameterError
 from .expsums import (
     ExpSum,
+    InequalityCheck,
     check_cor_turan,
     check_nikolskii,
     check_salem_ratio,
@@ -36,6 +37,7 @@ from .hp import as_mpf, decimal_str, pi_e
 
 DEFAULT_SUITE_SEED = 20240601
 DEFAULT_SUITE_BITS = 192
+SALEM_SEPARATIONS = ("1e-2", "1e-4", "1e-6")
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,11 @@ def _rng_floats(rng, lo, hi):
     return lo + (hi - lo) * mpf(rng.random())
 
 
+def _random_coeffs(rng, ell: int) -> list:
+    """ell coefficients drawn uniformly from the unit square."""
+    return [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(ell)]
+
+
 def random_expsum(rng, ell: int, freq_range=5.0, min_sep=1e-3) -> ExpSum:
     """ell terms, coefficients in the unit square, frequencies separated
     by at least min_sep inside [-freq_range, freq_range]."""
@@ -93,8 +100,17 @@ def random_expsum(rng, ell: int, freq_range=5.0, min_sep=1e-3) -> ExpSum:
         x = mpf(rng.uniform(-freq_range, freq_range))
         if all(abs(x - y) >= min_sep for y in freqs):
             freqs.append(x)
-    coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(ell)]
-    return ExpSum(tuple(coeffs), tuple(freqs))
+    return ExpSum(tuple(_random_coeffs(rng, ell)), tuple(freqs))
+
+
+def _clustered_expsum(rng, ell_max: int, exp_lo, exp_hi):
+    """(ell, delta, P): a sum on one random cluster of ell <= ell_max
+    frequencies, with delta = 10^-u for u uniform in [exp_lo, exp_hi]."""
+    ell = rng.randint(1, ell_max)
+    tau = mpf(max(ell - 1, 1)) + mpf(rng.uniform(0, 1))
+    delta = mpf(10) ** (-_rng_floats(rng, mpf(exp_lo), mpf(exp_hi)))
+    nodes = cluster_offsets(ell, ell, tau, delta, RANDOM, rng)
+    return ell, delta, ExpSum(tuple(_random_coeffs(rng, ell)), nodes)
 
 
 @dataclass(frozen=True)
@@ -154,104 +170,105 @@ def random_clustered_config(rng, ell_range=(2, 4), clusters_range=(1, 3),
                              multiplicities=tuple(mults))
 
 
-def run_turan_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
-                    ell_max: int = 5, bits: int = DEFAULT_SUITE_BITS) -> SuiteResult:
+def _run(name: str, draw, instances: int, seed: int,
+         margin: bool = False) -> SuiteResult:
+    """One record per seeded instance; ``draw(rng)`` gives its
+    (params, InequalityCheck).  With margin the summary also states the
+    smallest rhs/lhs over the instances."""
     rng = random.Random(seed)
-    out = SuiteResult("turan", seed)
-    worst = None
+    out = SuiteResult(name, seed)
+    bits = DEFAULT_SUITE_BITS
+    checks = []
     with mp.workprec(bits):
         for i in range(instances):
-            ell = rng.randint(1, ell_max)
-            P = random_expsum(rng, ell)
-            b = mpf(rng.uniform(1.0, 4.0))
-            w0 = mpf(rng.uniform(0.0, 0.7)) * b
-            w1 = w0 + max(mpf(rng.uniform(0.05, 0.3)) * b, mpf("0.01"))
-            chk = check_turan(P, (mpf(0), b), (w0, w1))
-            margin = chk.rhs / chk.lhs if chk.lhs > 0 else mpf("inf")
-            worst = margin if worst is None else min(worst, margin)
+            params, chk = draw(rng)
+            checks.append(chk)
             out.records.append(SuiteRecord(
-                "turan", i, {"ell": ell, "interval": decimal_str(b, 64)},
-                decimal_str(chk.lhs, bits), decimal_str(chk.rhs, bits),
-                chk.holds, seed))
-        out.summary = {"instances": instances,
-                       "min_rhs_over_lhs": decimal_str(worst, bits)}
-    return out
-
-
-def run_nikolskii_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
-                        ell_max: int = 5,
-                        bits: int = DEFAULT_SUITE_BITS) -> SuiteResult:
-    """p = inf, q = 2 on [0, 1]."""
-    rng = random.Random(seed)
-    out = SuiteResult("nikolskii", seed)
-    worst = None
-    with mp.workprec(bits):
-        for i in range(instances):
-            ell = rng.randint(1, ell_max)
-            P = random_expsum(rng, ell, freq_range=20.0)
-            chk = check_nikolskii(P, "inf", 2)
-            margin = chk.rhs / chk.lhs if chk.lhs > 0 else mpf("inf")
-            worst = margin if worst is None else min(worst, margin)
-            out.records.append(SuiteRecord(
-                "nikolskii", i, {"ell": ell, "p": "inf", "q": 2},
-                decimal_str(chk.lhs, bits), decimal_str(chk.rhs, bits),
-                chk.holds, seed))
-        out.summary = {"instances": instances,
-                       "min_rhs_over_lhs": decimal_str(worst, bits)}
-    return out
-
-
-def run_cor_turan_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
-                        ell_max: int = 4,
-                        bits: int = DEFAULT_SUITE_BITS) -> SuiteResult:
-    rng = random.Random(seed)
-    out = SuiteResult("cor-turan", seed)
-    with mp.workprec(bits):
-        for i in range(instances):
-            ell = rng.randint(1, ell_max)
-            tau = mpf(max(ell - 1, 1)) + mpf(rng.uniform(0, 1))
-            delta = mpf(10) ** (-_rng_floats(rng, mpf(2), mpf(5)))
-            nodes = cluster_offsets(ell, ell, tau, delta, RANDOM, rng)
-            coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                      for _ in range(ell)]
-            P = ExpSum(tuple(coeffs), nodes)
-            n_hi = min(300, int(4 * math.pi / float(delta)))
-            N = rng.randint(50, max(50, n_hi))
-            chk = check_cor_turan(P, N, delta)
-            out.records.append(SuiteRecord(
-                "cor-turan", i,
-                {"ell": ell, "N": N, "delta": decimal_str(delta, 64)},
-                decimal_str(chk.lhs, bits), decimal_str(chk.rhs, bits),
-                chk.holds, seed))
+                name, i, params, decimal_str(chk.lhs, bits),
+                decimal_str(chk.rhs, bits), chk.holds, seed))
         out.summary = {"instances": instances}
+        if margin:
+            worst = min(c.rhs / c.lhs if c.lhs > 0 else mpf("inf")
+                        for c in checks)
+            out.summary["min_rhs_over_lhs"] = decimal_str(worst, bits)
     return out
 
 
-def run_salem_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
-                    ell_max: int = 5, delta_list=("1e-2", "1e-4", "1e-6"),
-                    bits: int = DEFAULT_SUITE_BITS) -> SuiteResult:
-    """Empirical Salem ratios: min over instances, for each separation.
+def _draw_turan(rng):
+    ell = rng.randint(1, 5)
+    P = random_expsum(rng, ell)
+    b = mpf(rng.uniform(1.0, 4.0))
+    w0 = mpf(rng.uniform(0.0, 0.7)) * b
+    w1 = w0 + max(mpf(rng.uniform(0.05, 0.3)) * b, mpf("0.01"))
+    return ({"ell": ell, "interval": decimal_str(b, 64)},
+            check_turan(P, (mpf(0), b), (w0, w1)))
 
-    summary.stable_within states the max relative spread of the minima
+
+def _draw_nikolskii(rng):
+    """p = inf, q = 2 on [0, 1]."""
+    ell = rng.randint(1, 5)
+    P = random_expsum(rng, ell, freq_range=20.0)
+    return {"ell": ell, "p": "inf", "q": 2}, check_nikolskii(P, "inf", 2)
+
+
+def _draw_cor_turan(rng):
+    ell, delta, P = _clustered_expsum(rng, 4, 2, 5)
+    n_hi = min(300, int(4 * math.pi / float(delta)))
+    N = rng.randint(50, max(50, n_hi))
+    return ({"ell": ell, "N": N, "delta": decimal_str(delta, 64)},
+            check_cor_turan(P, N, delta))
+
+
+def _draw_riemann(rng):
+    """Discrete-vs-continuous norm relation on a clustered sum."""
+    ell, _, P = _clustered_expsum(rng, 5, 3, 6)
+    N = rng.randint(30, 300)
+    rep = riemann_gap(P, N, with_sup_shape=False)
+    params = {"ell": ell, "N": N}
+    return params, InequalityCheck(
+        name="riemann", lhs=rep.discrete_sq, rhs=mpf(N) / 2 * rep.l1_norm,
+        holds=rep.relation_holds, params=params)
+
+
+def run_turan_suite(instances: int = 500,
+                    seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
+    return _run("turan", _draw_turan, instances, seed, margin=True)
+
+
+def run_nikolskii_suite(instances: int = 500,
+                        seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
+    return _run("nikolskii", _draw_nikolskii, instances, seed, margin=True)
+
+
+def run_cor_turan_suite(instances: int = 500,
+                        seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
+    return _run("cor-turan", _draw_cor_turan, instances, seed)
+
+
+def run_riemann_suite(instances: int = 500,
+                      seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
+    return _run("riemann", _draw_riemann, instances, seed)
+
+
+def run_salem_suite(instances: int = 500,
+                    seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
+    """Empirical Salem ratios: min over instances, for each separation
+    of SALEM_SEPARATIONS, each drawing its instances afresh from seed.
+
+    summary.relative_spread states the max relative spread of the minima
     around their mean; the constant is only ever estimated, not asserted.
     """
     out = SuiteResult("salem", seed)
+    bits = DEFAULT_SUITE_BITS
     minima = []
     with mp.workprec(bits):
-        for delta_text in delta_list:
+        for delta_text in SALEM_SEPARATIONS:
             rng = random.Random(seed)
             delta = mpf(delta_text)
             lo = None
-            for i in range(instances):
-                ell = rng.randint(1, ell_max)
-                freqs = []
-                while len(freqs) < ell:
-                    x = mpf(rng.uniform(-3.1, 3.1))
-                    if all(abs(x - y) >= delta for y in freqs):
-                        freqs.append(x)
-                coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                          for _ in range(ell)]
-                P = ExpSum(tuple(coeffs), tuple(freqs))
+            for _ in range(instances):
+                P = random_expsum(rng, rng.randint(1, 5), freq_range=3.1,
+                                  min_sep=delta)
                 ratio = check_salem_ratio(P, delta)
                 lo = ratio if lo is None else min(lo, ratio)
             minima.append(lo)
@@ -266,42 +283,6 @@ def run_salem_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
             "empirical_constant": decimal_str(min(minima), bits),
             "relative_spread": decimal_str(spread, bits),
         }
-    return out
-
-
-def run_riemann_suite(instances: int = 500, seed: int = DEFAULT_SUITE_SEED,
-                      ell_max: int = 5, with_sup_shape: bool = False,
-                      bits: int = DEFAULT_SUITE_BITS) -> SuiteResult:
-    """Discrete-vs-continuous norm relation on clustered sums.
-
-    with_sup_shape additionally estimates ||T||_inf to report the
-    gap/shape ratio; that costs a dense grid, so the default leaves it
-    off and the dedicated shape suite (smaller, ell <= 3) turns it on.
-    """
-    rng = random.Random(seed)
-    out = SuiteResult("riemann", seed)
-    max_ratio = mpf(0)
-    with mp.workprec(bits):
-        for i in range(instances):
-            ell = rng.randint(1, ell_max)
-            tau = mpf(max(ell - 1, 1)) + mpf(rng.uniform(0, 1))
-            delta = mpf(10) ** (-_rng_floats(rng, mpf(3), mpf(6)))
-            nodes = cluster_offsets(ell, ell, tau, delta, RANDOM, rng)
-            coeffs = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                      for _ in range(ell)]
-            P = ExpSum(tuple(coeffs), nodes)
-            N = rng.randint(30, 300)
-            rep = riemann_gap(P, N, with_sup_shape=with_sup_shape)
-            if with_sup_shape and rep.rhs_shape and rep.rhs_shape > 0:
-                max_ratio = max(max_ratio, rep.gap / rep.rhs_shape)
-            out.records.append(SuiteRecord(
-                "riemann", i, {"ell": ell, "N": N},
-                decimal_str(rep.discrete_sq, bits),
-                decimal_str(mpf(N) / 2 * rep.l1_norm, bits),
-                rep.relation_holds, seed))
-        out.summary = {"instances": instances}
-        if with_sup_shape:
-            out.summary["max_gap_over_shape"] = decimal_str(max_ratio, bits)
     return out
 
 

@@ -53,19 +53,6 @@ def random_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
     return HPMatrix(tuple(tuple(r) for r in rows), n, n, bits, hermitian=True)
 
 
-def random_complex_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
-    """A complex Hermitian matrix with nonzero imaginary parts off the diagonal."""
-    with mp.workprec(bits):
-        rows = [[mpc(0)] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = mpf(rng.uniform(-2, 2))
-            for j in range(i + 1, n):
-                z = mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                rows[i][j] = z
-                rows[j][i] = mp.conj(z)
-    return HPMatrix(tuple(tuple(r) for r in rows), n, n, bits, hermitian=True)
-
-
 @pytest.fixture
 def rng():
     return random.Random(987654321)

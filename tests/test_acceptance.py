@@ -140,8 +140,7 @@ def test_04_explicit_upper_bound_unconditional():
                                        delta_exp_range=(4.0, 8.0),
                                        n_range=(60, 300), theta=1)
         bits = required_bits(inst.cluster.ell, inst.N, inst.cluster.delta)
-        sv = singular_values(VandermondeSpec(inst.N, inst.nodes),
-                             inst.cluster, bits)
+        sv = singular_values(VandermondeSpec(inst.N, inst.nodes), bits)
         with mp.workprec(bits):
             ub = upper_bound_explicit(inst.N, inst.cluster.delta,
                                       inst.cluster.ell, inst.cluster.tau)
@@ -168,8 +167,7 @@ def test_05_half_factor_cluster_decoupling():
             assert inst.N * inst.cluster.tau * inst.cluster.delta <= 1
         part = validate_config(inst.nodes, inst.cluster)
         bits = required_bits(inst.cluster.ell, inst.N, inst.cluster.delta)
-        full = singular_values(VandermondeSpec(inst.N, inst.nodes),
-                               inst.cluster, bits)
+        full = singular_values(VandermondeSpec(inst.N, inst.nodes), bits)
         merged = []
         for cluster_idx in part.clusters:
             sub = NodeSet(tuple(inst.nodes.nodes[i] for i in cluster_idx))
@@ -236,9 +234,8 @@ def test_08_inequality_suites():
     turan = run_turan_suite(instances=500, seed=20240601)
     nik = run_nikolskii_suite(instances=500, seed=20240601)
     cor = run_cor_turan_suite(instances=500, seed=20240601)
-    riemann = run_riemann_suite(instances=500, seed=20240601, ell_max=5)
-    salem = run_salem_suite(instances=500, seed=20240601,
-                            delta_list=("1e-2", "1e-4", "1e-6"))
+    riemann = run_riemann_suite(instances=500, seed=20240601)
+    salem = run_salem_suite(instances=500, seed=20240601)
     ok = (turan.all_hold and nik.all_hold and cor.all_hold
           and riemann.all_hold and salem.all_hold)
     minima = [mpf(x) for x in salem.summary["minima"]]
@@ -260,8 +257,7 @@ def test_09_level_counting_matches_q():
             theta=1, require_distinct_mults=True)
         part = validate_config(inst.nodes, inst.cluster)
         bits = required_bits(inst.cluster.ell, inst.N, inst.cluster.delta)
-        sv = singular_values(VandermondeSpec(inst.N, inst.nodes),
-                             inst.cluster, bits)
+        sv = singular_values(VandermondeSpec(inst.N, inst.nodes), bits)
         data.append((sv.values, part.q, inst.N, inst.cluster.delta))
     fit = fit_level_constant(data)
     ok = fit.nonempty

@@ -160,8 +160,7 @@ class TestBoundInvariants:
         for _ in range(20):
             inst = random_clustered_config(rng)
             bits = required_bits(inst.cluster.ell, inst.N, inst.cluster.delta)
-            sv = singular_values(VandermondeSpec(inst.N, inst.nodes),
-                                 inst.cluster, bits)
+            sv = singular_values(VandermondeSpec(inst.N, inst.nodes), bits)
             with mp.workprec(bits):
                 ub = upper_bound_explicit(inst.N, inst.cluster.delta,
                                           inst.cluster.ell, inst.cluster.tau)
@@ -177,7 +176,7 @@ class TestBoundInvariants:
                                tau=max(ell - 1, 1))
             with mp.workprec(bits):
                 nodes = generate_config(spec, "equispaced", [mpf(0)], seed=9)
-                sv = singular_values(VandermondeSpec(100, nodes), spec, bits)
+                sv = singular_values(VandermondeSpec(100, nodes), bits)
                 lam = sv.min_value / (mp.sqrt(100) * (100 * delta) ** (ell - 1))
                 rows.append((ell, float(mp.log10(lam)), float(spec.tau)))
         import math

@@ -161,7 +161,6 @@ class TestSweep:
 
         assert masked(tmp_path / "serial") == masked(tmp_path / "par")
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP 2a")
     @pytest.mark.parametrize("bits", [192, 256])
     def test_under_resolved_row_is_not_ok(self, tmp_path, bits):
         # the policy picks 603 bits for this point; pinned far below it,
@@ -274,8 +273,7 @@ class TestSingleRuns:
         part = validate_config(inst.nodes, inst.cluster)
         assert list(part.q) == [2, 1]
         bits = required_bits(inst.cluster.ell, inst.N, inst.cluster.delta)
-        sv = singular_values(VandermondeSpec(inst.N, inst.nodes),
-                             inst.cluster, bits)
+        sv = singular_values(VandermondeSpec(inst.N, inst.nodes), bits)
         fit = fit_level_constant([(sv.values, part.q, inst.N,
                                    inst.cluster.delta)])
         assert fit.nonempty

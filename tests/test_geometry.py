@@ -19,8 +19,6 @@ from vandelab.geometry import (
     NodeSet,
     PartitionResult,
     assign_multiplicities,
-    center_nodes,
-    count_q,
     generate_config,
     scale_to_circle,
     validate_config,
@@ -278,17 +276,14 @@ class TestCountQ:
         return PartitionResult(tuple(clusters), tuple(mults), q)
 
     def test_examples(self):
-        part = self._partition([3, 1, 2], 3)
-        assert count_q(part, 1) == 3
-        assert count_q(part, 2) == 2
-        assert count_q(part, 3) == 1
-
-    def test_out_of_range(self):
-        part = self._partition([3, 1, 2], 3)
-        with pytest.raises(InvalidParameterError):
-            count_q(part, 0)
-        with pytest.raises(InvalidParameterError):
-            count_q(part, 4)
+        # clusters of 2, 3 and 1 nodes, ordered by their smallest node
+        with mp.workprec(192):
+            nodes = NodeSet(tuple(mpf(x) for x in (
+                "-1.5", "-1.499", "0", "0.001", "0.002", "1.5")))
+            spec = ClusterSpec(delta="1e-3", theta="1", s=6, ell=3, tau=3)
+            part = validate_config(nodes, spec)
+        assert part.multiplicities == (2, 3, 1)
+        assert part.q == (3, 2, 1)
 
     def test_q_nonincreasing_and_sums(self):
         part = self._partition([3, 2, 2, 1], 3)
@@ -298,12 +293,6 @@ class TestCountQ:
 
 
 class TestCenterAndScale:
-    def test_center_nodes(self):
-        with mp.workprec(192):
-            ns = NodeSet((mpf("0.1"), mpf("0.2"), mpf("0.4")))
-            centered = center_nodes(ns)
-            assert min(centered.nodes) + max(centered.nodes) == 0
-
     def test_scaling_property(self):
         # a line configuration maps to a circle configuration with both
         # separation scales divided by N

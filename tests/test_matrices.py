@@ -1,18 +1,16 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import gram_entry_direct, random_complex_hermitian
+from conftest import gram_entry_direct
 from vandelab.errors import InvalidParameterError
 from vandelab.geometry import LINE, PERIODIC, NodeSet
 from vandelab.matrices import (
-    HPMatrix,
     VandermondeSpec,
     build_gram_closed_form,
     build_prolate,
     build_shifted_vandermonde,
     build_vandermonde,
 )
-from vandelab.spectra import hermitian_eigenvalues
 
 BITS = 192
 
@@ -205,29 +203,3 @@ class TestShiftedVandermonde:
         with mp.workprec(BITS):
             with pytest.raises(InvalidParameterError):
                 build_shifted_vandermonde(NodeSet((mpf(100),), LINE), 2, BITS)
-
-
-class TestHPMatrixSerialization:
-    def test_json_round_trip(self, rng):
-        M = random_complex_hermitian(rng, 3, BITS)
-        back = HPMatrix.from_json_dict(M.to_json_dict())
-        assert back.rows == 3 and back.hermitian
-        with mp.workprec(BITS):
-            tol = mpf(10) ** -50
-            for i in range(3):
-                for j in range(3):
-                    assert abs(back.entry(i, j) - M.entry(i, j)) <= \
-                        tol * max(1, abs(M.entry(i, j)))
-
-    def test_real_dump_reads_back_real(self):
-        # a real symmetric dump must come back as solver input
-        with mp.workprec(BITS):
-            P = build_prolate(NodeSet((mpf(0), mpf("0.1"), mpf("0.3")), LINE),
-                              BITS)
-            back = HPMatrix.from_json_dict(P.to_json_dict())
-            assert all(isinstance(x, mpf)
-                       for row in back.entries for x in row)
-            want = hermitian_eigenvalues(P).values
-            got = hermitian_eigenvalues(back).values
-            for a, b in zip(want, got):
-                assert abs(a - b) <= mpf(10) ** -50 * max(1, abs(a))

@@ -16,7 +16,7 @@ from vandelab.spectra import (
     SpectrumResult,
     _sqrt_spectrum,
     hermitian_eigenvalues,
-    normalized_min_sv,
+    normalized_lambda,
     prolate_limit_check,
     singular_values,
 )
@@ -138,12 +138,16 @@ class TestJacobi:
 
 class TestSqrtClamp:
     def test_dust_clamped(self):
+        # dust of either sign at or below the Weyl error bound
+        # 32 * n * sweeps * 2^-p * ||K||_F = 2^-(p-8) is no singular value
         with mp.workprec(BITS):
-            eig = SpectrumResult((mpf(4), -mpf(2) ** -(BITS - 10)), "eigen",
-                                 BITS, mpf(0), 1)
-            out = _sqrt_spectrum(eig, mpf(4))
-            assert out.values == (2, 0)
-            assert out.clamped == 1
+            bound = mpf(2) ** -(BITS - 8)
+            for dust in (-bound / 4, bound):
+                eig = SpectrumResult((mpf(4), dust), "eigen", BITS, mpf(0), 1)
+                with pytest.raises(PrecisionError):
+                    _sqrt_spectrum(eig, mpf(4))
+            eig = SpectrumResult((mpf(4), 4 * bound), "eigen", BITS, mpf(0), 1)
+            assert _sqrt_spectrum(eig, mpf(4)).values == (2, 2 * mp.sqrt(bound))
 
     def test_genuinely_negative_raises(self):
         with mp.workprec(BITS):
@@ -213,24 +217,29 @@ class TestSingularValues:
                     (1 + mpf(2) ** -(BITS - 24))
 
 
+def _lambda(nodes, N, spec, bits):
+    sv = singular_values(VandermondeSpec(N, nodes), bits)
+    with mp.workprec(bits):
+        return normalized_lambda(sv.min_value, N, spec.delta, spec.ell)[0]
+
+
 class TestNormalizedMinSV:
     def test_single_node_closed_form(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="0.5", theta="1", s=1, ell=1, tau=0)
-            nodes = NodeSet((mpf(0),))
-            res = normalized_min_sv(VandermondeSpec(3, nodes), spec, BITS)
+            lam = _lambda(NodeSet((mpf(0),)), 3, spec, BITS)
             expect = 2 / mp.sqrt(3)
-            assert abs(res.lambda_value - expect) <= mpf(2) ** -(BITS - 24)
+            assert abs(lam - expect) <= mpf(2) ** -(BITS - 24)
 
     def test_precision_doubling_agreement(self):
         spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
         with mp.workprec(256):
             nodes = generate_config(spec, "equispaced", [mpf(0)], seed=3)
         base = required_bits(2, 100, mpf("1e-6"))
-        lo = normalized_min_sv(VandermondeSpec(100, nodes), spec, base)
-        hi = normalized_min_sv(VandermondeSpec(100, nodes), spec, 2 * base)
+        lo = _lambda(nodes, 100, spec, base)
+        hi = _lambda(nodes, 100, spec, 2 * base)
         with mp.workprec(2 * base):
-            rel = abs(lo.lambda_value - hi.lambda_value) / hi.lambda_value
+            rel = abs(lo - hi) / hi
             assert rel < mpf(10) ** -10
 
     def test_delta_independence_within_factor_two(self):
@@ -240,8 +249,7 @@ class TestNormalizedMinSV:
             bits = required_bits(2, 100, mpf(dtext))
             with mp.workprec(bits):
                 nodes = generate_config(spec, "equispaced", [mpf(0)], seed=3)
-            res = normalized_min_sv(VandermondeSpec(100, nodes), spec, bits)
-            lams.append(res.lambda_value)
+            lams.append(_lambda(nodes, 100, spec, bits))
         ratio = lams[0] / lams[1]
         assert mpf("0.5") < ratio < 2
 
@@ -257,7 +265,7 @@ class TestNormalizedMinSV:
                                tau=ell - 1)
             with mp.workprec(bits):
                 nodes = generate_config(spec, "equispaced", [mpf(0)], seed=5)
-                sv = singular_values(VandermondeSpec(N, nodes), spec, bits)
+                sv = singular_values(VandermondeSpec(N, nodes), bits)
                 c2 = 32 * mp.pi * mp.e
                 ratios = [sv.values[m - 1] /
                           (mp.sqrt(N) * (N * delta / c2) ** (m - 1))

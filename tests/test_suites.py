@@ -52,17 +52,15 @@ class TestInequalitySuites:
         assert res.all_hold
 
     def test_salem_small(self):
-        res = run_salem_suite(instances=20, seed=11,
-                              delta_list=("1e-2", "1e-4"))
+        res = run_salem_suite(instances=20, seed=11)
         assert res.all_hold
         assert mpf(res.summary["empirical_constant"]) > 0
         assert mpf(res.summary["relative_spread"]) < mpf("0.2")
 
-    def test_riemann_small_with_shape(self):
-        res = run_riemann_suite(instances=15, seed=11, ell_max=3,
-                                with_sup_shape=True)
+    def test_riemann_small(self):
+        res = run_riemann_suite(instances=15, seed=11)
         assert res.all_hold
-        assert mpf(res.summary["max_gap_over_shape"]) < 8
+        assert len(res.records) == 15
 
     def test_determinism(self):
         a = run_turan_suite(instances=10, seed=77)
@@ -98,8 +96,7 @@ class TestLevelCounting:
                 delta_exp_range=(6.5, 8.5), require_distinct_mults=True)
             part = validate_config(inst.nodes, inst.cluster)
             bits = required_bits(inst.cluster.ell, inst.N, inst.cluster.delta)
-            sv = singular_values(VandermondeSpec(inst.N, inst.nodes),
-                                 inst.cluster, bits)
+            sv = singular_values(VandermondeSpec(inst.N, inst.nodes), bits)
             data.append((sv.values, part.q, inst.N, inst.cluster.delta))
         fit = fit_level_constant(data)
         assert fit.nonempty
