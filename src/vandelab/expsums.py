@@ -10,12 +10,16 @@ independent cross-check and for L^q exponents without a closed form.
 Sup norms are certified from a uniform grid: a derivative bound B for
 the [0,1]-rescaled sum (the Bernstein factor) turns the grid maximum
 into the two-sided enclosure grid_max <= sup <= grid_max / (1 - h*B/2).
+A binary64 pass over the grid with a proven error bound E keeps only
+the points within 2E of the float maximum for evaluation at mp
+precision, so the result is still the mp maximum over the whole grid.
 Inequality verdicts always use the conservative side of each enclosure,
 so a reported violation is a real violation and never a grid artifact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -28,6 +32,7 @@ from .errors import (
 )
 from .geometry import wrap_distance
 from .hp import as_mpc, as_mpf, decimal_str, pi_e
+from .matrices import _dirichlet_sum
 
 DEFAULT_MAX_SUP_SAMPLES = 2_000_000
 MIN_SUP_SAMPLES = 64
@@ -100,38 +105,42 @@ def _interval_transform(delta, a, b):
     return (b - a) * mp.expj(delta * (a + b) / 2) * mp.sin(half) / half
 
 
-def l2_norm_exact(P: ExpSum, a, b):
-    """||P||_{L2(a,b)} with normalized measure, by closed-form integration.
+def _quadratic_form(P: ExpSum, kernel, what: str):
+    """sum_{j,k} c_j conj(c_k) kernel(x_j - x_k) for a kernel whose form
+    is real and nonnegative.
 
-    The quadratic form sum_{j,k} c_j conj(c_k) E(x_j - x_k) is real up to
-    rounding; an imaginary residue or a negative real part beyond
-    2^-(p-16) of the term mass means the precision is insufficient.
+    An imaginary residue beyond 2^-(p-16) of the term mass, or a real
+    part at or below it, means the precision cannot resolve the form.
     """
-    a, b = as_mpf(a), as_mpf(b)
-    if not b > a:
-        raise InvalidParameterError("need b > a")
     n = len(P.coeffs)
     acc = mpc(0)
     mass = mpf(0)
     for j in range(n):
         for k in range(n):
             term = P.coeffs[j] * mp.conj(P.coeffs[k]) * \
-                _interval_transform(P.freqs[j] - P.freqs[k], a, b)
+                kernel(P.freqs[j] - P.freqs[k])
             acc += term
             mass += abs(term)
     dust = mp.ldexp(mass if mass > 0 else mpf(1), -(mp.prec - 16))
     if abs(acc.imag) > dust:
         raise PrecisionError(
-            f"imaginary residue {decimal_str(abs(acc.imag))} of the L2 "
+            f"imaginary residue {decimal_str(abs(acc.imag))} of the {what} "
             f"quadratic form exceeds rounding dust; raise precision")
-    val = acc.real
-    if val < 0:
-        if -val > dust:
-            raise PrecisionError(
-                f"L2 quadratic form came out {decimal_str(val)} < 0 beyond "
-                f"rounding dust; raise precision")
-        val = mpf(0)
-    return mp.sqrt(val / (b - a))
+    if mass > 0 and acc.real <= dust:
+        raise PrecisionError(
+            f"{what} quadratic form came out {decimal_str(acc.real)}, not "
+            f"above rounding dust {decimal_str(dust)}; raise precision")
+    return acc.real
+
+
+def l2_norm_exact(P: ExpSum, a, b):
+    """||P||_{L2(a,b)} with normalized measure, by closed-form integration
+    of the quadratic form sum_{j,k} c_j conj(c_k) E(x_j - x_k)."""
+    a, b = as_mpf(a), as_mpf(b)
+    if not b > a:
+        raise InvalidParameterError("need b > a")
+    form = _quadratic_form(P, lambda d: _interval_transform(d, a, b), "L2")
+    return mp.sqrt(form / (b - a))
 
 
 def lq_norm_quadrature(P: ExpSum, a, b, q):
@@ -147,40 +156,95 @@ def lq_norm_quadrature(P: ExpSum, a, b, q):
     return (integral / (b - a)) ** (1 / q)
 
 
-def _progression_prec(count: int):
-    """Precision for count steps of ``_progression``: 16 + log2(count) guard bits."""
-    return mp.workprec(mp.prec + 16 + max(count, 1).bit_length())
-
-
-def _progression(P: ExpSum, start, step, count: int):
-    """Yield P(start + k*step) for k = 0..count at the ambient precision,
-    by the recurrence z_j <- z_j e^(i x_j step); run it inside
-    ``_progression_prec(count)``."""
-    steps = [mp.expj(x * step) for x in P.freqs]
-    zs = [c * mp.expj(x * start) for c, x in zip(P.coeffs, P.freqs)]
-    for _ in range(count + 1):
-        yield mp.fsum(zs, absolute=False)
-        zs = [z * st for z, st in zip(zs, steps)]
-
-
 def discrete_norm(P: ExpSum, N: int):
     """The integer-sample norm (sum_{k=0}^{N} |P(k)|^2)^(1/2).
 
-    For a unit coefficient vector this is ||V_N(x) c||_2.
+    For a unit coefficient vector this is ||V_N(x) c||_2.  Evaluated as
+    the quadratic form in the Dirichlet sums sum_k e^(i k (x_j - x_m)),
+    with the kernel builder's 32 + log2(N) guard bits.
     """
     if N < 0:
         raise InvalidParameterError("N must be >= 0")
-    with _progression_prec(N):
-        total = sum((abs(v) ** 2 for v in _progression(P, 0, 1, N)), mpf(0))
-        val = mp.sqrt(total)
+    with mp.workprec(mp.prec + 32 + max(N, 1).bit_length()):
+        form = _quadratic_form(P, lambda d: _dirichlet_sum(d, N), "discrete")
+        val = mp.sqrt(form)
     return +val
 
 
+_U = 2.0 ** -53  # unit roundoff of binary64
+_CHUNK = 1 << 14  # grid points per float pass
+
+
+def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
+    """(f, E, e): binary64 f_k ~ 2^-e |P(a + k h)| for k in ks, a range
+    within 0..samples, with |f_k - 2^-e |P(a + k h)|| <= E at every k.
+
+    2^-e puts every coefficient part below 1, so nothing overflows.  The
+    phase of term j at point k is fl(fl(x_j a) + k fl(x_j h)), so its
+    error does not grow with k.  With u = 2^-53, n nonzero terms,
+    S = sum_j |c_j| after scaling and r_j = |x_j| (|a| + samples |h|),
+    E adds up:
+
+    - phase: float(mpf) truncates x_j, a and h (2u each), then two
+      products, k * beta and a sum: 7u r_j, taken as 10u r_j.  A term
+      whose bound reaches 2 gets phase 0 and is charged 2 |c_j|;
+    - libm cos and sin within 2 ulp (3u), coefficient rounding (2u), the
+      complex product (3u) and hypot within 1 ulp (2u): 10u S, taken as
+      12u S;
+    - recursive summation (Higham): gamma_{n-1} S;
+    - an underflowing coefficient or product: 2^-1060 per term;
+    - the mp evaluation of a point at p bits, so that the point of the
+      mp maximum is kept too: 2^-(p-2) (max_j r_j + n + 4) S.
+
+    E = (1 + 2^-20) (S (12u + gamma_{n-1} + 2^-(p-2) (max_j r_j + n + 4))
+    + sum_j |c_j| min(10u r_j, 2) + n 2^-1060).  The factor 1 + 2^-20
+    covers the (1 + O(u)) factors and the float evaluation of E.
+    """
+    peak = max((max(abs(c.real), abs(c.imag)) for c in P.coeffs), default=0)
+    e = mp.frexp(peak)[1] if peak else 0
+    A, H = float(a), float(h)
+    zs = [0j] * len(ks)
+    mags, phase_err, r_max = [], 0.0, 0.0
+    for c, x in zip(P.coeffs, P.freqs):
+        if c == 0:
+            continue
+        cf = complex(float(mp.ldexp(c.real, -e)), float(mp.ldexp(c.imag, -e)))
+        X = float(x)
+        r = abs(X) * (abs(A) + samples * abs(H))
+        alpha, beta, d = X * A, X * H, 10 * _U * r
+        if not d < 2:
+            alpha = beta = 0.0
+            d = 2.0
+        mags.append(abs(cf))
+        phase_err += abs(cf) * d
+        r_max = max(r_max, r)
+        zs = [z + cf * complex(math.cos(t), math.sin(t))
+              for z, t in zip(zs, [alpha + k * beta for k in ks])]
+    n, S = len(mags), sum(mags)
+    gamma = (n - 1) * _U / (1 - (n - 1) * _U) if n else 0.0
+    E = (1 + 2.0 ** -20) * (phase_err + n * 2.0 ** -1060 + S * (
+        12 * _U + gamma + math.ldexp(r_max + n + 4, 2 - p)))
+    return [abs(z) for z in zs], E, e
+
+
 def _grid_max(P: ExpSum, a, b, samples: int):
-    """max |P| over samples+1 uniform points on [a, b]."""
-    h = (as_mpf(b) - as_mpf(a)) / samples
-    with _progression_prec(samples):
-        best = max(abs(v) for v in _progression(P, as_mpf(a), h, samples))
+    """max |P| over samples+1 uniform points on [a, b], evaluated at
+    prec + 16 + log2(samples) bits only where the float modulus is within
+    2E of the float maximum (_float_moduli): every other point lies below
+    the mp maximum.  Where E cannot separate the points, all are kept.
+    The float pass runs in chunks of _CHUNK points to bound its memory."""
+    a = as_mpf(a)
+    h = (as_mpf(b) - a) / samples
+    p = mp.prec + 16 + max(samples, 1).bit_length()
+    top, kept = 0.0, []
+    for lo in range(0, samples + 1, _CHUNK):
+        ks = range(lo, min(lo + _CHUNK, samples + 1))
+        f, E, _ = _float_moduli(P, a, h, ks, samples, p)
+        top = max(top, max(f))
+        kept += [(k, fk) for k, fk in zip(ks, f) if fk >= top - 2 * E]
+    with mp.workprec(p):
+        best = max(abs(evaluate(P, a + k * h))
+                   for k, fk in kept if fk >= top - 2 * E)
     return +best
 
 
@@ -347,8 +411,8 @@ def riemann_gap(P: ExpSum, N: int, with_sup_shape: bool = True,
                 bernstein_c=1) -> RiemannGapReport:
     """Exact gap |int_0^1 T - (1/N) sum_k T(k/N)| and the paper's shape.
 
-    Both the integral and the samples are exact: the integral by
-    closed-form term integration, the samples as |P(k)|^2.  rhs_shape is
+    Both the integral and the sample sum are closed forms: term-wise
+    integration and discrete_norm's Dirichlet quadratic form.  rhs_shape is
     (ell^5/N) times the certified lower estimate of ||T||_inf, so the
     reported gap/rhs_shape ratio over-estimates the true ratio; skip it
     with with_sup_shape=False when only the norm relation matters.

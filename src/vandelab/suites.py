@@ -170,11 +170,17 @@ def random_clustered_config(rng, ell_range=(2, 4), clusters_range=(1, 3),
                              multiplicities=tuple(mults))
 
 
+def _require_instances(instances: int):
+    if instances < 1:
+        raise InvalidParameterError(f"instances must be >= 1, got {instances}")
+
+
 def _run(name: str, draw, instances: int, seed: int,
          margin: bool = False) -> SuiteResult:
     """One record per seeded instance; ``draw(rng)`` gives its
     (params, InequalityCheck).  With margin the summary also states the
     smallest rhs/lhs over the instances."""
+    _require_instances(instances)
     rng = random.Random(seed)
     out = SuiteResult(name, seed)
     bits = DEFAULT_SUITE_BITS
@@ -258,6 +264,7 @@ def run_salem_suite(instances: int = 500,
     summary.relative_spread states the max relative spread of the minima
     around their mean; the constant is only ever estimated, not asserted.
     """
+    _require_instances(instances)
     out = SuiteResult("salem", seed)
     bits = DEFAULT_SUITE_BITS
     minima = []

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from mpmath import mp, mpf
 
 from vandelab.cli import main
@@ -83,6 +84,14 @@ def test_bad_config_exits_two(tmp_path, capsys):
     code = main(["spectrum", "--config", str(bad)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_inequalities_without_instances_exits_two(tmp_path, capsys, instances):
+    code = main(["inequalities", "--checks", "turan,salem",
+                 "--instances", instances, "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: instances must be >= 1" in capsys.readouterr().err
 
 
 def test_unknown_check_exits_two(tmp_path):

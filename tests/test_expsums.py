@@ -1,13 +1,19 @@
+import random
+
 import pytest
 from mpmath import mp, mpc, mpf
 
+from vandelab import expsums
 from vandelab.errors import (
     DegenerateInputError,
     InvalidParameterError,
+    PrecisionError,
     ResourceLimitError,
 )
 from vandelab.expsums import (
     ExpSum,
+    _float_moduli,
+    _grid_max,
     _interval_transform,
     check_cor_turan,
     check_nikolskii,
@@ -21,7 +27,11 @@ from vandelab.expsums import (
     riemann_gap,
 )
 from vandelab.geometry import NodeSet
-from vandelab.matrices import VandermondeSpec, build_vandermonde
+from vandelab.matrices import (
+    VandermondeSpec,
+    build_gram_closed_form,
+    build_vandermonde,
+)
 from vandelab.spectra import singular_values
 
 BITS = 192
@@ -34,6 +44,44 @@ def random_sum(rng, ell, freq_range=5.0):
     coeffs = tuple(mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                    for _ in range(ell))
     return ExpSum(coeffs, tuple(sorted(freqs)))
+
+
+def recurrence_grid_max(P, a, b, samples):
+    """Full-grid oracle: every point by the recurrence z_j <- z_j e^(i x_j h)
+    at prec + 16 + log2(samples) bits, as _grid_max ran before the float
+    prescreen."""
+    a = mpf(a)
+    h = (mpf(b) - a) / samples
+    with mp.workprec(mp.prec + 16 + max(samples, 1).bit_length()):
+        steps = [mp.expj(x * h) for x in P.freqs]
+        zs = [c * mp.expj(x * a) for c, x in zip(P.coeffs, P.freqs)]
+        best = mpf(0)
+        for _ in range(samples + 1):
+            best = max(best, abs(mp.fsum(zs, absolute=False)))
+            zs = [z * st for z, st in zip(zs, steps)]
+    return +best
+
+
+def scaled(P, power):
+    return ExpSum(tuple(mpc(mp.ldexp(c.real, power), mp.ldexp(c.imag, power))
+                        for c in P.coeffs), P.freqs)
+
+
+def _symmetric_tie(seed, eps, a, h, samples, p):
+    """(P, top, second, E, e) when the float pass ranks the larger value
+    of a mirrored pair of grid points first by mistake, else None."""
+    r = random.Random(seed)
+    freqs = tuple(mpf(r.uniform(-6, 6)) for _ in range(4)) + (mpf("0.5"),)
+    coeffs = tuple(mpc(r.uniform(-1, 1)) for _ in range(4)) + (mpc(0, eps),)
+    P = ExpSum(coeffs, freqs)
+    f, E, e = _float_moduli(P, a, h, range(samples + 1), samples, p)
+    first = max(range(len(f)), key=lambda k: (f[k], -k))
+    mirror = samples - first
+    with mp.workprec(p):
+        top, second = (abs(evaluate(P, a + k * h)) for k in (mirror, first))
+    if first != mirror and f[first] > f[mirror] and top > second:
+        return P, top, second, E, e
+    return None
 
 
 class TestExpSumType:
@@ -162,6 +210,52 @@ class TestDiscreteNorm:
             a, b = discrete_norm(P, 25), discrete_norm(perm, 25)
             assert abs(a - b) <= mpf(2) ** -(BITS - 8) * (1 + a)
 
+    def test_closed_form_matches_direct_sum_on_cluster(self, rng):
+        ell, N = 5, 300
+        with mp.workprec(BITS):
+            delta = mpf("1e-6")
+            freqs = tuple(mpf("0.7") + k * delta * (1 + mpf(rng.random()))
+                          for k in range(ell))
+            coeffs = tuple(mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                           for _ in range(ell))
+            P = ExpSum(coeffs, freqs)
+            mine = discrete_norm(P, N)
+        with mp.workprec(2 * BITS):
+            direct = mp.sqrt(mp.fsum(abs(evaluate(P, k)) ** 2
+                                     for k in range(N + 1)))
+            assert abs(mine - direct) <= mpf(2) ** -(BITS - 8) * direct
+
+    def test_cancellation_matches_sigma_min_or_raises(self):
+        # unit coefficients along the smallest singular vector of a
+        # 5-node cluster: the form cancels by ~2^-117 of its term mass
+        ell, N, ref_bits = 5, 300, 4 * BITS
+        with mp.workprec(ref_bits):
+            freqs = tuple(mpf("0.3") + k * mpf("1e-6") for k in range(ell))
+            G = build_gram_closed_form(VandermondeSpec(N, NodeSet(freqs)),
+                                       ref_bits)
+            M = mp.matrix(ell, ell)
+            for i in range(ell):
+                for j in range(ell):
+                    M[i, j] = G.entries[i][j]
+            lam, Q = mp.eighe(M)
+            low = min(range(ell), key=lambda i: lam[i])
+            vec = [Q[r, low] for r in range(ell)]
+            sigma = mp.sqrt(lam[low])
+        raised = []
+        for bits in (53, 64, 96, 128, BITS):
+            with mp.workprec(bits):
+                P = ExpSum(tuple(+c for c in vec), freqs)
+                try:
+                    got = discrete_norm(P, N)
+                except PrecisionError:
+                    raised.append(bits)
+                    continue
+            # a form above 2^16 times its rounding floor has >= 10 good bits
+            assert abs(got - sigma) <= sigma * mpf(2) ** -10
+            if bits == BITS:
+                assert abs(got - sigma) <= sigma * mpf(2) ** -100
+        assert raised == [53, 64]
+
 
 class TestCertifiedSup:
     def test_constant(self):
@@ -193,6 +287,88 @@ class TestCertifiedSup:
             with pytest.raises(ResourceLimitError):
                 linf_norm_certified(P, mpf(0), mpf(1), max_samples=10)
 
+
+class TestGridMaxPrescreen:
+    @pytest.mark.parametrize("chunk", [1 << 14, 7])
+    def test_random_sums_match_full_grid(self, rng, monkeypatch, chunk):
+        monkeypatch.setattr(expsums, "_CHUNK", chunk)
+        with mp.workprec(BITS):
+            for _ in range(12):
+                P = random_sum(rng, rng.randint(1, 6), freq_range=20.0)
+                a = mpf(rng.uniform(-3, 3))
+                b = a + mpf(rng.uniform(0.1, 4))
+                samples = rng.randint(64, 300)
+                assert _grid_max(P, a, b, samples) == \
+                    recurrence_grid_max(P, a, b, samples)
+
+    def test_coefficients_scaled_by_powers_of_two(self, rng):
+        with mp.workprec(BITS):
+            P = random_sum(rng, 4)
+            base = _grid_max(P, 0, 1, 128)
+            for power in (2000, -2000):
+                Q = scaled(P, power)
+                got = _grid_max(Q, 0, 1, 128)
+                assert got == recurrence_grid_max(Q, 0, 1, 128)
+                assert got == mp.ldexp(base, power)
+
+    def test_underflowing_coefficient(self, rng):
+        # 2^-1200 relative to the largest part: zero in binary64
+        with mp.workprec(BITS):
+            P = random_sum(rng, 3)
+            Q = ExpSum(P.coeffs[:2] + scaled(P, -1200).coeffs[2:], P.freqs)
+            assert _grid_max(Q, 0, 1, 100) == recurrence_grid_max(Q, 0, 1, 100)
+
+    def test_large_phases(self, rng):
+        # |x| |b| = 1e7 keeps a useful float phase; 1e17 leaves none, so
+        # every grid point becomes a candidate
+        with mp.workprec(BITS):
+            for width, start in ((1e3, 1e3), (1e9, 1e8)):
+                P = random_sum(rng, 3, freq_range=1e4)
+                a = mpf(start)
+                b = a + width
+                assert _grid_max(P, a, b, 80) == recurrence_grid_max(P, a, b, 80)
+
+    def test_near_tie_ranked_second_by_floats(self):
+        # real coefficients make |P(-t)| = |P(t)|, and the grid on [-1, 1]
+        # is symmetric, so the largest grid values come in tied pairs; a
+        # term i*eps*e^(i t/2), far below float resolution, breaks the tie
+        samples = 64
+        with mp.workprec(BITS):
+            a, b = mpf(-1), mpf(1)
+            h = (b - a) / samples
+            p = BITS + 16 + samples.bit_length()
+            P, top, second, E, e = next(
+                tie for tie in (_symmetric_tie(seed, eps, a, h, samples, p)
+                                for seed in range(50)
+                                for eps in ("1e-30", "-1e-30"))
+                if tie is not None)
+            assert mp.ldexp(top - second, -e) < E
+            got = _grid_max(P, a, b, samples)
+            assert got == recurrence_grid_max(P, a, b, samples)
+            assert got == +top and got > second
+
+    def test_float_moduli_within_stated_bound(self, rng):
+        # every third sum has |x| |t| up to ~1e8, where the phase term of
+        # E dominates; every third has its coefficients scaled by 2^+-k
+        with mp.workprec(BITS):
+            for i in range(12):
+                wide = i % 3 == 2
+                P = random_sum(rng, rng.randint(1, 6),
+                               freq_range=3e4 if wide else 30.0)
+                if i % 3 == 1:
+                    P = scaled(P, 700 * (i - 5))
+                a = mpf(rng.uniform(-3e3, 3e3) if wide else rng.uniform(-50, 50))
+                b = a + mpf(rng.uniform(0.1, 10))
+                samples = rng.randint(64, 200)
+                h = (b - a) / samples
+                f, E, e = _float_moduli(P, a, h, range(samples + 1), samples,
+                                        BITS + 16 + samples.bit_length())
+                S = mp.fsum(abs(c) for c in P.coeffs)
+                assert E < 1e-6 * float(mp.ldexp(S, -e))
+                with mp.workprec(4 * BITS):
+                    for k, fk in enumerate(f):
+                        exact = mp.ldexp(abs(evaluate(P, a + k * h)), -e)
+                        assert abs(fk - exact) <= E
 
 class TestTuran:
     def test_degree_one_equality(self):
