@@ -48,6 +48,7 @@ from .spectra import (
     hermitian_eigenvalues,
     normalized_lambda,
     prolate_limit_check,
+    require_resolved,
     singular_values,
 )
 from .suites import DEFAULT_SUITE_SEED, band_counts, count_bands, default_centers
@@ -506,7 +507,7 @@ def run_prolate(config_path, user_c1=1, out_dir=None,
     with mp.workprec(bits):
         partition = validate_config(nodes, cluster)
         G = build_prolate(nodes, bits)
-        spectrum = hermitian_eigenvalues(G)
+        spectrum = require_resolved(hermitian_eigenvalues(G), G.frobenius_norm())
         lam_min = spectrum.min_value
         ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
         base = cluster.delta / pi_e(16)

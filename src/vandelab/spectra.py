@@ -13,6 +13,14 @@ kernel K that stands in for the Vandermonde Gram G = U^H K U.  Each
 rotation zeroes one off-diagonal pair with the classical real angle;
 the iteration stops when the off-diagonal Frobenius norm falls below
 2^-(p-8) times the matrix Frobenius norm.
+
+Rotations run on raw libmp values with mpf_mul, mpf_add and mpf_sub at
+(p, round_nearest), the calls the mpf operators make, without their
+object layer.  They rely on the working matrix being symmetric bit for
+bit, which the entry check demands and every rotation keeps: off the
+(p, q) block the column and the row update of a two-sided rotation are
+the same operations, so each pair is computed once and stored twice.
+Every bit matches the plain two-sided loop on mpf objects.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest as rnd
 
 from .errors import (
     ConvergenceError,
@@ -69,7 +78,7 @@ class SpectrumResult:
 
 
 def _offdiag_frobenius(a, n):
-    return mp.sqrt(mp.fsum(a[i][j] ** 2
+    return mp.sqrt(mp.fsum(mp.make_mpf(a[i][j]) ** 2
                            for i in range(n) for j in range(n) if i != j))
 
 
@@ -77,9 +86,10 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
     """All eigenvalues of a real symmetric HPMatrix by cyclic Jacobi rotations.
 
     Values come back sorted non-increasing, ties broken by the original
-    diagonal index.  A complex entry raises InvalidParameterError, and an
-    exhausted sweep budget ConvergenceError (carrying the final
-    off-diagonal residual).
+    diagonal index.  A complex entry or an entry pair with
+    a[i][j] != a[j][i] raises InvalidParameterError, and an exhausted
+    sweep budget ConvergenceError (carrying the final off-diagonal
+    residual).
     """
     if not A.hermitian:
         raise InvalidParameterError("matrix is not tagged hermitian")
@@ -95,11 +105,14 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
             a = [[mpf(A.entries[i][j]) for j in range(n)] for i in range(n)]
         except TypeError as exc:  # mpf() refuses mpc and complex entries
             raise InvalidParameterError("complex entry in a real eigensolve") from exc
+        if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+            raise InvalidParameterError("matrix is not symmetric")
         norm_f = mp.sqrt(mp.fsum(a[i][j] ** 2
                                  for i in range(n) for j in range(n)))
         if norm_f == 0 or n == 1:
             vals = sorted((a[i][i] for i in range(n)), reverse=True)
             return SpectrumResult(tuple(vals), "eigen", p, mpf(0), 0)
+        a = [[x._mpf_ for x in row] for row in a]
 
         threshold = mp.ldexp(norm_f, -(p - 8))
         # rotations on entries this far below the matrix scale only churn
@@ -110,51 +123,59 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
         while off > threshold and sweeps < max_sweeps:
             sweeps += 1
             for pi in range(n - 1):
+                row_p = a[pi]
                 for qi in range(pi + 1, n):
-                    apq = a[pi][qi]
+                    row_q = a[qi]
+                    app, aqq, apq = (mp.make_mpf(x)
+                                     for x in (row_p[pi], row_q[qi], row_p[qi]))
                     h = abs(apq)
                     if h <= rotation_floor:
                         continue
-                    tau = (a[qi][qi] - a[pi][pi]) / (2 * h)
+                    tau = (aqq - app) / (2 * h)
                     t = 1 / (abs(tau) + mp.sqrt(1 + tau * tau))
                     # sign(tau) * sign(a_pq), with sign(0) = +1: t stays odd
                     # in a_pq also at tau = 0 (equal diagonals)
                     if (tau < 0) != (apq < 0):
                         t = -t
                     c = 1 / mp.sqrt(1 + t * t)
-                    s = t * c
-                    for i in range(n):
-                        aip = a[i][pi]
-                        aiq = a[i][qi]
-                        a[i][pi] = c * aip - s * aiq
-                        a[i][qi] = s * aip + c * aiq
-                    for i in range(n):
-                        api = a[pi][i]
-                        aqi = a[qi][i]
-                        a[pi][i] = c * api - s * aqi
-                        a[qi][i] = s * api + c * aqi
-                    # the rotation annihilates (p, q) exactly
-                    a[pi][qi] = mpf(0)
-                    a[qi][pi] = mpf(0)
+                    c, s = c._mpf_, (t * c)._mpf_
+
+                    def rotate(x, y):  # (c x - s y, s x + c y)
+                        return (mpf_sub(mpf_mul(c, x, p, rnd),
+                                        mpf_mul(s, y, p, rnd), p, rnd),
+                                mpf_add(mpf_mul(s, x, p, rnd),
+                                        mpf_mul(c, y, p, rnd), p, rnd))
+
+                    for i in range(n):  # a[i][p] is a[p][i], bit for bit
+                        if i != pi and i != qi:
+                            x, y = rotate(row_p[i], row_q[i])
+                            row_p[i] = a[i][pi] = x
+                            row_q[i] = a[i][qi] = y
+                    # the (p, q) block: columns p and q, then rows p and q
+                    col_pp, col_pq = rotate(row_p[pi], row_p[qi])
+                    col_qp, col_qq = rotate(row_q[pi], row_q[qi])
+                    row_p[pi] = rotate(col_pp, col_qp)[0]
+                    row_q[qi] = rotate(col_pq, col_qq)[1]
+                    row_p[qi] = row_q[pi] = fzero
             off = _offdiag_frobenius(a, n)
         if off > threshold:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {max_sweeps} sweeps "
                 f"(residual {decimal_str(off, p)})",
                 residual=off, sweeps=sweeps)
-        diag = [(a[i][i], i) for i in range(n)]
+        diag = [(mp.make_mpf(a[i][i]), i) for i in range(n)]
         diag.sort(key=lambda vi: (-vi[0], vi[1]))
         return SpectrumResult(tuple(v for v, _ in diag), "eigen", p, off, sweeps)
 
 
-def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
-    """Singular values from Gram eigenvalues that clear their error bound.
+def require_resolved(eig: SpectrumResult, norm_f) -> SpectrumResult:
+    """eig, if the smallest eigenvalue of its positive definite Gram
+    matrix M is resolved at its bits; PrecisionError if not.
 
     By Weyl's inequality each computed eigenvalue lies within ||E||_2 of
     the exact one, E the Jacobi backward error, which is bounded by
-    32 * n * max(sweeps, 1) * 2^-p * ||K||_F (constant 32).  A smallest
-    eigenvalue at or below that bound is not resolved at p bits, and
-    PrecisionError is raised.
+    32 * n * max(sweeps, 1) * 2^-p * ||M||_F (constant 32).  A smallest
+    eigenvalue at or below that bound is not resolved at p bits.
     """
     p = eig.precision_bits
     n = len(eig.values)
@@ -165,6 +186,14 @@ def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
                 f"smallest Gram eigenvalue {decimal_str(eig.min_value, p)} "
                 f"does not clear its error bound {decimal_str(bound, p)} at "
                 f"{p} bits; raise precision")
+    return eig
+
+
+def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
+    """Singular values from Gram eigenvalues that clear their error bound."""
+    require_resolved(eig, norm_f)
+    p = eig.precision_bits
+    with mp.workprec(p):
         vals = tuple(mp.sqrt(lam) for lam in eig.values)
     return SpectrumResult(vals, "singular", p, eig.offdiag_residual,
                           eig.sweeps_used)
@@ -205,13 +234,15 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int) -> LimitCheck:
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("every N must be >= 1")
     G = build_prolate(nodes, bits)
-    lam_g = hermitian_eigenvalues(G).min_value
+    lam_g = require_resolved(hermitian_eigenvalues(G),
+                             G.frobenius_norm()).min_value
     out = LimitCheck()
     for N in N_list:
         with mp.workprec(bits):
             scaled = scale_to_circle(nodes, N)
         kernel = build_dirichlet_kernel(VandermondeSpec(2 * N, scaled), bits)
-        lam = hermitian_eigenvalues(kernel).min_value
+        lam = require_resolved(hermitian_eigenvalues(kernel),
+                               kernel.frobenius_norm()).min_value
         with mp.workprec(bits):
             sig2_tilde = lam / (2 * N)
             gap = abs(sig2_tilde - lam_g)

@@ -1,8 +1,9 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import eighe_eigenvalues, random_hermitian
+from conftest import eighe_eigenvalues, jacobi_reference, random_hermitian
 from vandelab.errors import ConvergenceError, InvalidParameterError, PrecisionError
+from vandelab.experiments import resolve_point
 from vandelab.geometry import LINE, PERIODIC, ClusterSpec, NodeSet, generate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import (
@@ -10,6 +11,7 @@ from vandelab.matrices import (
     VandermondeSpec,
     build_dirichlet_kernel,
     build_gram_closed_form,
+    build_prolate,
     build_vandermonde,
 )
 from vandelab.spectra import (
@@ -108,6 +110,19 @@ class TestJacobi:
         with pytest.raises(InvalidParameterError):
             hermitian_eigenvalues(M)
 
+    def test_rejects_asymmetric_entry(self):
+        # one off-diagonal entry moved by one ulp: a[0][2] != a[2][0]
+        with mp.workprec(BITS):
+            x = mpf("0.3")
+            moved = x + mp.ldexp(1, mp.mag(x) - BITS)
+            assert moved != x
+            rows = ((mpf(2), mpf("0.1"), moved),
+                    (mpf("0.1"), mpf(1), mpf("0.2")),
+                    (x, mpf("0.2"), mpf(3)))
+            M = HPMatrix(rows, 3, 3, BITS, hermitian=True)
+        with pytest.raises(InvalidParameterError, match="not symmetric"):
+            hermitian_eigenvalues(M)
+
     def test_nonconvergence_diagnostic(self, rng):
         M = random_hermitian(rng, 4, BITS)
         with pytest.raises(ConvergenceError) as err:
@@ -134,6 +149,60 @@ class TestJacobi:
         M = HPMatrix(rows, 3, 3, BITS, hermitian=True)
         eig = hermitian_eigenvalues(M)
         assert eig.values == (0, 0, 0)
+
+
+def _equal_diagonal(M):
+    """M with every diagonal entry 1, so the first rotation has tau = 0."""
+    n = M.rows
+    rows = tuple(tuple(mpf(1) if i == j else M.entry(i, j) for j in range(n))
+                 for i in range(n))
+    return HPMatrix(rows, n, n, M.precision_bits, hermitian=True)
+
+
+def _assert_same_as_reference(M):
+    values, residual, sweeps = jacobi_reference(M)
+    eig = hermitian_eigenvalues(M)
+    assert eig.values == tuple(values)
+    assert eig.offdiag_residual == residual
+    assert eig.sweeps_used == sweeps
+
+
+class TestJacobiBitIdentity:
+    """The symmetric-pair libmp loop against the two-sided mpf loop:
+    every value, the residual and the sweep count are bit-equal."""
+
+    @pytest.mark.parametrize("bits", [53, 192, 613])
+    def test_random_symmetric(self, rng, bits):
+        for n in range(1, 9):
+            M = random_hermitian(rng, n, bits)
+            _assert_same_as_reference(M)
+            _assert_same_as_reference(_equal_diagonal(M))
+
+    def test_readme_sweep_kernel(self):
+        point = {"ell": 6, "N": 100, "delta": "1e-10", "tau": "auto",
+                 "s": None, "theta": None, "precision_override": None}
+        spec, N, centers, bits = resolve_point(point)
+        with mp.workprec(bits):
+            nodes = generate_config(spec, "equispaced", centers, 20240601,
+                                    PERIODIC)
+        _assert_same_as_reference(
+            build_dirichlet_kernel(VandermondeSpec(N, nodes), bits))
+
+    def test_prolate_matrix(self):
+        with mp.workprec(256):
+            nodes = NodeSet(tuple(mpf(x) for x in
+                                  ("-0.0015", "-0.0005", "0.0005", "0.0015")),
+                            LINE)
+        _assert_same_as_reference(build_prolate(nodes, 256))
+
+    def test_convergence_error(self, rng):
+        M = random_hermitian(rng, 6, BITS)
+        with pytest.raises(ConvergenceError) as ref:
+            jacobi_reference(M, max_sweeps=2)
+        with pytest.raises(ConvergenceError) as err:
+            hermitian_eigenvalues(M, max_sweeps=2)
+        assert err.value.residual == ref.value.residual
+        assert err.value.sweeps == ref.value.sweeps == 2
 
 
 class TestSqrtClamp:
