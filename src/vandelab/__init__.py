@@ -31,8 +31,6 @@ from .matrices import (
     build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
-    build_shifted_vandermonde,
-    build_vandermonde,
 )
 from .spectra import (
     SpectrumResult,

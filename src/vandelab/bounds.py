@@ -1,12 +1,13 @@
 """Evaluation of the explicit bound formulas and the window checks.
 
-The scaling constant 32*pi*e comes from ``hp.pi_e`` at working
-precision, never from a decimal literal.
+Every formula runs at the ambient precision, and the scaling constant
+32*pi*e comes from ``hp.pi_e`` at that precision, never from a decimal
+literal.
 
-Absolute constants that the theory leaves non-explicit (the lower-bound
-multiplier c1, the ell-dependent window constants, the prolate
-multiplier) are exposed as caller-supplied parameters with default 1 and
-are reported, never asserted: experiments measure them.
+Of the absolute constants the theory leaves non-explicit, only the
+lower-bound multiplier c1 is supplied by the caller; the ell-dependent
+window constant is fixed at DEFAULT_WINDOW_FLOOR.  Both are reported,
+never asserted: experiments measure them.
 """
 
 from __future__ import annotations
@@ -36,23 +37,21 @@ def _check_common(N: int, delta, ell: int):
         raise InvalidParameterError("delta must be > 0")
 
 
-def lower_bound_shape(N: int, delta, ell: int, bits: int | None = None):
+def lower_bound_shape(N: int, delta, ell: int):
     """sqrt(N) * (N*delta / (32*pi*e))^(ell-1), the lower-bound shape."""
     _check_common(N, delta, ell)
-    with mp.workprec(bits if bits is not None else mp.prec):
-        return mp.sqrt(N) * (N * as_mpf(delta) / pi_e(32)) ** (ell - 1)
+    return mp.sqrt(N) * (N * as_mpf(delta) / pi_e(32)) ** (ell - 1)
 
 
-def upper_bound_explicit(N: int, delta, ell: int, tau, bits: int | None = None):
+def upper_bound_explicit(N: int, delta, ell: int, tau):
     """(1/2) * sqrt(N*ell*e) * (tau*N*delta)^(ell-1), fully explicit."""
     _check_common(N, delta, ell)
     if as_mpf(tau) < ell - 1:
         raise InvalidParameterError("need tau >= ell-1")
-    with mp.workprec(bits if bits is not None else mp.prec):
-        return mp.sqrt(N * ell * mp.e) / 2 * (as_mpf(tau) * N * as_mpf(delta)) ** (ell - 1)
+    return mp.sqrt(N * ell * mp.e) / 2 * (as_mpf(tau) * N * as_mpf(delta)) ** (ell - 1)
 
 
-def slepian_constant(s: int, bits: int | None = None):
+def slepian_constant(s: int):
     """The equispaced-cluster constant 2^(2s-2) / ((2s-1) * C(2s-2, s-1)^3).
 
     Evaluated as an exact rational, then rounded once to working precision.
@@ -60,18 +59,16 @@ def slepian_constant(s: int, bits: int | None = None):
     if s < 1:
         raise InvalidParameterError(f"s must be >= 1, got {s}")
     frac = Fraction(2 ** (2 * s - 2), (2 * s - 1) * math.comb(2 * s - 2, s - 1) ** 3)
-    with mp.workprec(bits if bits is not None else mp.prec):
-        return mpf(frac.numerator) / mpf(frac.denominator)
+    return mpf(frac.numerator) / mpf(frac.denominator)
 
 
-def srf(N: int, delta, bits: int | None = None):
+def srf(N: int, delta):
     """Super-resolution factor (N*delta)^-1."""
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     if not as_mpf(delta) > 0:
         raise InvalidParameterError("delta must be > 0")
-    with mp.workprec(bits if bits is not None else mp.prec):
-        return 1 / (N * as_mpf(delta))
+    return 1 / (N * as_mpf(delta))
 
 
 @dataclass(frozen=True)
@@ -102,24 +99,22 @@ class BoundReport:
         }
 
 
-def evaluate_all(spec: VandermondeSpec, cluster: ClusterSpec,
-                 user_c1=1, window_floor=DEFAULT_WINDOW_FLOOR,
-                 bits: int | None = None) -> BoundReport:
-    """Populate a BoundReport for a validated configuration.
+def evaluate_all(spec: VandermondeSpec, cluster: ClusterSpec, bits: int,
+                 user_c1=1) -> BoundReport:
+    """Populate a BoundReport for a validated configuration at ``bits``.
 
     window_ok combines the checkable parts of the admissible N-window:
     N*tau*delta <= 2*pi (the single-cluster upper condition) and
-    N*theta >= s*window_floor, where window_floor stands in for the
+    N*theta >= s*DEFAULT_WINDOW_FLOOR, where the floor stands in for the
     non-explicit ell-dependent constant.  The report also records the
     raw products so callers can judge window membership themselves.
     """
-    p = bits if bits is not None else mp.prec
-    with mp.workprec(p):
+    with mp.workprec(bits):
         lower = lower_bound_shape(spec.N, cluster.delta, cluster.ell)
         upper = upper_bound_explicit(spec.N, cluster.delta, cluster.ell, cluster.tau)
         slep = slepian_constant(cluster.s) * cluster.delta ** (2 * cluster.s - 2)
         srf_val = srf(spec.N, cluster.delta)
-        wf = as_mpf(window_floor)
+        wf = as_mpf(DEFAULT_WINDOW_FLOOR)
         ntd = spec.N * cluster.tau * cluster.delta
         nth = spec.N * cluster.theta
         reasons = []
@@ -141,5 +136,5 @@ def evaluate_all(spec: VandermondeSpec, cluster: ClusterSpec,
             window_reason=reason,
             user_c1=as_mpf(user_c1),
             window_floor=wf,
-            precision_bits=p,
+            precision_bits=bits,
         )

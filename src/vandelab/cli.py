@@ -22,7 +22,7 @@ from pathlib import Path
 
 from mpmath import mp
 
-from .errors import VandelabError
+from .errors import InvalidParameterError, VandelabError
 from .experiments import (
     ExperimentManifest,
     resolve_point,
@@ -164,7 +164,11 @@ def _run_config_command(args) -> dict:
     """spectrum, bounds, prolate or limit-check on one config file."""
     common = {"out_dir": args.out, "bits_override": args.precision_bits}
     if args.command == "limit-check":
-        n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+        try:
+            n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"--N-list must be comma-separated integers: {exc}") from exc
         return run_limit_check(args.config, n_list, **common)
     run = {"spectrum": run_spectrum, "bounds": run_bounds,
            "prolate": run_prolate}[args.command]

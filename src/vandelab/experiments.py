@@ -97,6 +97,9 @@ class ExperimentManifest:
         for key in ("experiment_id", "kind", "grid"):
             if key not in obj:
                 raise ConfigParseError(f"manifest missing key {key!r}", key=key)
+        if not isinstance(obj["grid"], dict):
+            raise ConfigParseError("manifest grid must be a JSON object",
+                                   key="grid")
         grid = dict(obj["grid"])
         for key in ("ell", "N", "delta"):
             if not grid.get(key):
@@ -109,24 +112,24 @@ class ExperimentManifest:
         if unknown:
             raise ConfigParseError(
                 f"unknown grid keys {sorted(unknown)}", key=sorted(unknown)[0])
+        for key, values in grid.items():
+            if not isinstance(values, list):
+                raise ConfigParseError(
+                    f"manifest grid {key!r} must be a list", key=key)
         override = obj.get("precision_override")
         return cls(
             experiment_id=str(obj["experiment_id"]),
             kind=str(obj["kind"]),
             grid=grid,
-            precision_override=int(override) if override else None,
+            precision_override=_parse_int(override, "precision_override")
+            if override else None,
             created_at=str(obj.get("created_at", "")),
             tool_version=str(obj.get("tool_version", TOOL_VERSION)),
         )
 
     @classmethod
     def load(cls, path) -> "ExperimentManifest":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigParseError(f"manifest is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(_read_json(path, "manifest"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,6 +173,26 @@ class SweepSummary:
             "rows": len(self.rows),
             "out_dir": self.out_dir,
         }
+
+
+def _read_json(path, what: str):
+    """The JSON document at path; an unreadable or malformed file is a
+    ConfigParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _parse_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(
+            f"{key!r} must be an integer, got {value!r}", key=key) from exc
 
 
 def _blank_row(point: dict) -> dict:
@@ -386,11 +409,9 @@ def load_config(path) -> dict:
     Its reals stay decimal strings until ``_load_instance`` reads them at
     the bits the command runs at.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config is not valid JSON: {exc}") from exc
+    obj = _read_json(path, "config")
+    if not isinstance(obj, dict):
+        raise ConfigParseError("config must be a JSON object")
     if "nodes" not in obj:
         raise ConfigParseError("config missing key 'nodes'", key="nodes")
     if "cluster" not in obj:
@@ -399,8 +420,9 @@ def load_config(path) -> dict:
     return {
         "nodes": obj["nodes"],
         "cluster": obj["cluster"],
-        "N": int(n_val) if n_val is not None else None,
-        "precision_bits": int(obj.get("precision_bits") or 0) or None,
+        "N": _parse_int(n_val, "N") if n_val is not None else None,
+        "precision_bits":
+            _parse_int(obj.get("precision_bits") or 0, "precision_bits") or None,
     }
 
 
@@ -458,7 +480,7 @@ def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
         g0 = gaps[0]
         if any(abs(g - g0) > slack * abs(g0) for g in gaps):
             return None
-    ceq = slepian_constant(cluster.s, bits)
+    ceq = slepian_constant(cluster.s)
     return lam_min / (ceq * cluster.delta ** (2 * cluster.s - 2))
 
 

@@ -71,18 +71,15 @@ class CertifiedSup:
     lower: object
     upper: object
     samples: int
-    bernstein_bound: object
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
     """One inequality verdict with both sides as computed."""
 
-    name: str
     lhs: object
     rhs: object
     holds: bool
-    params: dict
 
 
 def evaluate(P: ExpSum, t):
@@ -248,47 +245,44 @@ def _grid_max(P: ExpSum, a, b, samples: int):
     return +best
 
 
-def bernstein_factor(P: ExpSum, a, b, bernstein_c=1):
+def bernstein_factor(P: ExpSum, a, b):
     """Derivative bound for the [0,1]-rescaled sum:
-    bernstein_c * sqrt(108*ell^5 + sum of rescaled frequencies squared)."""
+    sqrt(108*ell^5 + sum of rescaled frequencies squared)."""
     ell = P.degree
     width = as_mpf(b) - as_mpf(a)
     sq = mp.fsum((x * width) ** 2 for c, x in zip(P.coeffs, P.freqs) if c != 0)
-    return as_mpf(bernstein_c) * mp.sqrt(108 * mpf(ell) ** 5 + sq)
+    return mp.sqrt(108 * mpf(ell) ** 5 + sq)
 
 
-def linf_norm_certified(P: ExpSum, a, b, bernstein_c=1,
-                        max_samples: int = DEFAULT_MAX_SUP_SAMPLES) -> CertifiedSup:
+def linf_norm_certified(P: ExpSum, a, b) -> CertifiedSup:
     """Two-sided sup-norm enclosure over [a, b].
 
     The grid has at least ceil(B) intervals so the inflation factor
-    1/(1 - h*B/2) never exceeds 2.  A degree-one sum has constant
-    modulus, so its sup is exact.
+    1/(1 - h*B/2) never exceeds 2; more than DEFAULT_MAX_SUP_SAMPLES is
+    refused.  A degree-one sum has constant modulus, so its sup is exact.
     """
     a, b = as_mpf(a), as_mpf(b)
     if not b > a:
         raise InvalidParameterError("need b > a")
-    if not as_mpf(bernstein_c) > 0:
-        raise InvalidParameterError("bernstein_c must be > 0")
     nz = [(c, x) for c, x in zip(P.coeffs, P.freqs) if c != 0]
     if len(nz) == 0:
-        return CertifiedSup(mpf(0), mpf(0), 0, mpf(0))
+        return CertifiedSup(mpf(0), mpf(0), 0)
     if len(nz) == 1:
         v = abs(nz[0][0])
-        return CertifiedSup(v, v, 0, mpf(0))
-    B = bernstein_factor(P, a, b, bernstein_c)
+        return CertifiedSup(v, v, 0)
+    B = bernstein_factor(P, a, b)
     samples = max(MIN_SUP_SAMPLES, int(mp.ceil(B)) + 1)
-    if samples > max_samples:
+    if samples > DEFAULT_MAX_SUP_SAMPLES:
         raise ResourceLimitError(
-            f"certified sup needs {samples} samples, budget is {max_samples}")
+            f"certified sup needs {samples} samples, budget is "
+            f"{DEFAULT_MAX_SUP_SAMPLES}")
     lower = _grid_max(P, a, b, samples)
     h = mpf(1) / samples
     upper = lower / (1 - h * B / 2)
-    return CertifiedSup(lower, upper, samples, B)
+    return CertifiedSup(lower, upper, samples)
 
 
-def check_turan(P: ExpSum, interval, subinterval,
-                bernstein_c=1) -> InequalityCheck:
+def check_turan(P: ExpSum, interval, subinterval) -> InequalityCheck:
     """sup on I against (4e mu(I)/mu(Omega))^(ell-1) times sup on Omega.
 
     lhs uses the lower sup estimate and rhs the upper one, so holds=False
@@ -301,17 +295,13 @@ def check_turan(P: ExpSum, interval, subinterval,
     if w0 < a or w1 > b:
         raise InvalidParameterError("Omega must be contained in I")
     ell = P.degree
-    lhs = linf_norm_certified(P, a, b, bernstein_c).lower
-    omega_sup = linf_norm_certified(P, w0, w1, bernstein_c).upper
-    factor = (4 * mp.e * (b - a) / (w1 - w0)) ** (ell - 1)
-    rhs = factor * omega_sup
-    return InequalityCheck(
-        name="turan", lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs),
-        params={"ell": ell, "interval": (a, b), "subinterval": (w0, w1),
-                "factor": factor})
+    lhs = linf_norm_certified(P, a, b).lower
+    omega_sup = linf_norm_certified(P, w0, w1).upper
+    rhs = (4 * mp.e * (b - a) / (w1 - w0)) ** (ell - 1) * omega_sup
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs))
 
 
-def check_nikolskii(P: ExpSum, p_exp, q_exp, bernstein_c=1) -> InequalityCheck:
+def check_nikolskii(P: ExpSum, p_exp, q_exp) -> InequalityCheck:
     """||P||_p <= (pi*ell/2)^(2/q - 2/p) ||P||_q on [0, 1].
 
     Needs 0 < q <= 2 and q <= p <= inf; p == q is the degenerate equality
@@ -329,7 +319,7 @@ def check_nikolskii(P: ExpSum, p_exp, q_exp, bernstein_c=1) -> InequalityCheck:
     ell = P.degree
     zero, one = mpf(0), mpf(1)
     if inf_p:
-        lhs = linf_norm_certified(P, zero, one, bernstein_c).lower
+        lhs = linf_norm_certified(P, zero, one).lower
         inv_p = mpf(0)
     else:
         lhs = l2_norm_exact(P, zero, one) if pv == 2 \
@@ -337,21 +327,16 @@ def check_nikolskii(P: ExpSum, p_exp, q_exp, bernstein_c=1) -> InequalityCheck:
         inv_p = 1 / pv
     rhs_norm = l2_norm_exact(P, zero, one) if qv == 2 \
         else lq_norm_quadrature(P, zero, one, qv)
-    factor = (mp.pi * ell / 2) ** (2 / qv - 2 * inv_p)
-    rhs = factor * rhs_norm
-    return InequalityCheck(
-        name="nikolskii", lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs),
-        params={"ell": ell, "p": "inf" if inf_p else pv, "q": qv,
-                "factor": factor})
+    rhs = (mp.pi * ell / 2) ** (2 / qv - 2 * inv_p) * rhs_norm
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs))
 
 
-def _require_separated(P: ExpSum, delta_sep, wrap: bool):
-    dist = wrap_distance if wrap else (lambda x, y: abs(mpf(x) - mpf(y)))
+def _require_separated(P: ExpSum, delta_sep):
     slack = mpf(2) ** -(mp.prec - 16)
     floor = as_mpf(delta_sep) * (1 - slack)
     for j in range(len(P.freqs)):
         for k in range(j + 1, len(P.freqs)):
-            if dist(P.freqs[j], P.freqs[k]) < floor:
+            if wrap_distance(P.freqs[j], P.freqs[k]) < floor:
                 raise InvalidParameterError(
                     f"frequencies {j},{k} closer than the required "
                     f"separation {decimal_str(as_mpf(delta_sep))}")
@@ -367,7 +352,7 @@ def check_salem_ratio(P: ExpSum, delta_sep):
     delta_sep = as_mpf(delta_sep)
     if not delta_sep > 0:
         raise InvalidParameterError("delta_sep must be > 0")
-    _require_separated(P, delta_sep, wrap=True)
+    _require_separated(P, delta_sep)
     c2 = P.coeff_norm_sq()
     if c2 == 0:
         raise DegenerateInputError("all coefficients are zero")
@@ -380,8 +365,6 @@ class RiemannGapReport:
     """Integral-vs-Riemann-sum gap of T = |P(N u)|^2 on [0, 1]."""
 
     gap: object
-    rhs_shape: object          # (ell^5 / N) * ||T||_inf estimate, or None
-    t_sup_lower: object        # certified lower estimate of ||T||_inf, or None
     l1_norm: object            # integral of T = ||P||^2_{L2(0,N)}
     discrete_mean: object      # (1/N) sum_{k=0}^{N} T(k/N)
     discrete_sq: object        # ||P||^2_{2,N}
@@ -407,37 +390,33 @@ def _squared_modulus_terms(P: ExpSum, scale):
     return ExpSum(tuple(terms.values()), tuple(terms.keys()))
 
 
-def riemann_gap(P: ExpSum, N: int, with_sup_shape: bool = True,
-                bernstein_c=1) -> RiemannGapReport:
-    """Exact gap |int_0^1 T - (1/N) sum_k T(k/N)| and the paper's shape.
+def riemann_gap(P: ExpSum, N: int) -> RiemannGapReport:
+    """Exact gap |int_0^1 T - (1/N) sum_k T(k/N)| and the norm relation.
 
     Both the integral and the sample sum are closed forms: term-wise
-    integration and discrete_norm's Dirichlet quadratic form.  rhs_shape is
-    (ell^5/N) times the certified lower estimate of ||T||_inf, so the
-    reported gap/rhs_shape ratio over-estimates the true ratio; skip it
-    with with_sup_shape=False when only the norm relation matters.
+    integration and discrete_norm's Dirichlet quadratic form.  An integral
+    at or below 2^-(p-16) of its term mass is not resolved at the working
+    precision p and raises PrecisionError, as _quadratic_form does.
     """
     if N < 1:
         raise InvalidParameterError("N must be >= 1")
-    ell = P.degree
     T = _squared_modulus_terms(P, mpf(N))
-    l1 = mp.fsum((c * _interval_transform(x, mpf(0), mpf(1))).real
-                 for c, x in zip(T.coeffs, T.freqs))
-    if l1 < 0:
-        l1 = mpf(0)
+    terms = [c * _interval_transform(x, mpf(0), mpf(1))
+             for c, x in zip(T.coeffs, T.freqs)]
+    l1 = mp.fsum(t.real for t in terms)
+    mass = mp.fsum(abs(t) for t in terms)
+    if mass > 0 and l1 <= mp.ldexp(mass, -(mp.prec - 16)):
+        raise PrecisionError(
+            f"integral of |P|^2 came out {decimal_str(l1)}, not above "
+            f"rounding dust of its term mass {decimal_str(mass)}; "
+            f"raise precision")
     disc_sq = discrete_norm(P, N) ** 2
     disc_mean = disc_sq / N
     gap = abs(l1 - disc_mean)
-    rhs_shape = None
-    t_sup_lower = None
-    if with_sup_shape:
-        t_sup_lower = linf_norm_certified(T, mpf(0), mpf(1), bernstein_c).lower
-        rhs_shape = mpf(ell) ** 5 / N * t_sup_lower
     applicable = bool(gap <= l1 / 2)
     holds = bool(disc_sq >= mpf(N) / 2 * l1)
     return RiemannGapReport(
-        gap=gap, rhs_shape=rhs_shape, t_sup_lower=t_sup_lower, l1_norm=l1,
-        discrete_mean=disc_mean, discrete_sq=disc_sq,
+        gap=gap, l1_norm=l1, discrete_mean=disc_mean, discrete_sq=disc_sq,
         relation_applicable=applicable, relation_holds=holds)
 
 
@@ -452,12 +431,9 @@ def check_cor_turan(P: ExpSum, N: int, delta) -> InequalityCheck:
         raise InvalidParameterError("N must be >= 1")
     if N > 4 * mp.pi / delta:
         raise InvalidParameterError("window violation: need N <= 4*pi/delta")
-    _require_separated(P, delta, wrap=True)
+    _require_separated(P, delta)
     ell = P.degree
     lhs = l2_norm_exact(P, mpf(0), mpf(N))
     big = l2_norm_exact(P, mpf(0), 4 * mp.pi / delta)
-    factor = 2 / (mp.pi * ell) * (N * delta / pi_e(16)) ** (ell - 1)
-    rhs = factor * big
-    return InequalityCheck(
-        name="cor-turan", lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs),
-        params={"ell": ell, "N": N, "delta": delta, "factor": factor})
+    rhs = 2 / (mp.pi * ell) * (N * delta / pi_e(16)) ** (ell - 1) * big
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs))

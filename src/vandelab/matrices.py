@@ -1,4 +1,4 @@
-"""Assembly of the Vandermonde, Gram, kernel, prolate and shifted matrices.
+"""Assembly of the Gram, kernel and prolate matrices.
 
 Spectral work downstream routes through an s x s matrix with
 closed-form entries rather than the tall (N+1) x s factor: the node
@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import DegenerateInputError, InvalidParameterError
 from .geometry import LINE, PERIODIC, NodeSet
@@ -61,24 +61,6 @@ class VandermondeSpec:
                 f"need N >= s-1, got N={self.N}, s={self.nodes.count}")
 
 
-def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
-    """The (N+1) x s matrix with entry(k, j) = e^(i k x_j), k = 0..N."""
-    p = bits if bits is not None else mp.prec
-    N, xs = spec.N, spec.nodes.nodes
-    with mp.workprec(p + 16 + max(N, 1).bit_length()):
-        bases = [mp.expj(x) for x in xs]
-        cols = []
-        for z in bases:
-            col = [mpc(1)]
-            for _ in range(N):
-                col.append(col[-1] * z)
-            cols.append(col)
-        with mp.workprec(p):
-            ent = tuple(tuple(+cols[j][k] for j in range(len(xs)))
-                        for k in range(N + 1))
-    return HPMatrix(ent, N + 1, len(xs), p, hermitian=False)
-
-
 def _dirichlet_ratio(delta, N: int):
     """sin((N+1) delta/2) / sin(delta/2), and its limit N+1 at delta = 0."""
     if delta == 0:
@@ -94,48 +76,46 @@ def _dirichlet_sum(delta, N: int):
     return mp.expj(N * delta / 2) * _dirichlet_ratio(delta, N)
 
 
-def build_gram_closed_form(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
+def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> HPMatrix:
     """The s x s Hermitian Gram matrix V^H V with closed-form entries.
 
     entry(j, m) = sum_k e^(i k (x_m - x_j)); the diagonal is exactly N+1.
     Entries are computed with guard bits sized to the argument reduction
     of sin at phase ~ N*pi, then rounded to the target precision.
     """
-    p = bits if bits is not None else mp.prec
     N, xs = spec.N, spec.nodes.nodes
     s = len(xs)
     guard = 32 + max(N, 1).bit_length()
     rows = [[None] * s for _ in range(s)]
-    with mp.workprec(p + guard):
+    with mp.workprec(bits + guard):
         for j in range(s):
             rows[j][j] = mpf(N + 1)
             for m in range(j + 1, s):
                 val = _dirichlet_sum(xs[m] - xs[j], N)
-                with mp.workprec(p):
+                with mp.workprec(bits):
                     val = +val
                 rows[j][m] = val
                 rows[m][j] = mp.conj(val)
-    return HPMatrix(tuple(tuple(r) for r in rows), s, s, p, hermitian=True)
+    return HPMatrix(tuple(tuple(r) for r in rows), s, s, bits, hermitian=True)
 
 
-def build_dirichlet_kernel(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
+def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> HPMatrix:
     """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
     with the spectrum of G: entry(j, m) = sin((N+1) d/2) / sin(d/2) for
     d = x_m - x_j, rounded as the Gram builder rounds."""
-    p = bits if bits is not None else mp.prec
     N, xs = spec.N, spec.nodes.nodes
     s = len(xs)
     rows = [[mpf(N + 1) if j == m else None for m in range(s)] for j in range(s)]
-    with mp.workprec(p + 32 + max(N, 1).bit_length()):
+    with mp.workprec(bits + 32 + max(N, 1).bit_length()):
         for j in range(s):
             for m in range(j + 1, s):
                 val = _dirichlet_ratio(xs[m] - xs[j], N)
-                with mp.workprec(p):
+                with mp.workprec(bits):
                     rows[j][m] = rows[m][j] = +val
-    return HPMatrix(tuple(tuple(r) for r in rows), s, s, p, hermitian=True)
+    return HPMatrix(tuple(tuple(r) for r in rows), s, s, bits, hermitian=True)
 
 
-def build_prolate(nodes: NodeSet, bits: int | None = None) -> HPMatrix:
+def build_prolate(nodes: NodeSet, bits: int) -> HPMatrix:
     """The s x s generalized prolate matrix of sinc inner products.
 
     entry(j, k) = sin(x_j - x_k)/(x_j - x_k) off the diagonal and 1 on it,
@@ -144,12 +124,11 @@ def build_prolate(nodes: NodeSet, bits: int | None = None) -> HPMatrix:
     """
     if nodes.domain != LINE:
         raise InvalidParameterError("prolate matrix expects line-domain nodes")
-    p = bits if bits is not None else mp.prec
     xs = nodes.nodes
     s = len(xs)
-    tiny = mpf(2) ** -(p // 2)
+    tiny = mpf(2) ** -(bits // 2)
     rows = [[None] * s for _ in range(s)]
-    with mp.workprec(p):
+    with mp.workprec(bits):
         for j in range(s):
             rows[j][j] = mpf(1)
             for k in range(j + 1, s):
@@ -160,40 +139,8 @@ def build_prolate(nodes: NodeSet, bits: int | None = None) -> HPMatrix:
                     log.warning(
                         "prolate nodes %d,%d separated by %s < 2^-%d; "
                         "consider raising precision", j, k,
-                        decimal_str(abs(d), p), p // 2)
+                        decimal_str(abs(d), bits), bits // 2)
                 val = mp.sin(d) / d
                 rows[j][k] = val
                 rows[k][j] = val
-    return HPMatrix(tuple(tuple(r) for r in rows), s, s, p, hermitian=True)
-
-
-def build_shifted_vandermonde(nodes: NodeSet, N: int, bits: int | None = None) -> HPMatrix:
-    """The (2N+1) x s matrix with entries e^(i k x_j / N)/sqrt(2N), k = -N..N.
-
-    Requires every x_j/N to lie in (-pi, pi].
-    """
-    if nodes.domain != LINE:
-        raise InvalidParameterError("shifted Vandermonde expects line-domain nodes")
-    if N < 1:
-        raise InvalidParameterError("N must be >= 1")
-    p = bits if bits is not None else mp.prec
-    with mp.workprec(p + 16 + (2 * N).bit_length()):
-        xis = []
-        for x in nodes.nodes:
-            xi = x / N
-            if not (-mp.pi < xi <= mp.pi):
-                raise InvalidParameterError(
-                    f"scaled node {decimal_str(xi)} outside (-pi, pi]")
-            xis.append(xi)
-        scale = 1 / mp.sqrt(2 * N)
-        cols = []
-        for xi in xis:
-            z = mp.expj(xi)
-            col = [scale * mp.expj(-N * xi)]
-            for _ in range(2 * N):
-                col.append(col[-1] * z)
-            cols.append(col)
-        with mp.workprec(p):
-            ent = tuple(tuple(+cols[j][k] for j in range(len(xis)))
-                        for k in range(2 * N + 1))
-    return HPMatrix(ent, 2 * N + 1, len(nodes.nodes), p, hermitian=False)
+    return HPMatrix(tuple(tuple(r) for r in rows), s, s, bits, hermitian=True)

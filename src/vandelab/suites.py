@@ -3,7 +3,7 @@
 Each suite draws reproducible random instances from a stated seed,
 evaluates one inequality or spectral property on every instance, and
 returns the verdicts together with the empirical constants it measured
-(minimum Salem ratio, fitted c1 window, and so on).  The seed is part of
+(the minimum Salem ratio, the smallest rhs/lhs margin).  The seed is part of
 every record so a report can be replayed.
 """
 
@@ -25,14 +25,7 @@ from .expsums import (
     check_turan,
     riemann_gap,
 )
-from .geometry import (
-    PERIODIC,
-    RANDOM,
-    ClusterSpec,
-    NodeSet,
-    cluster_offsets,
-    generate_config,
-)
+from .geometry import RANDOM, cluster_offsets
 from .hp import as_mpf, decimal_str, pi_e
 
 DEFAULT_SUITE_SEED = 20240601
@@ -113,61 +106,12 @@ def _clustered_expsum(rng, ell_max: int, exp_lo, exp_hi):
     return ell, delta, ExpSum(tuple(_random_coeffs(rng, ell)), nodes)
 
 
-@dataclass(frozen=True)
-class ClusteredInstance:
-    nodes: NodeSet
-    cluster: ClusterSpec
-    N: int
-    multiplicities: tuple
-
-
 def default_centers(n_clusters: int):
     """Evenly spread centers on the circle, center 0 for a single cluster."""
     if n_clusters == 1:
         return (mpf(0),)
     return tuple(-mp.pi + (2 * j + 1) * mp.pi / n_clusters
                  for j in range(n_clusters))
-
-
-def random_clustered_config(rng, ell_range=(2, 4), clusters_range=(1, 3),
-                            delta_exp_range=(4.0, 8.0), n_range=(60, 300),
-                            theta=1, require_distinct_mults=False,
-                            layout=RANDOM, n_per_s: int = 10) -> ClusteredInstance:
-    """A validated multi-cluster configuration on the circle.
-
-    N is drawn above n_per_s * s (default keeps N*theta >= 10*s, the
-    advisory window); centers sit on the default even spread, so theta
-    must stay below 2*pi/M minus the cluster extent.
-    """
-    while True:
-        ell = rng.randint(*ell_range)
-        n_clusters = rng.randint(*clusters_range)
-        mults = [ell] + [rng.randint(1, ell) for _ in range(n_clusters - 1)]
-        if require_distinct_mults and len(set(mults)) < 2:
-            continue
-        break
-    s = sum(mults)
-    # drawn instances are built at a fixed precision so the same seed
-    # yields the same configuration whatever the caller's context is
-    with mp.workprec(DEFAULT_SUITE_BITS):
-        if ell > 1:
-            tau = mpf(ell - 1) + _rng_floats(rng, mpf(0), mpf(ell))
-        else:
-            tau = mpf(1)
-        delta = mpf(10) ** (-_rng_floats(rng, mpf(delta_exp_range[0]),
-                                         mpf(delta_exp_range[1])))
-        lo = max(n_range[0], n_per_s * s)
-        if lo > n_range[1]:
-            raise InvalidParameterError(
-                f"n_range {n_range} cannot accommodate s={s}")
-        N = rng.randint(lo, n_range[1])
-        spec = ClusterSpec(delta=delta, theta=as_mpf(theta), s=s, ell=ell,
-                           tau=tau)
-        centers = default_centers(n_clusters)
-        nodes = generate_config(spec, layout, centers,
-                                seed=rng.randrange(2 ** 31), domain=PERIODIC)
-    return ClusteredInstance(nodes=nodes, cluster=spec, N=N,
-                             multiplicities=tuple(mults))
 
 
 def _require_instances(instances: int):
@@ -229,11 +173,10 @@ def _draw_riemann(rng):
     """Discrete-vs-continuous norm relation on a clustered sum."""
     ell, _, P = _clustered_expsum(rng, 5, 3, 6)
     N = rng.randint(30, 300)
-    rep = riemann_gap(P, N, with_sup_shape=False)
-    params = {"ell": ell, "N": N}
-    return params, InequalityCheck(
-        name="riemann", lhs=rep.discrete_sq, rhs=mpf(N) / 2 * rep.l1_norm,
-        holds=rep.relation_holds, params=params)
+    rep = riemann_gap(P, N)
+    return {"ell": ell, "N": N}, InequalityCheck(
+        lhs=rep.discrete_sq, rhs=mpf(N) / 2 * rep.l1_norm,
+        holds=rep.relation_holds)
 
 
 def run_turan_suite(instances: int = 500,
@@ -300,51 +243,6 @@ ALL_SUITES = {
     "salem": run_salem_suite,
     "riemann": run_riemann_suite,
 }
-
-
-@dataclass(frozen=True)
-class LevelCountFit:
-    """Fitted c1 window for the per-level spectral counting.
-
-    For each instance and level m, counting singular values in the band
-    [c1*shape_m, c1*shape_{m-1}) must find exactly q_m of them; that
-    pins c1 into (lo, hi].  A nonempty intersection across all instances
-    is the testable content; c1 is the geometric midpoint.
-    """
-
-    lo: object
-    hi: object
-    c1: object
-    instances: int
-
-    @property
-    def nonempty(self) -> bool:
-        return self.lo < self.hi
-
-
-def fit_level_constant(spectra_and_partitions, bits: int = DEFAULT_SUITE_BITS) -> LevelCountFit:
-    """Intersect the admissible c1 intervals over (spectrum, q, N, delta).
-
-    Each item is (sigma: descending tuple, q: tuple, N: int, delta).
-    """
-    lo_all, hi_all = mpf(0), mpf("inf")
-    count = 0
-    with mp.workprec(bits):
-        c2 = pi_e(32)
-        for sigma, q, N, delta in spectra_and_partitions:
-            count += 1
-            s = len(sigma)
-            ell = len(q)
-            cums = [sum(q[:m]) for m in range(1, ell + 1)]
-            for m in range(1, ell + 1):
-                cum = cums[m - 1]
-                shape = mp.sqrt(N) * (N * as_mpf(delta) / c2) ** (m - 1)
-                hi_all = min(hi_all, sigma[cum - 1] / shape)
-                if cum < s:
-                    lo_all = max(lo_all, sigma[cum] / shape)
-        c1 = mp.sqrt(lo_all * hi_all) if 0 < lo_all < hi_all else \
-            (hi_all / 2 if hi_all < mp.inf else mpf(1))
-    return LevelCountFit(lo=lo_all, hi=hi_all, c1=c1, instances=count)
 
 
 def band_counts(sigma, q, N, delta, c1, bits: int = DEFAULT_SUITE_BITS):

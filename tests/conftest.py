@@ -1,21 +1,36 @@
-"""Shared test oracles.
+"""Shared test oracles and fixtures.
 
-These deliberately avoid the code paths they check: the Gram oracle sums
-the geometric series term by term, the eigenvalue oracle is mpmath's
+The oracles deliberately avoid the code paths they check: the Gram oracle
+sums the geometric series term by term, the eigenvalue oracle is mpmath's
 eighe (tridiagonalization + QL, nothing like the package's Jacobi), and
 the quadrature oracle integrates numerically.  The one exception is
 jacobi_reference, which is the package's Jacobi iteration written the
 plain way, to pin the fast one bit for bit.
+
+The fixtures are reference matrices and seeded instance generators that
+only tests use: the tall Vandermonde and shifted Vandermonde factors,
+random multi-cluster configurations, and the per-level c1 fit.
 """
 
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from mpmath import mp, mpc, mpf, matrix
 
-from vandelab.errors import ConvergenceError
-from vandelab.matrices import HPMatrix
+from vandelab.errors import ConvergenceError, InvalidParameterError
+from vandelab.geometry import (
+    LINE,
+    PERIODIC,
+    RANDOM,
+    ClusterSpec,
+    NodeSet,
+    generate_config,
+)
+from vandelab.hp import as_mpf, decimal_str, pi_e
+from vandelab.matrices import HPMatrix, VandermondeSpec
+from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats, default_centers
 
 
 def gram_entry_direct(delta, N, bits):
@@ -122,3 +137,147 @@ def random_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
 @pytest.fixture
 def rng():
     return random.Random(987654321)
+
+
+def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
+    """The (N+1) x s matrix with entry(k, j) = e^(i k x_j), k = 0..N."""
+    p = bits if bits is not None else mp.prec
+    N, xs = spec.N, spec.nodes.nodes
+    with mp.workprec(p + 16 + max(N, 1).bit_length()):
+        bases = [mp.expj(x) for x in xs]
+        cols = []
+        for z in bases:
+            col = [mpc(1)]
+            for _ in range(N):
+                col.append(col[-1] * z)
+            cols.append(col)
+        with mp.workprec(p):
+            ent = tuple(tuple(+cols[j][k] for j in range(len(xs)))
+                        for k in range(N + 1))
+    return HPMatrix(ent, N + 1, len(xs), p, hermitian=False)
+
+
+def build_shifted_vandermonde(nodes: NodeSet, N: int, bits: int | None = None) -> HPMatrix:
+    """The (2N+1) x s matrix with entries e^(i k x_j / N)/sqrt(2N), k = -N..N.
+
+    Requires every x_j/N to lie in (-pi, pi].
+    """
+    if nodes.domain != LINE:
+        raise InvalidParameterError("shifted Vandermonde expects line-domain nodes")
+    if N < 1:
+        raise InvalidParameterError("N must be >= 1")
+    p = bits if bits is not None else mp.prec
+    with mp.workprec(p + 16 + (2 * N).bit_length()):
+        xis = []
+        for x in nodes.nodes:
+            xi = x / N
+            if not (-mp.pi < xi <= mp.pi):
+                raise InvalidParameterError(
+                    f"scaled node {decimal_str(xi)} outside (-pi, pi]")
+            xis.append(xi)
+        scale = 1 / mp.sqrt(2 * N)
+        cols = []
+        for xi in xis:
+            z = mp.expj(xi)
+            col = [scale * mp.expj(-N * xi)]
+            for _ in range(2 * N):
+                col.append(col[-1] * z)
+            cols.append(col)
+        with mp.workprec(p):
+            ent = tuple(tuple(+cols[j][k] for j in range(len(xis)))
+                        for k in range(2 * N + 1))
+    return HPMatrix(ent, 2 * N + 1, len(nodes.nodes), p, hermitian=False)
+
+
+@dataclass(frozen=True)
+class ClusteredInstance:
+    nodes: NodeSet
+    cluster: ClusterSpec
+    N: int
+    multiplicities: tuple
+
+
+def random_clustered_config(rng, ell_range=(2, 4), clusters_range=(1, 3),
+                            delta_exp_range=(4.0, 8.0), n_range=(60, 300),
+                            theta=1, require_distinct_mults=False,
+                            layout=RANDOM, n_per_s: int = 10) -> ClusteredInstance:
+    """A validated multi-cluster configuration on the circle.
+
+    N is drawn above n_per_s * s (default keeps N*theta >= 10*s, the
+    advisory window); centers sit on the default even spread, so theta
+    must stay below 2*pi/M minus the cluster extent.
+    """
+    while True:
+        ell = rng.randint(*ell_range)
+        n_clusters = rng.randint(*clusters_range)
+        mults = [ell] + [rng.randint(1, ell) for _ in range(n_clusters - 1)]
+        if require_distinct_mults and len(set(mults)) < 2:
+            continue
+        break
+    s = sum(mults)
+    # drawn instances are built at a fixed precision so the same seed
+    # yields the same configuration whatever the caller's context is
+    with mp.workprec(DEFAULT_SUITE_BITS):
+        if ell > 1:
+            tau = mpf(ell - 1) + _rng_floats(rng, mpf(0), mpf(ell))
+        else:
+            tau = mpf(1)
+        delta = mpf(10) ** (-_rng_floats(rng, mpf(delta_exp_range[0]),
+                                         mpf(delta_exp_range[1])))
+        lo = max(n_range[0], n_per_s * s)
+        if lo > n_range[1]:
+            raise InvalidParameterError(
+                f"n_range {n_range} cannot accommodate s={s}")
+        N = rng.randint(lo, n_range[1])
+        spec = ClusterSpec(delta=delta, theta=as_mpf(theta), s=s, ell=ell,
+                           tau=tau)
+        centers = default_centers(n_clusters)
+        nodes = generate_config(spec, layout, centers,
+                                seed=rng.randrange(2 ** 31), domain=PERIODIC)
+    return ClusteredInstance(nodes=nodes, cluster=spec, N=N,
+                             multiplicities=tuple(mults))
+
+
+@dataclass(frozen=True)
+class LevelCountFit:
+    """Fitted c1 window for the per-level spectral counting.
+
+    For each instance and level m, counting singular values in the band
+    [c1*shape_m, c1*shape_{m-1}) must find exactly q_m of them; that
+    pins c1 into (lo, hi].  A nonempty intersection across all instances
+    is the testable content; c1 is the geometric midpoint.
+    """
+
+    lo: object
+    hi: object
+    c1: object
+    instances: int
+
+    @property
+    def nonempty(self) -> bool:
+        return self.lo < self.hi
+
+
+def fit_level_constant(spectra_and_partitions, bits: int = DEFAULT_SUITE_BITS) -> LevelCountFit:
+    """Intersect the admissible c1 intervals over (spectrum, q, N, delta).
+
+    Each item is (sigma: descending tuple, q: tuple, N: int, delta).
+    """
+    lo_all, hi_all = mpf(0), mpf("inf")
+    count = 0
+    with mp.workprec(bits):
+        c2 = pi_e(32)
+        for sigma, q, N, delta in spectra_and_partitions:
+            count += 1
+            s = len(sigma)
+            ell = len(q)
+            cums = [sum(q[:m]) for m in range(1, ell + 1)]
+            for m in range(1, ell + 1):
+                cum = cums[m - 1]
+                shape = mp.sqrt(N) * (N * as_mpf(delta) / c2) ** (m - 1)
+                hi_all = min(hi_all, sigma[cum - 1] / shape)
+                if cum < s:
+                    lo_all = max(lo_all, sigma[cum] / shape)
+        c1 = mp.sqrt(lo_all * hi_all) if 0 < lo_all < hi_all else \
+            (hi_all / 2 if hi_all < mp.inf else mpf(1))
+    return LevelCountFit(lo=lo_all, hi=hi_all, c1=c1, instances=count)

@@ -11,7 +11,11 @@ import time
 
 from mpmath import mp, mpf
 
-from conftest import gram_entry_direct
+from conftest import (
+    fit_level_constant,
+    gram_entry_direct,
+    random_clustered_config,
+)
 from vandelab.bounds import slepian_constant, upper_bound_explicit
 from vandelab.experiments import ExperimentManifest, run_sweep
 from vandelab.geometry import LINE, NodeSet, validate_config
@@ -28,8 +32,6 @@ from vandelab.spectra import (
 )
 from vandelab.suites import (
     band_counts,
-    fit_level_constant,
-    random_clustered_config,
     run_cor_turan_suite,
     run_nikolskii_suite,
     run_riemann_suite,
@@ -60,7 +62,7 @@ def test_01_slepian_asymptotic_reproduction():
                 delta = mpf(dtext)
                 G = build_prolate(_equispaced_line_cluster(s, delta), 320)
                 lam = hermitian_eigenvalues(G).min_value
-                ratios.append(lam / (slepian_constant(s, 320)
+                ratios.append(lam / (slepian_constant(s)
                                      * delta ** (2 * s - 2)))
             # within 2% at delta = 1e-3 and monotone approach to 1
             if not (mpf("0.98") <= ratios[1] <= mpf("1.02")):

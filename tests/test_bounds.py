@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
+from conftest import random_clustered_config
 from vandelab.bounds import (
     evaluate_all,
     lower_bound_shape,
@@ -15,7 +16,6 @@ from vandelab.geometry import ClusterSpec, NodeSet, generate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
-from vandelab.suites import random_clustered_config
 
 BITS = 192
 

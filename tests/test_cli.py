@@ -194,3 +194,45 @@ def test_gen_config_runs_at_sweep_bits(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["precision_bits"] == int(row["precision_bits"]) == 603
     assert _rel_diff(result["lambda"], row["lambda"]) < mpf("1e-40")
+
+
+def _manifest_with(tmp_path, **changes):
+    obj = json.loads(make_manifest(tmp_path).read_text())
+    obj.update(changes)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    return ["sweep", "--manifest", str(path)]
+
+
+def _json_file(tmp_path, obj):
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def _config_with(tmp_path, command, **changes):
+    path = _line_config(tmp_path / "line.json", ["0", "0.5"], "0.5")
+    obj = json.loads(path.read_text())
+    obj.update(changes)
+    path.write_text(json.dumps(obj))
+    return [command, "--config", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda t: _manifest_with(t, grid=[{"ell": [1], "N": [50],
+                                       "delta": ["1e-5"]}]),
+    lambda t: _manifest_with(t, grid={"ell": 3, "N": [50], "delta": ["1e-5"]}),
+    lambda t: _manifest_with(t, precision_override="abc"),
+    lambda t: _config_with(t, "bounds", N="abc"),
+    lambda t: _config_with(t, "prolate", precision_bits="x"),
+    lambda t: _config_with(t, "limit-check") + ["--N-list", "10,x"],
+    lambda t: ["bounds", "--config", str(_json_file(t, 3))],
+    lambda t: ["prolate", "--config", str(t / "missing.json")],
+    lambda t: ["sweep", "--manifest", str(t / "missing.json")],
+], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
+        "config-precision-bits", "N-list", "config-not-object",
+        "missing-config", "missing-manifest"])
+def test_malformed_input_exits_two(tmp_path, capsys, argv):
+    code = main(argv(tmp_path) + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -260,7 +260,7 @@ class TestSingleRuns:
         # the per-level counts reproduce q exactly
         import random
 
-        from vandelab.suites import fit_level_constant, random_clustered_config
+        from conftest import fit_level_constant, random_clustered_config
         from vandelab.geometry import validate_config
         from vandelab.hp import required_bits
         from vandelab.matrices import VandermondeSpec

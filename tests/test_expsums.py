@@ -3,6 +3,7 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+from conftest import build_vandermonde
 from vandelab import expsums
 from vandelab.errors import (
     DegenerateInputError,
@@ -15,6 +16,7 @@ from vandelab.expsums import (
     _float_moduli,
     _grid_max,
     _interval_transform,
+    _squared_modulus_terms,
     check_cor_turan,
     check_nikolskii,
     check_salem_ratio,
@@ -27,11 +29,7 @@ from vandelab.expsums import (
     riemann_gap,
 )
 from vandelab.geometry import NodeSet
-from vandelab.matrices import (
-    VandermondeSpec,
-    build_gram_closed_form,
-    build_vandermonde,
-)
+from vandelab.matrices import VandermondeSpec, build_gram_closed_form
 from vandelab.spectra import singular_values
 
 BITS = 192
@@ -281,11 +279,12 @@ class TestCertifiedSup:
                 assert cert.lower <= denser * (1 + mpf(2) ** -(BITS - 24))
                 assert denser <= cert.upper
 
-    def test_budget(self, rng):
+    def test_budget(self, rng, monkeypatch):
+        monkeypatch.setattr(expsums, "DEFAULT_MAX_SUP_SAMPLES", 10)
         with mp.workprec(BITS):
             P = random_sum(rng, 5)
             with pytest.raises(ResourceLimitError):
-                linf_norm_certified(P, mpf(0), mpf(1), max_samples=10)
+                linf_norm_certified(P, mpf(0), mpf(1))
 
 
 class TestGridMaxPrescreen:
@@ -462,10 +461,21 @@ class TestRiemannGap:
         with mp.workprec(BITS):
             c = mpc("0.8", "-0.6")
             P = ExpSum((c,), (mpf("1.3"),))
-            rep = riemann_gap(P, 50, with_sup_shape=True)
+            rep = riemann_gap(P, 50)
             expect = abs(c) ** 2 / mpf(50)
             assert abs(rep.gap - expect) <= mpf(2) ** -(BITS - 32)
             assert rep.relation_holds
+
+    def test_unresolved_integral_raises(self):
+        # |1 - e^(i 1e-8 t)|^2 integrates to 3.33e-17 on [0, 1], below the
+        # rounding dust of its terms at 53 bits: no verdict may rest on it
+        P = ExpSum((1, -1), (mpf(0), mpf("1e-8")))
+        with mp.workprec(53):
+            with pytest.raises(PrecisionError):
+                riemann_gap(P, 1)
+        with mp.workprec(300):
+            l1 = riemann_gap(P, 1).l1_norm
+            assert abs(l1 / (mpf("1e-16") / 3) - 1) < mpf("1e-6")
 
     def test_relation_and_shape_bounded(self, rng):
         with mp.workprec(BITS):
@@ -478,17 +488,18 @@ class TestRiemannGap:
                                for _ in range(ell))
                 P = ExpSum(coeffs, freqs)
                 N = rng.randint(30, 150)
-                rep = riemann_gap(P, N, with_sup_shape=True)
+                rep = riemann_gap(P, N)
                 assert rep.relation_holds
-                if rep.rhs_shape > 0:
-                    worst = max(worst, rep.gap / rep.rhs_shape)
+                t_sup = linf_norm_certified(_squared_modulus_terms(P, mpf(N)),
+                                            mpf(0), mpf(1)).lower
+                rhs_shape = mpf(P.degree) ** 5 / N * t_sup
+                if rhs_shape > 0:
+                    worst = max(worst, rep.gap / rhs_shape)
             # gap <= (B/2 + 1)/N * ||T||_inf with B ~ sqrt(108 w^5); for
             # ell <= 3 that stays within a small multiple of ell^5/N
             assert worst < 8
 
     def test_t_term_merging_keeps_degree_bound(self):
-        from vandelab.expsums import _squared_modulus_terms
-
         with mp.workprec(BITS):
             # equispaced frequencies produce repeated differences
             P = ExpSum((1, 1, 1), (mpf(0), mpf("0.01"), mpf("0.02")))

@@ -1,15 +1,17 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import gram_entry_direct
+from conftest import (
+    build_shifted_vandermonde,
+    build_vandermonde,
+    gram_entry_direct,
+)
 from vandelab.errors import InvalidParameterError
 from vandelab.geometry import LINE, PERIODIC, NodeSet
 from vandelab.matrices import (
     VandermondeSpec,
     build_gram_closed_form,
     build_prolate,
-    build_shifted_vandermonde,
-    build_vandermonde,
 )
 
 BITS = 192

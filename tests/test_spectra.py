@@ -1,7 +1,12 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import eighe_eigenvalues, jacobi_reference, random_hermitian
+from conftest import (
+    build_vandermonde,
+    eighe_eigenvalues,
+    jacobi_reference,
+    random_hermitian,
+)
 from vandelab.errors import ConvergenceError, InvalidParameterError, PrecisionError
 from vandelab.experiments import resolve_point
 from vandelab.geometry import LINE, PERIODIC, ClusterSpec, NodeSet, generate_config
@@ -12,7 +17,6 @@ from vandelab.matrices import (
     build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
-    build_vandermonde,
 )
 from vandelab.spectra import (
     SpectrumResult,

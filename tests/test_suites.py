@@ -2,14 +2,13 @@ import random
 
 from mpmath import mp, mpf
 
+from conftest import fit_level_constant, random_clustered_config
 from vandelab.geometry import validate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
 from vandelab.suites import (
     band_counts,
-    fit_level_constant,
-    random_clustered_config,
     run_cor_turan_suite,
     run_nikolskii_suite,
     run_riemann_suite,
