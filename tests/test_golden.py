@@ -6,6 +6,8 @@ with the wall-clock ``runtime_ms`` masked, to the copy in golden/:
 - ``results.csv`` of a sweep over the README manifest
 - ``prolate.json`` of the 4-node equispaced line cluster at delta 1e-3
 - ``inequalities.json`` of the five suites at 20 instances
+- ``limit_check.json`` of the 2-node line pair at delta 0.5, N 10, 50, 250
+- ``spectrum.json`` of a two-cluster periodic config at delta 1e-3, N 100
 
 An output that is meant to change is re-recorded with
 ``PYTHONPATH=src python tests/test_golden.py``, and the change log says
@@ -31,6 +33,17 @@ LINE_CONFIG = {
     "nodes": {"domain": "line",
               "nodes": ["-0.0015", "-0.0005", "0.0005", "0.0015"]},
     "cluster": {"delta": "1e-3", "theta": "1", "s": 4, "ell": 4, "tau": "3"},
+}
+
+PAIR_CONFIG = {
+    "nodes": {"domain": "line", "nodes": ["-0.25", "0.25"]},
+    "cluster": {"delta": "0.5", "theta": "1", "s": 2, "ell": 2, "tau": "1"},
+}
+
+PERIODIC_CONFIG = {
+    "nodes": {"domain": "periodic", "nodes": ["-0.001", "0", "0.001", "2"]},
+    "cluster": {"delta": "1e-3", "theta": "1", "s": 4, "ell": 3, "tau": "2"},
+    "N": 100,
 }
 
 
@@ -78,8 +91,22 @@ def _inequalities(tmp):
             "inequalities.json")
 
 
+def _limit_check(tmp):
+    (tmp / "pair_config.json").write_text(json.dumps(PAIR_CONFIG))
+    return (["limit-check", "--config", str(tmp / "pair_config.json"),
+             "--N-list", "10,50,250"], "limit_check.json")
+
+
+def _spectrum(tmp):
+    (tmp / "periodic_config.json").write_text(json.dumps(PERIODIC_CONFIG))
+    return (["spectrum", "--config", str(tmp / "periodic_config.json")],
+            "spectrum.json")
+
+
 CASES = {"readme_results.csv": _sweep, "prolate_s4_1e-3.json": _prolate,
-         "inequalities_20.json": _inequalities}
+         "inequalities_20.json": _inequalities,
+         "limit_check_s2_0.5.json": _limit_check,
+         "spectrum_s4_1e-3.json": _spectrum}
 
 
 def _run(golden, tmp):
