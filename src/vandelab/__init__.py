@@ -26,7 +26,6 @@ from .geometry import (
     wrap_distance,
 )
 from .matrices import (
-    HPMatrix,
     VandermondeSpec,
     build_dirichlet_kernel,
     build_gram_closed_form,

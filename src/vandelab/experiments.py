@@ -528,8 +528,8 @@ def run_prolate(config_path, user_c1=1, out_dir=None,
                                key="nodes")
     with mp.workprec(bits):
         partition = validate_config(nodes, cluster)
-        G = build_prolate(nodes, bits)
-        spectrum = require_resolved(hermitian_eigenvalues(G), G.frobenius_norm())
+        spectrum = require_resolved(
+            hermitian_eigenvalues(build_prolate(nodes, bits), bits))
         lam_min = spectrum.min_value
         ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
         base = cluster.delta / pi_e(16)
@@ -581,10 +581,10 @@ def run_limit_check(config_path, N_list, out_dir=None,
     if nodes.domain != LINE:
         raise ConfigParseError("limit check needs line-domain nodes",
                                key="nodes")
-    check = prolate_limit_check(nodes, list(N_list), bits)
+    lambda_min, gaps = prolate_limit_check(nodes, list(N_list), bits)
     return _write_result({
         "kind": "limit-check",
         "nodes": nodes.to_json_dict(bits),
-        "lambda_min": decimal_str(check.lambda_min, bits),
-        "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in check],
+        "lambda_min": decimal_str(lambda_min, bits),
+        "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in gaps],
     }, out_dir)

@@ -8,6 +8,8 @@ is the real Dirichlet kernel K (Slepian's discrete prolate kernel), with
 G = V^H V = U^H K U for U = diag(e^(i N x_j / 2)); G is kept as its test
 reference.  The eigenvalues are the squared singular values, which the
 precision policy already budgets for.
+Each builder returns its matrix as a tuple of rows, the real ones
+symmetric bit for bit.
 """
 
 from __future__ import annotations
@@ -22,28 +24,6 @@ from .geometry import LINE, PERIODIC, NodeSet
 from .hp import decimal_str
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class HPMatrix:
-    """Dense matrix of mpmath scalars with a precision tag.
-
-    ``hermitian`` is set only by constructors that enforce
-    entry(j,k) == conj(entry(k,j)) structurally.
-    """
-
-    entries: tuple
-    rows: int
-    cols: int
-    precision_bits: int
-    hermitian: bool = False
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
-    def frobenius_norm(self):
-        with mp.workprec(self.precision_bits):
-            return mp.sqrt(mp.fsum(abs(x) ** 2 for row in self.entries for x in row))
 
 
 @dataclass(frozen=True)
@@ -76,10 +56,10 @@ def _dirichlet_sum(delta, N: int):
     return mp.expj(N * delta / 2) * _dirichlet_ratio(delta, N)
 
 
-def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> HPMatrix:
+def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
     """The s x s Hermitian Gram matrix V^H V with closed-form entries.
 
-    entry(j, m) = sum_k e^(i k (x_m - x_j)); the diagonal is exactly N+1.
+    G[j][m] = sum_k e^(i k (x_m - x_j)); the diagonal is exactly N+1.
     Entries are computed with guard bits sized to the argument reduction
     of sin at phase ~ N*pi, then rounded to the target precision.
     """
@@ -96,12 +76,12 @@ def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> HPMatrix:
                     val = +val
                 rows[j][m] = val
                 rows[m][j] = mp.conj(val)
-    return HPMatrix(tuple(tuple(r) for r in rows), s, s, bits, hermitian=True)
+    return tuple(tuple(r) for r in rows)
 
 
-def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> HPMatrix:
+def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> tuple:
     """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
-    with the spectrum of G: entry(j, m) = sin((N+1) d/2) / sin(d/2) for
+    with the spectrum of G: K[j][m] = sin((N+1) d/2) / sin(d/2) for
     d = x_m - x_j, rounded as the Gram builder rounds."""
     N, xs = spec.N, spec.nodes.nodes
     s = len(xs)
@@ -112,13 +92,13 @@ def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> HPMatrix:
                 val = _dirichlet_ratio(xs[m] - xs[j], N)
                 with mp.workprec(bits):
                     rows[j][m] = rows[m][j] = +val
-    return HPMatrix(tuple(tuple(r) for r in rows), s, s, bits, hermitian=True)
+    return tuple(tuple(r) for r in rows)
 
 
-def build_prolate(nodes: NodeSet, bits: int) -> HPMatrix:
+def build_prolate(nodes: NodeSet, bits: int) -> tuple:
     """The s x s generalized prolate matrix of sinc inner products.
 
-    entry(j, k) = sin(x_j - x_k)/(x_j - x_k) off the diagonal and 1 on it,
+    P[j][k] = sin(x_j - x_k)/(x_j - x_k) off the diagonal and 1 on it,
     the closed form of (1/2) * integral_{-1}^{1} e^(i w (x_j - x_k)) dw.
     Real symmetric and positive definite for distinct nodes.
     """
@@ -143,4 +123,4 @@ def build_prolate(nodes: NodeSet, bits: int) -> HPMatrix:
                 val = mp.sin(d) / d
                 rows[j][k] = val
                 rows[k][j] = val
-    return HPMatrix(tuple(tuple(r) for r in rows), s, s, bits, hermitian=True)
+    return tuple(tuple(r) for r in rows)

@@ -25,8 +25,8 @@ Every bit matches the plain two-sided loop on mpf objects.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub, round_nearest as rnd
@@ -38,18 +38,20 @@ from .errors import (
 )
 from .geometry import LINE, NodeSet, scale_to_circle
 from .hp import decimal_str
-from .matrices import HPMatrix, VandermondeSpec, build_dirichlet_kernel, build_prolate
+from .matrices import VandermondeSpec, build_dirichlet_kernel, build_prolate
 
 MAX_EIGEN_DIM = 256
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SpectrumResult:
     """Sorted spectrum plus solver diagnostics.
 
     values are non-increasing; kind is "singular" or "eigen".
     offdiag_residual is the final off-diagonal Frobenius norm of the
     Jacobi iteration and sweeps_used the number of full sweeps it took.
+    error_bound bounds the error of each eigenvalue the solve computed
+    (for kind "singular", of each squared value); JSON leaves it out.
     """
 
     values: tuple
@@ -57,14 +59,11 @@ class SpectrumResult:
     precision_bits: int
     offdiag_residual: object
     sweeps_used: int
+    error_bound: object
 
     @property
     def min_value(self):
         return self.values[-1]
-
-    @property
-    def max_value(self):
-        return self.values[0]
 
     def to_json_dict(self) -> dict:
         bits = self.precision_bits
@@ -82,45 +81,48 @@ def _offdiag_frobenius(a, n):
                            for i in range(n) for j in range(n) if i != j))
 
 
-def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> SpectrumResult:
-    """All eigenvalues of a real symmetric HPMatrix by cyclic Jacobi rotations.
+def _sweep_budget(n: int) -> int:
+    """Full Jacobi sweeps allowed on an n x n matrix."""
+    return 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
+
+
+def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
+    """All eigenvalues of a real symmetric matrix, given as its rows, by
+    cyclic Jacobi rotations at ``bits``.
 
     Values come back sorted non-increasing, ties broken by the original
-    diagonal index.  A complex entry or an entry pair with
-    a[i][j] != a[j][i] raises InvalidParameterError, and an exhausted
-    sweep budget ConvergenceError (carrying the final off-diagonal
-    residual).
+    diagonal index.  A non-square matrix, a complex entry or an entry
+    pair with a[i][j] != a[j][i] raises InvalidParameterError, and an
+    exhausted sweep budget ConvergenceError (carrying the final
+    off-diagonal residual).  By Weyl's inequality each computed
+    eigenvalue lies within ||E||_2 of the exact one, E the Jacobi
+    backward error, bounded by 32 * n * max(sweeps, 1) * 2^-p * ||A||_F
+    (constant 32): the result's error_bound.
     """
-    if not A.hermitian:
-        raise InvalidParameterError("matrix is not tagged hermitian")
-    n = A.rows
+    n = len(rows)
     if n > MAX_EIGEN_DIM:
         raise InvalidParameterError(f"dimension {n} exceeds {MAX_EIGEN_DIM}")
-    p = A.precision_bits
-    if max_sweeps is None:
-        max_sweeps = 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    if any(len(row) != n for row in rows):
+        raise InvalidParameterError("matrix is not square")
+    p = bits
 
     with mp.workprec(p):
-        try:
-            a = [[mpf(A.entries[i][j]) for j in range(n)] for i in range(n)]
+        try:  # raw libmp values; normalized ones are equal iff their values are
+            a = [[mpf(x)._mpf_ for x in row] for row in rows]
         except TypeError as exc:  # mpf() refuses mpc and complex entries
             raise InvalidParameterError("complex entry in a real eigensolve") from exc
         if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
             raise InvalidParameterError("matrix is not symmetric")
-        norm_f = mp.sqrt(mp.fsum(a[i][j] ** 2
-                                 for i in range(n) for j in range(n)))
-        if norm_f == 0 or n == 1:
-            vals = sorted((a[i][i] for i in range(n)), reverse=True)
-            return SpectrumResult(tuple(vals), "eigen", p, mpf(0), 0)
-        a = [[x._mpf_ for x in row] for row in a]
-
+        norm_f = mp.sqrt(mp.fsum(mp.make_mpf(x) ** 2 for row in a for x in row))
+        budget = _sweep_budget(n)
+        # a 1 x 1 or zero matrix has off = threshold = 0 and takes no sweep
         threshold = mp.ldexp(norm_f, -(p - 8))
         # rotations on entries this far below the matrix scale only churn
         # rounding noise; skip them
         rotation_floor = mp.ldexp(norm_f, -(p + 4))
         sweeps = 0
         off = _offdiag_frobenius(a, n)
-        while off > threshold and sweeps < max_sweeps:
+        while off > threshold and sweeps < budget:
             sweeps += 1
             for pi in range(n - 1):
                 row_p = a[pi]
@@ -160,52 +162,45 @@ def hermitian_eigenvalues(A: HPMatrix, max_sweeps: int | None = None) -> Spectru
             off = _offdiag_frobenius(a, n)
         if off > threshold:
             raise ConvergenceError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps "
+                f"Jacobi iteration did not converge in {budget} sweeps "
                 f"(residual {decimal_str(off, p)})",
                 residual=off, sweeps=sweeps)
         diag = [(mp.make_mpf(a[i][i]), i) for i in range(n)]
         diag.sort(key=lambda vi: (-vi[0], vi[1]))
-        return SpectrumResult(tuple(v for v, _ in diag), "eigen", p, off, sweeps)
+        bound = mp.ldexp(32 * n * max(sweeps, 1) * norm_f, -p)
+        return SpectrumResult(tuple(v for v, _ in diag), "eigen", p, off,
+                              sweeps, bound)
 
 
-def require_resolved(eig: SpectrumResult, norm_f) -> SpectrumResult:
+def require_resolved(eig: SpectrumResult) -> SpectrumResult:
     """eig, if the smallest eigenvalue of its positive definite Gram
-    matrix M is resolved at its bits; PrecisionError if not.
-
-    By Weyl's inequality each computed eigenvalue lies within ||E||_2 of
-    the exact one, E the Jacobi backward error, which is bounded by
-    32 * n * max(sweeps, 1) * 2^-p * ||M||_F (constant 32).  A smallest
-    eigenvalue at or below that bound is not resolved at p bits.
-    """
+    matrix clears the solve's error bound; PrecisionError if not, since
+    it is then not resolved at p bits."""
     p = eig.precision_bits
-    n = len(eig.values)
     with mp.workprec(p):
-        bound = mp.ldexp(32 * n * max(eig.sweeps_used, 1) * norm_f, -p)
-        if eig.min_value <= bound:
+        if eig.min_value <= eig.error_bound:
             raise PrecisionError(
                 f"smallest Gram eigenvalue {decimal_str(eig.min_value, p)} "
-                f"does not clear its error bound {decimal_str(bound, p)} at "
-                f"{p} bits; raise precision")
+                f"does not clear its error bound "
+                f"{decimal_str(eig.error_bound, p)} at {p} bits; "
+                "raise precision")
     return eig
 
 
-def _sqrt_spectrum(eig: SpectrumResult, norm_f) -> SpectrumResult:
+def _sqrt_spectrum(eig: SpectrumResult) -> SpectrumResult:
     """Singular values from Gram eigenvalues that clear their error bound."""
-    require_resolved(eig, norm_f)
-    p = eig.precision_bits
-    with mp.workprec(p):
+    require_resolved(eig)
+    with mp.workprec(eig.precision_bits):
         vals = tuple(mp.sqrt(lam) for lam in eig.values)
-    return SpectrumResult(vals, "singular", p, eig.offdiag_residual,
-                          eig.sweeps_used)
+    return dataclasses.replace(eig, values=vals, kind="singular")
 
 
 def singular_values(spec: VandermondeSpec, bits: int) -> SpectrumResult:
     """Singular values of the Vandermonde matrix at ``bits``: square roots
     of the eigenvalues of its Dirichlet kernel K, which has the Gram
     spectrum."""
-    kernel = build_dirichlet_kernel(spec, bits)
-    eig = hermitian_eigenvalues(kernel)
-    return _sqrt_spectrum(eig, kernel.frobenius_norm())
+    return _sqrt_spectrum(
+        hermitian_eigenvalues(build_dirichlet_kernel(spec, bits), bits))
 
 
 def normalized_lambda(sigma_min, N: int, delta, ell: int):
@@ -215,15 +210,10 @@ def normalized_lambda(sigma_min, N: int, delta, ell: int):
     return lam, mp.log10(lam) if lam > 0 else mpf("-inf")
 
 
-class LimitCheck(list):
-    """(N, gap) pairs in the order given; lambda_min is lambda_min(G),
-    computed at the same bits as every gap."""
-
-    lambda_min = None
-
-
-def prolate_limit_check(nodes: NodeSet, N_list, bits: int) -> LimitCheck:
-    """Gap between sigma^2_min of the shifted matrix and lambda_min(G).
+def prolate_limit_check(nodes: NodeSet, N_list, bits: int):
+    """(lambda_min(G), [(N, gap), ...]): the gap between sigma^2_min of
+    the shifted matrix and lambda_min(G), both at ``bits``, for each N in
+    the order given.
 
     For each N, sigma_min of the shifted normalized matrix equals
     sigma_min(V_2N(x/N)) / sqrt(2N), so its square is computed from the
@@ -233,19 +223,14 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int) -> LimitCheck:
         raise InvalidParameterError("prolate limit check expects line nodes")
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("every N must be >= 1")
-    G = build_prolate(nodes, bits)
-    lam_g = require_resolved(hermitian_eigenvalues(G),
-                             G.frobenius_norm()).min_value
-    out = LimitCheck()
+    lam_g = require_resolved(
+        hermitian_eigenvalues(build_prolate(nodes, bits), bits)).min_value
+    gaps = []
     for N in N_list:
         with mp.workprec(bits):
             scaled = scale_to_circle(nodes, N)
         kernel = build_dirichlet_kernel(VandermondeSpec(2 * N, scaled), bits)
-        lam = require_resolved(hermitian_eigenvalues(kernel),
-                               kernel.frobenius_norm()).min_value
+        lam = require_resolved(hermitian_eigenvalues(kernel, bits)).min_value
         with mp.workprec(bits):
-            sig2_tilde = lam / (2 * N)
-            gap = abs(sig2_tilde - lam_g)
-        out.append((N, gap))
-    out.lambda_min = lam_g
-    return out
+            gaps.append((N, abs(lam / (2 * N) - lam_g)))
+    return lam_g, gaps

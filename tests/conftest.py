@@ -12,13 +12,13 @@ only tests use: the tall Vandermonde and shifted Vandermonde factors,
 random multi-cluster configurations, and the per-level c1 fit.
 """
 
-import math
 import random
 from dataclasses import dataclass
 
 import pytest
 from mpmath import mp, mpc, mpf, matrix
 
+from vandelab import spectra
 from vandelab.errors import ConvergenceError, InvalidParameterError
 from vandelab.geometry import (
     LINE,
@@ -29,7 +29,7 @@ from vandelab.geometry import (
     generate_config,
 )
 from vandelab.hp import as_mpf, decimal_str, pi_e
-from vandelab.matrices import HPMatrix, VandermondeSpec
+from vandelab.matrices import VandermondeSpec
 from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats, default_centers
 
 
@@ -49,32 +49,32 @@ def gram_entry_direct(delta, N, bits):
         return +acc
 
 
-def eighe_eigenvalues(A: HPMatrix):
+def eighe_eigenvalues(rows, bits: int):
     """Independent Hermitian eigenvalues via mpmath, sorted descending."""
-    n = A.rows
-    with mp.workprec(A.precision_bits):
+    n = len(rows)
+    with mp.workprec(bits):
         M = matrix(n, n)
         for i in range(n):
             for j in range(n):
-                M[i, j] = A.entries[i][j]
+                M[i, j] = rows[i][j]
         vals = mp.eighe(M, eigvals_only=True)
         return sorted((mpf(v) for v in vals), reverse=True)
 
 
-def jacobi_reference(A: HPMatrix, max_sweeps: int | None = None):
-    """(values, offdiag_residual, sweeps_used) of cyclic Jacobi on A.
+def jacobi_reference(rows, bits: int):
+    """(values, offdiag_residual, sweeps_used) of cyclic Jacobi on rows.
 
     The same iteration as spectra.hermitian_eigenvalues, written with
     mpf operators on the full matrix: every rotation updates columns p
-    and q, then rows p and q.  It raises ConvergenceError with the same
+    and q, then rows p and q.  It takes the same sweep budget,
+    spectra._sweep_budget, and raises ConvergenceError with the same
     residual and sweep count.
     """
-    n = A.rows
-    p = A.precision_bits
-    if max_sweeps is None:
-        max_sweeps = 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    n = len(rows)
+    p = bits
+    max_sweeps = spectra._sweep_budget(n)
     with mp.workprec(p):
-        a = [[mpf(A.entries[i][j]) for j in range(n)] for i in range(n)]
+        a = [[mpf(rows[i][j]) for j in range(n)] for i in range(n)]
 
         def offdiag():
             return mp.sqrt(mp.fsum(a[i][j] ** 2 for i in range(n)
@@ -123,7 +123,7 @@ def jacobi_reference(A: HPMatrix, max_sweeps: int | None = None):
         return [v for v, _ in diag], off, sweeps
 
 
-def random_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
+def random_hermitian(rng: random.Random, n: int, bits: int) -> tuple:
     """A real symmetric matrix, the only Hermitian form the solver takes."""
     with mp.workprec(bits):
         rows = [[mpf(0)] * n for _ in range(n)]
@@ -131,7 +131,7 @@ def random_hermitian(rng: random.Random, n: int, bits: int) -> HPMatrix:
             rows[i][i] = mpf(rng.uniform(-2, 2))
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = mpf(rng.uniform(-1, 1))
-    return HPMatrix(tuple(tuple(r) for r in rows), n, n, bits, hermitian=True)
+    return tuple(tuple(r) for r in rows)
 
 
 @pytest.fixture
@@ -139,8 +139,8 @@ def rng():
     return random.Random(987654321)
 
 
-def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> HPMatrix:
-    """The (N+1) x s matrix with entry(k, j) = e^(i k x_j), k = 0..N."""
+def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> tuple:
+    """The rows of the (N+1) x s matrix V[k][j] = e^(i k x_j), k = 0..N."""
     p = bits if bits is not None else mp.prec
     N, xs = spec.N, spec.nodes.nodes
     with mp.workprec(p + 16 + max(N, 1).bit_length()):
@@ -152,13 +152,12 @@ def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> HPMatri
                 col.append(col[-1] * z)
             cols.append(col)
         with mp.workprec(p):
-            ent = tuple(tuple(+cols[j][k] for j in range(len(xs)))
-                        for k in range(N + 1))
-    return HPMatrix(ent, N + 1, len(xs), p, hermitian=False)
+            return tuple(tuple(+cols[j][k] for j in range(len(xs)))
+                         for k in range(N + 1))
 
 
-def build_shifted_vandermonde(nodes: NodeSet, N: int, bits: int | None = None) -> HPMatrix:
-    """The (2N+1) x s matrix with entries e^(i k x_j / N)/sqrt(2N), k = -N..N.
+def build_shifted_vandermonde(nodes: NodeSet, N: int, bits: int | None = None) -> tuple:
+    """The rows of the (2N+1) x s matrix e^(i k x_j / N)/sqrt(2N), k = -N..N.
 
     Requires every x_j/N to lie in (-pi, pi].
     """
@@ -184,9 +183,8 @@ def build_shifted_vandermonde(nodes: NodeSet, N: int, bits: int | None = None) -
                 col.append(col[-1] * z)
             cols.append(col)
         with mp.workprec(p):
-            ent = tuple(tuple(+cols[j][k] for j in range(len(xis)))
-                        for k in range(2 * N + 1))
-    return HPMatrix(ent, 2 * N + 1, len(nodes.nodes), p, hermitian=False)
+            return tuple(tuple(+cols[j][k] for j in range(len(xis)))
+                         for k in range(2 * N + 1))
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,8 @@ class TestBoundInvariants:
                 delta = mpf("1e-2")
                 nodes = NodeSet(tuple((k - mpf(s - 1) / 2) * delta
                                       for k in range(s)), "line")
-                lam = hermitian_eigenvalues(build_prolate(nodes, 256)).min_value
+                lam = hermitian_eigenvalues(build_prolate(nodes, 256),
+                                            256).min_value
                 shape = (delta / (16 * mp.pi * mp.e)) ** (2 * (s - 1))
                 kappas.append(lam / shape)
             assert all(k > 0 for k in kappas)

@@ -183,7 +183,7 @@ class TestDiscreteNorm:
                 VandermondeSpec(N, NodeSet(P.freqs)), BITS)
             acc = mpf(0)
             for k in range(N + 1):
-                row = mp.fsum((V.entry(k, j) * unit.coeffs[j]
+                row = mp.fsum((V[k][j] * unit.coeffs[j]
                                for j in range(ell)), absolute=False)
                 acc += abs(row) ** 2
             assert abs(mine - mp.sqrt(acc)) <= mpf(2) ** -(BITS - 24) * (1 + mine)
@@ -234,7 +234,7 @@ class TestDiscreteNorm:
             M = mp.matrix(ell, ell)
             for i in range(ell):
                 for j in range(ell):
-                    M[i, j] = G.entries[i][j]
+                    M[i, j] = G[i][j]
             lam, Q = mp.eighe(M)
             low = min(range(ell), key=lambda i: lam[i])
             vec = [Q[r, low] for r in range(ell)]

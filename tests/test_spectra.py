@@ -12,7 +12,6 @@ from vandelab.experiments import resolve_point
 from vandelab.geometry import LINE, PERIODIC, ClusterSpec, NodeSet, generate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import (
-    HPMatrix,
     VandermondeSpec,
     build_dirichlet_kernel,
     build_gram_closed_form,
@@ -33,23 +32,21 @@ BITS = 192
 LAMBDA_MIN_2X2 = "0.00166583353171847693185801589377973010084611982"
 
 
-def identity(n, bits):
-    rows = tuple(tuple(mpf(1) if i == j else mpf(0) for j in range(n))
+def identity(n):
+    return tuple(tuple(mpf(1) if i == j else mpf(0) for j in range(n))
                  for i in range(n))
-    return HPMatrix(rows, n, n, bits, hermitian=True)
 
 
 class TestJacobi:
     def test_identity(self):
-        eig = hermitian_eigenvalues(identity(3, BITS))
+        eig = hermitian_eigenvalues(identity(3), BITS)
         assert eig.values == (1, 1, 1)
         assert eig.kind == "eigen"
 
     def test_two_by_two_closed_form(self):
         with mp.workprec(BITS):
             a = mp.sin(mpf("0.1")) / mpf("0.1")
-            M = HPMatrix(((mpf(1), a), (a, mpf(1))), 2, 2, BITS, hermitian=True)
-            eig = hermitian_eigenvalues(M)
+            eig = hermitian_eigenvalues(((mpf(1), a), (a, mpf(1))), BITS)
             lam_min, lam_max = eig.values[1], eig.values[0]
             assert abs(lam_min - mpf(LAMBDA_MIN_2X2)) < mpf(10) ** -40
             assert abs(lam_max - (1 + a)) < mpf(10) ** -40
@@ -57,8 +54,8 @@ class TestJacobi:
     def test_trace_identity_random(self, rng):
         with mp.workprec(BITS):
             M = random_hermitian(rng, 4, BITS)
-            eig = hermitian_eigenvalues(M)
-            trace = mp.fsum(M.entry(i, i) for i in range(4))
+            eig = hermitian_eigenvalues(M, BITS)
+            trace = mp.fsum(M[i][i] for i in range(4))
             total = mp.fsum(eig.values)
             assert abs(total - trace) <= \
                 mpf(2) ** -(BITS - 16) * max(1, abs(trace))
@@ -67,8 +64,8 @@ class TestJacobi:
         with mp.workprec(BITS):
             for n in (2, 5, 8):
                 M = random_hermitian(rng, n, BITS)
-                mine = hermitian_eigenvalues(M).values
-                ref = eighe_eigenvalues(M)
+                mine = hermitian_eigenvalues(M, BITS).values
+                ref = eighe_eigenvalues(M, BITS)
                 scale = max(abs(v) for v in ref) + 1
                 for a, b in zip(mine, ref):
                     assert abs(a - b) <= scale * mpf(2) ** -(BITS - 24)
@@ -85,8 +82,8 @@ class TestJacobi:
                                   for k in range(ell)))
             spec = VandermondeSpec(N, nodes)
             mine = hermitian_eigenvalues(
-                build_dirichlet_kernel(spec, bits)).values
-            ref = eighe_eigenvalues(build_gram_closed_form(spec, bits))
+                build_dirichlet_kernel(spec, bits), bits).values
+            ref = eighe_eigenvalues(build_gram_closed_form(spec, bits), bits)
             for a, b in zip(mine, ref):
                 assert b > 0
                 assert abs(a - b) / b < mpf(10) ** -30
@@ -97,22 +94,20 @@ class TestJacobi:
             n = 4
             M = random_hermitian(rng, n, BITS)
             signs = [rng.choice((-1, 1)) for _ in range(n)]
-            rows = tuple(
-                tuple(signs[i] * M.entry(i, j) * signs[j]
+            conj = tuple(
+                tuple(signs[i] * M[i][j] * signs[j]
                       for j in range(n)) for i in range(n))
-            conj = HPMatrix(rows, n, n, BITS, hermitian=True)
-            a_vals = hermitian_eigenvalues(M).values
-            b_vals = hermitian_eigenvalues(conj).values
+            a_vals = hermitian_eigenvalues(M, BITS).values
+            b_vals = hermitian_eigenvalues(conj, BITS).values
             scale = max(abs(v) for v in a_vals) + 1
             for a, b in zip(a_vals, b_vals):
                 assert abs(a - b) <= scale * mpf(2) ** -(BITS - 16)
 
     def test_rejects_complex_entry(self):
         with mp.workprec(BITS):
-            M = HPMatrix(((mpf(1), mpc(0, 1)), (mpc(0, -1), mpf(1))), 2, 2,
-                         BITS, hermitian=True)
+            M = ((mpf(1), mpc(0, 1)), (mpc(0, -1), mpf(1)))
         with pytest.raises(InvalidParameterError):
-            hermitian_eigenvalues(M)
+            hermitian_eigenvalues(M, BITS)
 
     def test_rejects_asymmetric_entry(self):
         # one off-diagonal entry moved by one ulp: a[0][2] != a[2][0]
@@ -120,52 +115,62 @@ class TestJacobi:
             x = mpf("0.3")
             moved = x + mp.ldexp(1, mp.mag(x) - BITS)
             assert moved != x
-            rows = ((mpf(2), mpf("0.1"), moved),
-                    (mpf("0.1"), mpf(1), mpf("0.2")),
-                    (x, mpf("0.2"), mpf(3)))
-            M = HPMatrix(rows, 3, 3, BITS, hermitian=True)
+            M = ((mpf(2), mpf("0.1"), moved),
+                 (mpf("0.1"), mpf(1), mpf("0.2")),
+                 (x, mpf("0.2"), mpf(3)))
         with pytest.raises(InvalidParameterError, match="not symmetric"):
-            hermitian_eigenvalues(M)
+            hermitian_eigenvalues(M, BITS)
 
-    def test_nonconvergence_diagnostic(self, rng):
+    def test_nonconvergence_diagnostic(self, rng, monkeypatch):
+        monkeypatch.setattr("vandelab.spectra._sweep_budget", lambda n: 0)
         M = random_hermitian(rng, 4, BITS)
         with pytest.raises(ConvergenceError) as err:
-            hermitian_eigenvalues(M, max_sweeps=0)
+            hermitian_eigenvalues(M, BITS)
         assert err.value.residual is not None
         assert err.value.residual > 0
 
     def test_requires_hermitian_tag(self):
-        M = HPMatrix(((mpf(1), mpf(2)), (mpf(3), mpf(4))), 2, 2, BITS,
-                     hermitian=False)
+        # an asymmetric matrix is no real symmetric input
+        M = ((mpf(1), mpf(2)), (mpf(3), mpf(4)))
         with pytest.raises(InvalidParameterError):
-            hermitian_eigenvalues(M)
+            hermitian_eigenvalues(M, BITS)
+
+    def test_rejects_non_square(self):
+        M = ((mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
+        with pytest.raises(InvalidParameterError, match="not square"):
+            hermitian_eigenvalues(M, BITS)
+
+    def test_error_bound_formula(self, rng):
+        # 32 * n * max(sweeps, 1) * 2^-p * ||A||_F, with the norm summed here
+        for n in (1, 4):
+            M = random_hermitian(rng, n, BITS)
+            eig = hermitian_eigenvalues(M, BITS)
+            with mp.workprec(BITS):
+                norm_f = mp.sqrt(mp.fsum(x * x for row in M for x in row))
+                expect = mp.ldexp(32 * n * max(eig.sweeps_used, 1) * norm_f,
+                                  -BITS)
+            assert eig.error_bound == expect
 
     def test_dimension_cap(self):
-        n = 257
-        rows = tuple(tuple(mpf(1) if i == j else mpf(0) for j in range(n))
-                     for i in range(n))
-        M = HPMatrix(rows, n, n, BITS, hermitian=True)
         with pytest.raises(InvalidParameterError):
-            hermitian_eigenvalues(M)
+            hermitian_eigenvalues(identity(257), BITS)
 
     def test_zero_matrix(self):
         rows = tuple(tuple(mpf(0) for _ in range(3)) for _ in range(3))
-        M = HPMatrix(rows, 3, 3, BITS, hermitian=True)
-        eig = hermitian_eigenvalues(M)
+        eig = hermitian_eigenvalues(rows, BITS)
         assert eig.values == (0, 0, 0)
 
 
 def _equal_diagonal(M):
     """M with every diagonal entry 1, so the first rotation has tau = 0."""
-    n = M.rows
-    rows = tuple(tuple(mpf(1) if i == j else M.entry(i, j) for j in range(n))
+    n = len(M)
+    return tuple(tuple(mpf(1) if i == j else M[i][j] for j in range(n))
                  for i in range(n))
-    return HPMatrix(rows, n, n, M.precision_bits, hermitian=True)
 
 
-def _assert_same_as_reference(M):
-    values, residual, sweeps = jacobi_reference(M)
-    eig = hermitian_eigenvalues(M)
+def _assert_same_as_reference(M, bits):
+    values, residual, sweeps = jacobi_reference(M, bits)
+    eig = hermitian_eigenvalues(M, bits)
     assert eig.values == tuple(values)
     assert eig.offdiag_residual == residual
     assert eig.sweeps_used == sweeps
@@ -179,8 +184,8 @@ class TestJacobiBitIdentity:
     def test_random_symmetric(self, rng, bits):
         for n in range(1, 9):
             M = random_hermitian(rng, n, bits)
-            _assert_same_as_reference(M)
-            _assert_same_as_reference(_equal_diagonal(M))
+            _assert_same_as_reference(M, bits)
+            _assert_same_as_reference(_equal_diagonal(M), bits)
 
     def test_readme_sweep_kernel(self):
         point = {"ell": 6, "N": 100, "delta": "1e-10", "tau": "auto",
@@ -190,21 +195,22 @@ class TestJacobiBitIdentity:
             nodes = generate_config(spec, "equispaced", centers, 20240601,
                                     PERIODIC)
         _assert_same_as_reference(
-            build_dirichlet_kernel(VandermondeSpec(N, nodes), bits))
+            build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits)
 
     def test_prolate_matrix(self):
         with mp.workprec(256):
             nodes = NodeSet(tuple(mpf(x) for x in
                                   ("-0.0015", "-0.0005", "0.0005", "0.0015")),
                             LINE)
-        _assert_same_as_reference(build_prolate(nodes, 256))
+        _assert_same_as_reference(build_prolate(nodes, 256), 256)
 
-    def test_convergence_error(self, rng):
+    def test_convergence_error(self, rng, monkeypatch):
+        monkeypatch.setattr("vandelab.spectra._sweep_budget", lambda n: 2)
         M = random_hermitian(rng, 6, BITS)
         with pytest.raises(ConvergenceError) as ref:
-            jacobi_reference(M, max_sweeps=2)
+            jacobi_reference(M, BITS)
         with pytest.raises(ConvergenceError) as err:
-            hermitian_eigenvalues(M, max_sweeps=2)
+            hermitian_eigenvalues(M, BITS)
         assert err.value.residual == ref.value.residual
         assert err.value.sweeps == ref.value.sweeps == 2
 
@@ -216,18 +222,20 @@ class TestSqrtClamp:
         with mp.workprec(BITS):
             bound = mpf(2) ** -(BITS - 8)
             for dust in (-bound / 4, bound):
-                eig = SpectrumResult((mpf(4), dust), "eigen", BITS, mpf(0), 1)
+                eig = SpectrumResult((mpf(4), dust), "eigen", BITS, mpf(0), 1,
+                                     bound)
                 with pytest.raises(PrecisionError):
-                    _sqrt_spectrum(eig, mpf(4))
-            eig = SpectrumResult((mpf(4), 4 * bound), "eigen", BITS, mpf(0), 1)
-            assert _sqrt_spectrum(eig, mpf(4)).values == (2, 2 * mp.sqrt(bound))
+                    _sqrt_spectrum(eig)
+            eig = SpectrumResult((mpf(4), 4 * bound), "eigen", BITS, mpf(0), 1,
+                                 bound)
+            assert _sqrt_spectrum(eig).values == (2, 2 * mp.sqrt(bound))
 
     def test_genuinely_negative_raises(self):
         with mp.workprec(BITS):
             eig = SpectrumResult((mpf(4), mpf("-0.25")), "eigen", BITS,
-                                 mpf(0), 1)
+                                 mpf(0), 1, mpf(2) ** -(BITS - 8))
             with pytest.raises(PrecisionError):
-                _sqrt_spectrum(eig, mpf(4))
+                _sqrt_spectrum(eig)
 
 
 class TestSingularValues:
@@ -254,9 +262,9 @@ class TestSingularValues:
             spec = VandermondeSpec(N, nodes)
             sv = singular_values(spec, bits=BITS)
             V = build_vandermonde(spec, BITS)
-            g00 = mp.fsum(abs(V.entry(k, 0)) ** 2 for k in range(N + 1))
-            g11 = mp.fsum(abs(V.entry(k, 1)) ** 2 for k in range(N + 1))
-            g01 = mp.fsum((mp.conj(V.entry(k, 0)) * V.entry(k, 1)
+            g00 = mp.fsum(abs(V[k][0]) ** 2 for k in range(N + 1))
+            g11 = mp.fsum(abs(V[k][1]) ** 2 for k in range(N + 1))
+            g01 = mp.fsum((mp.conj(V[k][0]) * V[k][1]
                            for k in range(N + 1)), absolute=False)
             tr, det = g00 + g11, g00 * g11 - abs(g01) ** 2
             disc = mp.sqrt(tr * tr - 4 * det)
@@ -274,7 +282,7 @@ class TestSingularValues:
             sv = singular_values(spec, bits=BITS)
             total = mp.fsum(v ** 2 for v in sv.values)
             assert abs(total - 4 * 26) <= mpf(2) ** -(BITS - 24) * 4 * 26
-            assert sv.max_value ** 2 <= 26 * 4  # sigma_max^2 <= s(N+1)
+            assert sv.values[0] ** 2 <= 26 * 4  # sigma_max^2 <= s(N+1)
             assert sv.min_value ** 2 <= 26 * (1 + mpf(2) ** -(BITS - 24))
 
     def test_column_augmentation_monotonicity(self, rng):
@@ -353,15 +361,15 @@ class TestNormalizedMinSV:
 class TestProlateLimit:
     def test_single_node_exact_gap(self):
         with mp.workprec(BITS):
-            out = prolate_limit_check(NodeSet((mpf("0.7"),), LINE),
-                                      [5, 20], bits=BITS)
+            _, out = prolate_limit_check(NodeSet((mpf("0.7"),), LINE),
+                                         [5, 20], bits=BITS)
             for N, gap in out:
                 expect = mpf(1) / (2 * N)
                 assert abs(gap - expect) <= mpf(2) ** -(BITS - 24)
 
     def test_pair_gap_decreases(self):
         nodes = NodeSet((mpf(0), mpf("0.5")), LINE)
-        out = prolate_limit_check(nodes, [10, 50, 250], bits=256)
+        _, out = prolate_limit_check(nodes, [10, 50, 250], bits=256)
         gaps = [g for _, g in out]
         assert gaps[0] > gaps[1] > gaps[2]
 
