@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: gen-config, sweep, spectrum, bounds, prolate, inequalities,
-limit-check.  The flags --out, --precision-bits, --c1, --seed and
---workers have environment-variable overrides named VANDELAB_<FLAG>
-(dashes become underscores, upper case); an explicit flag wins over the
-environment, which wins over the default.
+limit-check.  Each takes --out; all but inequalities take
+--precision-bits; spectrum, bounds and prolate take --c1; gen-config and
+inequalities take --seed, and sweep --workers.  These five flags have
+environment-variable overrides named VANDELAB_<FLAG> (dashes become
+underscores, upper case); an explicit flag wins over the environment,
+which wins over the default.  A command refuses a flag it does not read.
 
 Exit codes: 0 on success with no failed rows, 1 if any row failed,
 2 on usage or configuration errors.
@@ -22,7 +24,7 @@ from pathlib import Path
 
 from mpmath import mp
 
-from .errors import InvalidParameterError, VandelabError
+from .errors import VandelabError
 from .experiments import (
     ExperimentManifest,
     resolve_point,
@@ -34,31 +36,38 @@ from .experiments import (
     write_config,
 )
 from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, generate_config
-from .hp import parse_decimal
+from .hp import parse_decimal, parse_int
 from .suites import ALL_SUITES, DEFAULT_SUITE_SEED
 
 ENV_PREFIX = "VANDELAB_"
 
 
+def _env_name(name):
+    return ENV_PREFIX + name.upper().replace("-", "_")
+
+
 def _env(name, default=None):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"), default)
-
-
-def _add_common(parser):
-    parser.add_argument("--out", default=_env("out", "."),
-                        help="output directory (env VANDELAB_OUT)")
-    parser.add_argument("--precision-bits", type=int,
-                        default=_int_env("precision_bits"),
-                        help="override working precision "
-                             "(env VANDELAB_PRECISION_BITS)")
-    parser.add_argument("--c1", default=_env("c1", "1"),
-                        help="user-supplied absolute constant "
-                             "(env VANDELAB_C1)")
+    return os.environ.get(_env_name(name), default)
 
 
 def _int_env(name, default=None):
     raw = _env(name)
-    return int(raw) if raw is not None else default
+    return parse_int(raw, _env_name(name)) if raw is not None else default
+
+
+def _add_common(parser, precision_bits=True, c1=False):
+    """--out, and --precision-bits and --c1 where the command reads them."""
+    parser.add_argument("--out", default=_env("out", "."),
+                        help="output directory (env VANDELAB_OUT)")
+    if precision_bits:
+        parser.add_argument("--precision-bits", type=int,
+                            default=_int_env("precision_bits"),
+                            help="override working precision "
+                                 "(env VANDELAB_PRECISION_BITS)")
+    if c1:
+        parser.add_argument("--c1", default=_env("c1", "1"),
+                            help="user-supplied absolute constant "
+                                 "(env VANDELAB_C1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
             ("prolate", "prolate matrix eigenvalues for a line configuration")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
-        _add_common(p)
+        _add_common(p, c1=True)
 
     p = sub.add_parser("inequalities", help="run the inequality suites")
     p.add_argument("--checks", default=",".join(ALL_SUITES),
                    help=f"comma-separated subset of {sorted(ALL_SUITES)}")
     p.add_argument("--instances", type=int, default=500)
     p.add_argument("--seed", type=int, default=_int_env("seed", DEFAULT_SUITE_SEED))
-    _add_common(p)
+    _add_common(p, precision_bits=False)
 
     p = sub.add_parser("limit-check", help="prolate limit gaps over N")
     p.add_argument("--config", required=True)
@@ -164,11 +173,8 @@ def _run_config_command(args) -> dict:
     """spectrum, bounds, prolate or limit-check on one config file."""
     common = {"out_dir": args.out, "bits_override": args.precision_bits}
     if args.command == "limit-check":
-        try:
-            n_list = [int(x) for x in args.N_list.split(",") if x.strip()]
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"--N-list must be comma-separated integers: {exc}") from exc
+        n_list = [parse_int(x, "--N-list") for x in args.N_list.split(",")
+                  if x.strip()]
         return run_limit_check(args.config, n_list, **common)
     run = {"spectrum": run_spectrum, "bounds": run_bounds,
            "prolate": run_prolate}[args.command]
@@ -176,11 +182,11 @@ def _run_config_command(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
-    try:
+    try:  # the parser reads VANDELAB_* integers, which may be malformed
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s")
         if args.command == "gen-config":
             return _cmd_gen_config(args)
         if args.command == "sweep":

@@ -42,7 +42,7 @@ from .geometry import (
     generate_config,
     validate_config,
 )
-from .hp import DEFAULT_POLICY, decimal_str, parse_decimal, pi_e
+from .hp import DEFAULT_POLICY, decimal_str, parse_decimal, parse_int, pi_e
 from .matrices import VandermondeSpec, build_prolate
 from .spectra import (
     hermitian_eigenvalues,
@@ -116,12 +116,16 @@ class ExperimentManifest:
             if not isinstance(values, list):
                 raise ConfigParseError(
                     f"manifest grid {key!r} must be a list", key=key)
+        for key in ("ell", "N", "s", "seed"):  # checked, kept as written
+            for value in grid[key]:
+                if not (key == "s" and value in (None, "auto")):
+                    parse_int(value, key)
         override = obj.get("precision_override")
         return cls(
             experiment_id=str(obj["experiment_id"]),
             kind=str(obj["kind"]),
             grid=grid,
-            precision_override=_parse_int(override, "precision_override")
+            precision_override=parse_int(override, "precision_override")
             if override else None,
             created_at=str(obj.get("created_at", "")),
             tool_version=str(obj.get("tool_version", TOOL_VERSION)),
@@ -185,14 +189,6 @@ def _read_json(path, what: str):
         raise ConfigParseError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"{what} is not valid JSON: {exc}") from exc
-
-
-def _parse_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigParseError(
-            f"{key!r} must be an integer, got {value!r}", key=key) from exc
 
 
 def _blank_row(point: dict) -> dict:
@@ -420,9 +416,9 @@ def load_config(path) -> dict:
     return {
         "nodes": obj["nodes"],
         "cluster": obj["cluster"],
-        "N": _parse_int(n_val, "N") if n_val is not None else None,
+        "N": parse_int(n_val, "N") if n_val is not None else None,
         "precision_bits":
-            _parse_int(obj.get("precision_bits") or 0, "precision_bits") or None,
+            parse_int(obj.get("precision_bits") or 0, "precision_bits") or None,
     }
 
 

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     PrecisionError,
 )
-from .hp import as_mpf, decimal_str, parse_decimal
+from .hp import as_mpf, decimal_str, parse_decimal, parse_int
 
 PERIODIC = "periodic"
 LINE = "line"
@@ -130,6 +130,8 @@ class NodeSet:
         except KeyError as exc:
             raise ConfigParseError(f"node set missing key {exc.args[0]!r}",
                                    key=exc.args[0]) from exc
+        if not isinstance(raw, list):
+            raise ConfigParseError("node set 'nodes' must be a list", key="nodes")
         return cls(tuple(parse_decimal(v, bits) for v in raw), domain)
 
 
@@ -181,8 +183,8 @@ class ClusterSpec:
         return cls(
             delta=parse_decimal(vals["delta"], bits),
             theta=parse_decimal(vals["theta"], bits),
-            s=int(vals["s"]),
-            ell=int(vals["ell"]),
+            s=parse_int(vals["s"], "s"),
+            ell=parse_int(vals["ell"], "ell"),
             tau=parse_decimal(vals["tau"], bits),
         )
 

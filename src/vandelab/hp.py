@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .errors import InvalidParameterError
+from .errors import ConfigParseError, InvalidParameterError
 
 DEFAULT_FLOOR_BITS = 192
 DEFAULT_GUARD_BITS = 64
@@ -131,6 +131,17 @@ def parse_decimal(text, bits: int):
             return mpf(text)
         except (ValueError, TypeError) as exc:
             raise InvalidParameterError(f"not a decimal number: {text!r}") from exc
+
+
+def parse_int(value, key: str) -> int:
+    """An int, or a string int() reads, as an int; anything else (a float,
+    a bool, None, other text) is a ConfigParseError naming ``key``."""
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise ConfigParseError(f"{key!r} must be an integer, got {value!r}", key=key)
 
 
 def decimal_digits(bits: int) -> int:

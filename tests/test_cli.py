@@ -101,11 +101,36 @@ def test_unknown_check_exits_two(tmp_path):
 
 
 def test_env_override(tmp_path, capsys, monkeypatch):
+    # a random layout depends on the seed: VANDELAB_SEED=99 must act
+    # exactly as --seed 99 and unlike the default seed
+    def random_config(name, *flags):
+        argv = ["gen-config", "--delta", "1e-6", "--s", "4", "--ell", "2",
+                "--tau", "3", "--theta", "1", "--N", "100", "--layout", "random",
+                "--out", str(tmp_path / name), *flags]
+        assert main(argv) == 0
+        return (tmp_path / name / "config.json").read_text()
+
+    default = random_config("default")
+    flag = random_config("flag", "--seed", "99")
     monkeypatch.setenv("VANDELAB_SEED", "99")
-    manifest = make_manifest(tmp_path)
-    code = main(["sweep", "--manifest", str(manifest),
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
+    assert random_config("env") == flag != default
+
+
+@pytest.mark.parametrize("argv", [
+    ["inequalities", "--instances", "1", "--precision-bits", "512"],
+    ["inequalities", "--instances", "1", "--c1", "7"],
+    ["sweep", "--manifest", "m.json", "--c1", "7"],
+    ["gen-config", "--delta", "1e-4", "--s", "2", "--ell", "2", "--c1", "7"],
+    ["limit-check", "--config", "c.json", "--c1", "7"],
+], ids=["inequalities-precision-bits", "inequalities-c1", "sweep-c1",
+        "gen-config-c1", "limit-check-c1"])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                         argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "inequalities.json").exists()
 
 
 def test_installed_entry_point(tmp_path):
@@ -218,6 +243,23 @@ def _config_with(tmp_path, command, **changes):
     return [command, "--config", str(path)]
 
 
+def _nodes_config(tmp_path, command, nodes):
+    argv = _config_with(tmp_path, command)
+    obj = json.loads((tmp_path / "line.json").read_text())
+    obj["nodes"]["nodes"] = nodes
+    (tmp_path / "line.json").write_text(json.dumps(obj))
+    return argv
+
+
+def _cluster_config(tmp_path, command, **changes):
+    argv = _config_with(tmp_path, command)
+    obj = json.loads((tmp_path / "line.json").read_text())
+    obj["cluster"].update(changes)
+    (tmp_path / "line.json").write_text(json.dumps(obj))
+    return argv
+
+
+# leading NAME=value words set the environment, as in a shell
 @pytest.mark.parametrize("argv", [
     lambda t: _manifest_with(t, grid=[{"ell": [1], "N": [50],
                                        "delta": ["1e-5"]}]),
@@ -229,10 +271,26 @@ def _config_with(tmp_path, command, **changes):
     lambda t: ["bounds", "--config", str(_json_file(t, 3))],
     lambda t: ["prolate", "--config", str(t / "missing.json")],
     lambda t: ["sweep", "--manifest", str(t / "missing.json")],
+    lambda t: _manifest_with(t, grid={"ell": ["x"], "N": [50],
+                                      "delta": ["1e-5"]}),
+    lambda t: _manifest_with(t, grid={"ell": [1], "N": ["abc"],
+                                      "delta": ["1e-5"]}),
+    lambda t: _cluster_config(t, "prolate", s="x"),
+    lambda t: _cluster_config(t, "prolate", ell="x"),
+    lambda t: _nodes_config(t, "prolate", 3),
+    lambda t: ["VANDELAB_WORKERS=two"] + _config_with(t, "prolate"),
+    lambda t: ["VANDELAB_SEED=x"] + _config_with(t, "prolate"),
+    lambda t: ["VANDELAB_PRECISION_BITS=many"] + _config_with(t, "prolate"),
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
-        "missing-config", "missing-manifest"])
-def test_malformed_input_exits_two(tmp_path, capsys, argv):
-    code = main(argv(tmp_path) + ["--out", str(tmp_path / "out")])
+        "missing-config", "missing-manifest", "grid-ell", "grid-N",
+        "cluster-s", "cluster-ell", "nodes-not-list", "env-workers",
+        "env-seed", "env-precision-bits"])
+def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
+    argv = argv(tmp_path)
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
+    code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
