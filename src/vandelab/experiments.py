@@ -116,7 +116,7 @@ class ExperimentManifest:
             if not isinstance(values, list):
                 raise ConfigParseError(
                     f"manifest grid {key!r} must be a list", key=key)
-        for key in ("ell", "N", "s", "seed"):  # checked, kept as written
+        for key in ("ell", "N", "s", "seed"):  # checked; the grid keeps them as written
             for value in grid[key]:
                 if not (key == "s" and value in (None, "auto")):
                     parse_int(value, key)

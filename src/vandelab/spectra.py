@@ -115,7 +115,7 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
             raise InvalidParameterError("matrix is not symmetric")
         norm_f = mp.sqrt(mp.fsum(mp.make_mpf(x) ** 2 for row in a for x in row))
         budget = _sweep_budget(n)
-        # a 1 x 1 or zero matrix has off = threshold = 0 and takes no sweep
+        # a 1 x 1 or zero matrix has off = 0 <= threshold: it takes no sweep
         threshold = mp.ldexp(norm_f, -(p - 8))
         # rotations on entries this far below the matrix scale only churn
         # rounding noise; skip them
