@@ -50,13 +50,13 @@ from .expsums import (
     ExpSum,
     check_cor_turan,
     check_nikolskii,
+    check_riemann,
     check_salem_ratio,
     check_turan,
     discrete_norm,
     evaluate,
     l2_norm_exact,
     linf_norm_certified,
-    riemann_gap,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

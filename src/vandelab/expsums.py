@@ -4,8 +4,9 @@ A sum is P(t) = sum_j c_j e^(i t x_j) with distinct real frequencies.
 L2 norms over an interval use the paper-normalized measure
 (1/mu(I) inside the integral) and are integrated in closed form: the
 quantities checked here span hundreds of orders of magnitude, so
-quadrature error would swamp them.  Quadrature survives only as an
-independent cross-check and for L^q exponents without a closed form.
+quadrature error would swamp them.  The Turan, Nikolskii, cor-Turan and
+Riemann checks each return an InequalityCheck with both sides as
+computed; the Salem ratio is a measured constant, not a verdict.
 
 Sup norms are certified from a uniform grid: a derivative bound B for
 the [0,1]-rescaled sum (the Bernstein factor) turns the grid maximum
@@ -138,19 +139,6 @@ def l2_norm_exact(P: ExpSum, a, b):
         raise InvalidParameterError("need b > a")
     form = _quadratic_form(P, lambda d: _interval_transform(d, a, b), "L2")
     return mp.sqrt(form / (b - a))
-
-
-def lq_norm_quadrature(P: ExpSum, a, b, q):
-    """||P||_{L^q(a,b)} by adaptive Gauss-Legendre, for exponents without
-    a closed form.  Used as an oracle and for Nikolskii with q not in {2, inf}."""
-    a, b = as_mpf(a), as_mpf(b)
-    if not b > a:
-        raise InvalidParameterError("need b > a")
-    q = as_mpf(q)
-    if not q > 0:
-        raise InvalidParameterError("need q > 0")
-    integral = mp.quad(lambda t: abs(evaluate(P, t)) ** q, [a, b])
-    return (integral / (b - a)) ** (1 / q)
 
 
 def discrete_norm(P: ExpSum, N: int):
@@ -301,33 +289,14 @@ def check_turan(P: ExpSum, interval, subinterval) -> InequalityCheck:
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs))
 
 
-def check_nikolskii(P: ExpSum, p_exp, q_exp) -> InequalityCheck:
-    """||P||_p <= (pi*ell/2)^(2/q - 2/p) ||P||_q on [0, 1].
+def check_nikolskii(P: ExpSum) -> InequalityCheck:
+    """||P||_inf <= (pi*ell/2) ||P||_2 on [0, 1].
 
-    Needs 0 < q <= 2 and q <= p <= inf; p == q is the degenerate equality
-    with factor 1.  p = inf uses the certified grid maximum (lower side)
-    so a False verdict is sound.
+    The sup norm is the certified grid maximum (lower side), so a False
+    verdict is sound.
     """
-    inf_p = p_exp in ("inf", mp.inf)
-    qv = as_mpf(q_exp)
-    if not (0 < qv <= 2):
-        raise InvalidParameterError("need 0 < q <= 2")
-    if not inf_p:
-        pv = as_mpf(p_exp)
-        if not pv >= qv:
-            raise InvalidParameterError("need p >= q")
-    ell = P.degree
-    zero, one = mpf(0), mpf(1)
-    if inf_p:
-        lhs = linf_norm_certified(P, zero, one).lower
-        inv_p = mpf(0)
-    else:
-        lhs = l2_norm_exact(P, zero, one) if pv == 2 \
-            else lq_norm_quadrature(P, zero, one, pv)
-        inv_p = 1 / pv
-    rhs_norm = l2_norm_exact(P, zero, one) if qv == 2 \
-        else lq_norm_quadrature(P, zero, one, qv)
-    rhs = (mp.pi * ell / 2) ** (2 / qv - 2 * inv_p) * rhs_norm
+    lhs = linf_norm_certified(P, 0, 1).lower
+    rhs = mp.pi * P.degree / 2 * l2_norm_exact(P, 0, 1)
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs))
 
 
@@ -360,18 +329,6 @@ def check_salem_ratio(P: ExpSum, delta_sep):
     return norm ** 2 / c2
 
 
-@dataclass(frozen=True)
-class RiemannGapReport:
-    """Integral-vs-Riemann-sum gap of T = |P(N u)|^2 on [0, 1]."""
-
-    gap: object
-    l1_norm: object            # integral of T = ||P||^2_{L2(0,N)}
-    discrete_mean: object      # (1/N) sum_{k=0}^{N} T(k/N)
-    discrete_sq: object        # ||P||^2_{2,N}
-    relation_applicable: bool  # gap <= l1_norm / 2
-    relation_holds: bool       # discrete_sq >= (N/2) * l1_norm
-
-
 def _squared_modulus_terms(P: ExpSum, scale):
     """Frequencies and coefficients of T(u) = |P(scale*u)|^2 as an ExpSum.
 
@@ -390,13 +347,14 @@ def _squared_modulus_terms(P: ExpSum, scale):
     return ExpSum(tuple(terms.values()), tuple(terms.keys()))
 
 
-def riemann_gap(P: ExpSum, N: int) -> RiemannGapReport:
-    """Exact gap |int_0^1 T - (1/N) sum_k T(k/N)| and the norm relation.
+def check_riemann(P: ExpSum, N: int) -> InequalityCheck:
+    """||P||^2_{2,N} >= (N/2) int_0^1 T for T(u) = |P(N u)|^2: the
+    sample sum of T at k/N against its integral.
 
-    Both the integral and the sample sum are closed forms: term-wise
-    integration and discrete_norm's Dirichlet quadratic form.  An integral
-    at or below 2^-(p-16) of its term mass is not resolved at the working
-    precision p and raises PrecisionError, as _quadratic_form does.
+    Both sides are closed forms: discrete_norm's Dirichlet quadratic form
+    and term-wise integration.  An integral at or below 2^-(p-16) of its
+    term mass is not resolved at the working precision p and raises
+    PrecisionError, as _quadratic_form does.
     """
     if N < 1:
         raise InvalidParameterError("N must be >= 1")
@@ -410,14 +368,9 @@ def riemann_gap(P: ExpSum, N: int) -> RiemannGapReport:
             f"integral of |P|^2 came out {decimal_str(l1)}, not above "
             f"rounding dust of its term mass {decimal_str(mass)}; "
             f"raise precision")
-    disc_sq = discrete_norm(P, N) ** 2
-    disc_mean = disc_sq / N
-    gap = abs(l1 - disc_mean)
-    applicable = bool(gap <= l1 / 2)
-    holds = bool(disc_sq >= mpf(N) / 2 * l1)
-    return RiemannGapReport(
-        gap=gap, l1_norm=l1, discrete_mean=disc_mean, discrete_sq=disc_sq,
-        relation_applicable=applicable, relation_holds=holds)
+    lhs = discrete_norm(P, N) ** 2
+    rhs = mpf(N) / 2 * l1
+    return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs))
 
 
 def check_cor_turan(P: ExpSum, N: int, delta) -> InequalityCheck:

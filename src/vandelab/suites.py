@@ -9,6 +9,7 @@ every record so a report can be replayed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -18,12 +19,11 @@ from mpmath import mp, mpc, mpf
 from .errors import InvalidParameterError
 from .expsums import (
     ExpSum,
-    InequalityCheck,
     check_cor_turan,
     check_nikolskii,
+    check_riemann,
     check_salem_ratio,
     check_turan,
-    riemann_gap,
 )
 from .geometry import RANDOM, cluster_offsets
 from .hp import as_mpf, decimal_str, pi_e
@@ -158,7 +158,7 @@ def _draw_nikolskii(rng):
     """p = inf, q = 2 on [0, 1]."""
     ell = rng.randint(1, 5)
     P = random_expsum(rng, ell, freq_range=20.0)
-    return {"ell": ell, "p": "inf", "q": 2}, check_nikolskii(P, "inf", 2)
+    return {"ell": ell, "p": "inf", "q": 2}, check_nikolskii(P)
 
 
 def _draw_cor_turan(rng):
@@ -173,34 +173,10 @@ def _draw_riemann(rng):
     """Discrete-vs-continuous norm relation on a clustered sum."""
     ell, _, P = _clustered_expsum(rng, 5, 3, 6)
     N = rng.randint(30, 300)
-    rep = riemann_gap(P, N)
-    return {"ell": ell, "N": N}, InequalityCheck(
-        lhs=rep.discrete_sq, rhs=mpf(N) / 2 * rep.l1_norm,
-        holds=rep.relation_holds)
+    return {"ell": ell, "N": N}, check_riemann(P, N)
 
 
-def run_turan_suite(instances: int = 500,
-                    seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
-    return _run("turan", _draw_turan, instances, seed, margin=True)
-
-
-def run_nikolskii_suite(instances: int = 500,
-                        seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
-    return _run("nikolskii", _draw_nikolskii, instances, seed, margin=True)
-
-
-def run_cor_turan_suite(instances: int = 500,
-                        seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
-    return _run("cor-turan", _draw_cor_turan, instances, seed)
-
-
-def run_riemann_suite(instances: int = 500,
-                      seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
-    return _run("riemann", _draw_riemann, instances, seed)
-
-
-def run_salem_suite(instances: int = 500,
-                    seed: int = DEFAULT_SUITE_SEED) -> SuiteResult:
+def run_salem_suite(instances: int, seed: int) -> SuiteResult:
     """Empirical Salem ratios: min over instances, for each separation
     of SALEM_SEPARATIONS, each drawing its instances afresh from seed.
 
@@ -236,12 +212,15 @@ def run_salem_suite(instances: int = 500,
     return out
 
 
+#: suite name -> callable(instances, seed) -> SuiteResult, in the
+#: order the inequalities command runs them by default
 ALL_SUITES = {
-    "turan": run_turan_suite,
-    "nikolskii": run_nikolskii_suite,
-    "cor-turan": run_cor_turan_suite,
+    "turan": functools.partial(_run, "turan", _draw_turan, margin=True),
+    "nikolskii": functools.partial(_run, "nikolskii", _draw_nikolskii,
+                                   margin=True),
+    "cor-turan": functools.partial(_run, "cor-turan", _draw_cor_turan),
     "salem": run_salem_suite,
-    "riemann": run_riemann_suite,
+    "riemann": functools.partial(_run, "riemann", _draw_riemann),
 }
 
 

@@ -9,7 +9,8 @@ plain way, to pin the fast one bit for bit.
 
 The fixtures are reference matrices and seeded instance generators that
 only tests use: the tall Vandermonde and shifted Vandermonde factors,
-random multi-cluster configurations, and the per-level c1 fit.
+the quadrature norm, random multi-cluster configurations, and the
+per-level c1 fit.
 """
 
 import random
@@ -20,6 +21,7 @@ from mpmath import mp, mpc, mpf, matrix
 
 from vandelab import spectra
 from vandelab.errors import ConvergenceError, InvalidParameterError
+from vandelab.expsums import ExpSum, evaluate
 from vandelab.geometry import (
     LINE,
     PERIODIC,
@@ -185,6 +187,19 @@ def build_shifted_vandermonde(nodes: NodeSet, N: int, bits: int | None = None) -
         with mp.workprec(p):
             return tuple(tuple(+cols[j][k] for j in range(len(xis)))
                          for k in range(2 * N + 1))
+
+
+def lq_norm_quadrature(P: ExpSum, a, b, q):
+    """||P||_{L^q(a,b)} with normalized measure, by adaptive
+    Gauss-Legendre: the oracle for the closed-form L2 norm."""
+    a, b = as_mpf(a), as_mpf(b)
+    if not b > a:
+        raise InvalidParameterError("need b > a")
+    q = as_mpf(q)
+    if not q > 0:
+        raise InvalidParameterError("need q > 0")
+    integral = mp.quad(lambda t: abs(evaluate(P, t)) ** q, [a, b])
+    return (integral / (b - a)) ** (1 / q)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,7 @@ from vandelab.spectra import (
     prolate_limit_check,
     singular_values,
 )
-from vandelab.suites import (
-    band_counts,
-    run_cor_turan_suite,
-    run_nikolskii_suite,
-    run_riemann_suite,
-    run_salem_suite,
-    run_turan_suite,
-)
+from vandelab.suites import ALL_SUITES, band_counts
 
 
 def _report(num, name, ok, detail=""):
@@ -234,11 +227,11 @@ def test_07_prolate_limit():
 
 
 def test_08_inequality_suites():
-    turan = run_turan_suite(instances=500, seed=20240601)
-    nik = run_nikolskii_suite(instances=500, seed=20240601)
-    cor = run_cor_turan_suite(instances=500, seed=20240601)
-    riemann = run_riemann_suite(instances=500, seed=20240601)
-    salem = run_salem_suite(instances=500, seed=20240601)
+    turan = ALL_SUITES["turan"](instances=500, seed=20240601)
+    nik = ALL_SUITES["nikolskii"](instances=500, seed=20240601)
+    cor = ALL_SUITES["cor-turan"](instances=500, seed=20240601)
+    riemann = ALL_SUITES["riemann"](instances=500, seed=20240601)
+    salem = ALL_SUITES["salem"](instances=500, seed=20240601)
     ok = (turan.all_hold and nik.all_hold and cor.all_hold
           and riemann.all_hold and salem.all_hold)
     minima = [mpf(x) for x in salem.summary["minima"]]

@@ -7,14 +7,7 @@ from vandelab.geometry import validate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
-from vandelab.suites import (
-    band_counts,
-    run_cor_turan_suite,
-    run_nikolskii_suite,
-    run_riemann_suite,
-    run_salem_suite,
-    run_turan_suite,
-)
+from vandelab.suites import ALL_SUITES, band_counts
 
 
 class TestInstanceGenerator:
@@ -37,36 +30,36 @@ class TestInstanceGenerator:
 
 class TestInequalitySuites:
     def test_turan_small(self):
-        res = run_turan_suite(instances=20, seed=11)
+        res = ALL_SUITES["turan"](instances=20, seed=11)
         assert res.all_hold
         assert len(res.records) == 20
         assert mpf(res.summary["min_rhs_over_lhs"]) >= 1
 
     def test_nikolskii_small(self):
-        res = run_nikolskii_suite(instances=20, seed=11)
+        res = ALL_SUITES["nikolskii"](instances=20, seed=11)
         assert res.all_hold
 
     def test_cor_turan_small(self):
-        res = run_cor_turan_suite(instances=20, seed=11)
+        res = ALL_SUITES["cor-turan"](instances=20, seed=11)
         assert res.all_hold
 
     def test_salem_small(self):
-        res = run_salem_suite(instances=20, seed=11)
+        res = ALL_SUITES["salem"](instances=20, seed=11)
         assert res.all_hold
         assert mpf(res.summary["empirical_constant"]) > 0
         assert mpf(res.summary["relative_spread"]) < mpf("0.2")
 
     def test_riemann_small(self):
-        res = run_riemann_suite(instances=15, seed=11)
+        res = ALL_SUITES["riemann"](instances=15, seed=11)
         assert res.all_hold
         assert len(res.records) == 15
 
     def test_determinism(self):
-        a = run_turan_suite(instances=10, seed=77)
-        b = run_turan_suite(instances=10, seed=77)
+        a = ALL_SUITES["turan"](instances=10, seed=77)
+        b = ALL_SUITES["turan"](instances=10, seed=77)
         assert [r.to_json_dict() for r in a.records] == \
             [r.to_json_dict() for r in b.records]
-        c = run_turan_suite(instances=10, seed=78)
+        c = ALL_SUITES["turan"](instances=10, seed=78)
         assert [r.to_json_dict() for r in a.records] != \
             [r.to_json_dict() for r in c.records]
 
