@@ -9,7 +9,9 @@ underscores, upper case); an explicit flag wins over the environment,
 which wins over the default.  A command refuses a flag it does not read.
 
 Exit codes: 0 on success with no failed rows, 1 if any row failed,
-2 on usage or configuration errors.
+2 on usage or configuration errors.  A command prints to stdout only
+after its result files are written; a reader that closes the pipe early
+(``| head``) does not change the exit code.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 
 from mpmath import mp
 
-from .errors import VandelabError
+from .errors import InvalidParameterError, VandelabError
 from .experiments import (
     ExperimentManifest,
     resolve_point,
@@ -36,7 +38,7 @@ from .experiments import (
     write_config,
 )
 from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, generate_config
-from .hp import parse_decimal, parse_int
+from .hp import parse_bits, parse_decimal, parse_int
 from .suites import ALL_SUITES, DEFAULT_SUITE_SEED
 
 ENV_PREFIX = "VANDELAB_"
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen_config(args) -> int:
+def _cmd_gen_config(args) -> tuple[int, str]:
     spec, N, centers, bits = resolve_point({
         "ell": args.ell, "N": args.N, "delta": args.delta, "s": args.s,
         "tau": args.tau, "theta": args.theta,
@@ -134,70 +136,79 @@ def _cmd_gen_config(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "config.json"
     write_config(path, nodes, spec, N=N, bits=bits)
-    print(f"wrote {path}")
-    return 0
+    return 0, f"wrote {path}"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, str]:
     manifest = ExperimentManifest.load(args.manifest)
-    if args.precision_bits:
+    if args.precision_bits is not None:
         manifest = dataclasses.replace(manifest,
                                        precision_override=args.precision_bits)
     summary = run_sweep(manifest, args.out, workers=args.workers)
-    print(json.dumps(summary.to_json_dict(), indent=2))
-    return 0 if summary.failed == 0 else 1
+    return (0 if summary.failed == 0 else 1,
+            json.dumps(summary.to_json_dict(), indent=2))
 
 
-def _cmd_inequalities(args) -> int:
+def _cmd_inequalities(args) -> tuple[int, str]:
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in ALL_SUITES]
     if unknown:
-        print(f"unknown checks: {unknown}", file=sys.stderr)
-        return 2
+        raise InvalidParameterError(f"unknown checks: {unknown}")
+    if not checks:
+        raise InvalidParameterError("--checks names no suite")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    all_ok = True
-    combined = []
-    for name in checks:
-        result = ALL_SUITES[name](instances=args.instances, seed=args.seed)
-        combined.append(result.to_json_dict())
-        all_ok = all_ok and result.all_hold
-        print(f"{name}: {'ok' if result.all_hold else 'FAILED'} "
-              f"({len(result.records)} records)")
+    results = [ALL_SUITES[name](instances=args.instances, seed=args.seed)
+               for name in checks]
     with open(out / "inequalities.json", "w", encoding="utf-8") as fh:
-        json.dump(combined, fh, indent=2)
-    return 0 if all_ok else 1
+        json.dump([r.to_json_dict() for r in results], fh, indent=2)
+    return (0 if all(r.all_hold for r in results) else 1, "\n".join(
+        f"{r.name}: {'ok' if r.all_hold else 'FAILED'} "
+        f"({len(r.records)} records)" for r in results))
 
 
-def _run_config_command(args) -> dict:
+def _cmd_config(args) -> tuple[int, str]:
     """spectrum, bounds, prolate or limit-check on one config file."""
     common = {"out_dir": args.out, "bits_override": args.precision_bits}
     if args.command == "limit-check":
         n_list = [parse_int(x, "--N-list") for x in args.N_list.split(",")
                   if x.strip()]
-        return run_limit_check(args.config, n_list, **common)
-    run = {"spectrum": run_spectrum, "bounds": run_bounds,
-           "prolate": run_prolate}[args.command]
-    return run(args.config, user_c1=args.c1, **common)
+        result = run_limit_check(args.config, n_list, **common)
+    else:
+        run = {"spectrum": run_spectrum, "bounds": run_bounds,
+               "prolate": run_prolate}[args.command]
+        result = run(args.config, user_c1=args.c1, **common)
+    return 0, json.dumps(result, indent=2)
+
+
+#: each command returns its exit code and the text it prints, once its
+#: result files are written; the config commands share _cmd_config
+COMMANDS = {"gen-config": _cmd_gen_config, "sweep": _cmd_sweep,
+            "inequalities": _cmd_inequalities}
 
 
 def main(argv=None) -> int:
     try:  # the parser reads VANDELAB_* integers, which may be malformed
         args = build_parser().parse_args(argv)
+        if hasattr(args, "precision_bits"):
+            args.precision_bits = parse_bits(args.precision_bits,
+                                             "--precision-bits")
         logging.basicConfig(
             level=logging.DEBUG if args.verbose else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s")
-        if args.command == "gen-config":
-            return _cmd_gen_config(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "inequalities":
-            return _cmd_inequalities(args)
-        print(json.dumps(_run_config_command(args), indent=2))
-        return 0
+        code, text = COMMANDS.get(args.command, _cmd_config)(args)
     except VandelabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone and the results are on disk; point stdout at
+        # devnull so the interpreter's final flush has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,7 +42,14 @@ from .geometry import (
     generate_config,
     validate_config,
 )
-from .hp import DEFAULT_POLICY, decimal_str, parse_decimal, parse_int, pi_e
+from .hp import (
+    DEFAULT_POLICY,
+    decimal_str,
+    parse_bits,
+    parse_decimal,
+    parse_int,
+    pi_e,
+)
 from .matrices import VandermondeSpec, build_prolate
 from .spectra import (
     hermitian_eigenvalues,
@@ -120,13 +127,12 @@ class ExperimentManifest:
             for value in grid[key]:
                 if not (key == "s" and value in (None, "auto")):
                     parse_int(value, key)
-        override = obj.get("precision_override")
         return cls(
             experiment_id=str(obj["experiment_id"]),
             kind=str(obj["kind"]),
             grid=grid,
-            precision_override=parse_int(override, "precision_override")
-            if override else None,
+            precision_override=parse_bits(obj.get("precision_override"),
+                                          "precision_override"),
             created_at=str(obj.get("created_at", "")),
             tool_version=str(obj.get("tool_version", TOOL_VERSION)),
         )
@@ -368,6 +374,8 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
     sweep.  With workers > 1, points run in separate processes; output
     order is independent of scheduling.
     """
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     points = manifest.points()
     if any(int(p["ell"]) > DESK_MAX_ELL for p in points) or \
@@ -417,8 +425,8 @@ def load_config(path) -> dict:
         "nodes": obj["nodes"],
         "cluster": obj["cluster"],
         "N": parse_int(n_val, "N") if n_val is not None else None,
-        "precision_bits":
-            parse_int(obj.get("precision_bits") or 0, "precision_bits") or None,
+        "precision_bits": parse_bits(obj.get("precision_bits"),
+                                     "precision_bits"),
     }
 
 

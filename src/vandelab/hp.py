@@ -35,6 +35,7 @@ from .errors import ConfigParseError, InvalidParameterError
 
 DEFAULT_FLOOR_BITS = 192
 DEFAULT_GUARD_BITS = 64
+MIN_BITS = 64
 
 #: bits of precision at which the policy formula itself is evaluated;
 #: only the integer ceiling matters, 80 bits is far more than enough.
@@ -55,8 +56,8 @@ class PrecisionPolicy:
     guard_bits: int = DEFAULT_GUARD_BITS
 
     def __post_init__(self):
-        if self.floor_bits < 64:
-            raise InvalidParameterError("floor_bits must be >= 64")
+        if self.floor_bits < MIN_BITS:
+            raise InvalidParameterError(f"floor_bits must be >= {MIN_BITS}")
         if self.guard_bits < 0:
             raise InvalidParameterError("guard_bits must be >= 0")
 
@@ -121,8 +122,9 @@ def parse_decimal(text, bits: int):
     binary64 float, so e.g. "1e-25" lands on the closest ``bits``-bit
     value of 10^-25.
     """
-    if bits < 64:
-        raise InvalidParameterError(f"precision must be >= 64 bits, got {bits}")
+    if bits < MIN_BITS:
+        raise InvalidParameterError(
+            f"precision must be >= {MIN_BITS} bits, got {bits}")
     if isinstance(text, float):
         # refuse silent binary64 round-trips for strings the caller had
         raise InvalidParameterError("pass decimal values as str or int, not float")
@@ -142,6 +144,19 @@ def parse_int(value, key: str) -> int:
     except ValueError:
         pass
     raise ConfigParseError(f"{key!r} must be an integer, got {value!r}", key=key)
+
+
+def parse_bits(value, key: str) -> int | None:
+    """A working precision given in the input: None stays None, for the
+    policy to decide; anything else must be an integer of at least
+    MIN_BITS, the floor parse_decimal reads decimals at."""
+    if value is None:
+        return None
+    bits = parse_int(value, key)
+    if bits < MIN_BITS:
+        raise InvalidParameterError(
+            f"{key!r} must be >= {MIN_BITS} bits, got {bits}")
+    return bits
 
 
 def decimal_digits(bits: int) -> int:

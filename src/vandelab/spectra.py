@@ -221,6 +221,8 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int):
     """
     if nodes.domain != LINE:
         raise InvalidParameterError("prolate limit check expects line nodes")
+    if not N_list:
+        raise InvalidParameterError("no N to check the limit at")
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("every N must be >= 1")
     lam_g = require_resolved(

@@ -94,10 +94,12 @@ def test_inequalities_without_instances_exits_two(tmp_path, capsys, instances):
     assert "error: instances must be >= 1" in capsys.readouterr().err
 
 
-def test_unknown_check_exits_two(tmp_path):
+def test_unknown_check_exits_two(tmp_path, capsys):
     code = main(["inequalities", "--checks", "nonsense",
                  "--out", str(tmp_path)])
     assert code == 2
+    assert "error: unknown checks: ['nonsense']" in capsys.readouterr().err
+    assert not (tmp_path / "inequalities.json").exists()
 
 
 def test_env_override(tmp_path, capsys, monkeypatch):
@@ -281,11 +283,23 @@ def _cluster_config(tmp_path, command, **changes):
     lambda t: ["VANDELAB_WORKERS=two"] + _config_with(t, "prolate"),
     lambda t: ["VANDELAB_SEED=x"] + _config_with(t, "prolate"),
     lambda t: ["VANDELAB_PRECISION_BITS=many"] + _config_with(t, "prolate"),
+    lambda t: _config_with(t, "prolate") + ["--precision-bits", "0"],
+    lambda t: ["VANDELAB_PRECISION_BITS=0"] + _config_with(t, "prolate"),
+    lambda t: _config_with(t, "prolate", precision_bits=0),
+    lambda t: _manifest_with(t, precision_override=0),
+    lambda t: _manifest_with(t) + ["--precision-bits", "10"],
+    lambda t: _manifest_with(t) + ["--workers", "0"],
+    lambda t: _manifest_with(t) + ["--workers", "-2"],
+    lambda t: ["inequalities", "--checks", ",", "--instances", "1"],
+    lambda t: _config_with(t, "limit-check") + ["--N-list", ""],
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
         "missing-config", "missing-manifest", "grid-ell", "grid-N",
         "cluster-s", "cluster-ell", "nodes-not-list", "env-workers",
-        "env-seed", "env-precision-bits"])
+        "env-seed", "env-precision-bits", "precision-bits-0",
+        "env-precision-bits-0", "config-precision-bits-0",
+        "precision-override-0", "sweep-precision-bits-10", "workers-0",
+        "workers-negative", "checks-empty", "N-list-empty"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
     argv = argv(tmp_path)
     while "=" in argv[0]:
@@ -294,3 +308,33 @@ def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_null_precision_means_the_policy(tmp_path, capsys):
+    # null, like an absent key, leaves the bits to the policy
+    assert main(_config_with(tmp_path, "prolate", precision_bits=None)
+                + ["--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["precision_bits"] == 192
+    assert main(_manifest_with(tmp_path, precision_override=None)
+                + ["--out", str(tmp_path / "out")]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (lambda t: ["sweep", "--manifest", str(make_manifest(t))], 0),
+    (lambda t: ["sweep", "--manifest", str(make_manifest(
+        t, ell=[6], N=[100], delta=["1e-10"])), "--precision-bits", "192"], 1),
+    (lambda t: _config_with(t, "prolate"), 0),
+    (lambda t: ["inequalities", "--checks", "turan", "--instances", "2"], 0),
+], ids=["sweep", "sweep-failed-row", "prolate", "inequalities"])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
+    # the reader is gone before the first write, as with `| head -0`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vandelab.cli", *argv(tmp_path),
+         "--out", str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == code, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert any((tmp_path / "out").iterdir())
