@@ -120,7 +120,8 @@ def parse_decimal(text, bits: int):
 
     The string goes straight to mpmath's decimal reader, never through a
     binary64 float, so e.g. "1e-25" lands on the closest ``bits``-bit
-    value of 10^-25.
+    value of 10^-25.  "inf" and "nan", which that reader accepts, are no
+    decimal number here.
     """
     if bits < MIN_BITS:
         raise InvalidParameterError(
@@ -130,9 +131,12 @@ def parse_decimal(text, bits: int):
         raise InvalidParameterError("pass decimal values as str or int, not float")
     with mp.workprec(bits):
         try:
-            return mpf(text)
+            value = mpf(text)
         except (ValueError, TypeError) as exc:
             raise InvalidParameterError(f"not a decimal number: {text!r}") from exc
+    if not mp.isfinite(value):
+        raise InvalidParameterError(f"not a finite decimal number: {text!r}")
+    return value
 
 
 def parse_int(value, key: str) -> int:

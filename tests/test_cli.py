@@ -292,6 +292,15 @@ def _cluster_config(tmp_path, command, **changes):
     lambda t: _manifest_with(t) + ["--workers", "-2"],
     lambda t: ["inequalities", "--checks", ",", "--instances", "1"],
     lambda t: _config_with(t, "limit-check") + ["--N-list", ""],
+    lambda t: ["gen-config", "--delta=inf", "--s", "3", "--ell", "3",
+               "--theta", "1", "--N", "100"],
+    lambda t: ["gen-config", "--delta", "1e-3", "--s", "3", "--ell", "3",
+               "--theta=inf", "--N", "100"],
+    lambda t: ["bounds", "--config", str(_json_file(t, {
+        "nodes": {"domain": "periodic", "nodes": ["-0.001", "0", "0.001"]},
+        "cluster": {"delta": "0.001", "theta": "inf", "s": 3, "ell": 3,
+                    "tau": "2"},
+        "N": 100}))],
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
         "missing-config", "missing-manifest", "grid-ell", "grid-N",
@@ -299,7 +308,8 @@ def _cluster_config(tmp_path, command, **changes):
         "env-seed", "env-precision-bits", "precision-bits-0",
         "env-precision-bits-0", "config-precision-bits-0",
         "precision-override-0", "sweep-precision-bits-10", "workers-0",
-        "workers-negative", "checks-empty", "N-list-empty"])
+        "workers-negative", "checks-empty", "N-list-empty", "delta-inf",
+        "theta-inf", "config-theta-inf"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
     argv = argv(tmp_path)
     while "=" in argv[0]:

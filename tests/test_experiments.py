@@ -119,6 +119,15 @@ class TestSweep:
             details = json.load(fh)["details"]
         assert "tau" in details[0]["reason"]
 
+    def test_non_finite_decimal_skipped_with_reason(self, tmp_path):
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [3], "N": [100], "delta": ["inf", "nan"]}))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (0, 2, 0)
+        with open(tmp_path / "details.json", encoding="utf-8") as fh:
+            details = json.load(fh)["details"]
+        assert all("not a finite decimal" in d["reason"] for d in details)
+
     def test_multi_cluster_point(self, tmp_path):
         m = ExperimentManifest.from_json_dict(manifest_dict(
             grid={"ell": [2], "s": [3], "N": [100], "delta": ["1e-6"],

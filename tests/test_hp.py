@@ -99,6 +99,11 @@ class TestDecimalRoundTrip:
         with pytest.raises(InvalidParameterError):
             parse_decimal("not-a-number", 192)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "+inf", "nan"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(InvalidParameterError, match="not a finite"):
+            parse_decimal(text, 192)
+
     def test_low_precision_rejected(self):
         with pytest.raises(InvalidParameterError):
             parse_decimal("1", 32)

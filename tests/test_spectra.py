@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub, round_nearest
 
 from conftest import (
     build_vandermonde,
@@ -19,6 +22,8 @@ from vandelab.matrices import (
 )
 from vandelab.spectra import (
     SpectrumResult,
+    _add,
+    _round,
     _sqrt_spectrum,
     hermitian_eigenvalues,
     normalized_lambda,
@@ -135,6 +140,12 @@ class TestJacobi:
         with pytest.raises(InvalidParameterError):
             hermitian_eigenvalues(M, BITS)
 
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan"])
+    def test_rejects_non_finite_entry(self, entry):
+        M = ((mpf(1), mpf(0)), (mpf(0), mpf(entry)))
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            hermitian_eigenvalues(M, BITS)
+
     def test_rejects_non_square(self):
         M = ((mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
         with pytest.raises(InvalidParameterError, match="not square"):
@@ -176,8 +187,19 @@ def _assert_same_as_reference(M, bits):
     assert eig.sweeps_used == sweeps
 
 
+def _sweep_kernel(ell, s, delta, N):
+    """(K, bits): the Dirichlet kernel of a sweep point, equispaced."""
+    point = {"ell": ell, "N": N, "delta": delta, "tau": "auto", "s": s,
+             "theta": None, "precision_override": None}
+    spec, N, centers, bits = resolve_point(point)
+    with mp.workprec(bits):
+        nodes = generate_config(spec, "equispaced", centers, 20240601,
+                                PERIODIC)
+    return build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits
+
+
 class TestJacobiBitIdentity:
-    """The symmetric-pair libmp loop against the two-sided mpf loop:
+    """The symmetric-pair integer loop against the two-sided mpf loop:
     every value, the residual and the sweep count are bit-equal."""
 
     @pytest.mark.parametrize("bits", [53, 192, 613])
@@ -188,14 +210,13 @@ class TestJacobiBitIdentity:
             _assert_same_as_reference(_equal_diagonal(M), bits)
 
     def test_readme_sweep_kernel(self):
-        point = {"ell": 6, "N": 100, "delta": "1e-10", "tau": "auto",
-                 "s": None, "theta": None, "precision_override": None}
-        spec, N, centers, bits = resolve_point(point)
-        with mp.workprec(bits):
-            nodes = generate_config(spec, "equispaced", centers, 20240601,
-                                    PERIODIC)
-        _assert_same_as_reference(
-            build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits)
+        _assert_same_as_reference(*_sweep_kernel(6, None, "1e-10", 100))
+
+    # heavy sweep points: n = 12 at 2296 bits and n = 16 at 395 bits
+    @pytest.mark.parametrize("ell, s, delta, N", [
+        (12, 12, "1e-25", 144), (4, 16, "1e-10", 192)])
+    def test_heavy_sweep_kernel(self, ell, s, delta, N):
+        _assert_same_as_reference(*_sweep_kernel(ell, s, delta, N))
 
     def test_prolate_matrix(self):
         with mp.workprec(256):
@@ -213,6 +234,63 @@ class TestJacobiBitIdentity:
             hermitian_eigenvalues(M, BITS)
         assert err.value.residual == ref.value.residual
         assert err.value.sweeps == ref.value.sweeps == 2
+
+
+def _operands(rng, p):
+    """Pairs of at most p bits, or +-2^p as a carry leaves them: zero,
+    one, product ties (3 times 2^(p-1) + 1 or + 3), sum ties and carries
+    (all ones, or all ones but the last, plus 1/2), powers of two, random
+    mantissas and exponents 10^5 bits apart, each also negated, so that
+    every value meets its own negative and cancels to zero."""
+    top = 1 << p
+    mans = [0, 1, 3, top // 2 + 1, top // 2 + 3, top - 1, top - 2, top]
+    out = [(m, 0) for m in mans] + [(1, -1), (1, p), (3, -p)]
+    out += [(rng.getrandbits(p) | top >> 1, rng.randrange(-3 * p, 3 * p))
+            for _ in range(6)]
+    out += [(rng.getrandbits(p) | 1, e) for e in (10 ** 5, -10 ** 5)]
+    return out + [(-m, e) for m, e in out if m]
+
+
+class TestIntegerRounding:
+    """_round and _add against mpf_mul, mpf_add and mpf_sub at
+    (p, round_nearest): each product, sum and difference is the same
+    value."""
+
+    @pytest.mark.parametrize("p", [53, 192, 613, 2296])
+    def test_against_libmp(self, rng, p):
+        xs = _operands(rng, p)
+        for mx, ex in xs:
+            x = from_man_exp(mx, ex)
+            for my, ey in xs:
+                y = from_man_exp(my, ey)
+                assert from_man_exp(*_round(mx * my, ex + ey, p)) == \
+                    mpf_mul(x, y, p, round_nearest)
+                assert from_man_exp(*_add(mx, ex, my, ey, p)) == \
+                    mpf_add(x, y, p, round_nearest)
+                assert from_man_exp(*_add(mx, ex, -my, ey, p)) == \
+                    mpf_sub(x, y, p, round_nearest)
+
+    def test_exponent_gap_allocates_no_large_int(self, rng):
+        # aligned exactly, a 10^8-bit gap would take a 12.5 MB int
+        p = 2296
+        big, tiny = rng.getrandbits(p) | 1, -(rng.getrandbits(p) | 1)
+        tracemalloc.start()
+        try:
+            assert _add(big, 0, tiny, -10 ** 8, p) == (big, 0)
+            assert _add(tiny, -10 ** 8, big, 0, p) == (big, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5
+
+    def test_round_any_integer(self, rng):
+        for p in (53, 192, 613, 2296):
+            for bits in (1, p - 1, p, p + 1, p + 2, 2 * p + 1, 3 * p):
+                for _ in range(20):
+                    m = rng.getrandbits(bits) * rng.choice((1, -1))
+                    e = rng.randrange(-p, p)
+                    assert from_man_exp(*_round(m, e, p)) == \
+                        from_man_exp(m, e, p, round_nearest)
 
 
 class TestSqrtClamp:
