@@ -1,66 +1,45 @@
 """Arbitrary-precision real symmetric eigensolver and derived singular values.
 
-The solver is a cyclic-by-rows Jacobi iteration on the full matrix.
-Jacobi is the right tool here for two reasons: it is trivial to run at
-any mpmath precision, and on the graded positive definite matrices this
-laboratory produces it computes even the smallest eigenvalues to high
-*relative* accuracy, which QR-type methods do not guarantee.  The
-spectra of interest span hundreds of orders of magnitude, so that
-property is load-bearing.
+Its matrices, the Dirichlet kernel K (with the spectrum of the
+Vandermonde Gram G = U^H K U) and the prolate matrix, are positive
+definite and graded over hundreds of orders of magnitude, so the solver
+must keep the relative accuracy that QR-type methods lack.  It is the
+Drmac-Veselic recipe (SIMAX 29, 2008; Demmel and Veselic, SIMAX 13, 1992
+prove its accuracy):
 
-Every matrix it is given is real: the prolate matrix, and the Dirichlet
-kernel K that stands in for the Vandermonde Gram G = U^H K U.  Each
-rotation zeroes one off-diagonal pair with the classical real angle;
-the iteration stops when the off-diagonal Frobenius norm falls below
-2^-(p-8) times the matrix Frobenius norm.
-
-The working matrix holds each entry as a (signed mantissa, exponent)
-pair of Python ints.  A rotation update (c x - s y, s x + c y) forms its
-four products and two sums exactly in ints and rounds each to p bits,
-to nearest with ties to even (_round, _add): the values mpf_mul, mpf_add
-and mpf_sub return at (p, round_nearest), without libmp's tuple
-normalization.  The rotation scalars c and s come from raw libmp calls,
-the ones the mpf operators make.  The loop relies on the working matrix
-being symmetric bit for bit, which the entry check demands and every
-rotation keeps: off the (p, q) block the column and the row update of a
-two-sided rotation are the same operations, so each pair is computed
-once and stored twice.  Every bit matches the plain two-sided loop on
-mpf objects.
+1. Cholesky with diagonal pivoting in mpf at p bits, A = P^T R^T R P.  A
+   pivot that is not positive raises PrecisionError naming it and the
+   bits, unless the block left is exactly zero: its eigenvalues are 0.
+2. One-sided (Hestenes) Jacobi on the columns of W = R^T, whose Gram
+   R R^T has the spectrum of A.  A column is a list of ints with one
+   exponent, rounded to q = p + GUARD_BITS bits at its largest entry.
+   For columns x, y the exact ints a = |x|^2, b = |y|^2 and d = x.y
+   decide: d^2 2^(2(p-8)) <= a b leaves the pair, otherwise
+   (x, y) -> (c x - s y, s x + c y) makes it orthogonal.  c and s are
+   (mantissa, exponent) pairs, so a tiny s keeps its relative precision;
+   each new column is formed exactly and rounded once.  The iteration
+   stops after a sweep without a rotation; ConvergenceError if the last
+   sweep of the budget still rotates.
+3. The eigenvalues are the squared column norms, rounded to p bits.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import (
-    fone,
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_le,
-    mpf_lt,
-    mpf_mul,
-    mpf_neg,
-    mpf_shift,
-    mpf_sqrt,
-    mpf_sub,
-    round_nearest as rnd,
-)
+from mpmath.libmp import from_man_exp, round_nearest
 
-from .errors import (
-    ConvergenceError,
-    InvalidParameterError,
-    PrecisionError,
-)
+from .errors import ConvergenceError, InvalidParameterError, PrecisionError
 from .geometry import LINE, NodeSet, scale_to_circle
 from .hp import decimal_str
 from .matrices import VandermondeSpec, build_dirichlet_kernel, build_prolate
 
 MAX_EIGEN_DIM = 256
+#: bits each Jacobi column carries beyond the working precision
+GUARD_BITS = 24
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,8 +47,9 @@ class SpectrumResult:
     """Sorted spectrum plus solver diagnostics.
 
     values are non-increasing; kind is "singular" or "eigen".
-    offdiag_residual is the final off-diagonal Frobenius norm of the
-    Jacobi iteration and sweeps_used the number of full sweeps it took.
+    offdiag_residual is the off-diagonal Frobenius norm of W^T W, W the
+    Jacobi columns, from the dot products of the final sweep, and
+    sweeps_used the number of sweeps, the final one included.
     error_bound bounds the error of each eigenvalue the solve computed
     (for kind "singular", of each squared value); JSON leaves it out.
     """
@@ -96,168 +76,187 @@ class SpectrumResult:
         }
 
 
-def _round(m, e, p):
-    """m 2^e rounded to p bits, to nearest with ties to even: the value
-    mpf_mul and mpf_add return at (p, round_nearest), as a (signed
-    mantissa, exponent) pair.  A carry can leave the mantissa at +-2^p."""
-    n = m.bit_length() - p
-    if n <= 0:
-        return m, e
-    q = m >> (n - 1)  # floor(m / 2^n), then the halfway bit
-    if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)):
-        return (q >> 1) + 1, e + n
-    return q >> 1, e + n
-
-
-def _add(m1, e1, m2, e2, p):
-    """m1 2^e1 + m2 2^e2 rounded by _round, for addends _round returned.
-
-    An addend more than p + 4 bits below the other is less than half an
-    ulp of it, so the sum rounds to the larger addend, as mpf_add's
-    sticky-bit shortcut finds: no shift exceeds 2p + 4 bits.
-    """
-    if not m1:
-        return m2, e2
-    if not m2:
-        return m1, e1
-    d = e1 - e2
-    if d >= 0:
-        if d + m1.bit_length() - m2.bit_length() > p + 4:
-            return m1, e1
-        return _round((m1 << d) + m2, e2, p)
-    if m2.bit_length() - d - m1.bit_length() > p + 4:
-        return m2, e2
-    return _round(m1 + (m2 << -d), e1, p)
-
-
-def _pair(x):
-    """A raw finite libmp value as a (signed mantissa, exponent) pair."""
-    sign, man, exp, _ = x
-    return -man if sign else man, exp
-
-
-def _to_mpf(x):
-    return mp.make_mpf(from_man_exp(*x))
-
-
-def _offdiag_frobenius(a, n):
-    return mp.sqrt(mp.fsum(_to_mpf(a[i][j]) ** 2
-                           for i in range(n) for j in range(n) if i != j))
-
-
 def _sweep_budget(n: int) -> int:
     """Full Jacobi sweeps allowed on an n x n matrix."""
     return 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
-def _rotation(app, aqq, apq, p):
-    """(c, s) of the rotation that zeroes apq, as (mantissa, exponent)
-    pairs, from raw libmp calls at (p, round_nearest): the values the mpf
-    expressions tau = (aqq - app) / (2 |apq|), t = sign(tau) sign(apq) /
-    (|tau| + sqrt(1 + tau^2)), c = 1 / sqrt(1 + t^2) and s = t c give."""
-    tau = mpf_div(mpf_sub(aqq, app, p, rnd), mpf_shift(mpf_abs(apq), 1),
-                  p, rnd)
-    root = mpf_sqrt(mpf_add(fone, mpf_mul(tau, tau, p, rnd), p, rnd), p, rnd)
-    t = mpf_div(fone, mpf_add(mpf_abs(tau), root, p, rnd), p, rnd)
-    # sign(tau) * sign(a_pq), with sign(0) = +1: t stays odd in a_pq also
-    # at tau = 0 (equal diagonals)
-    if mpf_lt(tau, fzero) != mpf_lt(apq, fzero):
-        t = mpf_neg(t)
-    c = mpf_div(fone, mpf_sqrt(mpf_add(fone, mpf_mul(t, t, p, rnd), p, rnd),
-                               p, rnd), p, rnd)
-    s = mpf_mul(t, c, p, rnd)
-    return _pair(c), _pair(s)
+def _round_column(col, e, q):
+    """(col', e'): the column col 2^e with every entry rounded to a
+    multiple of 2^e', to nearest with ties to even, where e' puts the
+    largest entry at q bits; a column that fits stays as it is."""
+    k = max(map(abs, col), default=0).bit_length() - q
+    if k <= 0:
+        return col, e
+    half, low = 1 << (k - 1), (1 << k) - 1
+    # w = v + 1/2 ulp; w >> k is v rounded half up, and a tie (w & low
+    # == 0) is moved down to the even neighbour by clearing the last bit
+    return [w >> k if (w := v + half) & low else w >> k & -2
+            for v in col], e + k
+
+
+def _combine(f, x, ex, g, y, ey, q):
+    """f x + g y for scalars f, g given as (mantissa, exponent) pairs and
+    columns x 2^ex, y 2^ey: formed exactly, then rounded by _round_column."""
+    e = min(f[1] + ex, g[1] + ey)
+    mf, mg = f[0] << f[1] + ex - e, g[0] << g[1] + ey - e
+    return _round_column([mf * u + mg * v for u, v in zip(x, y)], e, q)
+
+
+def _rotation(a, b, d, ex, ey, q):
+    """(c, s) as (mantissa, exponent) pairs, truncated to q bits, of the
+    rotation that makes columns x 2^ex and y 2^ey orthogonal, from the
+    ints a = |x|^2, b = |y|^2 and d = x.y != 0.  In values,
+    zeta = (b - a) / (2 d), t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
+    c = 1 / sqrt(1 + t^2) and s = t c; with h = b - a, X = |h| +
+    sqrt(h^2 + 4 d^2) and H = sqrt(X^2 + 4 d^2) that is c = X / H and
+    |s| = 2 |d| / H."""
+    # one power of two takes all three to a common exponent and d to
+    # q + 32 bits: each is then off by less than a unit, and X and H by a
+    # few, against H >= X >= 2 |d| >= 2^(q+32)
+    k = q + 32 - d.bit_length()
+    a, b, d = (v << j if j >= 0 else v >> -j for v, j in (
+        (a, k + ex - ey), (b, k + ey - ex), (d, k)))
+    h, y = b - a, 2 * abs(d)
+    x = abs(h) + math.isqrt(h * h + y * y)
+    hyp = math.isqrt(x * x + y * y)
+    k = q + hyp.bit_length() - y.bit_length()
+    s = (y << k) // hyp
+    if h and (h < 0) != (d < 0):  # sign(0) = +1
+        s = -s
+    return ((x << q) // hyp, -q), (s, -k)
+
+
+def _cholesky_rows(a, n, p):
+    """The rows of R, A = P^T R^T R P by Cholesky with diagonal pivoting at
+    p bits, for a symmetric matrix a of mpf rows (overwritten); each row
+    is in pivot order.  A remaining block that is exactly zero gives zero
+    rows; any other pivot that is not positive raises PrecisionError."""
+    r = []
+    for k in range(n):
+        j = max(range(k, n), key=lambda i: a[i][i])  # the first largest
+        a[k], a[j] = a[j], a[k]
+        for row in a + r:
+            row[k], row[j] = row[j], row[k]
+        pivot = a[k][k]
+        if pivot <= 0:
+            if any(x for row in a[k:] for x in row[k:]):
+                raise PrecisionError(
+                    f"Cholesky pivot {k + 1} of {n} is "
+                    f"{decimal_str(pivot, p)}: the matrix is not positive "
+                    f"definite at {p} bits; raise precision")
+            return r + [[mpf(0)] * n for _ in range(k, n)]
+        d = mp.sqrt(pivot)
+        tail = [x / d for x in a[k][k + 1:]]
+        r.append([mpf(0)] * k + [d] + tail)
+        for i, ri in enumerate(tail, k + 1):
+            for j, rj in enumerate(tail[i - k - 1:], i):
+                a[i][j] = a[j][i] = a[i][j] - ri * rj
+    return r
+
+
+def _int_column(row, q):
+    """(col, e): a row of mpf entries as one column of ints times 2^e,
+    rounded by _round_column."""
+    raw = [x._mpf_ for x in row]
+    top = max((exp + bc for _, man, exp, bc in raw if man), default=None)
+    if top is None:
+        return [0] * len(raw), 0
+    # an entry below a quarter of the unit 2^(top - q) rounds to 0; the
+    # others align to their lowest exponent within about p + q bits
+    floor = top - q - 1
+    e = min(exp for _, man, exp, bc in raw if man and exp + bc >= floor)
+    return _round_column(
+        [(-man if sign else man) << (exp - e) if man and exp + bc >= floor
+         else 0 for sign, man, exp, bc in raw], e, q)
 
 
 def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
-    """All eigenvalues of a real symmetric matrix, given as its rows, by
-    cyclic Jacobi rotations at ``bits``.
+    """All eigenvalues of a real symmetric positive definite matrix,
+    given as its rows, at ``bits``: pivoted Cholesky, then one-sided
+    Jacobi on integer columns (see the module docstring).
 
-    Values come back sorted non-increasing, ties broken by the original
-    diagonal index.  A non-square matrix, a complex or non-finite entry
-    or an entry pair with a[i][j] != a[j][i] raises
-    InvalidParameterError, and an exhausted sweep budget ConvergenceError
-    (carrying the final off-diagonal residual).  By Weyl's inequality
-    each computed eigenvalue lies within ||E||_2 of the exact one, E the
-    Jacobi backward error, bounded by
-    32 * n * max(sweeps, 1) * 2^-p * ||A||_F (constant 32): the result's
-    error_bound.
+    Values come back sorted non-increasing.  A non-square matrix, a
+    complex or non-finite entry or an entry pair with a[i][j] != a[j][i]
+    raises InvalidParameterError, a Cholesky pivot that is not positive
+    PrecisionError, and an exhausted sweep budget ConvergenceError
+    (carrying the final off-diagonal residual).
+
+    error_bound, with u = 2^-p, q = p + GUARD_BITS and T = trace(A), A
+    the rows at p bits, sums what moves an eigenvalue:
+    - Cholesky: R^T R = P A P^T + E, |E| <= gamma_{n+1} |R^T| |R|
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      sec. 10.1), so ||E||_2 <= gamma_{n+1} ||R||_F^2 <= 2 (n + 1) u T.
+    - Rotations: the first rounding and each of the at most
+      sweeps n (n - 1) / 2 rotations move the columns they write by at
+      most (sqrt(n) + 8) 2^-q of their Frobenius norm (sqrt(n) from the
+      rounding, 8 from c^2 + s^2 != 1).  The columns are then an exact
+      orthogonal transform of W + F, ||F||_F <= eta ||W||_F with
+      eta = (sweeps n (n - 1) / 2 + 1)(sqrt(n) + 8) 2^-q, which moves an
+      eigenvalue by at most (2 eta + eta^2) ||W||_F^2 <= 3 eta T.
+    - The stop: at most offdiag_residual (Weyl).
+    - Rounding the squared norms: u T.
+    In all, ((2 n + 3) + 3 (sweeps n (n - 1) / 2 + 1)(isqrt(n) + 9)
+    2^-GUARD_BITS) u T + offdiag_residual.
     """
     n = len(rows)
     if n > MAX_EIGEN_DIM:
         raise InvalidParameterError(f"dimension {n} exceeds {MAX_EIGEN_DIM}")
     if any(len(row) != n for row in rows):
         raise InvalidParameterError("matrix is not square")
-    p = bits
+    p, q = bits, bits + GUARD_BITS
 
     with mp.workprec(p):
-        try:  # raw libmp values; normalized ones are equal iff their values are
-            raw = [[mpf(x)._mpf_ for x in row] for row in rows]
+        try:
+            a = [[mpf(x) for x in row] for row in rows]
         except TypeError as exc:  # mpf() refuses mpc and complex entries
             raise InvalidParameterError("complex entry in a real eigensolve") from exc
-        if any(raw[i][j] != raw[j][i] for i in range(n) for j in range(i)):
+        # raw libmp values: normalized ones are equal iff their values are
+        if any(a[i][j]._mpf_ != a[j][i]._mpf_
+               for i in range(n) for j in range(i)):
             raise InvalidParameterError("matrix is not symmetric")
-        if any(not man and exp for row in raw for _, man, exp, _ in row):
+        if not all(mp.isfinite(x) for row in a for x in row):
             raise InvalidParameterError("non-finite entry in an eigensolve")
-        norm_f = mp.sqrt(mp.fsum(mp.make_mpf(x) ** 2 for row in raw for x in row))
-        # the symmetric pair of entries shares one object
-        a = [[_pair(x) for x in row] for row in raw]
-        for i in range(n):
-            for j in range(i):
-                a[i][j] = a[j][i]
+        trace = mp.fsum(a[i][i] for i in range(n))
+        pairs = [_int_column(row, q) for row in _cholesky_rows(a, n, p)]
+        cols, exps = [c for c, _ in pairs], [e for _, e in pairs]
+        del a, pairs  # the sweeps need only the int columns
+        norms = [sum(map(mul, x, x)) for x in cols]
         budget = _sweep_budget(n)
-        # a 1 x 1 or zero matrix has off = 0 <= threshold: it takes no sweep
-        threshold = mp.ldexp(norm_f, -(p - 8))
-        # rotations on entries this far below the matrix scale only churn
-        # rounding noise; skip them
-        rotation_floor = mp.ldexp(norm_f, -(p + 4))._mpf_
-        sweeps = 0
-        off = _offdiag_frobenius(a, n)
-        while off > threshold and sweeps < budget:
-            sweeps += 1
-            for pi in range(n - 1):
-                row_p = a[pi]
-                for qi in range(pi + 1, n):
-                    row_q = a[qi]
-                    apq = from_man_exp(*row_p[qi])
-                    if mpf_le(mpf_abs(apq), rotation_floor):
+        sweeps, rotated, dots = 0, n > 1, []
+        while rotated:
+            sweeps, rotated, dots = sweeps + 1, False, []
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    x, y = cols[i], cols[j]
+                    d = sum(map(mul, x, y))
+                    ex, ey = exps[i], exps[j]
+                    dots.append((d, ex + ey))
+                    if d * d << 2 * (p - 8) <= norms[i] * norms[j]:
                         continue
-                    (mc, ec), (ms, es) = _rotation(
-                        from_man_exp(*row_p[pi]), from_man_exp(*row_q[qi]),
-                        apq, p)
-                    nms = -ms
-
-                    def rotate(x, y):  # (c x - s y, s x + c y)
-                        mx, ex = x
-                        my, ey = y
-                        m1, e1 = _round(mc * mx, ec + ex, p)
-                        m2, e2 = _round(nms * my, es + ey, p)
-                        m3, e3 = _round(ms * mx, es + ex, p)
-                        m4, e4 = _round(mc * my, ec + ey, p)
-                        return _add(m1, e1, m2, e2, p), _add(m3, e3, m4, e4, p)
-
-                    for i in range(n):  # a[i][p] is a[p][i], bit for bit
-                        if i != pi and i != qi:
-                            x, y = rotate(row_p[i], row_q[i])
-                            row_p[i] = a[i][pi] = x
-                            row_q[i] = a[i][qi] = y
-                    # the (p, q) block: columns p and q, then rows p and q
-                    col_pp, col_pq = rotate(row_p[pi], row_p[qi])
-                    col_qp, col_qq = rotate(row_q[pi], row_q[qi])
-                    row_p[pi] = rotate(col_pp, col_qp)[0]
-                    row_q[qi] = rotate(col_pq, col_qq)[1]
-                    row_p[qi] = row_q[pi] = (0, 0)
-            off = _offdiag_frobenius(a, n)
-        if off > threshold:
+                    rotated = True
+                    c, s = _rotation(norms[i], norms[j], d, ex, ey, q)
+                    cols[i], exps[i] = _combine(c, x, ex, (-s[0], s[1]), y,
+                                                ey, q)
+                    cols[j], exps[j] = _combine(s, x, ex, c, y, ey, q)
+                    norms[i] = sum(map(mul, cols[i], cols[i]))
+                    norms[j] = sum(map(mul, cols[j], cols[j]))
+            if sweeps >= budget:
+                break
+        # the off-diagonal Frobenius norm of W^T W from the last sweep
+        off = mp.sqrt(2 * mp.fsum(mp.make_mpf(from_man_exp(d * d, 2 * e))
+                                  for d, e in dots))
+        if rotated:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {budget} sweeps "
                 f"(residual {decimal_str(off, p)})",
                 residual=off, sweeps=sweeps)
-        diag = [(_to_mpf(a[i][i]), i) for i in range(n)]
-        diag.sort(key=lambda vi: (-vi[0], vi[1]))
-        bound = mp.ldexp(32 * n * max(sweeps, 1) * norm_f, -p)
-        return SpectrumResult(tuple(v for v, _ in diag), "eigen", p, off,
-                              sweeps, bound)
+        values = sorted((mp.make_mpf(from_man_exp(m, 2 * e, p, round_nearest))
+                         for m, e in zip(norms, exps)), reverse=True)
+        terms = (2 * n + 3 << GUARD_BITS) + 3 * (
+            sweeps * n * (n - 1) // 2 + 1) * (math.isqrt(n) + 9)
+        bound = mp.ldexp(terms * trace, -q) + off
+        return SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)
 
 
 def require_resolved(eig: SpectrumResult) -> SpectrumResult:

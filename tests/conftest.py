@@ -3,9 +3,9 @@
 The oracles deliberately avoid the code paths they check: the Gram oracle
 sums the geometric series term by term, the eigenvalue oracle is mpmath's
 eighe (tridiagonalization + QL, nothing like the package's Jacobi), and
-the quadrature oracle integrates numerically.  The one exception is
-jacobi_reference, which is the package's Jacobi iteration written the
-plain way, to pin the fast one bit for bit.
+the quadrature oracle integrates numerically.  jacobi_reference is
+two-sided cyclic Jacobi on the full matrix with mpf operators, another
+iteration than the package's pivoted Cholesky and one-sided Jacobi.
 
 The fixtures are reference matrices and seeded instance generators that
 only tests use: the tall Vandermonde and shifted Vandermonde factors,
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpc, mpf, matrix
 
-from vandelab import spectra
 from vandelab.errors import ConvergenceError, InvalidParameterError
 from vandelab.expsums import ExpSum, evaluate
 from vandelab.geometry import (
@@ -66,15 +65,15 @@ def eighe_eigenvalues(rows, bits: int):
 def jacobi_reference(rows, bits: int):
     """(values, offdiag_residual, sweeps_used) of cyclic Jacobi on rows.
 
-    The same iteration as spectra.hermitian_eigenvalues, written with
-    mpf operators on the full matrix: every rotation updates columns p
-    and q, then rows p and q.  It takes the same sweep budget,
-    spectra._sweep_budget, and raises ConvergenceError with the same
-    residual and sweep count.
+    Two-sided: every rotation zeroes one off-diagonal pair of the full
+    matrix with mpf operators, updating columns p and q, then rows p and
+    q.  It stops when the off-diagonal Frobenius norm falls below
+    2^-(p-8) of the Frobenius norm, and raises ConvergenceError after
+    100 sweeps.
     """
     n = len(rows)
     p = bits
-    max_sweeps = spectra._sweep_budget(n)
+    max_sweeps = 100
     with mp.workprec(p):
         a = [[mpf(rows[i][j]) for j in range(n)] for i in range(n)]
 
@@ -126,13 +125,26 @@ def jacobi_reference(rows, bits: int):
 
 
 def random_hermitian(rng: random.Random, n: int, bits: int) -> tuple:
-    """A real symmetric matrix, the only Hermitian form the solver takes."""
+    """A real symmetric matrix, as a rule indefinite."""
     with mp.workprec(bits):
         rows = [[mpf(0)] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = mpf(rng.uniform(-2, 2))
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = mpf(rng.uniform(-1, 1))
+    return tuple(tuple(r) for r in rows)
+
+
+def random_spd(rng: random.Random, n: int, bits: int) -> tuple:
+    """B^T B + I for B with entries uniform in (-1, 1): real symmetric
+    positive definite, the matrices the eigensolver takes."""
+    with mp.workprec(bits):
+        b = [[mpf(rng.uniform(-1, 1)) for _ in range(n)] for _ in range(n)]
+        rows = [[mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = mp.fsum(
+                    b[k][i] * b[k][j] for k in range(n)) + (i == j)
     return tuple(tuple(r) for r in rows)
 
 

@@ -181,7 +181,8 @@ def test_limit_check_lambda_min_at_chosen_bits(tmp_path, capsys):
 
 def test_unresolved_lambda_min_exits_two(tmp_path, capsys):
     # at 192 bits the 1e-20 cluster's lambda_min ~ 1.1e-123 is far below
-    # the Jacobi error bound; the solve used to print -2.2e-58 as its value
+    # rounding: a Cholesky pivot comes out negative, and the solve used to
+    # print -2.2e-58 as its value
     nodes = ["-1.5e-20", "-5e-21", "5e-21", "1.5e-20"]
     cfg = _line_config(tmp_path / "line.json", nodes, "1e-20")
     for argv in (["prolate"], ["limit-check", "--N-list", "10"]):
@@ -190,7 +191,7 @@ def test_unresolved_lambda_min_exits_two(tmp_path, capsys):
         assert code == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "does not clear its error bound" in captured.err
+        assert "not positive definite" in captured.err
         assert "at 192 bits; raise precision" in captured.err
 
 

@@ -9,6 +9,7 @@ from vandelab.errors import ConfigParseError
 from vandelab.experiments import (
     CSV_COLUMNS,
     ExperimentManifest,
+    compute_sweep_point,
     load_config,
     run_bounds,
     run_limit_check,
@@ -195,6 +196,18 @@ class TestSweep:
         run_sweep(m2, tmp_path / "two")
         row2 = read_rows(tmp_path / "two")[0]
         assert row2["sigma_min"] == row["sigma_min"]
+
+    # equal multiplicities: every level holds ell nearly equal singular
+    # values, which kept two-sided Jacobi past the sweep budget
+    @pytest.mark.parametrize("ell, s, delta, N", [
+        (4, 24, "1e-10", 288), (8, 40, "1e-10", 480)])
+    def test_equal_multiplicity_clusters_converge(self, ell, s, delta, N):
+        m = ExperimentManifest.from_json_dict(manifest_dict(grid={
+            "ell": [ell], "s": [s], "delta": [delta], "N": [N],
+            "tau": ["auto"], "layout": ["equispaced"], "seed": [20240601]}))
+        out = compute_sweep_point(m.points()[0])
+        assert out["row"]["status"] == "ok", out["details"].get("reason")
+        assert out["details"]["spectrum"]["sweeps_used"] <= 12
 
 
 class TestSingleRuns:
