@@ -130,8 +130,8 @@ def _cmd_gen_config(args) -> tuple[int, str]:
     with mp.workprec(bits):
         if args.centers:
             centers = [parse_decimal(c, bits) for c in args.centers.split(",")]
-        nodes = generate_config(spec, args.layout, centers, args.seed,
-                                args.domain)
+        nodes, _ = generate_config(spec, args.layout, centers, args.seed,
+                                   args.domain)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "config.json"

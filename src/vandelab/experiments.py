@@ -19,7 +19,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     InvalidParameterError,
+    PrecisionError,
     VandelabError,
 )
 from .geometry import (
@@ -171,6 +171,7 @@ class SweepSummary:
     skipped: int
     failed: int
     fitted_slope: float | None
+    min_headroom_bits: int | None
     rows: list
     out_dir: str
 
@@ -180,6 +181,7 @@ class SweepSummary:
             "skipped": self.skipped,
             "failed": self.failed,
             "fitted_slope": self.fitted_slope,
+            "min_headroom_bits": self.min_headroom_bits,
             "rows": len(self.rows),
             "out_dir": self.out_dir,
         }
@@ -261,16 +263,70 @@ def resolve_point(point: dict):
         return spec, N, default_centers(n_clusters), bits
 
 
+def _at_target(attempt, bits: int | None):
+    """The result of attempt(bits), which returns (result, the bits it ran
+    at, their headroom_bits).  bits None leaves them to the policy; policy
+    bits whose headroom falls short of DEFAULT_POLICY.guard_bits are raised
+    by the shortfall and tried once more, and PrecisionError if still
+    short.  Explicit bits are used as given."""
+    result, used, headroom = attempt(bits)
+    target = DEFAULT_POLICY.guard_bits
+    if bits is not None or headroom >= target:
+        return result
+    bits = used + target - headroom
+    log.debug("headroom %d bits short of %d; re-solving at %d bits",
+              headroom, target, bits)
+    result, bits, headroom = attempt(bits)
+    if headroom < target:
+        raise PrecisionError(
+            f"headroom of {headroom} bits at {bits} bits falls short of the "
+            f"{target}-bit target; raise precision")
+    return result
+
+
 def _vandermonde_core(nodes: NodeSet, cluster: ClusterSpec, N: int, bits: int,
                       user_c1=1):
-    """Validate once, then (partition, spectrum, bound report, (lambda,
-    log10 lambda)) of one configuration at the ambient ``bits``."""
-    partition = validate_config(nodes, cluster)
+    """(spectrum, bound report, (lambda, log10 lambda)) of one validated
+    configuration at the ambient ``bits``."""
     vspec = VandermondeSpec(N, nodes)
     spectrum = singular_values(vspec, bits=bits)
     report = evaluate_all(vspec, cluster, user_c1=user_c1, bits=bits)
     lam = normalized_lambda(spectrum.min_value, N, cluster.delta, cluster.ell)
-    return partition, spectrum, report, lam
+    return spectrum, report, lam
+
+
+def _fill_sweep_row(point: dict, row: dict, details: dict):
+    """Fill row and details with one grid point at its resolved bits, as
+    far as it gets; (None, bits, headroom) for _at_target."""
+    row.update(_blank_row(point))
+    details.clear()
+    details["index"] = point["index"]
+    spec, N, centers, bits = resolve_point(point)
+    with mp.workprec(bits):
+        row["s"] = str(spec.s)
+        row["tau"] = decimal_str(spec.tau, bits)
+        row["delta"] = decimal_str(spec.delta, bits)
+        row["theta"] = decimal_str(spec.theta, bits)
+        row["precision_bits"] = str(bits)
+        nodes, partition = generate_config(spec, str(point["layout"]), centers,
+                                           int(point["seed"]), PERIODIC)
+        spectrum, report, (lam, log10_lam) = _vandermonde_core(
+            nodes, spec, N, bits)
+        row["sigma_min"] = decimal_str(spectrum.min_value, bits)
+        row["lambda"] = decimal_str(lam, bits)
+        row["log10_lambda"] = decimal_str(log10_lam, bits)
+        row["lower_shape"] = decimal_str(report.lower_shape, bits)
+        row["upper_explicit"] = decimal_str(report.upper_explicit, bits)
+        row["srf"] = decimal_str(report.srf, bits)
+        row["window_ok"] = "true" if report.window_ok else "false"
+        details.update({
+            "multiplicities": list(partition.multiplicities),
+            "q": list(partition.q),
+            "window_reason": report.window_reason,
+            "spectrum": spectrum.to_json_dict(),
+            "nodes": nodes.to_json_dict(bits),
+        })
+    return None, bits, spectrum.headroom_bits
 
 
 def compute_sweep_point(point: dict) -> dict:
@@ -279,32 +335,10 @@ def compute_sweep_point(point: dict) -> dict:
     row = _blank_row(point)
     details = {"index": point["index"]}
     try:
-        spec, N, centers, bits = resolve_point(point)
-        with mp.workprec(bits):
-            row["s"] = str(spec.s)
-            row["tau"] = decimal_str(spec.tau, bits)
-            row["delta"] = decimal_str(spec.delta, bits)
-            row["theta"] = decimal_str(spec.theta, bits)
-            row["precision_bits"] = str(bits)
-            nodes = generate_config(spec, str(point["layout"]), centers,
-                                    int(point["seed"]), PERIODIC)
-            partition, spectrum, report, (lam, log10_lam) = _vandermonde_core(
-                nodes, spec, N, bits)
-            row["sigma_min"] = decimal_str(spectrum.min_value, bits)
-            row["lambda"] = decimal_str(lam, bits)
-            row["log10_lambda"] = decimal_str(log10_lam, bits)
-            row["lower_shape"] = decimal_str(report.lower_shape, bits)
-            row["upper_explicit"] = decimal_str(report.upper_explicit, bits)
-            row["srf"] = decimal_str(report.srf, bits)
-            row["window_ok"] = "true" if report.window_ok else "false"
-            row["status"] = STATUS_OK
-            details.update({
-                "multiplicities": list(partition.multiplicities),
-                "q": list(partition.q),
-                "window_reason": report.window_reason,
-                "spectrum": spectrum.to_json_dict(),
-                "nodes": nodes.to_json_dict(bits),
-            })
+        _at_target(lambda bits: _fill_sweep_row(
+            {**point, "precision_override": bits}, row, details),
+            point["precision_override"])
+        row["status"] = STATUS_OK
     except (InvalidParameterError, ConfigValidationError, ConfigParseError) as exc:
         row["status"] = STATUS_SKIPPED
         details["reason"] = str(exc)
@@ -384,6 +418,10 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
                     "precision <= %d); expect a long run",
                     DESK_MAX_ELL, DESK_MAX_PRECISION)
     if workers > 1:
+        # imported here: loading it with multiprocessing slows the start-up
+        # of every command, and only this path uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(compute_sweep_point, points))
     else:
@@ -396,8 +434,11 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
     slope = _fit_slope(rows)
     counts = {s: sum(1 for r in rows if r["status"] == s)
               for s in (STATUS_OK, STATUS_SKIPPED, STATUS_FAILED)}
+    headroom = [d["spectrum"]["headroom_bits"] for r, d in zip(rows, details)
+                if r["status"] == STATUS_OK]
     summary = SweepSummary(ok=counts[STATUS_OK], skipped=counts[STATUS_SKIPPED],
                            failed=counts[STATUS_FAILED], fitted_slope=slope,
+                           min_headroom_bits=min(headroom, default=None),
                            rows=rows, out_dir=str(out_dir))
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary.to_json_dict(), fh, indent=2)
@@ -447,6 +488,12 @@ def _load_instance(config_path, bits_override, with_N: bool):
     return NodeSet.from_json_dict(cfg["nodes"], bits), cluster, N, bits
 
 
+def _explicit_bits(config_path, bits_override):
+    """The bits a command on a config runs at by flag or by the config's
+    precision_bits, or None for the policy."""
+    return bits_override or load_config(config_path)["precision_bits"]
+
+
 def _write_result(result: dict, out_dir) -> dict:
     """Write a single-instance result to <kind>.json under out_dir."""
     if out_dir is not None:
@@ -492,9 +539,18 @@ def run_spectrum(config_path, user_c1=1, out_dir=None,
                  bits_override: int | None = None) -> dict:
     """Full singular spectrum, bound report, and per-level counts."""
     t0 = time.perf_counter()
+    result = _at_target(lambda bits: _spectrum_result(
+        config_path, user_c1, bits), _explicit_bits(config_path, bits_override))
+    result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+    return _write_result(result, out_dir)
+
+
+def _spectrum_result(config_path, user_c1, bits_override):
+    """run_spectrum's result at the config's bits, for _at_target."""
     nodes, cluster, N, bits = _load_instance(config_path, bits_override, True)
     with mp.workprec(bits):
-        partition, spectrum, report, (lam, _) = _vandermonde_core(
+        partition = validate_config(nodes, cluster)
+        spectrum, report, (lam, _) = _vandermonde_core(
             nodes, cluster, N, bits, user_c1)
         counts, thresholds = band_counts(
             spectrum.values, partition.q, N, cluster.delta, mpf(user_c1), bits)
@@ -517,16 +573,25 @@ def run_spectrum(config_path, user_c1=1, out_dir=None,
             "level_counts_match_q": counts == list(partition.q),
             "cumulative_counts": cumulative,
             "user_c1": decimal_str(mpf(user_c1), bits),
-            "runtime_ms": int((time.perf_counter() - t0) * 1000),
+            "runtime_ms": None,
         }
-    return _write_result(result, out_dir)
+    return result, bits, spectrum.headroom_bits
 
 
 def run_prolate(config_path, user_c1=1, out_dir=None,
                 bits_override: int | None = None) -> dict:
     """Eigenvalues of the generalized prolate matrix plus comparisons."""
     t0 = time.perf_counter()
-    nodes, cluster, _, bits = _load_instance(config_path, bits_override, False)
+    result = _at_target(lambda bits: _prolate_result(
+        config_path, user_c1, bits), _explicit_bits(config_path, bits_override))
+    result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+    return _write_result(result, out_dir)
+
+
+def _prolate_result(config_path, user_c1, bits_override):
+    """run_prolate's result at the config's bits, for _at_target."""
+    nodes, cluster, _, bits = _load_instance(config_path, bits_override,
+                                             False)
     if nodes.domain != LINE:
         raise ConfigParseError("prolate runs need line-domain nodes",
                                key="nodes")
@@ -555,9 +620,9 @@ def run_prolate(config_path, user_c1=1, out_dir=None,
             "level_counts": counts,
             "level_counts_match_q": counts == list(partition.q),
             "user_c1": decimal_str(mpf(user_c1), bits),
-            "runtime_ms": int((time.perf_counter() - t0) * 1000),
+            "runtime_ms": None,
         }
-    return _write_result(result, out_dir)
+    return result, bits, spectrum.headroom_bits
 
 
 def run_bounds(config_path, user_c1=1, out_dir=None,
@@ -581,14 +646,21 @@ def run_bounds(config_path, user_c1=1, out_dir=None,
 def run_limit_check(config_path, N_list, out_dir=None,
                     bits_override: int | None = None) -> dict:
     """Prolate limit gaps over N_list, and lambda_min(G) at their bits."""
+    return _write_result(_at_target(lambda bits: _limit_check_result(
+        config_path, N_list, bits), _explicit_bits(config_path, bits_override)),
+        out_dir)
+
+
+def _limit_check_result(config_path, N_list, bits_override):
+    """run_limit_check's result at the config's bits, for _at_target."""
     nodes, _, _, bits = _load_instance(config_path, bits_override, False)
     if nodes.domain != LINE:
         raise ConfigParseError("limit check needs line-domain nodes",
                                key="nodes")
-    lambda_min, gaps = prolate_limit_check(nodes, list(N_list), bits)
-    return _write_result({
+    lambda_min, gaps, headroom = prolate_limit_check(nodes, list(N_list), bits)
+    return {
         "kind": "limit-check",
         "nodes": nodes.to_json_dict(bits),
         "lambda_min": decimal_str(lambda_min, bits),
         "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in gaps],
-    }, out_dir)
+    }, bits, headroom

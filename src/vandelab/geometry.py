@@ -365,12 +365,15 @@ def cluster_offsets(r: int, ell: int, tau, delta, layout: str, rng) -> list:
 
 
 def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
-                    seed: int, domain: str = PERIODIC) -> NodeSet:
-    """Build a node set realizing ``spec`` around the given centers.
+                    seed: int, domain: str = PERIODIC
+                    ) -> tuple[NodeSet, PartitionResult]:
+    """Build a node set realizing ``spec`` around the given centers, and
+    its partition.
 
     Equispaced layout puts each cluster on an arithmetic progression with
     gap exactly delta; random layout draws the gaps reproducibly from
-    ``seed``.  The result is validated against ``spec`` before returning.
+    ``seed``.  The nodes are validated against ``spec`` before returning;
+    the partition is the one validate_config found.
     """
     centers = [as_mpf(c) for c in cluster_centers]
     if not centers:
@@ -392,8 +395,7 @@ def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
             x = center + off
             out.append(wrap_to_interval(x) if domain == PERIODIC else x)
     nodes = NodeSet(tuple(out), domain)
-    validate_config(nodes, spec)
-    return nodes
+    return nodes, validate_config(nodes, spec)
 
 
 def scale_to_circle(nodes: NodeSet, N: int) -> NodeSet:

@@ -15,10 +15,14 @@ So the number of significant bits needed grows linearly in ``ell`` and in
 ``log2(1/(N*delta))``, with a factor 2 for the squaring.  The policy sizes
 the working precision as
 
-    max(floor_bits, ceil(2*(ell-1)*log2(32*pi*e/(N*delta))) + 32*ell + guard_bits)
+    max(floor_bits, ceil(2*(ell-1)*log2(32*pi*e/(N*delta))) + SOLVER_BITS + guard_bits)
 
-which keeps the smallest eigenvalue comfortably above the rounding floor
-for every instance in the desk grids (ell <= 12, delta >= 1e-25).
+The main term buys the decay; SOLVER_BITS = 20 covers the eigensolver's
+error bound, which scales with the trace (derived in ``required_bits``), and
+guard_bits is the headroom target: the bits by which the smallest
+eigenvalue must clear that bound.  The main term is pessimistic, so the
+measured headroom usually exceeds the target; a solve at policy bits that
+falls short of it is re-solved once at the bits the shortfall names.
 
 Values are plain immutable mpmath numbers and safe to share; this module
 keeps no mutable state of its own.  Computations that need a specific
@@ -35,6 +39,9 @@ from .errors import ConfigParseError, InvalidParameterError
 
 DEFAULT_FLOOR_BITS = 192
 DEFAULT_GUARD_BITS = 64
+#: log2 of the eigensolver's error bound over 2^-p lambda_min 2^main,
+#: rounded up; derived in PrecisionPolicy.required_bits
+SOLVER_BITS = 20
 MIN_BITS = 64
 
 #: bits of precision at which the policy formula itself is evaluated;
@@ -48,8 +55,8 @@ LOG10_2 = 0.30102999566398119521
 class PrecisionPolicy:
     """Sizing rule for working precision.
 
-    floor_bits is never undercut; guard_bits absorb rounding accumulated
-    by matrix assembly and the eigensolver sweeps.
+    floor_bits is never undercut; guard_bits is the headroom target, the
+    bits by which lambda_min must clear the eigensolver's error_bound.
     """
 
     floor_bits: int = DEFAULT_FLOOR_BITS
@@ -63,7 +70,26 @@ class PrecisionPolicy:
 
     def required_bits(self, ell: int, N: int, delta) -> int:
         """Working precision for a spectrum with cluster size ``ell``,
-        frequency cutoff ``N`` and minimal separation ``delta``."""
+        frequency cutoff ``N`` and minimal separation ``delta``.
+
+        With main = 2 (ell - 1) log2(32 pi e / (N delta)), the policy takes
+        lambda_min >= N 2^-main for the Gram (or kernel) matrix; for the
+        prolate matrix the caller passes N = 1 and ell = s.  The eigensolver's
+        error_bound (spectra.hermitian_eigenvalues) is, for n <= MAX_EIGEN_DIM
+        = 256 and sweeps <= its budget of 31:
+        - (2n + 3) 2^-p T <= 515 2^-p T, T the trace;
+        - 3 (sweeps n (n - 1) / 2 + 1)(isqrt(n) + 9) 2^-(p + 24) T
+          <= 4.6 2^-p T;
+        - the stopping residual: no pair of the last sweep rotated, so
+          |d_ij| <= 2^-(p-8) sqrt(a_i a_j), and sqrt(2 sum_{i<j} d_ij^2) <=
+          2^-(p-8) sum_i a_i, about 2^-(p-8) T = 256 2^-p T.
+        So error_bound <= 776 2^-p T < 2^9.61 2^-p T.  The trace is s (N+1)
+        with s = n, and T / N <= s (N+1) / N <= 2 n <= 2^9, so
+        error_bound / lambda_min < 2^(18.61 + main - p).  At p = main +
+        SOLVER_BITS + guard_bits the headroom floor(log2(lambda_min /
+        error_bound)) is therefore at least guard_bits whenever the
+        assumed lambda_min holds; the solve measures the real headroom.
+        """
         if ell < 1:
             raise InvalidParameterError(f"ell must be >= 1, got {ell}")
         if N < 1:
@@ -73,7 +99,7 @@ class PrecisionPolicy:
             raise InvalidParameterError(f"delta must be > 0, got {delta}")
         with mp.workprec(_POLICY_EVAL_BITS):
             growth = mp.log(pi_e(32) / (N * delta), 2)
-            expr = int(mp.ceil(2 * (ell - 1) * growth)) + 32 * ell + self.guard_bits
+            expr = int(mp.ceil(2 * (ell - 1) * growth)) + SOLVER_BITS + self.guard_bits
         return max(self.floor_bits, expr)
 
 

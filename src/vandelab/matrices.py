@@ -82,16 +82,23 @@ def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
 def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> tuple:
     """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
     with the spectrum of G: K[j][m] = sin((N+1) d/2) / sin(d/2) for
-    d = x_m - x_j, rounded as the Gram builder rounds."""
+    d = x_m - x_j, rounded as the Gram builder rounds.  Each distinct d
+    (an exact mpf, so equal entries come out bit for bit equal) is
+    evaluated once: equispaced clusters repeat their gaps."""
     N, xs = spec.N, spec.nodes.nodes
     s = len(xs)
     rows = [[mpf(N + 1) if j == m else None for m in range(s)] for j in range(s)]
+    entries = {}
     with mp.workprec(bits + 32 + max(N, 1).bit_length()):
         for j in range(s):
             for m in range(j + 1, s):
-                val = _dirichlet_ratio(xs[m] - xs[j], N)
-                with mp.workprec(bits):
-                    rows[j][m] = rows[m][j] = +val
+                d = xs[m] - xs[j]
+                val = entries.get(d)
+                if val is None:
+                    val = _dirichlet_ratio(d, N)
+                    with mp.workprec(bits):
+                        val = entries[d] = +val
+                rows[j][m] = rows[m][j] = val
     return tuple(tuple(r) for r in rows)
 
 

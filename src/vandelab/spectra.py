@@ -65,6 +65,17 @@ class SpectrumResult:
     def min_value(self):
         return self.values[-1]
 
+    @property
+    def headroom_bits(self) -> int | None:
+        """floor(log2(lambda_min / error_bound)), lambda_min the smallest
+        eigenvalue (squared singular value); None unless it is positive."""
+        with mp.workprec(self.precision_bits):
+            lam = self.min_value
+            if self.kind == "singular":
+                lam *= lam
+            # mag is exact for an mpf: its floor(log2) plus one
+            return mp.mag(lam / self.error_bound) - 1 if lam > 0 else None
+
     def to_json_dict(self) -> dict:
         bits = self.precision_bits
         return {
@@ -73,6 +84,7 @@ class SpectrumResult:
             "values": [decimal_str(v, bits) for v in self.values],
             "offdiag_residual": decimal_str(self.offdiag_residual, bits),
             "sweeps_used": self.sweeps_used,
+            "headroom_bits": self.headroom_bits,
         }
 
 
@@ -298,9 +310,10 @@ def normalized_lambda(sigma_min, N: int, delta, ell: int):
 
 
 def prolate_limit_check(nodes: NodeSet, N_list, bits: int):
-    """(lambda_min(G), [(N, gap), ...]): the gap between sigma^2_min of
-    the shifted matrix and lambda_min(G), both at ``bits``, for each N in
-    the order given.
+    """(lambda_min(G), [(N, gap), ...], headroom): the gap between
+    sigma^2_min of the shifted matrix and lambda_min(G), both at ``bits``,
+    for each N in the order given, and the least headroom_bits of these
+    solves.
 
     For each N, sigma_min of the shifted normalized matrix equals
     sigma_min(V_2N(x/N)) / sqrt(2N), so its square is computed from the
@@ -312,14 +325,16 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int):
         raise InvalidParameterError("no N to check the limit at")
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("every N must be >= 1")
-    lam_g = require_resolved(
-        hermitian_eigenvalues(build_prolate(nodes, bits), bits)).min_value
+    eig = require_resolved(
+        hermitian_eigenvalues(build_prolate(nodes, bits), bits))
+    lam_g, headroom = eig.min_value, eig.headroom_bits
     gaps = []
     for N in N_list:
         with mp.workprec(bits):
             scaled = scale_to_circle(nodes, N)
         kernel = build_dirichlet_kernel(VandermondeSpec(2 * N, scaled), bits)
-        lam = require_resolved(hermitian_eigenvalues(kernel, bits)).min_value
+        eig = require_resolved(hermitian_eigenvalues(kernel, bits))
+        headroom = min(headroom, eig.headroom_bits)
         with mp.workprec(bits):
-            gaps.append((N, abs(lam / (2 * N) - lam_g)))
-    return lam_g, gaps
+            gaps.append((N, abs(eig.min_value / (2 * N) - lam_g)))
+    return lam_g, gaps, headroom

@@ -257,8 +257,8 @@ def random_clustered_config(rng, ell_range=(2, 4), clusters_range=(1, 3),
         spec = ClusterSpec(delta=delta, theta=as_mpf(theta), s=s, ell=ell,
                            tau=tau)
         centers = default_centers(n_clusters)
-        nodes = generate_config(spec, layout, centers,
-                                seed=rng.randrange(2 ** 31), domain=PERIODIC)
+        nodes, _ = generate_config(spec, layout, centers,
+                                   seed=rng.randrange(2 ** 31), domain=PERIODIC)
     return ClusteredInstance(nodes=nodes, cluster=spec, N=N,
                              multiplicities=tuple(mults))
 

@@ -215,7 +215,7 @@ def test_06_gram_closed_form_vs_direct_summation():
 
 def test_07_prolate_limit():
     nodes = NodeSet((mpf(0), mpf("0.5")), LINE)
-    _, out = prolate_limit_check(nodes, [10, 50, 250], bits=256)
+    _, out, _ = prolate_limit_check(nodes, [10, 50, 250], bits=256)
     gaps = [g for _, g in out]
     with mp.workprec(256):
         lam_g = hermitian_eigenvalues(build_prolate(nodes, 256),

@@ -120,14 +120,14 @@ class TestEvaluateAll:
     def test_window_flag(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            nodes = generate_config(spec, "equispaced", [mpf(0)], seed=2)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=2)
             rep = evaluate_all(VandermondeSpec(100, nodes), spec, bits=BITS)
             # N*theta = 100 >= 10*s = 20 and N*tau*delta = 1e-4 <= 2*pi
             assert rep.window_ok
             assert rep.window_reason == "in window"
             assert abs(rep.srf - 10 ** 4) <= 1
             tight = ClusterSpec(delta="1e-6", theta="0.1", s=2, ell=2, tau=1)
-            nodes2 = generate_config(tight, "equispaced", [mpf(0)], seed=2)
+            nodes2, _ = generate_config(tight, "equispaced", [mpf(0)], seed=2)
             rep2 = evaluate_all(VandermondeSpec(100, nodes2), tight, bits=BITS)
             assert not rep2.window_ok
             assert "window_floor" in rep2.window_reason
@@ -135,7 +135,7 @@ class TestEvaluateAll:
     def test_slepian_field(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=1)
-            nodes = generate_config(spec, "equispaced", [mpf(0)], seed=2)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=2)
             rep = evaluate_all(VandermondeSpec(100, nodes), spec, bits=BITS)
             expect = mpf(1) / 6 * mpf("1e-3") ** 2
             assert abs(rep.slepian_asymptotic - expect) <= \
@@ -144,7 +144,7 @@ class TestEvaluateAll:
     def test_json_fields(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            nodes = generate_config(spec, "equispaced", [mpf(0)], seed=2)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=2)
             obj = evaluate_all(VandermondeSpec(100, nodes), spec,
                                bits=BITS).to_json_dict()
             for key in ("lower_shape", "upper_explicit", "slepian_asymptotic",
@@ -175,7 +175,7 @@ class TestBoundInvariants:
             spec = ClusterSpec(delta="1e-8", theta="1", s=ell, ell=ell,
                                tau=max(ell - 1, 1))
             with mp.workprec(bits):
-                nodes = generate_config(spec, "equispaced", [mpf(0)], seed=9)
+                nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=9)
                 sv = singular_values(VandermondeSpec(100, nodes), bits)
                 lam = sv.min_value / (mp.sqrt(100) * (100 * delta) ** (ell - 1))
                 rows.append((ell, float(mp.log10(lam)), float(spec.tau)))

@@ -46,8 +46,8 @@ def test_gen_config_then_spectrum(tmp_path, capsys):
 def test_prolate_command(tmp_path, capsys):
     with mp.workprec(192):
         spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=1)
-        nodes = generate_config(spec, "equispaced", [mpf(0)], seed=1,
-                                domain="line")
+        nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1,
+                                   domain="line")
     cfg = tmp_path / "line.json"
     write_config(cfg, nodes, spec, bits=192)
     code = main(["prolate", "--config", str(cfg), "--out", str(tmp_path)])
@@ -144,6 +144,17 @@ def test_installed_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_the_process_pool_out():
+    # only sweep --workers > 1 needs it, and its import costs every
+    # command's start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vandelab.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _line_config(path, nodes, delta):
     s = len(nodes)
     path.write_text(json.dumps({
@@ -220,7 +231,7 @@ def test_gen_config_runs_at_sweep_bits(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "config.json"),
                  "--out", str(tmp_path)]) == 0
     result = json.loads(capsys.readouterr().out)
-    assert result["precision_bits"] == int(row["precision_bits"]) == 603
+    assert result["precision_bits"] == int(row["precision_bits"]) == 431
     assert _rel_diff(result["lambda"], row["lambda"]) < mpf("1e-40")
 
 

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 from mpmath import mp, mpf
 
+from vandelab import experiments, geometry
 from vandelab.errors import ConfigParseError
 from vandelab.experiments import (
     CSV_COLUMNS,
@@ -19,6 +21,7 @@ from vandelab.experiments import (
     write_config,
 )
 from vandelab.geometry import LINE, ClusterSpec, NodeSet, generate_config
+from vandelab.hp import DEFAULT_POLICY
 
 
 def manifest_dict(**overrides):
@@ -173,13 +176,30 @@ class TestSweep:
 
     @pytest.mark.parametrize("bits", [192, 256])
     def test_under_resolved_row_is_not_ok(self, tmp_path, bits):
-        # the policy picks 603 bits for this point; pinned far below it,
+        # the policy picks 431 bits for this point; pinned far below it,
         # the spectrum is rounding noise and the row must not pass as ok
         m = ExperimentManifest.from_json_dict(manifest_dict(
             grid={"ell": [6], "N": [100], "delta": ["1e-10"]},
             precision_override=bits))
         run_sweep(m, tmp_path)
         assert read_rows(tmp_path)[0]["status"] != "ok"
+
+    def test_each_row_validates_once(self, tmp_path, monkeypatch):
+        # generate_config validates the nodes it builds; the row reuses
+        # that partition instead of validating them again
+        real, calls = geometry.validate_config, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (geometry, experiments):
+            monkeypatch.setattr(module, "validate_config", counted)
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [2, 3], "N": [100], "delta": ["1e-6"],
+                  "layout": ["random"], "seed": [1, 2]}))
+        assert run_sweep(m, tmp_path).ok == 4
+        assert len(calls) == 4
 
     def test_row_revalidates(self, tmp_path):
         # re-running a row's recorded coordinates reproduces sigma_min
@@ -210,13 +230,112 @@ class TestSweep:
         assert out["details"]["spectrum"]["sweeps_used"] <= 12
 
 
+class TestHeadroom:
+    """Every spectrum records headroom_bits = floor(log2(lambda_min /
+    error_bound)); policy bits must reach the policy's guard_bits of it."""
+
+    GRID = {"ell": [4], "N": [100], "delta": ["1e-6"]}
+
+    @staticmethod
+    def _fixed_headroom(monkeypatch, headroom):
+        """Make every singular-value solve report ``headroom`` bits, at any
+        precision, by widening its error bound; counts the solves."""
+        solves = []
+        real = experiments.singular_values
+
+        def widened(spec, bits):
+            sv = real(spec, bits)
+            solves.append(bits)
+            with mp.workprec(bits):
+                bound = sv.min_value ** 2 * mpf(2) ** -headroom / mpf("1.5")
+            return dataclasses.replace(sv, error_bound=bound)
+
+        monkeypatch.setattr(experiments, "singular_values", widened)
+        return solves
+
+    def test_recorded_in_details_and_summary(self, tmp_path):
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [2, 4], "N": [100], "delta": ["1e-6", "nan"]}))
+        summary = run_sweep(m, tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        rows = read_rows(tmp_path)
+        ok = [d["spectrum"]["headroom_bits"] for r, d in zip(rows, details)
+              if r["status"] == "ok"]
+        assert summary.ok == len(ok) == 2 and summary.skipped == 2
+        assert all(h >= DEFAULT_POLICY.guard_bits for h in ok)
+        on_disk = json.loads((tmp_path / "summary.json").read_text())
+        assert on_disk["min_headroom_bits"] == summary.min_headroom_bits == min(ok)
+
+    def test_recorded_in_spectrum_and_prolate(self, tmp_path):
+        with mp.workprec(192):
+            spec = ClusterSpec(delta="1e-3", theta="1", s=3, ell=3, tau=2)
+            nodes = NodeSet(tuple(k * mpf("1e-3") for k in range(3)), LINE)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec)
+        run_prolate(path, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "prolate.json").read_text())
+        assert doc["spectrum"]["headroom_bits"] >= DEFAULT_POLICY.guard_bits
+        with mp.workprec(192):
+            nodes = NodeSet(tuple(k * mpf("1e-3") for k in range(3)))
+        write_config(path, nodes, spec, N=100)
+        run_spectrum(path, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "spectrum.json").read_text())
+        assert doc["spectrum"]["headroom_bits"] >= DEFAULT_POLICY.guard_bits
+
+    def test_undersized_policy_bits_are_re_solved(self, tmp_path, monkeypatch):
+        real, undersized = experiments.policy_bits, []
+
+        def smaller(*args):
+            undersized.append(real(*args) - 100)
+            return undersized[-1]
+
+        monkeypatch.setattr(experiments, "policy_bits", smaller)
+        m = ExperimentManifest.from_json_dict(manifest_dict(grid=self.GRID))
+        summary = run_sweep(m, tmp_path)
+        row = read_rows(tmp_path)[0]
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert row["status"] == "ok"
+        assert details[0]["spectrum"]["precision_bits"] == int(row["precision_bits"])
+        assert int(row["precision_bits"]) > undersized[0]
+        assert summary.min_headroom_bits >= DEFAULT_POLICY.guard_bits
+
+    def test_still_short_after_the_re_solve_fails(self, tmp_path, monkeypatch):
+        solves = self._fixed_headroom(monkeypatch, 10)
+        m = ExperimentManifest.from_json_dict(manifest_dict(grid=self.GRID))
+        summary = run_sweep(m, tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert read_rows(tmp_path)[0]["status"] == "failed"
+        assert summary.failed == 1 and summary.min_headroom_bits is None
+        assert solves[1] == solves[0] + DEFAULT_POLICY.guard_bits - 10
+        assert details[0]["reason"] == (
+            f"headroom of 10 bits at {solves[1]} bits falls short of the "
+            f"{DEFAULT_POLICY.guard_bits}-bit target; raise precision")
+
+    def test_explicit_precision_is_never_re_solved(self, tmp_path, monkeypatch):
+        solves = self._fixed_headroom(monkeypatch, 10)
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid=self.GRID, precision_override=256))
+        summary = run_sweep(m, tmp_path / "sweep")
+        assert read_rows(tmp_path / "sweep")[0]["status"] == "ok"
+        assert summary.min_headroom_bits == 10
+        with mp.workprec(256):
+            spec = ClusterSpec(delta="1e-6", theta="1", s=4, ell=4, tau=3)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec, N=100, bits=256)
+        run_spectrum(path)
+        write_config(path, nodes, spec, N=100)
+        run_spectrum(path, bits_override=256)
+        assert solves == [256, 256, 256]
+
+
 class TestSingleRuns:
     def _config(self, tmp_path, domain="periodic", with_n=True):
         bits = 192
         with mp.workprec(bits):
             spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=1)
-            nodes = generate_config(spec, "equispaced", [mpf(0)], seed=1,
-                                    domain=domain)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1,
+                                       domain=domain)
         path = tmp_path / "config.json"
         write_config(path, nodes, spec, N=100 if with_n else None, bits=bits)
         return path

@@ -200,7 +200,7 @@ class TestGenerateConfig:
     def test_pair_centered_at_origin(self):
         with mp.workprec(192):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            nodes = generate_config(spec, EQUISPACED, [mpf(0)], seed=7)
+            nodes, _ = generate_config(spec, EQUISPACED, [mpf(0)], seed=7)
             d = mpf("1e-6")
             assert nodes.nodes[0] == -d / 2
             assert nodes.nodes[1] == d / 2
@@ -209,13 +209,13 @@ class TestGenerateConfig:
         with mp.workprec(192):
             spec = ClusterSpec(delta="1e-5", theta="1", s=3, ell=3, tau=2)
             # center 0: offsets are the nodes, gaps exactly delta
-            nodes = generate_config(spec, EQUISPACED, [mpf(0)], seed=7)
+            nodes, _ = generate_config(spec, EQUISPACED, [mpf(0)], seed=7)
             xs = sorted(nodes.nodes)
             assert xs[1] - xs[0] == spec.delta
             assert xs[2] - xs[1] == spec.delta
             assert xs[2] - xs[0] == 2 * spec.delta
             # shifted center: gaps exact up to one rounding of the shift
-            nodes = generate_config(spec, EQUISPACED, [mpf("0.5")], seed=7)
+            nodes, _ = generate_config(spec, EQUISPACED, [mpf("0.5")], seed=7)
             xs = sorted(nodes.nodes)
             ulp = mpf(2) ** -(192 - 4)
             for gap in (xs[1] - xs[0], xs[2] - xs[1]):
@@ -225,10 +225,10 @@ class TestGenerateConfig:
         with mp.workprec(192):
             spec = ClusterSpec(delta="1e-4", theta="1", s=4, ell=2, tau="1.5")
             centers = [mpf(-2), mpf(1)]
-            a = generate_config(spec, RANDOM, centers, seed=123)
-            b = generate_config(spec, RANDOM, centers, seed=123)
+            a, _ = generate_config(spec, RANDOM, centers, seed=123)
+            b, _ = generate_config(spec, RANDOM, centers, seed=123)
             assert a.nodes == b.nodes
-            c = generate_config(spec, RANDOM, centers, seed=124)
+            c, _ = generate_config(spec, RANDOM, centers, seed=124)
             assert a.nodes != c.nodes
 
     def test_infeasible_centers(self):
@@ -249,8 +249,8 @@ class TestGenerateConfig:
                                    tau=tau)
                 centers = [mpf(-3) + j * mpf(2) for j in range(n_clusters)]
                 layout = rng.choice([EQUISPACED, RANDOM])
-                nodes = generate_config(spec, layout, centers,
-                                        seed=rng.randrange(10 ** 6))
+                nodes, _ = generate_config(spec, layout, centers,
+                                           seed=rng.randrange(10 ** 6))
                 part = validate_config(nodes, spec)
                 assert part.cluster_count == n_clusters
                 assert max(part.multiplicities) == ell
@@ -303,9 +303,9 @@ class TestCenterAndScale:
                 spec = ClusterSpec(delta="0.001", theta="2.0", s=ell + 1,
                                    ell=ell, tau=str(ell))
                 centers = [mpf(0), mpf(5)]
-                nodes = generate_config(spec, RANDOM, centers,
-                                        seed=rng.randrange(10 ** 6),
-                                        domain=LINE)
+                nodes, _ = generate_config(spec, RANDOM, centers,
+                                           seed=rng.randrange(10 ** 6),
+                                           domain=LINE)
                 N = 40
                 scaled = scale_to_circle(nodes, N)
                 scaled_spec = ClusterSpec(

@@ -23,20 +23,20 @@ class TestRequiredBits:
     def test_ell_three_formula(self):
         # independent scalar calculator: plain float log2 is accurate to
         # ~1e-15 here, far finer than the integer ceiling needs
-        got = required_bits(3, 100, mpf("1e-6"))
-        expected_term = 2 * 2 * math.log2(32 * math.pi * math.e * 1e4)
+        got = required_bits(3, 100, mpf("1e-10"))
+        expected_term = 2 * 2 * math.log2(32 * math.pi * math.e * 1e8)
         assert got > 192
-        assert got >= expected_term + 96 + 64 - 1
-        assert got == max(192, math.ceil(expected_term) + 96 + 64)
+        assert got >= expected_term + 20 + 64 - 1
+        assert got == max(192, math.ceil(expected_term) + 20 + 64)
 
     def test_monotone_in_inverse_ndelta(self):
         # at ell=2 both instances still sit on the 192-bit floor, so the
         # growth shows up as non-strict there and strictly above the
-        # floor (ell=3 clears it)
+        # floor (ell=3 clears it from delta = 1e-10 on)
         assert required_bits(2, 100, mpf("1e-8")) >= \
             required_bits(2, 100, mpf("1e-4"))
-        a = required_bits(3, 100, mpf("1e-4"))
-        b = required_bits(3, 100, mpf("1e-8"))
+        a = required_bits(3, 100, mpf("1e-10"))
+        b = required_bits(3, 100, mpf("1e-14"))
         assert a > 192
         assert b > a
 

@@ -6,10 +6,13 @@ from conftest import (
     build_vandermonde,
     gram_entry_direct,
 )
+from vandelab import matrices
 from vandelab.errors import InvalidParameterError
-from vandelab.geometry import LINE, PERIODIC, NodeSet
+from vandelab.experiments import resolve_point
+from vandelab.geometry import LINE, PERIODIC, NodeSet, generate_config
 from vandelab.matrices import (
     VandermondeSpec,
+    build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
 )
@@ -123,6 +126,39 @@ class TestGramClosedForm:
                              for k in range(N + 1)), absolute=False)
                         ref = max(abs(acc), mpf(N + 1) * tol)
                         assert abs(G[j][m] - acc) <= tol * ref
+
+
+class TestDirichletKernel:
+    @pytest.mark.parametrize("ell, s, delta, N", [
+        (6, 24, "1e-10", 288), (12, 12, "1e-25", 144)])
+    def test_one_evaluation_per_distinct_difference(self, monkeypatch, ell, s,
+                                                    delta, N):
+        # equispaced clusters repeat node differences; the kernel is bit for
+        # bit the entry-by-entry build, with one evaluation per difference
+        spec, N, centers, bits = resolve_point({
+            "ell": ell, "s": s, "delta": delta, "N": N, "tau": None,
+            "theta": None, "precision_override": None})
+        with mp.workprec(bits):
+            nodes, _ = generate_config(spec, "equispaced", centers, 1)
+        ratio, calls = matrices._dirichlet_ratio, []
+
+        def counted(d, n):
+            calls.append(d)
+            return ratio(d, n)
+
+        monkeypatch.setattr(matrices, "_dirichlet_ratio", counted)
+        K = build_dirichlet_kernel(VandermondeSpec(N, nodes), bits)
+        xs = nodes.nodes
+        with mp.workprec(bits + 32 + N.bit_length()):
+            diffs = {xs[m] - xs[j] for j in range(s) for m in range(j + 1, s)}
+            for j in range(s):
+                assert K[j][j] == N + 1
+                for m in range(j + 1, s):
+                    entry = ratio(xs[m] - xs[j], N)
+                    with mp.workprec(bits):
+                        entry = +entry
+                    assert K[j][m]._mpf_ == K[m][j]._mpf_ == entry._mpf_
+        assert len(calls) == len(diffs) < s * (s - 1) // 2
 
 
 class TestProlate:

@@ -218,8 +218,8 @@ def _sweep_kernel(ell, s, delta, N):
              "theta": None, "precision_override": None}
     spec, N, centers, bits = resolve_point(point)
     with mp.workprec(bits):
-        nodes = generate_config(spec, "equispaced", centers, 20240601,
-                                PERIODIC)
+        nodes, _ = generate_config(spec, "equispaced", centers, 20240601,
+                                   PERIODIC)
     return build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits
 
 
@@ -457,7 +457,7 @@ class TestNormalizedMinSV:
     def test_precision_doubling_agreement(self):
         spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
         with mp.workprec(256):
-            nodes = generate_config(spec, "equispaced", [mpf(0)], seed=3)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=3)
         base = required_bits(2, 100, mpf("1e-6"))
         lo = _lambda(nodes, 100, spec, base)
         hi = _lambda(nodes, 100, spec, 2 * base)
@@ -471,7 +471,7 @@ class TestNormalizedMinSV:
             spec = ClusterSpec(delta=dtext, theta="1", s=2, ell=2, tau=1)
             bits = required_bits(2, 100, mpf(dtext))
             with mp.workprec(bits):
-                nodes = generate_config(spec, "equispaced", [mpf(0)], seed=3)
+                nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=3)
             lams.append(_lambda(nodes, 100, spec, bits))
         ratio = lams[0] / lams[1]
         assert mpf("0.5") < ratio < 2
@@ -487,7 +487,7 @@ class TestNormalizedMinSV:
             spec = ClusterSpec(delta=dtext, theta="1", s=ell, ell=ell,
                                tau=ell - 1)
             with mp.workprec(bits):
-                nodes = generate_config(spec, "equispaced", [mpf(0)], seed=5)
+                nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=5)
                 sv = singular_values(VandermondeSpec(N, nodes), bits)
                 c2 = 32 * mp.pi * mp.e
                 ratios = [sv.values[m - 1] /
@@ -503,15 +503,15 @@ class TestNormalizedMinSV:
 class TestProlateLimit:
     def test_single_node_exact_gap(self):
         with mp.workprec(BITS):
-            _, out = prolate_limit_check(NodeSet((mpf("0.7"),), LINE),
-                                         [5, 20], bits=BITS)
+            _, out, _ = prolate_limit_check(NodeSet((mpf("0.7"),), LINE),
+                                            [5, 20], bits=BITS)
             for N, gap in out:
                 expect = mpf(1) / (2 * N)
                 assert abs(gap - expect) <= mpf(2) ** -(BITS - 24)
 
     def test_pair_gap_decreases(self):
         nodes = NodeSet((mpf(0), mpf("0.5")), LINE)
-        _, out = prolate_limit_check(nodes, [10, 50, 250], bits=256)
+        _, out, _ = prolate_limit_check(nodes, [10, 50, 250], bits=256)
         gaps = [g for _, g in out]
         assert gaps[0] > gaps[1] > gaps[2]
 
