@@ -30,10 +30,7 @@ from .errors import InvalidParameterError, VandelabError
 from .experiments import (
     ExperimentManifest,
     resolve_point,
-    run_bounds,
-    run_limit_check,
-    run_prolate,
-    run_spectrum,
+    run_config,
     run_sweep,
     write_config,
 )
@@ -169,15 +166,13 @@ def _cmd_inequalities(args) -> tuple[int, str]:
 
 def _cmd_config(args) -> tuple[int, str]:
     """spectrum, bounds, prolate or limit-check on one config file."""
-    common = {"out_dir": args.out, "bits_override": args.precision_bits}
+    n_list = None
     if args.command == "limit-check":
         n_list = [parse_int(x, "--N-list") for x in args.N_list.split(",")
                   if x.strip()]
-        result = run_limit_check(args.config, n_list, **common)
-    else:
-        run = {"spectrum": run_spectrum, "bounds": run_bounds,
-               "prolate": run_prolate}[args.command]
-        result = run(args.config, user_c1=args.c1, **common)
+    result = run_config(args.command, args.config, out_dir=args.out,
+                        bits_override=args.precision_bits,
+                        user_c1=getattr(args, "c1", 1), N_list=n_list)
     return 0, json.dumps(result, indent=2)
 
 

@@ -44,6 +44,8 @@ from .geometry import (
 )
 from .hp import (
     DEFAULT_POLICY,
+    FLOOR_BITS,
+    GUARD_BITS,
     decimal_str,
     parse_bits,
     parse_decimal,
@@ -256,7 +258,7 @@ def resolve_point(point: dict):
         spec = ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
         return spec, n_clusters
 
-    probe, _ = spec_at(DEFAULT_POLICY.floor_bits)
+    probe, _ = spec_at(FLOOR_BITS)
     bits = point["precision_override"] or policy_bits(probe, N)
     with mp.workprec(bits):
         spec, n_clusters = spec_at(bits)
@@ -265,22 +267,21 @@ def resolve_point(point: dict):
 
 def _at_target(attempt, bits: int | None):
     """The result of attempt(bits), which returns (result, the bits it ran
-    at, their headroom_bits).  bits None leaves them to the policy; policy
-    bits whose headroom falls short of DEFAULT_POLICY.guard_bits are raised
-    by the shortfall and tried once more, and PrecisionError if still
-    short.  Explicit bits are used as given."""
+    at, their headroom_bits, or None if it solved nothing).  bits None
+    leaves them to the policy; policy bits whose headroom falls short of
+    GUARD_BITS are raised by the shortfall and tried once more, and
+    PrecisionError if still short.  Explicit bits are used as given."""
     result, used, headroom = attempt(bits)
-    target = DEFAULT_POLICY.guard_bits
-    if bits is not None or headroom >= target:
+    if bits is not None or headroom is None or headroom >= GUARD_BITS:
         return result
-    bits = used + target - headroom
+    bits = used + GUARD_BITS - headroom
     log.debug("headroom %d bits short of %d; re-solving at %d bits",
-              headroom, target, bits)
+              headroom, GUARD_BITS, bits)
     result, bits, headroom = attempt(bits)
-    if headroom < target:
+    if headroom < GUARD_BITS:
         raise PrecisionError(
             f"headroom of {headroom} bits at {bits} bits falls short of the "
-            f"{target}-bit target; raise precision")
+            f"{GUARD_BITS}-bit target; raise precision")
     return result
 
 
@@ -451,8 +452,8 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
 def load_config(path) -> dict:
     """Read a single-instance config file (nodes + cluster + N).
 
-    Its reals stay decimal strings until ``_load_instance`` reads them at
-    the bits the command runs at.
+    Its reals stay decimal strings until ``run_config`` reads them at the
+    bits the command runs at.
     """
     obj = _read_json(path, "config")
     if not isinstance(obj, dict):
@@ -469,40 +470,6 @@ def load_config(path) -> dict:
         "precision_bits": parse_bits(obj.get("precision_bits"),
                                      "precision_bits"),
     }
-
-
-def _load_instance(config_path, bits_override, with_N: bool):
-    """(nodes, cluster, N, bits) of a config file, its reals parsed at bits.
-
-    A config's precision_bits pins the bits, and bits_override pins them
-    over that; otherwise they are policy_bits for the cluster read at the
-    policy floor, and for N when the command needs one (with_N).
-    """
-    cfg = load_config(config_path)
-    N = cfg["N"] if with_N else None
-    if with_N and N is None:
-        raise ConfigParseError("config missing key 'N'", key="N")
-    bits = bits_override or cfg["precision_bits"] or policy_bits(
-        ClusterSpec.from_json_dict(cfg["cluster"], DEFAULT_POLICY.floor_bits), N)
-    cluster = ClusterSpec.from_json_dict(cfg["cluster"], bits)
-    return NodeSet.from_json_dict(cfg["nodes"], bits), cluster, N, bits
-
-
-def _explicit_bits(config_path, bits_override):
-    """The bits a command on a config runs at by flag or by the config's
-    precision_bits, or None for the policy."""
-    return bits_override or load_config(config_path)["precision_bits"]
-
-
-def _write_result(result: dict, out_dir) -> dict:
-    """Write a single-instance result to <kind>.json under out_dir."""
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = result["kind"].replace("-", "_") + ".json"
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
-    return result
 
 
 def write_config(path, nodes: NodeSet, cluster: ClusterSpec,
@@ -535,132 +502,147 @@ def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
     return lam_min / (ceq * cluster.delta ** (2 * cluster.s - 2))
 
 
-def run_spectrum(config_path, user_c1=1, out_dir=None,
-                 bits_override: int | None = None) -> dict:
+
+
+def _spectrum_body(nodes, cluster, N, bits, user_c1, N_list):
     """Full singular spectrum, bound report, and per-level counts."""
-    t0 = time.perf_counter()
-    result = _at_target(lambda bits: _spectrum_result(
-        config_path, user_c1, bits), _explicit_bits(config_path, bits_override))
-    result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
-    return _write_result(result, out_dir)
+    partition = validate_config(nodes, cluster)
+    spectrum, report, (lam, _) = _vandermonde_core(
+        nodes, cluster, N, bits, user_c1)
+    counts, thresholds = band_counts(
+        spectrum.values, partition.q, N, cluster.delta, mpf(user_c1), bits)
+    cumulative = [sum(1 for v in spectrum.values if v >= t)
+                  for t in thresholds]
+    return {
+        "kind": "spectrum",
+        "N": N,
+        "precision_bits": bits,
+        "cluster": cluster.to_json_dict(bits),
+        "nodes": nodes.to_json_dict(bits),
+        "multiplicities": list(partition.multiplicities),
+        "q": list(partition.q),
+        "spectrum": spectrum.to_json_dict(),
+        "bounds": report.to_json_dict(),
+        "sigma_min": decimal_str(spectrum.min_value, bits),
+        "lambda": decimal_str(lam, bits),
+        "level_thresholds": [decimal_str(t, bits) for t in thresholds],
+        "level_counts": counts,
+        "level_counts_match_q": counts == list(partition.q),
+        "cumulative_counts": cumulative,
+        "user_c1": decimal_str(mpf(user_c1), bits),
+        "runtime_ms": None,
+    }, spectrum.headroom_bits
 
 
-def _spectrum_result(config_path, user_c1, bits_override):
-    """run_spectrum's result at the config's bits, for _at_target."""
-    nodes, cluster, N, bits = _load_instance(config_path, bits_override, True)
-    with mp.workprec(bits):
-        partition = validate_config(nodes, cluster)
-        spectrum, report, (lam, _) = _vandermonde_core(
-            nodes, cluster, N, bits, user_c1)
-        counts, thresholds = band_counts(
-            spectrum.values, partition.q, N, cluster.delta, mpf(user_c1), bits)
-        cumulative = [sum(1 for v in spectrum.values if v >= t)
-                      for t in thresholds]
-        result = {
-            "kind": "spectrum",
-            "N": N,
-            "precision_bits": bits,
-            "cluster": cluster.to_json_dict(bits),
-            "nodes": nodes.to_json_dict(bits),
-            "multiplicities": list(partition.multiplicities),
-            "q": list(partition.q),
-            "spectrum": spectrum.to_json_dict(),
-            "bounds": report.to_json_dict(),
-            "sigma_min": decimal_str(spectrum.min_value, bits),
-            "lambda": decimal_str(lam, bits),
-            "level_thresholds": [decimal_str(t, bits) for t in thresholds],
-            "level_counts": counts,
-            "level_counts_match_q": counts == list(partition.q),
-            "cumulative_counts": cumulative,
-            "user_c1": decimal_str(mpf(user_c1), bits),
-            "runtime_ms": None,
-        }
-    return result, bits, spectrum.headroom_bits
-
-
-def run_prolate(config_path, user_c1=1, out_dir=None,
-                bits_override: int | None = None) -> dict:
+def _prolate_body(nodes, cluster, N, bits, user_c1, N_list):
     """Eigenvalues of the generalized prolate matrix plus comparisons."""
-    t0 = time.perf_counter()
-    result = _at_target(lambda bits: _prolate_result(
-        config_path, user_c1, bits), _explicit_bits(config_path, bits_override))
-    result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
-    return _write_result(result, out_dir)
-
-
-def _prolate_result(config_path, user_c1, bits_override):
-    """run_prolate's result at the config's bits, for _at_target."""
-    nodes, cluster, _, bits = _load_instance(config_path, bits_override,
-                                             False)
     if nodes.domain != LINE:
         raise ConfigParseError("prolate runs need line-domain nodes",
                                key="nodes")
-    with mp.workprec(bits):
-        partition = validate_config(nodes, cluster)
-        spectrum = require_resolved(
-            hermitian_eigenvalues(build_prolate(nodes, bits), bits))
-        lam_min = spectrum.min_value
-        ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
-        base = cluster.delta / pi_e(16)
-        thresholds = [mpf(user_c1) * base ** (2 * (m - 1))
-                      for m in range(1, cluster.ell + 1)]
-        counts = count_bands(spectrum.values, thresholds)
-        result = {
-            "kind": "prolate",
-            "precision_bits": bits,
-            "cluster": cluster.to_json_dict(bits),
-            "nodes": nodes.to_json_dict(bits),
-            "multiplicities": list(partition.multiplicities),
-            "q": list(partition.q),
-            "spectrum": spectrum.to_json_dict(),
-            "lambda_min": decimal_str(lam_min, bits),
-            "lower_shape": decimal_str(base ** (2 * (cluster.ell - 1)), bits),
-            "slepian_ratio": decimal_str(ratio, bits) if ratio is not None else None,
-            "level_thresholds": [decimal_str(t, bits) for t in thresholds],
-            "level_counts": counts,
-            "level_counts_match_q": counts == list(partition.q),
-            "user_c1": decimal_str(mpf(user_c1), bits),
-            "runtime_ms": None,
-        }
-    return result, bits, spectrum.headroom_bits
+    partition = validate_config(nodes, cluster)
+    spectrum = require_resolved(
+        hermitian_eigenvalues(build_prolate(nodes, bits), bits))
+    lam_min = spectrum.min_value
+    ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
+    base = cluster.delta / pi_e(16)
+    thresholds = [mpf(user_c1) * base ** (2 * (m - 1))
+                  for m in range(1, cluster.ell + 1)]
+    counts = count_bands(spectrum.values, thresholds)
+    return {
+        "kind": "prolate",
+        "precision_bits": bits,
+        "cluster": cluster.to_json_dict(bits),
+        "nodes": nodes.to_json_dict(bits),
+        "multiplicities": list(partition.multiplicities),
+        "q": list(partition.q),
+        "spectrum": spectrum.to_json_dict(),
+        "lambda_min": decimal_str(lam_min, bits),
+        "lower_shape": decimal_str(base ** (2 * (cluster.ell - 1)), bits),
+        "slepian_ratio": decimal_str(ratio, bits) if ratio is not None else None,
+        "level_thresholds": [decimal_str(t, bits) for t in thresholds],
+        "level_counts": counts,
+        "level_counts_match_q": counts == list(partition.q),
+        "user_c1": decimal_str(mpf(user_c1), bits),
+        "runtime_ms": None,
+    }, spectrum.headroom_bits
 
 
-def run_bounds(config_path, user_c1=1, out_dir=None,
-               bits_override: int | None = None) -> dict:
+def _bounds_body(nodes, cluster, N, bits, user_c1, N_list):
     """The bound formulas for one configuration, without its spectrum."""
-    nodes, cluster, N, bits = _load_instance(config_path, bits_override, True)
-    with mp.workprec(bits):
-        validate_config(nodes, cluster)
-        report = evaluate_all(VandermondeSpec(N, nodes), cluster,
-                              user_c1=user_c1, bits=bits)
-        result = {
-            "kind": "bounds",
-            "N": N,
-            "precision_bits": bits,
-            "cluster": cluster.to_json_dict(bits),
-            "bounds": report.to_json_dict(),
-        }
-    return _write_result(result, out_dir)
+    validate_config(nodes, cluster)
+    report = evaluate_all(VandermondeSpec(N, nodes), cluster,
+                          user_c1=user_c1, bits=bits)
+    return {
+        "kind": "bounds",
+        "N": N,
+        "precision_bits": bits,
+        "cluster": cluster.to_json_dict(bits),
+        "bounds": report.to_json_dict(),
+    }, None
 
 
-def run_limit_check(config_path, N_list, out_dir=None,
-                    bits_override: int | None = None) -> dict:
+def _limit_check_body(nodes, cluster, N, bits, user_c1, N_list):
     """Prolate limit gaps over N_list, and lambda_min(G) at their bits."""
-    return _write_result(_at_target(lambda bits: _limit_check_result(
-        config_path, N_list, bits), _explicit_bits(config_path, bits_override)),
-        out_dir)
-
-
-def _limit_check_result(config_path, N_list, bits_override):
-    """run_limit_check's result at the config's bits, for _at_target."""
-    nodes, _, _, bits = _load_instance(config_path, bits_override, False)
     if nodes.domain != LINE:
         raise ConfigParseError("limit check needs line-domain nodes",
                                key="nodes")
-    lambda_min, gaps, headroom = prolate_limit_check(nodes, list(N_list), bits)
+    lambda_min, gaps, headroom = prolate_limit_check(
+        nodes, list(N_list or ()), bits)
     return {
         "kind": "limit-check",
         "nodes": nodes.to_json_dict(bits),
         "lambda_min": decimal_str(lambda_min, bits),
         "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in gaps],
-    }, bits, headroom
+    }, headroom
+
+
+#: config command -> (whether it reads the config's N, its body).  A body
+#: runs at the ambient bits and returns (result, headroom_bits), with None
+#: for a body that solves nothing.
+_CONFIG_BODIES = {
+    "spectrum": (True, _spectrum_body),
+    "prolate": (False, _prolate_body),
+    "bounds": (True, _bounds_body),
+    "limit-check": (False, _limit_check_body),
+}
+
+
+def run_config(command: str, config_path, out_dir=None,
+               bits_override: int | None = None, user_c1=1,
+               N_list=None) -> dict:
+    """The result of a config command (spectrum, prolate, bounds or
+    limit-check) on one config file, written to <command>.json under
+    out_dir when one is given.
+
+    The config is read once.  Its reals are parsed at bits_override, else
+    at its precision_bits, else at policy_bits for the cluster read at
+    FLOOR_BITS, and for N when the command reads one; _at_target may raise
+    policy bits once for headroom.  spectrum and prolate record their
+    runtime_ms.
+    """
+    t0 = time.perf_counter()
+    with_N, body = _CONFIG_BODIES[command]
+    cfg = load_config(config_path)
+    N = cfg["N"] if with_N else None
+    if with_N and N is None:
+        raise ConfigParseError("config missing key 'N'", key="N")
+
+    def attempt(bits):
+        bits = bits or policy_bits(
+            ClusterSpec.from_json_dict(cfg["cluster"], FLOOR_BITS), N)
+        cluster = ClusterSpec.from_json_dict(cfg["cluster"], bits)
+        nodes = NodeSet.from_json_dict(cfg["nodes"], bits)
+        with mp.workprec(bits):
+            result, headroom = body(nodes, cluster, N, bits, user_c1, N_list)
+        return result, bits, headroom
+
+    result = _at_target(attempt, bits_override or cfg["precision_bits"])
+    if "runtime_ms" in result:
+        result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        name = command.replace("-", "_") + ".json"
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
+    return result

@@ -15,14 +15,15 @@ So the number of significant bits needed grows linearly in ``ell`` and in
 ``log2(1/(N*delta))``, with a factor 2 for the squaring.  The policy sizes
 the working precision as
 
-    max(floor_bits, ceil(2*(ell-1)*log2(32*pi*e/(N*delta))) + SOLVER_BITS + guard_bits)
+    max(FLOOR_BITS, ceil(2*(ell-1)*log2(32*pi*e/(N*delta))) + SOLVER_BITS + GUARD_BITS)
 
 The main term buys the decay; SOLVER_BITS = 20 covers the eigensolver's
 error bound, which scales with the trace (derived in ``required_bits``), and
-guard_bits is the headroom target: the bits by which the smallest
-eigenvalue must clear that bound.  The main term is pessimistic, so the
-measured headroom usually exceeds the target; a solve at policy bits that
-falls short of it is re-solved once at the bits the shortfall names.
+GUARD_BITS = 64 is the headroom target: the bits by which the smallest
+eigenvalue must clear that bound.  FLOOR_BITS = 192 is never undercut.
+The main term is pessimistic, so the measured headroom usually exceeds the
+target; a solve at policy bits that falls short of it is re-solved once at
+the bits the shortfall names.
 
 Values are plain immutable mpmath numbers and safe to share; this module
 keeps no mutable state of its own.  Computations that need a specific
@@ -31,14 +32,12 @@ precision run inside ``with mp.workprec(bits):`` blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp, mpc, mpf
 
 from .errors import ConfigParseError, InvalidParameterError
 
-DEFAULT_FLOOR_BITS = 192
-DEFAULT_GUARD_BITS = 64
+FLOOR_BITS = 192
+GUARD_BITS = 64
 #: log2 of the eigensolver's error bound over 2^-p lambda_min 2^main,
 #: rounded up; derived in PrecisionPolicy.required_bits
 SOLVER_BITS = 20
@@ -51,22 +50,8 @@ _POLICY_EVAL_BITS = 80
 LOG10_2 = 0.30102999566398119521
 
 
-@dataclass(frozen=True)
 class PrecisionPolicy:
-    """Sizing rule for working precision.
-
-    floor_bits is never undercut; guard_bits is the headroom target, the
-    bits by which lambda_min must clear the eigensolver's error_bound.
-    """
-
-    floor_bits: int = DEFAULT_FLOOR_BITS
-    guard_bits: int = DEFAULT_GUARD_BITS
-
-    def __post_init__(self):
-        if self.floor_bits < MIN_BITS:
-            raise InvalidParameterError(f"floor_bits must be >= {MIN_BITS}")
-        if self.guard_bits < 0:
-            raise InvalidParameterError("guard_bits must be >= 0")
+    """Sizing rule for working precision (see the module docstring)."""
 
     def required_bits(self, ell: int, N: int, delta) -> int:
         """Working precision for a spectrum with cluster size ``ell``,
@@ -86,8 +71,8 @@ class PrecisionPolicy:
         So error_bound <= 776 2^-p T < 2^9.61 2^-p T.  The trace is s (N+1)
         with s = n, and T / N <= s (N+1) / N <= 2 n <= 2^9, so
         error_bound / lambda_min < 2^(18.61 + main - p).  At p = main +
-        SOLVER_BITS + guard_bits the headroom floor(log2(lambda_min /
-        error_bound)) is therefore at least guard_bits whenever the
+        SOLVER_BITS + GUARD_BITS the headroom floor(log2(lambda_min /
+        error_bound)) is therefore at least GUARD_BITS whenever the
         assumed lambda_min holds; the solve measures the real headroom.
         """
         if ell < 1:
@@ -99,8 +84,8 @@ class PrecisionPolicy:
             raise InvalidParameterError(f"delta must be > 0, got {delta}")
         with mp.workprec(_POLICY_EVAL_BITS):
             growth = mp.log(pi_e(32) / (N * delta), 2)
-            expr = int(mp.ceil(2 * (ell - 1) * growth)) + SOLVER_BITS + self.guard_bits
-        return max(self.floor_bits, expr)
+            expr = int(mp.ceil(2 * (ell - 1) * growth)) + SOLVER_BITS + GUARD_BITS
+        return max(FLOOR_BITS, expr)
 
 
 DEFAULT_POLICY = PrecisionPolicy()
@@ -115,9 +100,9 @@ def pi_e(k: int):
     return k * mp.pi * mp.e
 
 
-def required_bits(ell: int, N: int, delta, policy: PrecisionPolicy = DEFAULT_POLICY) -> int:
-    """Module-level shorthand for ``policy.required_bits``."""
-    return policy.required_bits(ell, N, delta)
+def required_bits(ell: int, N: int, delta) -> int:
+    """Module-level shorthand for ``DEFAULT_POLICY.required_bits``."""
+    return DEFAULT_POLICY.required_bits(ell, N, delta)
 
 
 def as_mpf(x):

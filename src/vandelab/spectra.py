@@ -188,11 +188,11 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
     given as its rows, at ``bits``: pivoted Cholesky, then one-sided
     Jacobi on integer columns (see the module docstring).
 
-    Values come back sorted non-increasing.  A non-square matrix, a
-    complex or non-finite entry or an entry pair with a[i][j] != a[j][i]
-    raises InvalidParameterError, a Cholesky pivot that is not positive
-    PrecisionError, and an exhausted sweep budget ConvergenceError
-    (carrying the final off-diagonal residual).
+    Values come back sorted non-increasing.  An empty or non-square
+    matrix, a complex or non-finite entry or an entry pair with a[i][j] !=
+    a[j][i] raises InvalidParameterError, a Cholesky pivot that is not
+    positive PrecisionError, and an exhausted sweep budget
+    ConvergenceError (carrying the final off-diagonal residual).
 
     error_bound, with u = 2^-p, q = p + GUARD_BITS and T = trace(A), A
     the rows at p bits, sums what moves an eigenvalue:
@@ -212,6 +212,8 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
     2^-GUARD_BITS) u T + offdiag_residual.
     """
     n = len(rows)
+    if n < 1:
+        raise InvalidParameterError("empty matrix")
     if n > MAX_EIGEN_DIM:
         raise InvalidParameterError(f"dimension {n} exceeds {MAX_EIGEN_DIM}")
     if any(len(row) != n for row in rows):

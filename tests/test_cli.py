@@ -292,6 +292,7 @@ def _cluster_config(tmp_path, command, **changes):
     lambda t: _cluster_config(t, "prolate", s="x"),
     lambda t: _cluster_config(t, "prolate", ell="x"),
     lambda t: _nodes_config(t, "prolate", 3),
+    lambda t: _nodes_config(t, "limit-check", []),
     lambda t: ["VANDELAB_WORKERS=two"] + _config_with(t, "prolate"),
     lambda t: ["VANDELAB_SEED=x"] + _config_with(t, "prolate"),
     lambda t: ["VANDELAB_PRECISION_BITS=many"] + _config_with(t, "prolate"),
@@ -316,8 +317,8 @@ def _cluster_config(tmp_path, command, **changes):
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
         "missing-config", "missing-manifest", "grid-ell", "grid-N",
-        "cluster-s", "cluster-ell", "nodes-not-list", "env-workers",
-        "env-seed", "env-precision-bits", "precision-bits-0",
+        "cluster-s", "cluster-ell", "nodes-not-list", "limit-check-no-nodes",
+        "env-workers", "env-seed", "env-precision-bits", "precision-bits-0",
         "env-precision-bits-0", "config-precision-bits-0",
         "precision-override-0", "sweep-precision-bits-10", "workers-0",
         "workers-negative", "checks-empty", "N-list-empty", "delta-inf",
@@ -351,12 +352,12 @@ def test_null_precision_means_the_policy(tmp_path, capsys):
 ], ids=["sweep", "sweep-failed-row", "prolate", "inequalities"])
 def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
     # the reader is gone before the first write, as with `| head -0`
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "vandelab.cli", *argv(tmp_path),
-         "--out", str(tmp_path / "out")],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=300) == code, err
+    with subprocess.Popen(
+            [sys.executable, "-m", "vandelab.cli", *argv(tmp_path),
+             "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == code, err
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert any((tmp_path / "out").iterdir())

@@ -13,15 +13,12 @@ from vandelab.experiments import (
     ExperimentManifest,
     compute_sweep_point,
     load_config,
-    run_bounds,
-    run_limit_check,
-    run_prolate,
-    run_spectrum,
+    run_config,
     run_sweep,
     write_config,
 )
 from vandelab.geometry import LINE, ClusterSpec, NodeSet, generate_config
-from vandelab.hp import DEFAULT_POLICY
+from vandelab.hp import GUARD_BITS
 
 
 def manifest_dict(**overrides):
@@ -230,9 +227,21 @@ class TestSweep:
         assert out["details"]["spectrum"]["sweeps_used"] <= 12
 
 
+def _count_reads(monkeypatch):
+    """Record the ``what`` of every experiments._read_json call."""
+    real, reads = experiments._read_json, []
+
+    def counted(path, what):
+        reads.append(what)
+        return real(path, what)
+
+    monkeypatch.setattr(experiments, "_read_json", counted)
+    return reads
+
+
 class TestHeadroom:
     """Every spectrum records headroom_bits = floor(log2(lambda_min /
-    error_bound)); policy bits must reach the policy's guard_bits of it."""
+    error_bound)); policy bits must reach GUARD_BITS of it."""
 
     GRID = {"ell": [4], "N": [100], "delta": ["1e-6"]}
 
@@ -262,7 +271,7 @@ class TestHeadroom:
         ok = [d["spectrum"]["headroom_bits"] for r, d in zip(rows, details)
               if r["status"] == "ok"]
         assert summary.ok == len(ok) == 2 and summary.skipped == 2
-        assert all(h >= DEFAULT_POLICY.guard_bits for h in ok)
+        assert all(h >= GUARD_BITS for h in ok)
         on_disk = json.loads((tmp_path / "summary.json").read_text())
         assert on_disk["min_headroom_bits"] == summary.min_headroom_bits == min(ok)
 
@@ -272,15 +281,15 @@ class TestHeadroom:
             nodes = NodeSet(tuple(k * mpf("1e-3") for k in range(3)), LINE)
         path = tmp_path / "c.json"
         write_config(path, nodes, spec)
-        run_prolate(path, out_dir=tmp_path)
+        run_config("prolate", path, out_dir=tmp_path)
         doc = json.loads((tmp_path / "prolate.json").read_text())
-        assert doc["spectrum"]["headroom_bits"] >= DEFAULT_POLICY.guard_bits
+        assert doc["spectrum"]["headroom_bits"] >= GUARD_BITS
         with mp.workprec(192):
             nodes = NodeSet(tuple(k * mpf("1e-3") for k in range(3)))
         write_config(path, nodes, spec, N=100)
-        run_spectrum(path, out_dir=tmp_path)
+        run_config("spectrum", path, out_dir=tmp_path)
         doc = json.loads((tmp_path / "spectrum.json").read_text())
-        assert doc["spectrum"]["headroom_bits"] >= DEFAULT_POLICY.guard_bits
+        assert doc["spectrum"]["headroom_bits"] >= GUARD_BITS
 
     def test_undersized_policy_bits_are_re_solved(self, tmp_path, monkeypatch):
         real, undersized = experiments.policy_bits, []
@@ -297,7 +306,20 @@ class TestHeadroom:
         assert row["status"] == "ok"
         assert details[0]["spectrum"]["precision_bits"] == int(row["precision_bits"])
         assert int(row["precision_bits"]) > undersized[0]
-        assert summary.min_headroom_bits >= DEFAULT_POLICY.guard_bits
+        assert summary.min_headroom_bits >= GUARD_BITS
+
+        # the spectrum command re-solves the same way, reading its config
+        # once for both solves
+        with mp.workprec(256):
+            spec = ClusterSpec(delta="1e-6", theta="1", s=4, ell=4, tau=3)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec, N=100)
+        reads = _count_reads(monkeypatch)
+        doc = run_config("spectrum", path)
+        assert doc["precision_bits"] > undersized[-1]
+        assert doc["spectrum"]["headroom_bits"] >= GUARD_BITS
+        assert reads == ["config"]
 
     def test_still_short_after_the_re_solve_fails(self, tmp_path, monkeypatch):
         solves = self._fixed_headroom(monkeypatch, 10)
@@ -306,10 +328,10 @@ class TestHeadroom:
         details = json.loads((tmp_path / "details.json").read_text())["details"]
         assert read_rows(tmp_path)[0]["status"] == "failed"
         assert summary.failed == 1 and summary.min_headroom_bits is None
-        assert solves[1] == solves[0] + DEFAULT_POLICY.guard_bits - 10
+        assert solves[1] == solves[0] + GUARD_BITS - 10
         assert details[0]["reason"] == (
             f"headroom of 10 bits at {solves[1]} bits falls short of the "
-            f"{DEFAULT_POLICY.guard_bits}-bit target; raise precision")
+            f"{GUARD_BITS}-bit target; raise precision")
 
     def test_explicit_precision_is_never_re_solved(self, tmp_path, monkeypatch):
         solves = self._fixed_headroom(monkeypatch, 10)
@@ -323,9 +345,9 @@ class TestHeadroom:
             nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1)
         path = tmp_path / "c.json"
         write_config(path, nodes, spec, N=100, bits=256)
-        run_spectrum(path)
+        run_config("spectrum", path)
         write_config(path, nodes, spec, N=100)
-        run_spectrum(path, bits_override=256)
+        run_config("spectrum", path, bits_override=256)
         assert solves == [256, 256, 256]
 
 
@@ -339,6 +361,20 @@ class TestSingleRuns:
         path = tmp_path / "config.json"
         write_config(path, nodes, spec, N=100 if with_n else None, bits=bits)
         return path
+
+    @pytest.mark.parametrize("command",
+                             ["spectrum", "prolate", "bounds", "limit-check"])
+    def test_reads_its_config_once(self, tmp_path, monkeypatch, command):
+        domain = LINE if command in ("prolate", "limit-check") else "periodic"
+        with mp.workprec(192):
+            spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=1)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1,
+                                       domain=domain)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec, N=100)  # no precision_bits: policy
+        reads = _count_reads(monkeypatch)
+        run_config(command, path, N_list=[10])
+        assert reads == ["config"]
 
     def test_load_config_errors(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -359,7 +395,7 @@ class TestSingleRuns:
             nodes = NodeSet((mpf(0),))
         path = tmp_path / "c.json"
         write_config(path, nodes, spec, N=100, bits=bits)
-        result = run_spectrum(path, out_dir=tmp_path)
+        result = run_config("spectrum", path, out_dir=tmp_path)
         assert result["q"] == [1]
         assert result["level_counts"] == [1]
         assert result["level_counts_match_q"]
@@ -370,12 +406,12 @@ class TestSingleRuns:
     def test_spectrum_missing_n(self, tmp_path):
         path = self._config(tmp_path, with_n=False)
         with pytest.raises(ConfigParseError) as err:
-            run_spectrum(path)
+            run_config("spectrum", path)
         assert err.value.key == "N"
 
     def test_prolate_pair(self, tmp_path):
         path = self._config(tmp_path, domain="line", with_n=False)
-        result = run_prolate(path, out_dir=tmp_path)
+        result = run_config("prolate", path, out_dir=tmp_path)
         with mp.workprec(256):
             delta = mpf("1e-3")
             expect = 1 - mp.sin(delta) / delta
@@ -388,11 +424,11 @@ class TestSingleRuns:
     def test_prolate_rejects_periodic(self, tmp_path):
         path = self._config(tmp_path, domain="periodic")
         with pytest.raises(ConfigParseError):
-            run_prolate(path)
+            run_config("prolate", path)
 
     def test_bounds_run(self, tmp_path):
         path = self._config(tmp_path)
-        result = run_bounds(path, out_dir=tmp_path)
+        result = run_config("bounds", path, out_dir=tmp_path)
         assert result["bounds"]["window_ok"] is True
         assert (tmp_path / "bounds.json").exists()
 
@@ -422,7 +458,8 @@ class TestSingleRuns:
         write_config(path, inst.nodes, inst.cluster, N=inst.N, bits=bits)
         from vandelab.hp import decimal_str
 
-        result = run_spectrum(path, user_c1=decimal_str(fit.c1, bits))
+        result = run_config("spectrum", path,
+                            user_c1=decimal_str(fit.c1, bits))
         assert result["q"] == [2, 1]
         assert result["level_counts"] == [2, 1]
         assert result["level_counts_match_q"]
@@ -436,7 +473,7 @@ class TestSingleRuns:
             nodes = NodeSet(tuple((k - 1) * delta for k in range(3)), LINE)
         path = tmp_path / "c.json"
         write_config(path, nodes, spec, bits=bits)
-        result = run_prolate(path)
+        result = run_config("prolate", path)
         with mp.workprec(bits):
             ratio = mpf(result["slepian_ratio"])
             assert abs(ratio - 1) < mpf("0.02")
@@ -448,7 +485,8 @@ class TestSingleRuns:
             nodes = NodeSet((mpf(0), mpf("0.5")), LINE)
         path = tmp_path / "c.json"
         write_config(path, nodes, spec, bits=bits)
-        result = run_limit_check(path, [10, 50], out_dir=tmp_path)
+        result = run_config("limit-check", path, N_list=[10, 50],
+                            out_dir=tmp_path)
         gaps = [mpf(g["gap"]) for g in result["gaps"]]
         assert gaps[0] > gaps[1] > 0
         assert (tmp_path / "limit_check.json").exists()

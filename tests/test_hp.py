@@ -7,8 +7,8 @@ from mpmath import mp, mpf
 
 from vandelab.errors import InvalidParameterError
 from vandelab.hp import (
-    DEFAULT_POLICY,
-    PrecisionPolicy,
+    FLOOR_BITS,
+    GUARD_BITS,
     decimal_digits,
     decimal_str,
     parse_decimal,
@@ -61,14 +61,6 @@ class TestRequiredBits:
             required_bits(0, 100, mpf(1))
         with pytest.raises(InvalidParameterError):
             required_bits(1, 0, mpf(1))
-
-    def test_policy_validation(self):
-        with pytest.raises(InvalidParameterError):
-            PrecisionPolicy(floor_bits=32)
-        with pytest.raises(InvalidParameterError):
-            PrecisionPolicy(guard_bits=-1)
-        assert PrecisionPolicy(floor_bits=256).required_bits(
-            1, 100, mpf("1e-6")) == 256
 
 
 class TestDecimalRoundTrip:
@@ -123,8 +115,8 @@ class TestPrecisionDoubling:
     def test_derived_value_stable_under_doubling(self):
         # recomputing a composite expression at doubled precision moves it
         # by at most 2^-(p - guard)
-        p = DEFAULT_POLICY.floor_bits
-        guard = DEFAULT_POLICY.guard_bits
+        p = FLOOR_BITS
+        guard = GUARD_BITS
 
         def expr(bits):
             with mp.workprec(bits):

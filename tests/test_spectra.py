@@ -153,6 +153,8 @@ class TestJacobi:
         M = ((mpf(1), mpf(0), mpf(0)), (mpf(0), mpf(1), mpf(0)))
         with pytest.raises(InvalidParameterError, match="not square"):
             hermitian_eigenvalues(M, BITS)
+        with pytest.raises(InvalidParameterError, match="empty matrix"):
+            hermitian_eigenvalues((), BITS)
 
     def test_error_bound_formula(self, rng):
         # ((2 n + 3) + 3 (sweeps n (n - 1) / 2 + 1)(isqrt(n) + 9) 2^-24)
