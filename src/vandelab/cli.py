@@ -24,19 +24,19 @@ import os
 import sys
 from pathlib import Path
 
-from mpmath import mp
-
 from .errors import InvalidParameterError, VandelabError
 from .experiments import (
     ExperimentManifest,
-    resolve_point,
+    _write_json,
+    point_spec,
+    run_at_bits,
     run_config,
     run_sweep,
     write_config,
 )
 from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, generate_config
 from .hp import parse_bits, parse_decimal, parse_int
-from .suites import ALL_SUITES, DEFAULT_SUITE_SEED
+from .suites import ALL_SUITES, DEFAULT_SUITE_SEED, default_centers
 
 ENV_PREFIX = "VANDELAB_"
 
@@ -120,19 +120,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_config(args) -> tuple[int, str]:
-    spec, N, centers, bits = resolve_point({
+    spec_at, N, n_clusters = point_spec({
         "ell": args.ell, "N": args.N, "delta": args.delta, "s": args.s,
-        "tau": args.tau, "theta": args.theta,
-        "precision_override": args.precision_bits})
-    with mp.workprec(bits):
-        if args.centers:
-            centers = [parse_decimal(c, bits) for c in args.centers.split(",")]
+        "tau": args.tau, "theta": args.theta})
+    path = Path(args.out) / "config.json"
+
+    def generate(spec, bits):
+        centers = ([parse_decimal(c, bits) for c in args.centers.split(",")]
+                   if args.centers else default_centers(n_clusters))
         nodes, _ = generate_config(spec, args.layout, centers, args.seed,
                                    args.domain)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "config.json"
-    write_config(path, nodes, spec, N=N, bits=bits)
+        write_config(path, nodes, spec, N=N, bits=bits)
+        return None, None
+
+    run_at_bits(spec_at, N, args.precision_bits, generate)
     return 0, f"wrote {path}"
 
 
@@ -153,12 +154,10 @@ def _cmd_inequalities(args) -> tuple[int, str]:
         raise InvalidParameterError(f"unknown checks: {unknown}")
     if not checks:
         raise InvalidParameterError("--checks names no suite")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = [ALL_SUITES[name](instances=args.instances, seed=args.seed)
                for name in checks]
-    with open(out / "inequalities.json", "w", encoding="utf-8") as fh:
-        json.dump([r.to_json_dict() for r in results], fh, indent=2)
+    _write_json(Path(args.out) / "inequalities.json",
+                [r.to_json_dict() for r in results])
     return (0 if all(r.all_hold for r in results) else 1, "\n".join(
         f"{r.name}: {'ok' if r.all_hold else 'FAILED'} "
         f"({len(r.records)} records)" for r in results))

@@ -6,6 +6,10 @@ and the same content is mirrored to results.json; richer per-row data
 (full spectra, skip reasons, level counts) goes to details.json so the
 CSV/JSON mirror stays exact.
 
+Sweep rows, gen-config and the config commands run at one precision
+path: ``run_at_bits`` sizes the policy bits once, runs the work under
+``mp.workprec`` and re-solves once on a headroom shortfall.
+
 Reproducibility contract: identical manifest plus seed produces identical
 CSV bodies, except the runtime_ms column, which is wall-clock timing.
 Row order, number formatting, and the random draws are all deterministic.
@@ -43,7 +47,6 @@ from .geometry import (
     validate_config,
 )
 from .hp import (
-    DEFAULT_POLICY,
     FLOOR_BITS,
     GUARD_BITS,
     decimal_str,
@@ -51,6 +54,7 @@ from .hp import (
     parse_decimal,
     parse_int,
     pi_e,
+    required_bits,
 )
 from .matrices import VandermondeSpec, build_prolate
 from .spectra import (
@@ -201,6 +205,15 @@ def _read_json(path, what: str):
         raise ConfigParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _write_json(path, obj):
+    """obj as JSON indented by 2 at path, creating its directory.  Streamed
+    to the file: details.json runs to megabytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+
+
 def _blank_row(point: dict) -> dict:
     row = {c: "" for c in CSV_COLUMNS}
     row["experiment_id"] = point["experiment_id"]
@@ -212,40 +225,29 @@ def _blank_row(point: dict) -> dict:
     return row
 
 
-def policy_bits(cluster: ClusterSpec, N: int | None = None) -> int:
-    """The policy's working bits for a configuration.
+def point_spec(point: dict):
+    """Grid values or gen-config flags -> (spec_at, N, n_clusters).
 
-    With N they are sized for the Vandermonde spectrum at cluster size
-    ell; without N for the prolate matrix of all s nodes, whose
-    line-domain delta already stands for the product N*delta.
-    """
-    if N is None:
-        return DEFAULT_POLICY.required_bits(cluster.s, 1, cluster.delta)
-    return DEFAULT_POLICY.required_bits(cluster.ell, N, cluster.delta)
-
-
-def resolve_point(point: dict):
-    """Grid values or gen-config flags -> (ClusterSpec, N, centers, bits).
-
+    ``spec_at(bits)`` is the ClusterSpec with the reals read at ``bits``.
     ``s``, ``tau`` and ``theta`` of None or "auto" mean s = ell, tau =
-    ell - 1, and the widest theta the default centers allow: pi for one
-    cluster, 2*pi/M - 1 for M clusters.  The spec is read at the policy
-    floor, which checks the point and sizes its precision, then at the
-    working bits: ``point["precision_override"]`` or ``policy_bits``.
+    ell - 1, and the widest theta the n_clusters default centers allow: pi
+    for one cluster, 2*pi/M - 1 for M clusters.
     """
     ell = int(point["ell"])
+    if ell < 1:
+        raise InvalidParameterError(f"ell must be >= 1, got {ell}")
     N = None if point["N"] is None else int(point["N"])
     s = point["s"]
     s = ell if s in (None, "auto") else int(s)
+    n_clusters = max(1, math.ceil(s / ell))
 
     def spec_at(bits):
         delta = parse_decimal(point["delta"], bits)
         tau_raw = point["tau"]
         if tau_raw in (None, "auto"):
-            tau = mpf(max(ell - 1, 0))
+            tau = mpf(ell - 1)
         else:
             tau = parse_decimal(tau_raw, bits)
-        n_clusters = max(1, math.ceil(s / ell))
         theta_raw = point["theta"]
         if theta_raw in (None, "auto"):
             theta = mp.pi if n_clusters == 1 else 2 * mp.pi / n_clusters - 1
@@ -255,34 +257,39 @@ def resolve_point(point: dict):
                     "set theta explicitly")
         else:
             theta = parse_decimal(theta_raw, bits)
-        spec = ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
-        return spec, n_clusters
+        return ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
 
-    probe, _ = spec_at(FLOOR_BITS)
-    bits = point["precision_override"] or policy_bits(probe, N)
-    with mp.workprec(bits):
-        spec, n_clusters = spec_at(bits)
-        return spec, N, default_centers(n_clusters), bits
+    return spec_at, N, n_clusters
 
 
-def _at_target(attempt, bits: int | None):
-    """The result of attempt(bits), which returns (result, the bits it ran
-    at, their headroom_bits, or None if it solved nothing).  bits None
-    leaves them to the policy; policy bits whose headroom falls short of
-    GUARD_BITS are raised by the shortfall and tried once more, and
-    PrecisionError if still short.  Explicit bits are used as given."""
-    result, used, headroom = attempt(bits)
-    if bits is not None or headroom is None or headroom >= GUARD_BITS:
-        return result
-    bits = used + GUARD_BITS - headroom
-    log.debug("headroom %d bits short of %d; re-solving at %d bits",
-              headroom, GUARD_BITS, bits)
-    result, bits, headroom = attempt(bits)
-    if headroom < GUARD_BITS:
-        raise PrecisionError(
-            f"headroom of {headroom} bits at {bits} bits falls short of the "
-            f"{GUARD_BITS}-bit target; raise precision")
-    return result
+def run_at_bits(spec_at, N: int | None, bits: int | None, body):
+    """The result of ``body(spec_at(b), b)`` run under ``mp.workprec(b)``;
+    body returns (result, its headroom_bits, or None if it solved nothing).
+
+    Explicit bits are used as given.  bits None leaves them to the policy,
+    sized once from spec_at(FLOOR_BITS): with N for the Vandermonde
+    spectrum at cluster size ell, without N for the prolate matrix of all
+    s nodes, whose line-domain delta already stands for N*delta.  Policy
+    bits whose headroom falls short of GUARD_BITS are raised by the
+    shortfall and tried once more, and PrecisionError if still short.
+    """
+    explicit = bits is not None
+    if not explicit:
+        probe = spec_at(FLOOR_BITS)
+        bits = (required_bits(probe.s, 1, probe.delta) if N is None
+                else required_bits(probe.ell, N, probe.delta))
+    for retry in (False, True):
+        with mp.workprec(bits):
+            result, headroom = body(spec_at(bits), bits)
+        if explicit or headroom is None or headroom >= GUARD_BITS:
+            return result
+        if retry:
+            raise PrecisionError(
+                f"headroom of {headroom} bits at {bits} bits falls short of "
+                f"the {GUARD_BITS}-bit target; raise precision")
+        bits += GUARD_BITS - headroom
+        log.debug("headroom %d bits short of %d; re-solving at %d bits",
+                  headroom, GUARD_BITS, bits)
 
 
 def _vandermonde_core(nodes: NodeSet, cluster: ClusterSpec, N: int, bits: int,
@@ -296,20 +303,25 @@ def _vandermonde_core(nodes: NodeSet, cluster: ClusterSpec, N: int, bits: int,
     return spectrum, report, lam
 
 
-def _fill_sweep_row(point: dict, row: dict, details: dict):
-    """Fill row and details with one grid point at its resolved bits, as
-    far as it gets; (None, bits, headroom) for _at_target."""
-    row.update(_blank_row(point))
-    details.clear()
-    details["index"] = point["index"]
-    spec, N, centers, bits = resolve_point(point)
-    with mp.workprec(bits):
+def compute_sweep_point(point: dict) -> dict:
+    """One grid point end to end; returns row + details, never raises.
+
+    A failed or skipped row keeps what its last attempt filled in."""
+    t0 = time.perf_counter()
+    row = _blank_row(point)
+    details = {"index": point["index"]}
+
+    def fill(spec, bits):
+        row.update(_blank_row(point))
+        details.clear()
+        details["index"] = point["index"]
         row["s"] = str(spec.s)
         row["tau"] = decimal_str(spec.tau, bits)
         row["delta"] = decimal_str(spec.delta, bits)
         row["theta"] = decimal_str(spec.theta, bits)
         row["precision_bits"] = str(bits)
-        nodes, partition = generate_config(spec, str(point["layout"]), centers,
+        nodes, partition = generate_config(spec, str(point["layout"]),
+                                           default_centers(n_clusters),
                                            int(point["seed"]), PERIODIC)
         spectrum, report, (lam, log10_lam) = _vandermonde_core(
             nodes, spec, N, bits)
@@ -327,18 +339,11 @@ def _fill_sweep_row(point: dict, row: dict, details: dict):
             "spectrum": spectrum.to_json_dict(),
             "nodes": nodes.to_json_dict(bits),
         })
-    return None, bits, spectrum.headroom_bits
+        return None, spectrum.headroom_bits
 
-
-def compute_sweep_point(point: dict) -> dict:
-    """One grid point end to end; returns row + details, never raises."""
-    t0 = time.perf_counter()
-    row = _blank_row(point)
-    details = {"index": point["index"]}
     try:
-        _at_target(lambda bits: _fill_sweep_row(
-            {**point, "precision_override": bits}, row, details),
-            point["precision_override"])
+        spec_at, N, n_clusters = point_spec(point)
+        run_at_bits(spec_at, N, point["precision_override"], fill)
         row["status"] = STATUS_OK
     except (InvalidParameterError, ConfigValidationError, ConfigParseError) as exc:
         row["status"] = STATUS_SKIPPED
@@ -369,17 +374,13 @@ def _fit_slope(rows) -> float | None:
 
 
 def _write_outputs(out_dir: Path, manifest: ExperimentManifest, rows, details):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "results.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    _write_json(out_dir / "results.json", {"columns": CSV_COLUMNS, "rows": rows})
+    _write_json(out_dir / "details.json",
+                {"manifest": manifest.to_json_dict(), "details": details})
+    with open(out_dir / "results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    with open(out_dir / "results.json", "w", encoding="utf-8") as fh:
-        json.dump({"columns": CSV_COLUMNS, "rows": rows}, fh, indent=2)
-    with open(out_dir / "details.json", "w", encoding="utf-8") as fh:
-        json.dump({"manifest": manifest.to_json_dict(), "details": details},
-                  fh, indent=2)
 
 
 def _write_figure(out_dir: Path, manifest: ExperimentManifest, rows):
@@ -441,8 +442,7 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
                            failed=counts[STATUS_FAILED], fitted_slope=slope,
                            min_headroom_bits=min(headroom, default=None),
                            rows=rows, out_dir=str(out_dir))
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2)
+    _write_json(out_dir / "summary.json", summary.to_json_dict())
     return summary
 
 
@@ -482,8 +482,7 @@ def write_config(path, nodes: NodeSet, cluster: ClusterSpec,
         obj["N"] = N
     if bits is not None:
         obj["precision_bits"] = bits
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+    _write_json(path, obj)
 
 
 def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
@@ -510,7 +509,7 @@ def _spectrum_body(nodes, cluster, N, bits, user_c1, N_list):
     spectrum, report, (lam, _) = _vandermonde_core(
         nodes, cluster, N, bits, user_c1)
     counts, thresholds = band_counts(
-        spectrum.values, partition.q, N, cluster.delta, mpf(user_c1), bits)
+        spectrum.values, partition.q, N, cluster.delta, user_c1, bits)
     cumulative = [sum(1 for v in spectrum.values if v >= t)
                   for t in thresholds]
     return {
@@ -529,7 +528,7 @@ def _spectrum_body(nodes, cluster, N, bits, user_c1, N_list):
         "level_counts": counts,
         "level_counts_match_q": counts == list(partition.q),
         "cumulative_counts": cumulative,
-        "user_c1": decimal_str(mpf(user_c1), bits),
+        "user_c1": decimal_str(user_c1, bits),
         "runtime_ms": None,
     }, spectrum.headroom_bits
 
@@ -545,7 +544,7 @@ def _prolate_body(nodes, cluster, N, bits, user_c1, N_list):
     lam_min = spectrum.min_value
     ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
     base = cluster.delta / pi_e(16)
-    thresholds = [mpf(user_c1) * base ** (2 * (m - 1))
+    thresholds = [user_c1 * base ** (2 * (m - 1))
                   for m in range(1, cluster.ell + 1)]
     counts = count_bands(spectrum.values, thresholds)
     return {
@@ -562,7 +561,7 @@ def _prolate_body(nodes, cluster, N, bits, user_c1, N_list):
         "level_thresholds": [decimal_str(t, bits) for t in thresholds],
         "level_counts": counts,
         "level_counts_match_q": counts == list(partition.q),
-        "user_c1": decimal_str(mpf(user_c1), bits),
+        "user_c1": decimal_str(user_c1, bits),
         "runtime_ms": None,
     }, spectrum.headroom_bits
 
@@ -597,8 +596,8 @@ def _limit_check_body(nodes, cluster, N, bits, user_c1, N_list):
 
 
 #: config command -> (whether it reads the config's N, its body).  A body
-#: runs at the ambient bits and returns (result, headroom_bits), with None
-#: for a body that solves nothing.
+#: runs at the ambient bits, takes c1 as an mpf and returns (result,
+#: headroom_bits), with None for a body that solves nothing.
 _CONFIG_BODIES = {
     "spectrum": (True, _spectrum_body),
     "prolate": (False, _prolate_body),
@@ -614,11 +613,11 @@ def run_config(command: str, config_path, out_dir=None,
     limit-check) on one config file, written to <command>.json under
     out_dir when one is given.
 
-    The config is read once.  Its reals are parsed at bits_override, else
-    at its precision_bits, else at policy_bits for the cluster read at
-    FLOOR_BITS, and for N when the command reads one; _at_target may raise
-    policy bits once for headroom.  spectrum and prolate record their
-    runtime_ms.
+    The config is read once, and run_at_bits sizes and re-solves it: at
+    bits_override, else at its precision_bits, else at policy bits for N
+    when the command reads one.  Each attempt parses the config's reals
+    and user_c1, which must be above 0, at its own bits.  spectrum and
+    prolate record their runtime_ms.
     """
     t0 = time.perf_counter()
     with_N, body = _CONFIG_BODIES[command]
@@ -627,22 +626,19 @@ def run_config(command: str, config_path, out_dir=None,
     if with_N and N is None:
         raise ConfigParseError("config missing key 'N'", key="N")
 
-    def attempt(bits):
-        bits = bits or policy_bits(
-            ClusterSpec.from_json_dict(cfg["cluster"], FLOOR_BITS), N)
-        cluster = ClusterSpec.from_json_dict(cfg["cluster"], bits)
+    def read_and_run(cluster, bits):
         nodes = NodeSet.from_json_dict(cfg["nodes"], bits)
-        with mp.workprec(bits):
-            result, headroom = body(nodes, cluster, N, bits, user_c1, N_list)
-        return result, bits, headroom
+        c1 = parse_decimal(user_c1, bits)
+        if not c1 > 0:
+            raise InvalidParameterError(f"c1 must be > 0, got {user_c1!r}")
+        return body(nodes, cluster, N, bits, c1, N_list)
 
-    result = _at_target(attempt, bits_override or cfg["precision_bits"])
+    result = run_at_bits(
+        lambda bits: ClusterSpec.from_json_dict(cfg["cluster"], bits), N,
+        bits_override or cfg["precision_bits"], read_and_run)
     if "runtime_ms" in result:
         result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        name = command.replace("-", "_") + ".json"
-        with open(out_dir / name, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2)
+        _write_json(Path(out_dir) / (command.replace("-", "_") + ".json"),
+                    result)
     return result

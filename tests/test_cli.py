@@ -235,6 +235,22 @@ def test_gen_config_runs_at_sweep_bits(tmp_path, capsys):
     assert _rel_diff(result["lambda"], row["lambda"]) < mpf("1e-40")
 
 
+def test_gen_config_centers(tmp_path):
+    # --centers moves the clusters and leaves the policy's bits alone
+    def config(name, *flags):
+        assert main(["gen-config", "--delta", "1e-4", "--s", "6", "--ell", "3",
+                     "--N", "200", "--out", str(tmp_path / name), *flags]) == 0
+        return json.loads((tmp_path / name / "config.json").read_text())
+
+    default = config("default")
+    moved = config("centers", "--centers=-1,1.5")
+    assert moved["precision_bits"] == default["precision_bits"]
+    with mp.workprec(moved["precision_bits"]):
+        xs = [mpf(x) for x in moved["nodes"]["nodes"]]
+        for center in (-1, mpf("1.5")):
+            assert sum(1 for x in xs if abs(x - center) < mpf("1e-3")) == 3
+
+
 def _manifest_with(tmp_path, **changes):
     obj = json.loads(make_manifest(tmp_path).read_text())
     obj.update(changes)
@@ -314,6 +330,12 @@ def _cluster_config(tmp_path, command, **changes):
         "cluster": {"delta": "0.001", "theta": "inf", "s": 3, "ell": 3,
                     "tau": "2"},
         "N": 100}))],
+    lambda t: ["gen-config", "--delta", "1e-3", "--s", "3", "--ell", "0",
+               "--N", "100"],
+    lambda t: _config_with(t, "prolate") + ["--c1", "abc"],
+    lambda t: _config_with(t, "prolate") + ["--c1", "nan"],
+    lambda t: _config_with(t, "prolate") + ["--c1", "0"],
+    lambda t: ["VANDELAB_C1=inf"] + _config_with(t, "prolate"),
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
         "missing-config", "missing-manifest", "grid-ell", "grid-N",
@@ -322,7 +344,8 @@ def _cluster_config(tmp_path, command, **changes):
         "env-precision-bits-0", "config-precision-bits-0",
         "precision-override-0", "sweep-precision-bits-10", "workers-0",
         "workers-negative", "checks-empty", "N-list-empty", "delta-inf",
-        "theta-inf", "config-theta-inf"])
+        "theta-inf", "config-theta-inf", "gen-config-ell-0", "c1-abc",
+        "c1-nan", "c1-0", "env-c1-inf"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
     argv = argv(tmp_path)
     while "=" in argv[0]:

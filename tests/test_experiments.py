@@ -92,6 +92,26 @@ class TestSweep:
         assert payload["columns"] == CSV_COLUMNS
         assert payload["rows"] == rows
 
+    def test_ell_below_one_skips_its_row(self, tmp_path):
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [0, 2], "N": [50], "delta": ["1e-5"]}))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (1, 1, 0)
+        rows = read_rows(tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert [r["status"] for r in rows] == ["skipped", "ok"]
+        assert details[0]["reason"] == "ell must be >= 1, got 0"
+
+    def test_no_room_for_default_centers_skips_its_row(self, tmp_path):
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [2], "s": [400], "theta": [None], "N": [50],
+                  "delta": ["1e-5"]}))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (0, 1, 0)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert details[0]["reason"] == (
+            "no room for 200 default cluster centers; set theta explicitly")
+
     def test_desk_slope_bracket(self, tmp_path):
         # fitted slope of log10 Lambda against (ell - 1) for the desk grid
         m = ExperimentManifest.from_json_dict(manifest_dict(
@@ -292,13 +312,13 @@ class TestHeadroom:
         assert doc["spectrum"]["headroom_bits"] >= GUARD_BITS
 
     def test_undersized_policy_bits_are_re_solved(self, tmp_path, monkeypatch):
-        real, undersized = experiments.policy_bits, []
+        real, undersized = experiments.required_bits, []
 
         def smaller(*args):
             undersized.append(real(*args) - 100)
             return undersized[-1]
 
-        monkeypatch.setattr(experiments, "policy_bits", smaller)
+        monkeypatch.setattr(experiments, "required_bits", smaller)
         m = ExperimentManifest.from_json_dict(manifest_dict(grid=self.GRID))
         summary = run_sweep(m, tmp_path)
         row = read_rows(tmp_path)[0]

@@ -8,14 +8,16 @@ from conftest import (
 )
 from vandelab import matrices
 from vandelab.errors import InvalidParameterError
-from vandelab.experiments import resolve_point
+from vandelab.experiments import point_spec
 from vandelab.geometry import LINE, PERIODIC, NodeSet, generate_config
+from vandelab.hp import required_bits
 from vandelab.matrices import (
     VandermondeSpec,
     build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
 )
+from vandelab.suites import default_centers
 
 BITS = 192
 
@@ -135,11 +137,13 @@ class TestDirichletKernel:
                                                     delta, N):
         # equispaced clusters repeat node differences; the kernel is bit for
         # bit the entry-by-entry build, with one evaluation per difference
-        spec, N, centers, bits = resolve_point({
+        spec_at, N, n_clusters = point_spec({
             "ell": ell, "s": s, "delta": delta, "N": N, "tau": None,
-            "theta": None, "precision_override": None})
+            "theta": None})
+        bits = required_bits(ell, N, delta)
         with mp.workprec(bits):
-            nodes, _ = generate_config(spec, "equispaced", centers, 1)
+            nodes, _ = generate_config(spec_at(bits), "equispaced",
+                                       default_centers(n_clusters), 1)
         ratio, calls = matrices._dirichlet_ratio, []
 
         def counted(d, n):

@@ -13,7 +13,7 @@ from conftest import (
     random_spd,
 )
 from vandelab.errors import ConvergenceError, InvalidParameterError, PrecisionError
-from vandelab.experiments import resolve_point
+from vandelab.experiments import point_spec
 from vandelab.geometry import LINE, PERIODIC, ClusterSpec, NodeSet, generate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import (
@@ -33,6 +33,7 @@ from vandelab.spectra import (
     prolate_limit_check,
     singular_values,
 )
+from vandelab.suites import default_centers
 
 BITS = 192
 
@@ -216,11 +217,13 @@ def _assert_within_bound(M, bits):
 
 def _sweep_kernel(ell, s, delta, N):
     """(K, bits): the Dirichlet kernel of a sweep point, equispaced."""
-    point = {"ell": ell, "N": N, "delta": delta, "tau": "auto", "s": s,
-             "theta": None, "precision_override": None}
-    spec, N, centers, bits = resolve_point(point)
+    spec_at, N, n_clusters = point_spec({
+        "ell": ell, "N": N, "delta": delta, "tau": "auto", "s": s,
+        "theta": None})
+    bits = required_bits(ell, N, delta)
     with mp.workprec(bits):
-        nodes, _ = generate_config(spec, "equispaced", centers, 20240601,
+        nodes, _ = generate_config(spec_at(bits), "equispaced",
+                                   default_centers(n_clusters), 20240601,
                                    PERIODIC)
     return build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits
 
