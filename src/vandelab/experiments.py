@@ -61,7 +61,6 @@ from .spectra import (
     hermitian_eigenvalues,
     normalized_lambda,
     prolate_limit_check,
-    require_resolved,
     singular_values,
 )
 from .suites import DEFAULT_SUITE_SEED, band_counts, count_bands, default_centers
@@ -237,6 +236,8 @@ def point_spec(point: dict):
     if ell < 1:
         raise InvalidParameterError(f"ell must be >= 1, got {ell}")
     N = None if point["N"] is None else int(point["N"])
+    if N is not None and N < 1:
+        raise InvalidParameterError(f"N must be >= 1, got {N}")
     s = point["s"]
     s = ell if s in (None, "auto") else int(s)
     n_clusters = max(1, math.ceil(s / ell))
@@ -428,7 +429,6 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
             outcomes = list(pool.map(compute_sweep_point, points))
     else:
         outcomes = [compute_sweep_point(p) for p in points]
-    outcomes.sort(key=lambda o: o["index"])
     rows = [o["row"] for o in outcomes]
     details = [o["details"] for o in outcomes]
     _write_outputs(out_dir, manifest, rows, details)
@@ -539,8 +539,7 @@ def _prolate_body(nodes, cluster, N, bits, user_c1, N_list):
         raise ConfigParseError("prolate runs need line-domain nodes",
                                key="nodes")
     partition = validate_config(nodes, cluster)
-    spectrum = require_resolved(
-        hermitian_eigenvalues(build_prolate(nodes, bits), bits))
+    spectrum = hermitian_eigenvalues(build_prolate(nodes, bits), bits)
     lam_min = spectrum.min_value
     ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
     base = cluster.delta / pi_e(16)

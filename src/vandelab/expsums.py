@@ -131,14 +131,18 @@ def _quadratic_form(P: ExpSum, kernel, what: str):
     return acc.real
 
 
+def _l2_form(P: ExpSum, a, b):
+    """int_a^b |P(t)|^2 dt in closed form: the quadratic form
+    sum_{j,k} c_j conj(c_k) E(x_j - x_k), E(d) = int_a^b e^(i d t) dt."""
+    return _quadratic_form(P, lambda d: _interval_transform(d, a, b), "L2")
+
+
 def l2_norm_exact(P: ExpSum, a, b):
-    """||P||_{L2(a,b)} with normalized measure, by closed-form integration
-    of the quadratic form sum_{j,k} c_j conj(c_k) E(x_j - x_k)."""
+    """||P||_{L2(a,b)} with normalized measure: sqrt(_l2_form / (b - a))."""
     a, b = as_mpf(a), as_mpf(b)
     if not b > a:
         raise InvalidParameterError("need b > a")
-    form = _quadratic_form(P, lambda d: _interval_transform(d, a, b), "L2")
-    return mp.sqrt(form / (b - a))
+    return mp.sqrt(_l2_form(P, a, b) / (b - a))
 
 
 def discrete_norm(P: ExpSum, N: int):
@@ -329,47 +333,19 @@ def check_salem_ratio(P: ExpSum, delta_sep):
     return norm ** 2 / c2
 
 
-def _squared_modulus_terms(P: ExpSum, scale):
-    """Frequencies and coefficients of T(u) = |P(scale*u)|^2 as an ExpSum.
-
-    Difference frequencies that coincide (equispaced nodes) are merged,
-    so the term count never exceeds ell^2 - ell + 1.
-    """
-    terms = {}
-    for j, (cj, xj) in enumerate(zip(P.coeffs, P.freqs)):
-        if cj == 0:
-            continue
-        for k, (ck, xk) in enumerate(zip(P.coeffs, P.freqs)):
-            if ck == 0:
-                continue
-            f = scale * (xj - xk)
-            terms[f] = terms.get(f, mpc(0)) + cj * mp.conj(ck)
-    return ExpSum(tuple(terms.values()), tuple(terms.keys()))
-
-
 def check_riemann(P: ExpSum, N: int) -> InequalityCheck:
-    """||P||^2_{2,N} >= (N/2) int_0^1 T for T(u) = |P(N u)|^2: the
-    sample sum of T at k/N against its integral.
+    """||P||^2_{2,N} >= (N/2) int_0^1 |P(N u)|^2 du: the sample sum of
+    |P|^2 at the integers 0..N against half its integral over [0, N],
+    which is the same right side.
 
-    Both sides are closed forms: discrete_norm's Dirichlet quadratic form
-    and term-wise integration.  An integral at or below 2^-(p-16) of its
-    term mass is not resolved at the working precision p and raises
-    PrecisionError, as _quadratic_form does.
+    Both sides are quadratic forms in closed form, discrete_norm's in the
+    Dirichlet kernel and the L2 form on [0, N], so either raises
+    PrecisionError when it does not clear its rounding dust.
     """
     if N < 1:
         raise InvalidParameterError("N must be >= 1")
-    T = _squared_modulus_terms(P, mpf(N))
-    terms = [c * _interval_transform(x, mpf(0), mpf(1))
-             for c, x in zip(T.coeffs, T.freqs)]
-    l1 = mp.fsum(t.real for t in terms)
-    mass = mp.fsum(abs(t) for t in terms)
-    if mass > 0 and l1 <= mp.ldexp(mass, -(mp.prec - 16)):
-        raise PrecisionError(
-            f"integral of |P|^2 came out {decimal_str(l1)}, not above "
-            f"rounding dust of its term mass {decimal_str(mass)}; "
-            f"raise precision")
+    rhs = _l2_form(P, mpf(0), mpf(N)) / 2
     lhs = discrete_norm(P, N) ** 2
-    rhs = mpf(N) / 2 * l1
     return InequalityCheck(lhs=lhs, rhs=rhs, holds=bool(lhs >= rhs))
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import (
+    ConfigParseError,
     ConfigValidationError,
     DegenerateInputError,
     InvalidParameterError,
@@ -120,8 +121,6 @@ class NodeSet:
 
     @classmethod
     def from_json_dict(cls, obj: dict, bits: int) -> "NodeSet":
-        from .errors import ConfigParseError
-
         if not isinstance(obj, dict):
             raise ConfigParseError("node set must be a JSON object", key="nodes")
         try:
@@ -171,8 +170,6 @@ class ClusterSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict, bits: int) -> "ClusterSpec":
-        from .errors import ConfigParseError
-
         if not isinstance(obj, dict):
             raise ConfigParseError("cluster spec must be a JSON object", key="cluster")
         vals = {}

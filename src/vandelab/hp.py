@@ -3,8 +3,8 @@
 All real and complex scalars in this package are mpmath values (``mpf`` /
 ``mpc``).  mpmath rounds basic arithmetic correctly and elementary
 functions faithfully at the ambient binary precision, which satisfies the
-scalar contract here; the gmpy backend makes this fast enough for desk
-experiments.
+scalar contract here.  mpmath runs on gmpy2 when it is installed and on
+its pure-Python backend otherwise; the package works with either.
 
 Why a precision policy?
 -----------------------

@@ -9,7 +9,7 @@ prove its accuracy):
 
 1. Cholesky with diagonal pivoting in mpf at p bits, A = P^T R^T R P.  A
    pivot that is not positive raises PrecisionError naming it and the
-   bits, unless the block left is exactly zero: its eigenvalues are 0.
+   bits.
 2. One-sided (Hestenes) Jacobi on the columns of W = R^T, whose Gram
    R R^T has the spectrum of A.  A column is a list of ints with one
    exponent, rounded to q = p + GUARD_BITS bits at its largest entry.
@@ -21,6 +21,11 @@ prove its accuracy):
    stops after a sweep without a rotation; ConvergenceError if the last
    sweep of the budget still rotates.
 3. The eigenvalues are the squared column norms, rounded to p bits.
+
+The one resolution rule: a smallest eigenvalue at or below the solve's
+error bound is noise, so the solver raises PrecisionError instead of
+returning it.  Every spectrum it returns is resolved at p bits, and its
+callers take it as it is.
 """
 
 from __future__ import annotations
@@ -66,15 +71,15 @@ class SpectrumResult:
         return self.values[-1]
 
     @property
-    def headroom_bits(self) -> int | None:
+    def headroom_bits(self) -> int:
         """floor(log2(lambda_min / error_bound)), lambda_min the smallest
-        eigenvalue (squared singular value); None unless it is positive."""
+        eigenvalue (squared singular value), which clears error_bound."""
         with mp.workprec(self.precision_bits):
             lam = self.min_value
             if self.kind == "singular":
                 lam *= lam
             # mag is exact for an mpf: its floor(log2) plus one
-            return mp.mag(lam / self.error_bound) - 1 if lam > 0 else None
+            return mp.mag(lam / self.error_bound) - 1
 
     def to_json_dict(self) -> dict:
         bits = self.precision_bits
@@ -142,8 +147,8 @@ def _rotation(a, b, d, ex, ey, q):
 def _cholesky_rows(a, n, p):
     """The rows of R, A = P^T R^T R P by Cholesky with diagonal pivoting at
     p bits, for a symmetric matrix a of mpf rows (overwritten); each row
-    is in pivot order.  A remaining block that is exactly zero gives zero
-    rows; any other pivot that is not positive raises PrecisionError."""
+    is in pivot order.  A pivot that is not positive raises
+    PrecisionError."""
     r = []
     for k in range(n):
         j = max(range(k, n), key=lambda i: a[i][i])  # the first largest
@@ -152,12 +157,10 @@ def _cholesky_rows(a, n, p):
             row[k], row[j] = row[j], row[k]
         pivot = a[k][k]
         if pivot <= 0:
-            if any(x for row in a[k:] for x in row[k:]):
-                raise PrecisionError(
-                    f"Cholesky pivot {k + 1} of {n} is "
-                    f"{decimal_str(pivot, p)}: the matrix is not positive "
-                    f"definite at {p} bits; raise precision")
-            return r + [[mpf(0)] * n for _ in range(k, n)]
+            raise PrecisionError(
+                f"Cholesky pivot {k + 1} of {n} is {decimal_str(pivot, p)}: "
+                f"the matrix is not positive definite at {p} bits; "
+                "raise precision")
         d = mp.sqrt(pivot)
         tail = [x / d for x in a[k][k + 1:]]
         r.append([mpf(0)] * k + [d] + tail)
@@ -188,10 +191,12 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
     given as its rows, at ``bits``: pivoted Cholesky, then one-sided
     Jacobi on integer columns (see the module docstring).
 
-    Values come back sorted non-increasing.  An empty or non-square
-    matrix, a complex or non-finite entry or an entry pair with a[i][j] !=
-    a[j][i] raises InvalidParameterError, a Cholesky pivot that is not
-    positive PrecisionError, and an exhausted sweep budget
+    Values come back sorted non-increasing, and the smallest clears
+    error_bound: every returned spectrum is resolved at ``bits``.  An
+    empty or non-square matrix, a complex or non-finite entry or an entry
+    pair with a[i][j] != a[j][i] raises InvalidParameterError; a Cholesky
+    pivot that is not positive, or a smallest eigenvalue at or below
+    error_bound, PrecisionError; and an exhausted sweep budget
     ConvergenceError (carrying the final off-diagonal residual).
 
     error_bound, with u = 2^-p, q = p + GUARD_BITS and T = trace(A), A
@@ -270,45 +275,29 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
         terms = (2 * n + 3 << GUARD_BITS) + 3 * (
             sweeps * n * (n - 1) // 2 + 1) * (math.isqrt(n) + 9)
         bound = mp.ldexp(terms * trace, -q) + off
-        return SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)
-
-
-def require_resolved(eig: SpectrumResult) -> SpectrumResult:
-    """eig, if the smallest eigenvalue of its positive definite Gram
-    matrix clears the solve's error bound; PrecisionError if not, since
-    it is then not resolved at p bits."""
-    p = eig.precision_bits
-    with mp.workprec(p):
-        if eig.min_value <= eig.error_bound:
+        if values[-1] <= bound:
             raise PrecisionError(
-                f"smallest Gram eigenvalue {decimal_str(eig.min_value, p)} "
-                f"does not clear its error bound "
-                f"{decimal_str(eig.error_bound, p)} at {p} bits; "
-                "raise precision")
-    return eig
-
-
-def _sqrt_spectrum(eig: SpectrumResult) -> SpectrumResult:
-    """Singular values from Gram eigenvalues that clear their error bound."""
-    require_resolved(eig)
-    with mp.workprec(eig.precision_bits):
-        vals = tuple(mp.sqrt(lam) for lam in eig.values)
-    return dataclasses.replace(eig, values=vals, kind="singular")
+                f"smallest Gram eigenvalue {decimal_str(values[-1], p)} "
+                f"does not clear its error bound {decimal_str(bound, p)} "
+                f"at {p} bits; raise precision")
+        return SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)
 
 
 def singular_values(spec: VandermondeSpec, bits: int) -> SpectrumResult:
     """Singular values of the Vandermonde matrix at ``bits``: square roots
     of the eigenvalues of its Dirichlet kernel K, which has the Gram
     spectrum."""
-    return _sqrt_spectrum(
-        hermitian_eigenvalues(build_dirichlet_kernel(spec, bits), bits))
+    eig = hermitian_eigenvalues(build_dirichlet_kernel(spec, bits), bits)
+    with mp.workprec(bits):
+        vals = tuple(mp.sqrt(lam) for lam in eig.values)
+    return dataclasses.replace(eig, values=vals, kind="singular")
 
 
 def normalized_lambda(sigma_min, N: int, delta, ell: int):
     """(lambda, log10 lambda) at the ambient precision, where lambda is
-    sigma_min / (sqrt(N) (N delta)^(ell-1)); log10 of 0 is -inf."""
+    sigma_min / (sqrt(N) (N delta)^(ell-1)) for a resolved sigma_min."""
     lam = sigma_min / (mp.sqrt(N) * (N * delta) ** (ell - 1))
-    return lam, mp.log10(lam) if lam > 0 else mpf("-inf")
+    return lam, mp.log10(lam)
 
 
 def prolate_limit_check(nodes: NodeSet, N_list, bits: int):
@@ -327,15 +316,14 @@ def prolate_limit_check(nodes: NodeSet, N_list, bits: int):
         raise InvalidParameterError("no N to check the limit at")
     if any(N < 1 for N in N_list):
         raise InvalidParameterError("every N must be >= 1")
-    eig = require_resolved(
-        hermitian_eigenvalues(build_prolate(nodes, bits), bits))
+    eig = hermitian_eigenvalues(build_prolate(nodes, bits), bits)
     lam_g, headroom = eig.min_value, eig.headroom_bits
     gaps = []
     for N in N_list:
         with mp.workprec(bits):
             scaled = scale_to_circle(nodes, N)
         kernel = build_dirichlet_kernel(VandermondeSpec(2 * N, scaled), bits)
-        eig = require_resolved(hermitian_eigenvalues(kernel, bits))
+        eig = hermitian_eigenvalues(kernel, bits)
         headroom = min(headroom, eig.headroom_bits)
         with mp.workprec(bits):
             gaps.append((N, abs(eig.min_value / (2 * N) - lam_g)))

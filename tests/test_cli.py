@@ -206,6 +206,24 @@ def test_unresolved_lambda_min_exits_two(tmp_path, capsys):
         assert "at 192 bits; raise precision" in captured.err
 
 
+def test_unresolved_spectrum_exits_two(tmp_path, capsys):
+    # sigma_min^2 of the 1e-6 cluster at N = 100 is about 2e-27: at 96
+    # bits it sits under the solver's error bound, at 64 bits a Cholesky
+    # pivot is already negative
+    assert main(["gen-config", "--delta", "1e-6", "--s", "4", "--ell", "4",
+                 "--N", "100", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for bits, text in (("96", "does not clear its error bound"),
+                       ("64", "not positive definite")):
+        code = main(["spectrum", "--config", str(tmp_path / "config.json"),
+                     "--precision-bits", bits, "--out", str(tmp_path)])
+        assert code == 2, bits
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert text in captured.err
+        assert f"at {bits} bits; raise precision" in captured.err
+
+
 def test_prolate_without_precision_bits(tmp_path, capsys):
     for delta, nodes in (("1e-2", ["-0.015", "-0.005", "0.005", "0.015"]),
                          ("1e-3", ["-0.0015", "-0.0005", "0.0005", "0.0015"])):
@@ -332,6 +350,8 @@ def _cluster_config(tmp_path, command, **changes):
         "N": 100}))],
     lambda t: ["gen-config", "--delta", "1e-3", "--s", "3", "--ell", "0",
                "--N", "100"],
+    lambda t: ["gen-config", "--delta", "1e-4", "--s", "2", "--ell", "2",
+               "--N", "-1", "--precision-bits", "256"],
     lambda t: _config_with(t, "prolate") + ["--c1", "abc"],
     lambda t: _config_with(t, "prolate") + ["--c1", "nan"],
     lambda t: _config_with(t, "prolate") + ["--c1", "0"],
@@ -344,7 +364,8 @@ def _cluster_config(tmp_path, command, **changes):
         "env-precision-bits-0", "config-precision-bits-0",
         "precision-override-0", "sweep-precision-bits-10", "workers-0",
         "workers-negative", "checks-empty", "N-list-empty", "delta-inf",
-        "theta-inf", "config-theta-inf", "gen-config-ell-0", "c1-abc",
+        "theta-inf", "config-theta-inf", "gen-config-ell-0",
+        "gen-config-N-negative", "c1-abc",
         "c1-nan", "c1-0", "env-c1-inf"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
     argv = argv(tmp_path)

@@ -102,6 +102,19 @@ class TestSweep:
         assert [r["status"] for r in rows] == ["skipped", "ok"]
         assert details[0]["reason"] == "ell must be >= 1, got 0"
 
+    def test_N_below_one_skips_its_row(self, tmp_path):
+        # at explicit bits too, with the policy path's reason and no bits
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [2], "N": [0, 50], "delta": ["1e-5"]},
+            precision_override=256))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (1, 1, 0)
+        rows = read_rows(tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert [r["status"] for r in rows] == ["skipped", "ok"]
+        assert [r["precision_bits"] for r in rows] == ["", "256"]
+        assert details[0]["reason"] == "N must be >= 1, got 0"
+
     def test_no_room_for_default_centers_skips_its_row(self, tmp_path):
         m = ExperimentManifest.from_json_dict(manifest_dict(
             grid={"ell": [2], "s": [400], "theta": [None], "N": [50],

@@ -16,7 +16,6 @@ from vandelab.expsums import (
     _float_moduli,
     _grid_max,
     _interval_transform,
-    _squared_modulus_terms,
     check_cor_turan,
     check_nikolskii,
     check_riemann,
@@ -470,8 +469,7 @@ class TestRiemannGap:
                 N = rng.randint(30, 150)
                 chk = check_riemann(P, N)
                 assert chk.holds
-                t_sup = linf_norm_certified(_squared_modulus_terms(P, mpf(N)),
-                                            mpf(0), mpf(1)).lower
+                t_sup = linf_norm_certified(P, 0, N).lower ** 2
                 rhs_shape = mpf(P.degree) ** 5 / N * t_sup
                 if rhs_shape > 0:
                     gap = abs(2 * chk.rhs - chk.lhs) / N
@@ -479,15 +477,6 @@ class TestRiemannGap:
             # gap <= (B/2 + 1)/N * ||T||_inf with B ~ sqrt(108 w^5); for
             # ell <= 3 that stays within a small multiple of ell^5/N
             assert worst < 8
-
-    def test_t_term_merging_keeps_degree_bound(self):
-        with mp.workprec(BITS):
-            # equispaced frequencies produce repeated differences
-            P = ExpSum((1, 1, 1), (mpf(0), mpf("0.01"), mpf("0.02")))
-            T = _squared_modulus_terms(P, mpf(10))
-            ell = 3
-            assert len(T.freqs) <= ell * ell - ell + 1
-            assert len(set(T.freqs)) == len(T.freqs)
 
 
 class TestCorTuran:

@@ -23,11 +23,9 @@ from vandelab.matrices import (
     build_prolate,
 )
 from vandelab.spectra import (
-    SpectrumResult,
     _combine,
     _int_column,
     _round_column,
-    _sqrt_spectrum,
     hermitian_eigenvalues,
     normalized_lambda,
     prolate_limit_check,
@@ -177,13 +175,15 @@ class TestJacobi:
 
     def test_zero_matrix(self):
         rows = tuple(tuple(mpf(0) for _ in range(3)) for _ in range(3))
-        eig = hermitian_eigenvalues(rows, BITS)
-        assert eig.values == (0, 0, 0)
+        with pytest.raises(PrecisionError,
+                           match=f"pivot 1 of 3 is 0.0: .* at {BITS} bits"):
+            hermitian_eigenvalues(rows, BITS)
 
     def test_exactly_singular_block(self):
         # the second Cholesky pivot is exactly 0 and so is its block
-        eig = hermitian_eigenvalues(((1, 1), (1, 1)), BITS)
-        assert eig.values == (2, 0)
+        with pytest.raises(PrecisionError,
+                           match=f"pivot 2 of 2 is 0.0: .* at {BITS} bits"):
+            hermitian_eigenvalues(((1, 1), (1, 1)), BITS)
 
     def test_indefinite_raises(self, rng):
         with pytest.raises(PrecisionError, match="pivot 2 of 2 .* at 192 bits"):
@@ -362,27 +362,36 @@ class TestIntegerRounding:
             _assert_rounded(exact, col, e, low + int(top).bit_length() - q)
 
 
-class TestSqrtClamp:
-    def test_dust_clamped(self):
-        # dust of either sign at or below the Weyl error bound
-        # 32 * n * sweeps * 2^-p * ||K||_F = 2^-(p-8) is no singular value
+class TestResolution:
+    """The solver returns a spectrum only if its smallest eigenvalue
+    clears error_bound."""
+
+    @staticmethod
+    def _bound_at_trace_4():
+        # diag(4, tiny) needs one sweep and no rotation, so its bound is
+        # (7 + 3 * 2 * 10 * 2^-24) 2^-p trace with trace >= 4
         with mp.workprec(BITS):
-            bound = mpf(2) ** -(BITS - 8)
-            for dust in (-bound / 4, bound):
-                eig = SpectrumResult((mpf(4), dust), "eigen", BITS, mpf(0), 1,
-                                     bound)
-                with pytest.raises(PrecisionError):
-                    _sqrt_spectrum(eig)
-            eig = SpectrumResult((mpf(4), 4 * bound), "eigen", BITS, mpf(0), 1,
-                                 bound)
-            assert _sqrt_spectrum(eig).values == (2, 2 * mp.sqrt(bound))
+            return mp.ldexp((7 << 24) + 60, -(BITS + 24)) * 4
+
+    def test_unresolved_raises(self):
+        bound = self._bound_at_trace_4()
+        for tiny in (bound / 4, bound):
+            with pytest.raises(PrecisionError,
+                               match=f"does not clear its error bound .* at "
+                                     f"{BITS} bits; raise precision"):
+                hermitian_eigenvalues(((4, 0), (0, tiny)), BITS)
+
+    def test_resolved_returned(self):
+        with mp.workprec(BITS):
+            tiny = self._bound_at_trace_4() * 1024
+            eig = hermitian_eigenvalues(((4, 0), (0, tiny)), BITS)
+            assert eig.values[0] == 4
+            assert abs(eig.min_value - tiny) <= eig.error_bound < eig.min_value
+            assert eig.headroom_bits == 9
 
     def test_genuinely_negative_raises(self):
-        with mp.workprec(BITS):
-            eig = SpectrumResult((mpf(4), mpf("-0.25")), "eigen", BITS,
-                                 mpf(0), 1, mpf(2) ** -(BITS - 8))
-            with pytest.raises(PrecisionError):
-                _sqrt_spectrum(eig)
+        with pytest.raises(PrecisionError, match="pivot 2 of 2 is -0.25"):
+            hermitian_eigenvalues(((4, 0), (0, mpf("-0.25"))), BITS)
 
 
 class TestSingularValues:
