@@ -32,7 +32,13 @@ class ConfigValidationError(VandelabError, ValueError):
 
 
 class PrecisionError(VandelabError, ArithmeticError):
-    """Working precision is insufficient for the requested computation."""
+    """Working precision is insufficient for the requested computation;
+    headroom_bits, if not None, is the floor(log2(lambda_min /
+    error_bound)) <= 0 of a positive eigenvalue that did not clear it."""
+
+    def __init__(self, message, headroom_bits=None):
+        super().__init__(message)
+        self.headroom_bits = headroom_bits
 
 
 class ConvergenceError(VandelabError, RuntimeError):

@@ -271,8 +271,10 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
     sized once from spec_at(FLOOR_BITS): with N for the Vandermonde
     spectrum at cluster size ell, without N for the prolate matrix of all
     s nodes, whose line-domain delta already stands for N*delta.  Policy
-    bits whose headroom falls short of GUARD_BITS are raised by the
-    shortfall and tried once more, and PrecisionError if still short.
+    bits whose headroom falls short of GUARD_BITS, or whose spectrum the
+    solver refused with a PrecisionError naming its headroom_bits, are
+    raised by the shortfall and tried once more, and PrecisionError if
+    still short.
     """
     explicit = bits is not None
     if not explicit:
@@ -280,8 +282,13 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
         bits = (required_bits(probe.s, 1, probe.delta) if N is None
                 else required_bits(probe.ell, N, probe.delta))
     for retry in (False, True):
-        with mp.workprec(bits):
-            result, headroom = body(spec_at(bits), bits)
+        try:
+            with mp.workprec(bits):
+                result, headroom = body(spec_at(bits), bits)
+        except PrecisionError as exc:
+            if explicit or retry or exc.headroom_bits is None:
+                raise
+            result, headroom = None, exc.headroom_bits
         if explicit or headroom is None or headroom >= GUARD_BITS:
             return result
         if retry:

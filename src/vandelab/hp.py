@@ -65,9 +65,9 @@ class PrecisionPolicy:
         - (2n + 3) 2^-p T <= 515 2^-p T, T the trace;
         - 3 (sweeps n (n - 1) / 2 + 1)(isqrt(n) + 9) 2^-(p + 24) T
           <= 4.6 2^-p T;
-        - the stopping residual: no pair of the last sweep rotated, so
-          |d_ij| <= 2^-(p-8) sqrt(a_i a_j), and sqrt(2 sum_{i<j} d_ij^2) <=
-          2^-(p-8) sum_i a_i, about 2^-(p-8) T = 256 2^-p T.
+        - the stopping residual: each |d_ij| of the last sweep is at most
+          2^-(p-8) T_W / n, T_W <= (1 + 2^(10-p)) T the columns' trace, so
+          sqrt(2 sum_{i<j} d_ij^2) < 2^-(p-8) T_W, about 256 2^-p T.
         So error_bound <= 776 2^-p T < 2^9.61 2^-p T.  The trace is s (N+1)
         with s = n, and T / N <= s (N+1) / N <= 2 n <= 2^9, so
         error_bound / lambda_min < 2^(18.61 + main - p).  At p = main +

@@ -2,30 +2,31 @@
 
 Its matrices, the Dirichlet kernel K (with the spectrum of the
 Vandermonde Gram G = U^H K U) and the prolate matrix, are positive
-definite and graded over hundreds of orders of magnitude, so the solver
-must keep the relative accuracy that QR-type methods lack.  It is the
-Drmac-Veselic recipe (SIMAX 29, 2008; Demmel and Veselic, SIMAX 13, 1992
-prove its accuracy):
+definite and graded over hundreds of orders of magnitude.  Accuracy is
+normwise, which is what error_bound states: about (2n + 3) 2^-p trace +
+residual.  The kernel's diagonal N + 1, rounded to p bits, already moves
+lambda_min by about 2^-p trace.  The recipe is Drmac-Veselic (SIMAX 29,
+2008) with a normwise stop:
 
 1. Cholesky with diagonal pivoting in mpf at p bits, A = P^T R^T R P.  A
    pivot that is not positive raises PrecisionError naming it and the
    bits.
 2. One-sided (Hestenes) Jacobi on the columns of W = R^T, whose Gram
-   R R^T has the spectrum of A.  A column is a list of ints with one
-   exponent, rounded to q = p + GUARD_BITS bits at its largest entry.
-   For columns x, y the exact ints a = |x|^2, b = |y|^2 and d = x.y
-   decide: d^2 2^(2(p-8)) <= a b leaves the pair, otherwise
-   (x, y) -> (c x - s y, s x + c y) makes it orthogonal.  c and s are
-   (mantissa, exponent) pairs, so a tiny s keeps its relative precision;
-   each new column is formed exactly and rounded once.  The iteration
-   stops after a sweep without a rotation; ConvergenceError if the last
-   sweep of the budget still rotates.
+   R R^T has the spectrum of A.  Every column is a list of ints in one
+   unit 2^e, which puts sqrt(trace / n) at q + 1 bits, q = p +
+   GUARD_BITS; the rows of R are truncated into it.  For columns x, y
+   the exact ints a = |x|^2, b = |y|^2 and d = x.y decide: |d| <=
+   2^-(p-8) T_W / n, T_W their first int trace, leaves the pair, else
+   (x, y) -> (c x - s y, s x + c y) makes it orthogonal, with c and s
+   q-bit fixed-point ints and each new entry rounded to nearest, ties to
+   even.  The iteration stops after a sweep without a rotation;
+   ConvergenceError if the last sweep of the budget still rotates.
 3. The eigenvalues are the squared column norms, rounded to p bits.
 
 The one resolution rule: a smallest eigenvalue at or below the solve's
-error bound is noise, so the solver raises PrecisionError instead of
-returning it.  Every spectrum it returns is resolved at p bits, and its
-callers take it as it is.
+error bound is noise, so the solver raises PrecisionError instead, with
+the headroom_bits it fell short by if it is positive.  Every spectrum it
+returns is resolved at p bits, and its callers take it as it is.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import math
 from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, round_floor,
+                          round_nearest)
 
 from .errors import ConvergenceError, InvalidParameterError, PrecisionError
 from .geometry import LINE, NodeSet, scale_to_circle
@@ -98,50 +100,33 @@ def _sweep_budget(n: int) -> int:
     return 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
-def _round_column(col, e, q):
-    """(col', e'): the column col 2^e with every entry rounded to a
-    multiple of 2^e', to nearest with ties to even, where e' puts the
-    largest entry at q bits; a column that fits stays as it is."""
-    k = max(map(abs, col), default=0).bit_length() - q
-    if k <= 0:
-        return col, e
+def _rounded(vals, k):
+    """Each int of vals divided by 2^k, k >= 1, rounded to nearest with
+    ties to even."""
     half, low = 1 << (k - 1), (1 << k) - 1
     # w = v + 1/2 ulp; w >> k is v rounded half up, and a tie (w & low
     # == 0) is moved down to the even neighbour by clearing the last bit
-    return [w >> k if (w := v + half) & low else w >> k & -2
-            for v in col], e + k
+    return [w >> k if (w := v + half) & low else w >> k & -2 for v in vals]
 
 
-def _combine(f, x, ex, g, y, ey, q):
-    """f x + g y for scalars f, g given as (mantissa, exponent) pairs and
-    columns x 2^ex, y 2^ey: formed exactly, then rounded by _round_column."""
-    e = min(f[1] + ex, g[1] + ey)
-    mf, mg = f[0] << f[1] + ex - e, g[0] << g[1] + ey - e
-    return _round_column([mf * u + mg * v for u, v in zip(x, y)], e, q)
-
-
-def _rotation(a, b, d, ex, ey, q):
-    """(c, s) as (mantissa, exponent) pairs, truncated to q bits, of the
-    rotation that makes columns x 2^ex and y 2^ey orthogonal, from the
-    ints a = |x|^2, b = |y|^2 and d = x.y != 0.  In values,
-    zeta = (b - a) / (2 d), t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)),
-    c = 1 / sqrt(1 + t^2) and s = t c; with h = b - a, X = |h| +
-    sqrt(h^2 + 4 d^2) and H = sqrt(X^2 + 4 d^2) that is c = X / H and
-    |s| = 2 |d| / H."""
-    # one power of two takes all three to a common exponent and d to
-    # q + 32 bits: each is then off by less than a unit, and X and H by a
-    # few, against H >= X >= 2 |d| >= 2^(q+32)
+def _rotation(a, b, d, q):
+    """(c, s), cos and sin times 2^q truncated to ints, of the rotation
+    that makes columns x and y orthogonal, from the ints a = |x|^2,
+    b = |y|^2 and d = x.y != 0.  In values, zeta = (b - a) / (2 d),
+    t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), c = 1 / sqrt(1 + t^2)
+    and s = t c; with h = b - a, X = |h| + sqrt(h^2 + 4 d^2) and
+    H = sqrt(X^2 + 4 d^2) that is c = X / H and |s| = 2 |d| / H."""
+    # one power of two takes d to q + 32 bits: a, b, d are then off by less
+    # than a unit, X and H by a few, and H >= X >= 2 |d| >= 2^(q+32)
     k = q + 32 - d.bit_length()
-    a, b, d = (v << j if j >= 0 else v >> -j for v, j in (
-        (a, k + ex - ey), (b, k + ey - ex), (d, k)))
+    a, b, d = (v << k if k >= 0 else v >> -k for v in (a, b, d))
     h, y = b - a, 2 * abs(d)
     x = abs(h) + math.isqrt(h * h + y * y)
     hyp = math.isqrt(x * x + y * y)
-    k = q + hyp.bit_length() - y.bit_length()
-    s = (y << k) // hyp
+    s = (y << q) // hyp
     if h and (h < 0) != (d < 0):  # sign(0) = +1
         s = -s
-    return ((x << q) // hyp, -q), (s, -k)
+    return (x << q) // hyp, s
 
 
 def _cholesky_rows(a, n, p):
@@ -170,48 +155,44 @@ def _cholesky_rows(a, n, p):
     return r
 
 
-def _int_column(row, q):
-    """(col, e): a row of mpf entries as one column of ints times 2^e,
-    rounded by _round_column."""
-    raw = [x._mpf_ for x in row]
-    top = max((exp + bc for _, man, exp, bc in raw if man), default=None)
-    if top is None:
-        return [0] * len(raw), 0
-    # an entry below a quarter of the unit 2^(top - q) rounds to 0; the
-    # others align to their lowest exponent within about p + q bits
-    floor = top - q - 1
-    e = min(exp for _, man, exp, bc in raw if man and exp + bc >= floor)
-    return _round_column(
-        [(-man if sign else man) << (exp - e) if man and exp + bc >= floor
-         else 0 for sign, man, exp, bc in raw], e, q)
+def _frame_column(row, e):
+    """A row of mpf entries as ints in units of 2^e, each truncated toward
+    zero: int() of the shifted mpf, which forms no large int."""
+    return [int(mp.ldexp(x, -e)) for x in row]
 
 
 def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
     """All eigenvalues of a real symmetric positive definite matrix,
     given as its rows, at ``bits``: pivoted Cholesky, then one-sided
-    Jacobi on integer columns (see the module docstring).
+    Jacobi on int columns in one fixed-point frame (see the module
+    docstring).
 
     Values come back sorted non-increasing, and the smallest clears
     error_bound: every returned spectrum is resolved at ``bits``.  An
     empty or non-square matrix, a complex or non-finite entry or an entry
     pair with a[i][j] != a[j][i] raises InvalidParameterError; a Cholesky
     pivot that is not positive, or a smallest eigenvalue at or below
-    error_bound, PrecisionError; and an exhausted sweep budget
+    error_bound, PrecisionError (the latter with its headroom_bits if the
+    eigenvalue is positive); and an exhausted sweep budget
     ConvergenceError (carrying the final off-diagonal residual).
 
-    error_bound, with u = 2^-p, q = p + GUARD_BITS and T = trace(A), A
-    the rows at p bits, sums what moves an eigenvalue:
+    error_bound, with u = 2^-p, q = p + GUARD_BITS, T = trace(A), A the
+    rows at p bits, and U = 2^e <= 2^-q sqrt(T / n) the unit, sums what
+    moves an eigenvalue:
     - Cholesky: R^T R = P A P^T + E, |E| <= gamma_{n+1} |R^T| |R|
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
       sec. 10.1), so ||E||_2 <= gamma_{n+1} ||R||_F^2 <= 2 (n + 1) u T.
-    - Rotations: the first rounding and each of the at most
-      sweeps n (n - 1) / 2 rotations move the columns they write by at
-      most (sqrt(n) + 8) 2^-q of their Frobenius norm (sqrt(n) from the
-      rounding, 8 from c^2 + s^2 != 1).  The columns are then an exact
-      orthogonal transform of W + F, ||F||_F <= eta ||W||_F with
-      eta = (sweeps n (n - 1) / 2 + 1)(sqrt(n) + 8) 2^-q, which moves an
-      eigenvalue by at most (2 eta + eta^2) ||W||_F^2 <= 3 eta T.
-    - The stop: at most offdiag_residual (Weyl).
+    - The frame: truncating W's n^2 entries moves it by less than n U <=
+      sqrt(n) 2^-q sqrt(T) in Frobenius norm.  Each of the at most
+      sweeps n (n - 1) / 2 rotations rounds 2 n entries by U / 2, at most
+      2^-q sqrt(T / 2), and its c, s, about 2^-q short of cos, sin, scale
+      it by 1 + O(2^-q): at most (sqrt(n) + 8) 2^-q sqrt(T) in all.  The
+      final columns are an exact orthogonal transform of W + F,
+      ||F||_F <= eta sqrt(T), eta = (sweeps n (n - 1) / 2 + 1)(sqrt(n) + 8)
+      2^-q, which moves an eigenvalue by at most 3 eta T.
+    - The stop: at most offdiag_residual (Weyl).  No pair of the last
+      sweep rotated, so each |d| <= 2^-(p-8) T_W / n, and offdiag_residual
+      < 2^-(p-8) T_W U^2 <= 2^-(p-8) ||R||_F^2: truncation only shrinks.
     - Rounding the squared norms: u T.
     In all, ((2 n + 3) + 3 (sweeps n (n - 1) / 2 + 1)(isqrt(n) + 9)
     2^-GUARD_BITS) u T + offdiag_residual.
@@ -237,50 +218,56 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
         if not all(mp.isfinite(x) for row in a for x in row):
             raise InvalidParameterError("non-finite entry in an eigensolve")
         trace = mp.fsum(a[i][i] for i in range(n))
-        pairs = [_int_column(row, q) for row in _cholesky_rows(a, n, p)]
-        cols, exps = [c for c, _ in pairs], [e for _, e in pairs]
-        del a, pairs  # the sweeps need only the int columns
+        r = _cholesky_rows(a, n, p)  # every pivot, so the trace, positive
+        # the unit 2^e puts sqrt(trace / n) at q + 1 bits: trace / n
+        # rounded down keeps its floor(log2), exp + bc - 1
+        _, _, exp, bc = mpf_div(trace._mpf_, from_int(n), p, round_floor)
+        e = (exp + bc - 1) // 2 - q
+        cols = [_frame_column(row, e) for row in r]
+        del a, r  # the sweeps need only the int columns
         norms = [sum(map(mul, x, x)) for x in cols]
+        # a pair rotates while |d| > 2^-(p-8) T_W / n, T_W the int trace
+        # of the columns; for an int d that is |d| > tol
+        tol = sum(norms) // (n << p - 8)
         budget = _sweep_budget(n)
-        sweeps, rotated, dots = 0, n > 1, []
+        sweeps, rotated, off2 = 0, n > 1, 0
         while rotated:
-            sweeps, rotated, dots = sweeps + 1, False, []
+            sweeps, rotated, off2 = sweeps + 1, False, 0
             for i in range(n - 1):
                 for j in range(i + 1, n):
                     x, y = cols[i], cols[j]
                     d = sum(map(mul, x, y))
-                    ex, ey = exps[i], exps[j]
-                    dots.append((d, ex + ey))
-                    if d * d << 2 * (p - 8) <= norms[i] * norms[j]:
+                    off2 += d * d
+                    if abs(d) <= tol:
                         continue
                     rotated = True
-                    c, s = _rotation(norms[i], norms[j], d, ex, ey, q)
-                    cols[i], exps[i] = _combine(c, x, ex, (-s[0], s[1]), y,
-                                                ey, q)
-                    cols[j], exps[j] = _combine(s, x, ex, c, y, ey, q)
-                    norms[i] = sum(map(mul, cols[i], cols[i]))
-                    norms[j] = sum(map(mul, cols[j], cols[j]))
+                    c, s = _rotation(norms[i], norms[j], d, q)
+                    x, y = [_rounded([f * u + g * v for u, v in zip(x, y)], q)
+                            for f, g in ((c, -s), (s, c))]
+                    cols[i], cols[j] = x, y
+                    norms[i], norms[j] = (sum(map(mul, v, v)) for v in (x, y))
             if sweeps >= budget:
                 break
         # the off-diagonal Frobenius norm of W^T W from the last sweep
-        off = mp.sqrt(2 * mp.fsum(mp.make_mpf(from_man_exp(d * d, 2 * e))
-                                  for d, e in dots))
+        off = mp.sqrt(mp.ldexp(2 * off2, 4 * e))
         if rotated:
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {budget} sweeps "
                 f"(residual {decimal_str(off, p)})",
                 residual=off, sweeps=sweeps)
         values = sorted((mp.make_mpf(from_man_exp(m, 2 * e, p, round_nearest))
-                         for m, e in zip(norms, exps)), reverse=True)
+                         for m in norms), reverse=True)
         terms = (2 * n + 3 << GUARD_BITS) + 3 * (
             sweeps * n * (n - 1) // 2 + 1) * (math.isqrt(n) + 9)
         bound = mp.ldexp(terms * trace, -q) + off
+        result = SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)
         if values[-1] <= bound:
             raise PrecisionError(
                 f"smallest Gram eigenvalue {decimal_str(values[-1], p)} "
                 f"does not clear its error bound {decimal_str(bound, p)} "
-                f"at {p} bits; raise precision")
-        return SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)
+                f"at {p} bits; raise precision",
+                headroom_bits=result.headroom_bits if values[-1] else None)
+        return result
 
 
 def singular_values(spec: VandermondeSpec, bits: int) -> SpectrumResult:

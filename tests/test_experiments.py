@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from vandelab import experiments, geometry
-from vandelab.errors import ConfigParseError
+from vandelab.errors import ConfigParseError, PrecisionError
 from vandelab.experiments import (
     CSV_COLUMNS,
     ExperimentManifest,
@@ -353,6 +353,57 @@ class TestHeadroom:
         assert doc["precision_bits"] > undersized[-1]
         assert doc["spectrum"]["headroom_bits"] >= GUARD_BITS
         assert reads == ["config"]
+
+    def test_unresolved_policy_solve_is_re_solved(self, tmp_path,
+                                                  monkeypatch):
+        # 116 bits under the policy, the solver refuses this row's spectrum
+        # as unresolved; its PrecisionError names the shortfall, and the
+        # row is re-solved by it like a short headroom
+        real, refused = experiments.required_bits, []
+        monkeypatch.setattr(experiments, "required_bits",
+                            lambda *args: real(*args) - 116)
+        real_sv = experiments.singular_values
+
+        def recorded(spec, bits):
+            try:
+                return real_sv(spec, bits)
+            except PrecisionError as exc:
+                refused.append((bits, exc))
+                raise
+
+        monkeypatch.setattr(experiments, "singular_values", recorded)
+        m = ExperimentManifest.from_json_dict(manifest_dict(grid=self.GRID))
+        summary = run_sweep(m, tmp_path)
+        row = read_rows(tmp_path)[0]
+        assert row["status"] == "ok"
+        [(bits, exc)] = refused
+        assert "does not clear its error bound" in str(exc)
+        assert exc.headroom_bits <= 0
+        assert int(row["precision_bits"]) == bits + GUARD_BITS - exc.headroom_bits
+        assert summary.min_headroom_bits >= GUARD_BITS
+
+        # explicit bits are never re-solved
+        refused.clear()
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid=self.GRID, precision_override=bits))
+        summary = run_sweep(m, tmp_path / "explicit")
+        assert [b for b, _ in refused] == [bits]
+        assert summary.failed == 1
+
+    def test_refusal_without_headroom_fails_at_once(self):
+        # a Cholesky pivot that is not positive names no shortfall
+        calls = []
+
+        def body(spec, bits):
+            calls.append(bits)
+            raise PrecisionError("Cholesky pivot 2 of 2 is -0.25")
+
+        spec_at, N, _ = experiments.point_spec(
+            {"ell": 4, "N": 100, "delta": "1e-6", "s": None, "tau": None,
+             "theta": None})
+        with pytest.raises(PrecisionError, match="pivot"):
+            experiments.run_at_bits(spec_at, N, None, body)
+        assert len(calls) == 1
 
     def test_still_short_after_the_re_solve_fails(self, tmp_path, monkeypatch):
         solves = self._fixed_headroom(monkeypatch, 10)

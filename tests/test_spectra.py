@@ -12,6 +12,7 @@ from conftest import (
     random_hermitian,
     random_spd,
 )
+from vandelab import hp
 from vandelab.errors import ConvergenceError, InvalidParameterError, PrecisionError
 from vandelab.experiments import point_spec
 from vandelab.geometry import LINE, PERIODIC, ClusterSpec, NodeSet, generate_config
@@ -23,9 +24,9 @@ from vandelab.matrices import (
     build_prolate,
 )
 from vandelab.spectra import (
-    _combine,
-    _int_column,
-    _round_column,
+    _frame_column,
+    _rotation,
+    _rounded,
     hermitian_eigenvalues,
     normalized_lambda,
     prolate_limit_check,
@@ -169,6 +170,13 @@ class TestJacobi:
                     eig.offdiag_residual
             assert eig.error_bound == expect
 
+    def test_s40_sweep_kernel_at_policy_bits(self):
+        # n = 40 at 538 bits, solved directly: the two-sided reference is
+        # too slow at this size
+        eig = hermitian_eigenvalues(*_sweep_kernel(8, 40, "1e-10", 480))
+        assert eig.headroom_bits >= hp.GUARD_BITS
+        assert eig.sweeps_used <= 6
+
     def test_dimension_cap(self):
         with pytest.raises(InvalidParameterError):
             hermitian_eigenvalues(identity(257), BITS)
@@ -213,6 +221,7 @@ def _assert_within_bound(M, bits):
     with mp.workprec(bits + 64):
         for mine, ref in zip(eig.values, values):
             assert abs(mine - ref) <= eig.error_bound
+    return eig
 
 
 def _sweep_kernel(ell, s, delta, N):
@@ -249,7 +258,9 @@ class TestJacobiBitIdentity:
     @pytest.mark.parametrize("ell, s, delta, N", [
         (12, 12, "1e-25", 144), (4, 16, "1e-10", 192), (4, 24, "1e-10", 288)])
     def test_heavy_sweep_kernel(self, ell, s, delta, N):
-        _assert_within_bound(*_sweep_kernel(ell, s, delta, N))
+        # each converges in 4 sweeps, the final one without a rotation
+        assert _assert_within_bound(*_sweep_kernel(ell, s, delta, N)) \
+            .sweeps_used <= 4
 
     def test_prolate_matrix(self):
         with mp.workprec(256):
@@ -274,15 +285,11 @@ class TestJacobiBitIdentity:
         assert err.value.residual > 0
 
 
-def _assert_rounded(exact, col, e, unit_exp):
-    """col 2^e is exact, as Fractions, rounded to multiples of 2^unit_exp,
-    to nearest with ties to even; a column that fits in fewer bits keeps
-    its coarser e and every value."""
-    if e > unit_exp:
-        assert [Fraction(m) * Fraction(2) ** e for m in col] == exact
-        return
-    assert e == unit_exp
+def _assert_rounded(exact, col, e):
+    """col is exact, as Fractions, in units of 2^e, each entry rounded to
+    nearest with ties to even."""
     unit = Fraction(2) ** e
+    assert len(col) == len(exact)
     for x, m in zip(exact, col):
         err = abs(x - m * unit)
         assert err <= unit / 2
@@ -291,9 +298,8 @@ def _assert_rounded(exact, col, e, unit_exp):
 
 
 class TestIntegerRounding:
-    """_round_column, _int_column and _combine against exact rationals:
-    every entry is the nearest multiple of a unit that puts the largest
-    entry at q bits, ties to even."""
+    """_rounded, _frame_column and _rotation against exact rationals:
+    a rotated entry is the nearest multiple of the unit, ties to even."""
 
     def test_round_any_integer(self, rng):
         for q in (53, 216, 637, 2320):
@@ -302,34 +308,37 @@ class TestIntegerRounding:
                     col = [rng.getrandbits(rng.randint(1, bits)) *
                            rng.choice((1, -1))
                            for _ in range(rng.randint(1, 9))]
-                    e = rng.randrange(-q, q)
-                    out, e2 = _round_column(col, e, q)
-                    top = max(map(abs, col)).bit_length()
-                    _assert_rounded(
-                        [Fraction(m) * Fraction(2) ** e for m in col],
-                        out, e2, e + top - q)
+                    k = rng.randint(1, q + 2)
+                    _assert_rounded([Fraction(m) for m in col],
+                                    _rounded(col, k), k)
 
     def test_ties_and_carry(self):
-        # the largest entry has q + 3 bits, so the unit is 2^3: entries
-        # +-4, +-12 and +-20 are ties, 2^(q+3) - 1 carries to 2^q
+        # the unit is 2^3: entries +-4, +-12 and +-20 are ties, and
+        # 2^(q+3) - 1 carries to 2^q
         q = 53
         col = [(1 << q + 3) - 1, 4, 12, 20, -4, -12, -20, 5, -5]
-        out, e = _round_column(col, 0, q)
-        assert e == 3
-        assert out == [1 << q, 0, 2, 2, 0, -2, -2, 1, -1]
+        assert _rounded(col, 3) == [1 << q, 0, 2, 2, 0, -2, -2, 1, -1]
 
-    def test_int_column(self):
+    def test_frame_column(self):
+        # the first rounding truncates toward zero, so a column that is
+        # never rotated carries no more than its Cholesky row
         p = 192
         q = p + 24
         with mp.workprec(p):
             row = [mpf(1) / 3, -mpf(2) / 7, mpf(0), mp.ldexp(1, -q - 40),
-                   mp.ldexp(3, -q - 2), mp.ldexp(1, -10 ** 6), mpf(5) / 11]
+                   mp.ldexp(3, -q - 2), mp.ldexp(1, -10 ** 6), mpf(5) / 11,
+                   mp.ldexp(1, -q), -mp.ldexp(7, -q - 1)]
             exact = [Fraction(-m if sign else m) * Fraction(2) ** e
                      for sign, m, e, _ in (x._mpf_ for x in row)]
-            top = max(x._mpf_[2] + x._mpf_[3] for x in row if x)
-        col, e = _int_column(row, q)
-        _assert_rounded(exact, col, e, top - q)
-        assert _int_column([mpf(0)] * 3, q) == ([0, 0, 0], 0)
+        col = _frame_column(row, -q)
+        assert col == [int(x * 2 ** q) for x in exact]
+        assert col[4:6] == [0, 0] and col[7:] == [1, -3]
+        assert _frame_column([mpf(0)] * 3, -q) == [0, 0, 0]
+        # entries that are all multiples of the unit keep their values
+        with mp.workprec(p):
+            row = [mpf(12), mpf(-3), mpf(0)]
+        assert _frame_column(row, 0) == [12, -3, 0]
+        assert _frame_column(row, -5) == [12 << 5, -3 << 5, 0]
 
     def test_exponent_gap_allocates_no_large_int(self):
         # aligned exactly, a 10^8-bit gap would take a 12.5 MB int
@@ -337,29 +346,39 @@ class TestIntegerRounding:
             row = [mpf(1) / 3, mp.ldexp(1, -10 ** 8)]
         tracemalloc.start()
         try:
-            col, _ = _int_column(row, 216)
+            col = _frame_column(row, -216)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert col[1] == 0
         assert peak < 10 ** 5
 
-    def test_combine(self, rng):
+    def test_rotation(self, rng):
+        # c and s are cos and sin of the orthogonalizing angle times 2^q,
+        # within a unit; applied exactly, they leave |x.y| <= 2^(2-q)(a + b)
         q = 216
         for _ in range(40):
             n = rng.randint(1, 8)
             x = [rng.getrandbits(q) * rng.choice((1, -1)) for _ in range(n)]
-            y = [rng.getrandbits(q) * rng.choice((1, -1)) for _ in range(n)]
-            ex, ey = rng.randrange(-3 * q, 3 * q), rng.randrange(-3 * q, 3 * q)
-            f = (rng.getrandbits(q) * rng.choice((1, -1)), rng.randrange(-q, 0))
-            g = (rng.getrandbits(q) * rng.choice((1, -1)), rng.randrange(-q, 0))
-            two = Fraction(2)
-            exact = [f[0] * two ** f[1] * u * two ** ex +
-                     g[0] * two ** g[1] * v * two ** ey for u, v in zip(x, y)]
-            col, e = _combine(f, x, ex, g, y, ey, q)
-            low = min(f[1] + ex, g[1] + ey)
-            top = max(abs(z) / two ** low for z in exact)
-            _assert_rounded(exact, col, e, low + int(top).bit_length() - q)
+            y = [rng.getrandbits(rng.randint(1, q)) * rng.choice((1, -1))
+                 for _ in range(n)]
+            a = sum(u * u for u in x)
+            b = sum(v * v for v in y)
+            d = sum(u * v for u, v in zip(x, y))
+            if d == 0:
+                continue
+            c, s = _rotation(a, b, d, q)
+            with mp.workprec(2 * q + 64):
+                zeta = mpf(b - a) / (2 * d)
+                t = mp.sign(zeta) / (abs(zeta) + mp.sqrt(1 + zeta ** 2)) \
+                    if zeta else mpf(1)
+                cos = 1 / mp.sqrt(1 + t * t)
+                assert abs(c - mp.ldexp(cos, q)) < 2
+                assert abs(s - mp.ldexp(t * cos, q)) < 2
+                x2 = [(c * u - s * v) for u, v in zip(x, y)]
+                y2 = [(s * u + c * v) for u, v in zip(x, y)]
+                dot = mpf(sum(u * v for u, v in zip(x2, y2)))
+                assert abs(dot) <= mp.ldexp(a + b, q + 2)
 
 
 class TestResolution:
