@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from mpmath import mp, mpf
@@ -147,14 +147,7 @@ class ExperimentManifest:
         return cls.from_json_dict(_read_json(path, "manifest"))
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment_id": self.experiment_id,
-            "kind": self.kind,
-            "grid": self.grid,
-            "precision_override": self.precision_override,
-            "created_at": self.created_at,
-            "tool_version": self.tool_version,
-        }
+        return asdict(self)
 
     def points(self) -> list:
         """Cartesian product of the grid in fixed key order."""
@@ -591,6 +584,7 @@ def _limit_check_body(nodes, cluster, N, bits, user_c1, N_list):
     if nodes.domain != LINE:
         raise ConfigParseError("limit check needs line-domain nodes",
                                key="nodes")
+    validate_config(nodes, cluster)
     lambda_min, gaps, headroom = prolate_limit_check(
         nodes, list(N_list or ()), bits)
     return {

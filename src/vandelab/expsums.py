@@ -4,9 +4,14 @@ A sum is P(t) = sum_j c_j e^(i t x_j) with distinct real frequencies.
 L2 norms over an interval use the paper-normalized measure
 (1/mu(I) inside the integral) and are integrated in closed form: the
 quantities checked here span hundreds of orders of magnitude, so
-quadrature error would swamp them.  The Turan, Nikolskii, cor-Turan and
-Riemann checks each return an InequalityCheck with both sides as
-computed; the Salem ratio is a measured constant, not a verdict.
+quadrature error would swamp them.  The L2 norm and the integer-sample
+norm are real quadratic forms in the sinc (prolate) and Dirichlet
+kernels that matrices builds, after one phase rotation of the
+coefficients.  So they are real by construction, and a form raises
+PrecisionError only when it does not clear its rounding dust.  The
+Turan, Nikolskii, cor-Turan and Riemann checks each return an
+InequalityCheck with both sides as computed; the Salem ratio is a
+measured constant, not a verdict.
 
 Sup norms are certified from a uniform grid: a derivative bound B for
 the [0,1]-rescaled sum (the Bernstein factor) turns the grid maximum
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import (
     DegenerateInputError,
@@ -33,7 +38,7 @@ from .errors import (
 )
 from .geometry import wrap_distance
 from .hp import as_mpc, as_mpf, decimal_str, pi_e
-from .matrices import _dirichlet_sum
+from .matrices import _dirichlet_ratio, _sinc
 
 DEFAULT_MAX_SUP_SAMPLES = 2_000_000
 MIN_SUP_SAMPLES = 64
@@ -90,51 +95,44 @@ def evaluate(P: ExpSum, t):
                    absolute=False)
 
 
-def _interval_transform(delta, a, b):
-    """integral_a^b e^(i delta t) dt, evaluated without cancellation.
+def _quadratic_form(P: ExpSum, m, kernel, what: str):
+    """sum_{j,k} c_j conj(c_k) e^(i m (x_j - x_k)) kernel(x_j - x_k) for a
+    real even kernel whose form is nonnegative.
 
-    Equals (e^(i delta b) - e^(i delta a)) / (i delta) for delta != 0 and
-    b - a at delta == 0; written as a product of a phase and a sinc so
-    small delta*(b-a) costs no relative precision.
+    With c'_j = c_j e^(i m x_j) this is c'^H K c' for the real symmetric
+    K_jk = kernel(x_j - x_k), summed in real arithmetic: |c'_j|^2
+    kernel(0) on the diagonal and 2 Re(c'_j conj(c'_k)) kernel(x_j - x_k)
+    once per unordered pair.  A form at or below 2^-(p-16) of the term
+    mass sum_{j,k} |c_j| |c_k| |kernel(x_j - x_k)| means the precision
+    cannot resolve it.
     """
-    if delta == 0:
-        return mpc(b - a)
-    half = delta * (b - a) / 2
-    return (b - a) * mp.expj(delta * (a + b) / 2) * mp.sin(half) / half
-
-
-def _quadratic_form(P: ExpSum, kernel, what: str):
-    """sum_{j,k} c_j conj(c_k) kernel(x_j - x_k) for a kernel whose form
-    is real and nonnegative.
-
-    An imaginary residue beyond 2^-(p-16) of the term mass, or a real
-    part at or below it, means the precision cannot resolve the form.
-    """
-    n = len(P.coeffs)
-    acc = mpc(0)
-    mass = mpf(0)
-    for j in range(n):
-        for k in range(n):
-            term = P.coeffs[j] * mp.conj(P.coeffs[k]) * \
-                kernel(P.freqs[j] - P.freqs[k])
-            acc += term
-            mass += abs(term)
-    dust = mp.ldexp(mass if mass > 0 else mpf(1), -(mp.prec - 16))
-    if abs(acc.imag) > dust:
+    xs = P.freqs
+    rot = [c * mp.expj(m * x) for c, x in zip(P.coeffs, xs)]
+    mags = [abs(c) for c in P.coeffs]
+    acc = mass = mpf(0)
+    for j in range(len(rot)):
+        for k in range(j, len(rot)):
+            kv = kernel(xs[j] - xs[k])
+            twice = 1 if j == k else 2
+            acc += twice * kv * (rot[j].real * rot[k].real
+                                 + rot[j].imag * rot[k].imag)
+            mass += twice * abs(kv) * mags[j] * mags[k]
+    dust = mp.ldexp(mass, -(mp.prec - 16))
+    if mass > 0 and acc <= dust:
         raise PrecisionError(
-            f"imaginary residue {decimal_str(abs(acc.imag))} of the {what} "
-            f"quadratic form exceeds rounding dust; raise precision")
-    if mass > 0 and acc.real <= dust:
-        raise PrecisionError(
-            f"{what} quadratic form came out {decimal_str(acc.real)}, not "
+            f"{what} quadratic form came out {decimal_str(acc)}, not "
             f"above rounding dust {decimal_str(dust)}; raise precision")
-    return acc.real
+    return acc
 
 
 def _l2_form(P: ExpSum, a, b):
-    """int_a^b |P(t)|^2 dt in closed form: the quadratic form
-    sum_{j,k} c_j conj(c_k) E(x_j - x_k), E(d) = int_a^b e^(i d t) dt."""
-    return _quadratic_form(P, lambda d: _interval_transform(d, a, b), "L2")
+    """int_a^b |P(t)|^2 dt in closed form: the quadratic form in
+    E(d) = int_a^b e^(i d t) dt = e^(i m d) w sinc(w d / 2), with
+    m = (a + b)/2 and w = b - a.  On [-1, 1] the real factor w sinc(w d / 2)
+    is twice build_prolate's kernel."""
+    w = b - a
+    return _quadratic_form(P, (a + b) / 2, lambda d: w * _sinc(w * d / 2),
+                           "L2")
 
 
 def l2_norm_exact(P: ExpSum, a, b):
@@ -149,13 +147,15 @@ def discrete_norm(P: ExpSum, N: int):
     """The integer-sample norm (sum_{k=0}^{N} |P(k)|^2)^(1/2).
 
     For a unit coefficient vector this is ||V_N(x) c||_2.  Evaluated as
-    the quadratic form in the Dirichlet sums sum_k e^(i k (x_j - x_m)),
-    with the kernel builder's 32 + log2(N) guard bits.
+    the quadratic form in the Dirichlet sums sum_k e^(i k d): the phase
+    e^(i N d / 2) times the ratio sin((N+1) d/2) / sin(d/2) that
+    build_dirichlet_kernel evaluates, with its 32 + log2(N) guard bits.
     """
     if N < 0:
         raise InvalidParameterError("N must be >= 0")
     with mp.workprec(mp.prec + 32 + max(N, 1).bit_length()):
-        form = _quadratic_form(P, lambda d: _dirichlet_sum(d, N), "discrete")
+        form = _quadratic_form(P, mpf(N) / 2,
+                               lambda d: _dirichlet_ratio(d, N), "discrete")
         val = mp.sqrt(form)
     return +val
 

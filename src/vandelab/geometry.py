@@ -343,17 +343,17 @@ def assign_multiplicities(s: int, ell: int, n_clusters: int) -> list:
 
 def cluster_offsets(r: int, ell: int, tau, delta, layout: str, rng) -> list:
     """Node offsets of one cluster relative to its center, min+max = 0."""
+    if layout not in (EQUISPACED, RANDOM):
+        raise InvalidParameterError(f"unknown layout {layout!r}")
     if r == 1:
         return [mpf(0)]
     if layout == EQUISPACED:
         gaps = [delta] * (r - 1)
-    elif layout == RANDOM:
+    else:
         # gaps in [delta, tau*delta/(ell-1)] keep every pairwise distance
         # inside [delta, tau*delta] for any multiplicity r <= ell
         hi = tau * delta / (ell - 1)
         gaps = [delta + (hi - delta) * mpf(rng.random()) for _ in range(r - 1)]
-    else:
-        raise InvalidParameterError(f"unknown layout {layout!r}")
     offs = [mpf(0)]
     for g in gaps:
         offs.append(offs[-1] + g)

@@ -41,6 +41,13 @@ class VandermondeSpec:
                 f"need N >= s-1, got N={self.N}, s={self.nodes.count}")
 
 
+def _sinc(t):
+    """sin(t) / t, and its limit 1 at t = 0."""
+    if t == 0:
+        return mpf(1)
+    return mp.sin(t) / t
+
+
 def _dirichlet_ratio(delta, N: int):
     """sin((N+1) delta/2) / sin(delta/2), and its limit N+1 at delta = 0."""
     if delta == 0:
@@ -127,7 +134,7 @@ def build_prolate(nodes: NodeSet, bits: int) -> tuple:
                         "prolate nodes %d,%d separated by %s < 2^-%d; "
                         "consider raising precision", j, k,
                         decimal_str(abs(d), bits), bits // 2)
-                val = mp.sin(d) / d
+                val = _sinc(d)
                 rows[j][k] = val
                 rows[k][j] = val
     return tuple(tuple(r) for r in rows)

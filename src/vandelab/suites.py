@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from mpmath import mp, mpc, mpf
 
@@ -44,15 +44,7 @@ class SuiteRecord:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "index": self.index,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -67,7 +67,7 @@ def test_inequalities_subset(tmp_path, capsys):
 
 def test_limit_check_command(tmp_path, capsys):
     with mp.workprec(192):
-        spec = ClusterSpec(delta="0.5", theta="1", s=2, ell=1, tau=1)
+        spec = ClusterSpec(delta="0.5", theta="1", s=2, ell=2, tau=1)
         nodes = NodeSet((mpf(0), mpf("0.5")), "line")
     cfg = tmp_path / "line.json"
     write_config(cfg, nodes, spec, bits=192)
@@ -356,6 +356,7 @@ def _cluster_config(tmp_path, command, **changes):
     lambda t: _config_with(t, "prolate") + ["--c1", "nan"],
     lambda t: _config_with(t, "prolate") + ["--c1", "0"],
     lambda t: ["VANDELAB_C1=inf"] + _config_with(t, "prolate"),
+    lambda t: _nodes_config(t, "limit-check", ["0", "0.5", "1"]),
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
         "missing-config", "missing-manifest", "grid-ell", "grid-N",
@@ -366,7 +367,7 @@ def _cluster_config(tmp_path, command, **changes):
         "workers-negative", "checks-empty", "N-list-empty", "delta-inf",
         "theta-inf", "config-theta-inf", "gen-config-ell-0",
         "gen-config-N-negative", "c1-abc",
-        "c1-nan", "c1-0", "env-c1-inf"])
+        "c1-nan", "c1-0", "env-c1-inf", "limit-check-count-mismatch"])
 def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
     argv = argv(tmp_path)
     while "=" in argv[0]:

@@ -102,6 +102,16 @@ class TestSweep:
         assert [r["status"] for r in rows] == ["skipped", "ok"]
         assert details[0]["reason"] == "ell must be >= 1, got 0"
 
+    def test_unknown_layout_skips_every_row(self, tmp_path):
+        # a one-node cluster lays out no gaps, but its layout is still read
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [1, 2], "N": [50], "delta": ["1e-5"],
+                  "layout": ["foo"]}))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (0, 2, 0)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert [d["reason"] for d in details] == ["unknown layout 'foo'"] * 2
+
     def test_N_below_one_skips_its_row(self, tmp_path):
         # at explicit bits too, with the policy path's reason and no bits
         m = ExperimentManifest.from_json_dict(manifest_dict(
@@ -565,7 +575,7 @@ class TestSingleRuns:
     def test_limit_check(self, tmp_path):
         bits = 192
         with mp.workprec(bits):
-            spec = ClusterSpec(delta="0.5", theta="1", s=2, ell=1, tau=1)
+            spec = ClusterSpec(delta="0.5", theta="1", s=2, ell=2, tau=1)
             nodes = NodeSet((mpf(0), mpf("0.5")), LINE)
         path = tmp_path / "c.json"
         write_config(path, nodes, spec, bits=bits)

@@ -15,7 +15,6 @@ from vandelab.expsums import (
     ExpSum,
     _float_moduli,
     _grid_max,
-    _interval_transform,
     check_cor_turan,
     check_nikolskii,
     check_riemann,
@@ -26,8 +25,13 @@ from vandelab.expsums import (
     l2_norm_exact,
     linf_norm_certified,
 )
-from vandelab.geometry import NodeSet
-from vandelab.matrices import VandermondeSpec, build_gram_closed_form
+from vandelab.geometry import LINE, NodeSet
+from vandelab.matrices import (
+    VandermondeSpec,
+    _sinc,
+    build_gram_closed_form,
+    build_prolate,
+)
 from vandelab.spectra import singular_values
 
 BITS = 192
@@ -40,6 +44,13 @@ def random_sum(rng, ell, freq_range=5.0):
     coeffs = tuple(mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
                    for _ in range(ell))
     return ExpSum(coeffs, tuple(sorted(freqs)))
+
+
+def naive_interval_transform(d, a, b):
+    """int_a^b e^(i d t) dt for d != 0 as (e^(i d b) - e^(i d a)) / (i d),
+    at doubled precision against its cancellation at small d."""
+    with mp.workprec(2 * mp.prec):
+        return (mp.expj(d * b) - mp.expj(d * a)) / (mpc(0, 1) * d)
 
 
 def recurrence_grid_max(P, a, b, samples):
@@ -139,6 +150,18 @@ class TestL2Exact:
                 quad = lq_norm_quadrature(P, a, b, 2)
                 assert abs(exact - quad) <= mpf(2) ** -(BITS // 2) * (1 + exact)
 
+    def test_unit_interval_is_the_prolate_form(self, rng):
+        # int_{-1}^{1} e^(i d t) dt / 2 = sin(d)/d, build_prolate's entry
+        with mp.workprec(BITS):
+            for ell in (2, 3, 5):
+                P = random_sum(rng, ell)
+                G = build_prolate(NodeSet(P.freqs, LINE), BITS)
+                form = mp.fsum(P.coeffs[j] * mp.conj(P.coeffs[k]) * G[j][k]
+                               for j in range(ell) for k in range(ell))
+                l2 = l2_norm_exact(P, mpf(-1), mpf(1))
+                tol = mpf(2) ** -(BITS - 32) * abs(form)
+                assert abs(l2 ** 2 - form) <= tol
+
     def test_interval_validation(self):
         P = ExpSum((1,), (0,))
         with pytest.raises(InvalidParameterError):
@@ -146,21 +169,28 @@ class TestL2Exact:
 
 
 class TestIntervalTransform:
+    """The L2 form's kernel e^(i m d) w sinc(w d / 2), m = (a + b)/2 and
+    w = b - a, is int_a^b e^(i d t) dt."""
+
+    @staticmethod
+    def kernel(d, a, b):
+        w = b - a
+        return mp.expj(d * (a + b) / 2) * w * _sinc(w * d / 2)
+
     def test_matches_naive_formula(self, rng):
-        # naive (e^{i d b} - e^{i d a})/(i d) at doubled precision
         with mp.workprec(2 * BITS):
             for _ in range(10):
                 d = mpf(rng.uniform(-20, 20))
                 a, b = mpf(rng.uniform(-3, 0)), mpf(rng.uniform(0.1, 5))
                 if d == 0:
                     continue
-                naive = (mp.expj(d * b) - mp.expj(d * a)) / (mpc(0, 1) * d)
-                mine = _interval_transform(d, a, b)
+                naive = naive_interval_transform(d, a, b)
+                mine = self.kernel(d, a, b)
                 assert abs(mine - naive) <= mpf(2) ** -(BITS) * (abs(naive) + 1)
 
     def test_zero_frequency(self):
         with mp.workprec(BITS):
-            assert _interval_transform(mpf(0), mpf(2), mpf(5)) == 3
+            assert self.kernel(mpf(0), mpf(2), mpf(5)) == 3
 
 
 class TestDiscreteNorm:
@@ -420,8 +450,8 @@ class TestSalem:
             P = ExpSum(c, x)
             ratio = check_salem_ratio(P, delta)
             width = 4 * mp.pi / delta
-            cross = c[0] * mp.conj(c[1]) * _interval_transform(x[0] - x[1],
-                                                               mpf(0), width)
+            cross = c[0] * mp.conj(c[1]) * naive_interval_transform(
+                x[0] - x[1], mpf(0), width)
             c2 = abs(c[0]) ** 2 + abs(c[1]) ** 2
             expect = 1 + 2 * cross.real / (width * c2)
             assert abs(ratio - expect) <= mpf(2) ** -(BITS - 32)
