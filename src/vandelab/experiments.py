@@ -109,6 +109,9 @@ class ExperimentManifest:
         for key in ("experiment_id", "kind", "grid"):
             if key not in obj:
                 raise ConfigParseError(f"manifest missing key {key!r}", key=key)
+        if obj["kind"] != "sweep":
+            raise ConfigParseError(
+                f"manifest kind must be 'sweep', got {obj['kind']!r}", key="kind")
         if not isinstance(obj["grid"], dict):
             raise ConfigParseError("manifest grid must be a JSON object",
                                    key="grid")

@@ -36,7 +36,7 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from .geometry import wrap_distance
+from .geometry import PERIODIC, sorted_gaps
 from .hp import as_mpc, as_mpf, decimal_str, pi_e
 from .matrices import _dirichlet_ratio, _sinc
 
@@ -307,12 +307,13 @@ def check_nikolskii(P: ExpSum) -> InequalityCheck:
 def _require_separated(P: ExpSum, delta_sep):
     slack = mpf(2) ** -(mp.prec - 16)
     floor = as_mpf(delta_sep) * (1 - slack)
-    for j in range(len(P.freqs)):
-        for k in range(j + 1, len(P.freqs)):
-            if wrap_distance(P.freqs[j], P.freqs[k]) < floor:
-                raise InvalidParameterError(
-                    f"frequencies {j},{k} closer than the required "
-                    f"separation {decimal_str(as_mpf(delta_sep))}")
+    order, gaps = sorted_gaps(P.freqs, PERIODIC)
+    for k, g in enumerate(gaps):
+        if g < floor:
+            i, j = sorted((order[k], order[(k + 1) % len(order)]))
+            raise InvalidParameterError(
+                f"frequencies {i},{j} closer than the required "
+                f"separation {decimal_str(as_mpf(delta_sep))}")
 
 
 def check_salem_ratio(P: ExpSum, delta_sep):

@@ -3,10 +3,12 @@
 A configuration is a set of distinct nodes, on the periodic interval
 (-pi, pi] or on the real line, grouped into clusters: within a cluster
 consecutive nodes sit at distance between delta and tau*delta, and any
-two nodes from different clusters are at least theta apart.  The
-validator recovers the cluster partition by single-linkage at threshold
-tau*delta and then checks both separation conditions pairwise; because
-admissible configurations keep the two distance scales apart
+two nodes from different clusters are at least theta apart.  Single-
+linkage clusters at threshold tau*delta are runs of sorted nodes, so the
+validator scans the sorted gaps once: arcs above tau*delta cut the runs,
+a run is checked by its size, its arcs and its end nodes, and each cut
+arc against theta.  Only a cluster closing the circle has its pairs
+checked.  As admissible configurations keep the two scales apart
 (tau*delta < theta), single linkage finds the unique admissible
 partition whenever one exists.
 
@@ -18,6 +20,7 @@ configurations generated at the same precision validate cleanly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -56,18 +59,6 @@ def wrap_distance(x, y):
     return abs(d)
 
 
-def line_distance(x, y):
-    return abs(as_mpf(x) - as_mpf(y))
-
-
-def _metric(domain: str):
-    if domain == PERIODIC:
-        return wrap_distance
-    if domain == LINE:
-        return line_distance
-    raise InvalidParameterError(f"unknown domain {domain!r}")
-
-
 def wrap_to_interval(x):
     """Reduce an angle to the representative in (-pi, pi].
 
@@ -84,6 +75,23 @@ def wrap_to_interval(x):
     elif r > mp.pi:
         r -= two_pi
     return r
+
+
+def sorted_gaps(points, domain: str):
+    """(order, gaps): point indices sorted by value, and gaps[k] the arc
+    from order[k] to order[k+1], with the closing arc from the last back
+    to the first appended on the circle.  Periodic points outside
+    (-pi, pi] are reduced first; gaps below pi are then the subtractions
+    wrap_distance performs.
+    """
+    xs = [as_mpf(x) for x in points]
+    if domain == PERIODIC:
+        xs = [x if -mp.pi < x <= mp.pi else wrap_to_interval(x) for x in xs]
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    gaps = [xs[b] - xs[a] for a, b in zip(order, order[1:])]
+    if domain == PERIODIC and len(xs) > 1:
+        gaps.append(2 * mp.pi - (xs[order[-1]] - xs[order[0]]))
+    return order, gaps
 
 
 @dataclass(frozen=True)
@@ -190,8 +198,9 @@ class ClusterSpec:
 class PartitionResult:
     """Cluster partition: index sets, their sizes, and the counts q_m.
 
-    clusters are ordered by their smallest member node; q[m-1] is the
-    number of clusters of multiplicity at least m, for m = 1..ell.
+    clusters are ascending index tuples ordered by their smallest member
+    node (a cluster across +-pi comes first); q[m-1] is the number of
+    clusters of multiplicity at least m, for m = 1..ell.
     """
 
     clusters: tuple
@@ -235,83 +244,67 @@ def validate_config(nodes: NodeSet, spec: ClusterSpec) -> PartitionResult:
     if nodes.domain == PERIODIC and spec.tau > mp.pi / spec.delta:
         raise InvalidParameterError(
             "periodic domain requires tau <= pi/delta")
-    dist = _metric(nodes.domain)
+    dist = wrap_distance if nodes.domain == PERIODIC else lambda x, y: abs(x - y)
     s = nodes.count
     tol = _distance_slack(nodes, spec.delta)
     link = spec.tau * spec.delta + tol
-    lo_delta = spec.delta - tol
-    lo_theta = spec.theta - tol
+    order, gaps = sorted_gaps(nodes.nodes, nodes.domain)
 
-    d = [[mpf(0)] * s for _ in range(s)]
-    for i in range(s):
-        for j in range(i + 1, s):
-            dij = dist(nodes.nodes[i], nodes.nodes[j])
-            if dij == 0:
-                raise DegenerateInputError(
-                    f"nodes {i} and {j} coincide (distance 0)")
-            d[i][j] = d[j][i] = dij
+    def ends(k):  # the node indices at either end of arc k
+        return tuple(sorted((order[k], order[(k + 1) % s])))
 
-    # single-linkage components at threshold tau*delta
-    parent = list(range(s))
+    if 0 in gaps:
+        i, j = ends(gaps.index(0))
+        raise DegenerateInputError(f"nodes {i} and {j} coincide (distance 0)")
+    # clusters are the runs of arcs <= tau*delta; scanning from the last
+    # cut on puts a run across +-pi, which holds the smallest node, first
+    cuts = [k for k, g in enumerate(gaps) if g > link]
+    circle = len(gaps) == s  # two or more nodes on the circle
+    closed = circle and not cuts  # one cluster closes the circle
+    first = cuts[-1] + 1 if circle and cuts else 0
+    scan = [(first + step) % s for step in range(s)]
+    bounds = [0] + [n + 1 for n, k in enumerate(scan) if k in cuts] + [s]
+    runs = [scan[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    clusters = tuple(tuple(sorted(order[k] for k in run)) for run in runs)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(s):
-        for j in range(i + 1, s):
-            if d[i][j] <= link:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups = {}
-    for i in range(s):
-        groups.setdefault(find(i), []).append(i)
-    clusters = sorted(groups.values(), key=lambda g: nodes.nodes[g[0]])
-
-    for g in clusters:
-        if len(g) > spec.ell:
+    for run, members in zip(runs, clusters):
+        if len(members) > spec.ell:
             raise ConfigValidationError(
-                f"single-linkage cluster {tuple(g)} has multiplicity "
-                f"{len(g)} > ell={spec.ell}; configuration rejected",
+                f"single-linkage cluster {members} has multiplicity "
+                f"{len(members)} > ell={spec.ell}; configuration rejected",
                 pair=None, condition="multiplicity")
-        for a in range(len(g)):
-            for b in range(a + 1, len(g)):
-                i, j = g[a], g[b]
-                if d[i][j] < lo_delta:
-                    raise ConfigValidationError(
-                        f"nodes {i},{j} at distance {decimal_str(d[i][j])} "
-                        f"below delta={decimal_str(spec.delta)}",
-                        pair=(i, j), condition="within-cluster minimum")
-                # d <= tau*delta holds by the linkage threshold for the
-                # linking edges; enforce it for every pair (diameter)
-                if d[i][j] > link:
-                    raise ConfigValidationError(
-                        f"nodes {i},{j} at distance {decimal_str(d[i][j])} "
-                        f"exceed cluster diameter tau*delta="
-                        f"{decimal_str(spec.tau * spec.delta)}",
-                        pair=(i, j), condition="within-cluster diameter")
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            for i in clusters[a]:
-                for j in clusters[b]:
-                    if d[i][j] < lo_theta:
-                        raise ConfigValidationError(
-                            f"nodes {i},{j} from different clusters at "
-                            f"distance {decimal_str(d[i][j])} below theta="
-                            f"{decimal_str(spec.theta)}",
-                            pair=(i, j), condition="inter-cluster separation")
+        for k in run if closed else run[:-1]:
+            if gaps[k] < spec.delta - tol:
+                i, j = ends(k)
+                raise ConfigValidationError(
+                    f"nodes {i},{j} at distance {decimal_str(gaps[k])} "
+                    f"below delta={decimal_str(spec.delta)}",
+                    pair=(i, j), condition="within-cluster minimum")
+        # a run's end nodes are its farthest pair, but a cluster closing
+        # the circle has no ends
+        pairs = itertools.combinations(members, 2) if closed else \
+            [tuple(sorted((order[run[0]], order[run[-1]])))]
+        for i, j in pairs:
+            dij = dist(nodes.nodes[i], nodes.nodes[j])
+            if dij > link:
+                raise ConfigValidationError(
+                    f"nodes {i},{j} at distance {decimal_str(dij)} "
+                    f"exceed cluster diameter tau*delta="
+                    f"{decimal_str(spec.tau * spec.delta)}",
+                    pair=(i, j), condition="within-cluster diameter")
+    # the geodesic between two clusters crosses a cut arc
+    for k in cuts if len(runs) > 1 else ():
+        if gaps[k] < spec.theta - tol:
+            i, j = ends(k)
+            raise ConfigValidationError(
+                f"nodes {i},{j} from different clusters at "
+                f"distance {decimal_str(gaps[k])} below theta="
+                f"{decimal_str(spec.theta)}",
+                pair=(i, j), condition="inter-cluster separation")
 
     mults = tuple(len(g) for g in clusters)
     q = tuple(sum(1 for r in mults if r >= m) for m in range(1, spec.ell + 1))
-    return PartitionResult(
-        clusters=tuple(tuple(g) for g in clusters),
-        multiplicities=mults,
-        q=q,
-    )
+    return PartitionResult(clusters=clusters, multiplicities=mults, q=q)
 
 
 def assign_multiplicities(s: int, ell: int, n_clusters: int) -> list:
@@ -325,7 +318,7 @@ def assign_multiplicities(s: int, ell: int, n_clusters: int) -> list:
         raise InvalidParameterError("need at least one cluster center")
     rest = s - ell
     others = n_clusters - 1
-    if rest < others or rest > others * ell:
+    if ell < 1 or rest < others or rest > others * ell:
         raise InvalidParameterError(
             f"cannot place s={s} nodes into {n_clusters} clusters with "
             f"max multiplicity ell={ell}")
@@ -334,10 +327,6 @@ def assign_multiplicities(s: int, ell: int, n_clusters: int) -> list:
         base, extra = divmod(rest, others)
         for j in range(others):
             mults.append(base + (1 if j < extra else 0))
-    if any(not (1 <= r <= ell) for r in mults):
-        raise InvalidParameterError(
-            f"cannot place s={s} nodes into {n_clusters} clusters with "
-            f"max multiplicity ell={ell}")
     return mults
 
 
@@ -375,15 +364,15 @@ def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
     centers = [as_mpf(c) for c in cluster_centers]
     if not centers:
         raise InvalidParameterError("need at least one cluster center")
-    dist = _metric(domain)
     margin = spec.theta + spec.tau * spec.delta
     slack = mpf(2) ** -(mp.prec - 16)
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            if dist(centers[a], centers[b]) < margin * (1 - slack):
-                raise ConfigValidationError(
-                    f"cluster centers {a},{b} closer than theta + tau*delta",
-                    pair=(a, b), condition="center separation")
+    order, gaps = sorted_gaps(centers, domain)
+    for k, g in enumerate(gaps):
+        if g < margin * (1 - slack):
+            a, b = sorted((order[k], order[(k + 1) % len(order)]))
+            raise ConfigValidationError(
+                f"cluster centers {a},{b} closer than theta + tau*delta",
+                pair=(a, b), condition="center separation")
     mults = assign_multiplicities(spec.s, spec.ell, len(centers))
     rng = random.Random(seed)
     out = []

@@ -6,6 +6,10 @@ WIDTH, HEIGHT = 720, 480
 MARGIN = 56
 
 
+def _escape(text):  # as xml.sax.saxutils.escape, which loads urllib.request
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo, hi, n=6):
     if hi <= lo:
         hi = lo + 1.0
@@ -43,7 +47,7 @@ def scatter_svg(points, lines=(), title="", xlabel="", ylabel=""):
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-size="15" font-family="sans-serif">{title}</text>',
+        f'font-size="15" font-family="sans-serif">{_escape(title)}</text>',
     ]
     ax = (f'M {MARGIN} {MARGIN} L {MARGIN} {HEIGHT - MARGIN} '
           f'L {WIDTH - MARGIN} {HEIGHT - MARGIN}')
@@ -64,10 +68,11 @@ def scatter_svg(points, lines=(), title="", xlabel="", ylabel=""):
                      f'font-family="sans-serif">{ty:.3g}</text>')
     parts.append(f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 12}" '
                  f'text-anchor="middle" font-size="13" '
-                 f'font-family="sans-serif">{xlabel}</text>')
+                 f'font-family="sans-serif">{_escape(xlabel)}</text>')
     parts.append(f'<text x="16" y="{HEIGHT / 2:.1f}" text-anchor="middle" '
                  f'font-size="13" font-family="sans-serif" '
-                 f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {HEIGHT / 2:.1f})">'
+                 f'{_escape(ylabel)}</text>')
     colors = ("#c44", "#47c", "#4a4")
     for idx, (slope, intercept, label) in enumerate(lines):
         x0, x1 = x_lo + pad_x, x_hi - pad_x
@@ -79,7 +84,7 @@ def scatter_svg(points, lines=(), title="", xlabel="", ylabel=""):
                      f'stroke-dasharray="6 4"/>')
         parts.append(f'<text x="{p1[0] - 4:.1f}" y="{p1[1] - 6:.1f}" '
                      f'text-anchor="end" font-size="11" fill="{color}" '
-                     f'font-family="sans-serif">{label}</text>')
+                     f'font-family="sans-serif">{_escape(label)}</text>')
     for x, y in points:
         px, py = to_px(x, y)
         parts.append(f'<circle cx="{px:.1f}" cy="{py:.1f}" r="3" '

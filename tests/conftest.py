@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: the Gram oracle
 sums the geometric series term by term, the eigenvalue oracle is mpmath's
-eighe (tridiagonalization + QL, nothing like the package's Jacobi), and
-the quadrature oracle integrates numerically.  jacobi_reference is
+eighe (tridiagonalization + QL, nothing like the package's Jacobi),
+the quadrature oracle integrates numerically, and the partition oracle
+compares every pair of nodes where the validator scans sorted gaps.  jacobi_reference is
 two-sided cyclic Jacobi on the full matrix with mpf operators, another
 iteration than the package's pivoted Cholesky and one-sided Jacobi.
 
@@ -19,7 +20,12 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpc, mpf, matrix
 
-from vandelab.errors import ConvergenceError, InvalidParameterError
+from vandelab.errors import (
+    ConfigValidationError,
+    ConvergenceError,
+    DegenerateInputError,
+    InvalidParameterError,
+)
 from vandelab.expsums import ExpSum, evaluate
 from vandelab.geometry import (
     LINE,
@@ -27,7 +33,10 @@ from vandelab.geometry import (
     RANDOM,
     ClusterSpec,
     NodeSet,
+    PartitionResult,
+    _distance_slack,
     generate_config,
+    wrap_distance,
 )
 from vandelab.hp import as_mpf, decimal_str, pi_e
 from vandelab.matrices import VandermondeSpec
@@ -306,3 +315,88 @@ def fit_level_constant(spectra_and_partitions, bits: int = DEFAULT_SUITE_BITS) -
         c1 = mp.sqrt(lo_all * hi_all) if 0 < lo_all < hi_all else \
             (hi_all / 2 if hi_all < mp.inf else mpf(1))
     return LevelCountFit(lo=lo_all, hi=hi_all, c1=c1, instances=count)
+
+
+def validate_config_reference(nodes: NodeSet, spec: ClusterSpec) -> PartitionResult:
+    """validate_config by pairwise distances: the oracle for the scan.
+
+    It fills the s x s distance matrix, joins the single-linkage
+    clusters at tau*delta with a union-find, then checks every pair
+    inside a cluster against delta and tau*delta and every pair across
+    clusters against theta.  Clusters are ordered by their smallest
+    member node.  Same slack, error classes and conditions as the
+    validator.
+    """
+    if nodes.count != spec.s:
+        raise ConfigValidationError(
+            f"node count {nodes.count} differs from spec s={spec.s}")
+    if nodes.domain == PERIODIC and spec.tau > mp.pi / spec.delta:
+        raise InvalidParameterError("periodic domain requires tau <= pi/delta")
+    dist = wrap_distance if nodes.domain == PERIODIC else \
+        (lambda x, y: abs(x - y))
+    s = nodes.count
+    tol = _distance_slack(nodes, spec.delta)
+    link = spec.tau * spec.delta + tol
+    lo_delta = spec.delta - tol
+    lo_theta = spec.theta - tol
+
+    d = [[mpf(0)] * s for _ in range(s)]
+    for i in range(s):
+        for j in range(i + 1, s):
+            dij = dist(nodes.nodes[i], nodes.nodes[j])
+            if dij == 0:
+                raise DegenerateInputError(
+                    f"nodes {i} and {j} coincide (distance 0)")
+            d[i][j] = d[j][i] = dij
+
+    parent = list(range(s))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(s):
+        for j in range(i + 1, s):
+            if d[i][j] <= link:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+
+    groups = {}
+    for i in range(s):
+        groups.setdefault(find(i), []).append(i)
+    clusters = sorted(groups.values(),
+                      key=lambda g: min(nodes.nodes[i] for i in g))
+
+    for g in clusters:
+        if len(g) > spec.ell:
+            raise ConfigValidationError(
+                f"cluster {tuple(g)} has multiplicity {len(g)} > ell",
+                pair=None, condition="multiplicity")
+        for a in range(len(g)):
+            for b in range(a + 1, len(g)):
+                i, j = g[a], g[b]
+                if d[i][j] < lo_delta:
+                    raise ConfigValidationError(
+                        f"nodes {i},{j} below delta",
+                        pair=(i, j), condition="within-cluster minimum")
+                if d[i][j] > link:
+                    raise ConfigValidationError(
+                        f"nodes {i},{j} exceed tau*delta",
+                        pair=(i, j), condition="within-cluster diameter")
+    for a in range(len(clusters)):
+        for b in range(a + 1, len(clusters)):
+            for i in clusters[a]:
+                for j in clusters[b]:
+                    if d[i][j] < lo_theta:
+                        raise ConfigValidationError(
+                            f"nodes {i},{j} from different clusters below "
+                            f"theta", pair=(i, j),
+                            condition="inter-cluster separation")
+
+    mults = tuple(len(g) for g in clusters)
+    q = tuple(sum(1 for r in mults if r >= m) for m in range(1, spec.ell + 1))
+    return PartitionResult(clusters=tuple(tuple(g) for g in clusters),
+                           multiplicities=mults, q=q)

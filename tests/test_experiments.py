@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 from mpmath import mp, mpf
@@ -50,6 +51,11 @@ class TestManifest:
                 {"experiment_id": "x", "kind": "sweep", "grid": {"ell": [1]}})
         assert err.value.key in ("N", "delta")
 
+    def test_kind_other_than_sweep_refused(self):
+        with pytest.raises(ConfigParseError) as err:
+            ExperimentManifest.from_json_dict(manifest_dict(kind="prolate"))
+        assert err.value.key == "kind"
+
     def test_unknown_grid_key(self):
         m = manifest_dict()
         m["grid"]["bogus"] = [1]
@@ -81,6 +87,14 @@ class TestSweep:
         for name in ("results.json", "details.json", "summary.json",
                      "figure.svg"):
             assert (tmp_path / name).exists()
+
+    def test_figure_is_well_formed_for_any_id(self, tmp_path):
+        m = ExperimentManifest.from_json_dict(
+            manifest_dict(experiment_id="R&D <bracket>"))
+        run_sweep(m, tmp_path)
+        root = ET.parse(tmp_path / "figure.svg").getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert titles[0].startswith("R&D <bracket>: ")
 
     def test_csv_json_mirror(self, tmp_path):
         m = ExperimentManifest.from_json_dict(manifest_dict(

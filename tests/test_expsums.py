@@ -462,6 +462,13 @@ class TestSalem:
             with pytest.raises(InvalidParameterError):
                 check_salem_ratio(P, mpf("1e-2"))
 
+    def test_separation_measured_across_pi(self):
+        # 3.1 and -3.1 are 2*pi - 6.2 = 0.083 apart across +-pi
+        with mp.workprec(BITS):
+            P = ExpSum((1, 1), (mpf("3.1"), mpf("-3.1")))
+            with pytest.raises(InvalidParameterError, match="frequencies 0,1"):
+                check_salem_ratio(P, mpf("0.1"))
+
 
 class TestRiemannGap:
     def test_constant_gap_exact(self):

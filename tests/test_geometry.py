@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from conftest import validate_config_reference
 from vandelab.errors import (
     ConfigValidationError,
     DegenerateInputError,
     InvalidParameterError,
+    VandelabError,
 )
 from vandelab.geometry import (
     EQUISPACED,
@@ -18,9 +21,11 @@ from vandelab.geometry import (
     ClusterSpec,
     NodeSet,
     PartitionResult,
+    _distance_slack,
     assign_multiplicities,
     generate_config,
     scale_to_circle,
+    sorted_gaps,
     validate_config,
     wrap_distance,
     wrap_to_interval,
@@ -75,6 +80,28 @@ class TestWrapDistance:
                 assert wrap_distance(r, mp.pi) < mpf(2) ** -100
             x = mpf("0.7")
             assert abs(wrap_to_interval(x + 4 * mp.pi) - x) < mpf(2) ** -100
+
+
+class TestSortedGaps:
+    def test_line(self):
+        with mp.workprec(128):
+            order, gaps = sorted_gaps((mpf(2), mpf(-1), mpf("0.5")), LINE)
+        assert order == [1, 2, 0]
+        assert gaps == [mpf("1.5"), mpf("1.5")]
+
+    def test_circle_appends_the_closing_arc(self):
+        with mp.workprec(128):
+            order, gaps = sorted_gaps((mpf("3.1"), mpf("-3.1")), PERIODIC)
+            assert order == [1, 0]
+            assert gaps[0] == mpf("6.2")
+            assert gaps[1] == 2 * mp.pi - mpf("6.2")
+            assert sorted_gaps((mpf(1),), PERIODIC) == ([0], [])
+
+    def test_periodic_points_outside_are_reduced(self):
+        with mp.workprec(128):
+            _, gaps = sorted_gaps((mpf("0.5"), 2 * mp.pi + mpf("0.25")),
+                                  PERIODIC)
+            assert abs(min(gaps) - mpf("0.25")) < mpf(2) ** -100
 
 
 class TestNodeSet:
@@ -196,6 +223,158 @@ class TestValidateConfig:
                 validate_config(nodes, spec)
 
 
+    def test_cluster_order_ignores_the_listing_order(self):
+        # the cluster across +-pi holds the smallest node, so it comes first
+        with mp.workprec(192):
+            xs = (mp.pi - mpf("0.001"), -mp.pi + mpf("0.001"), mpf(0))
+            spec = ClusterSpec(delta="0.001", theta="1", s=3, ell=2, tau=3)
+            for perm in itertools.permutations(xs):
+                part = validate_config(NodeSet(perm), spec)
+                assert part.multiplicities == (2, 1)
+                assert [{perm[i] for i in g} for g in part.clusters] == \
+                    [{xs[0], xs[1]}, {xs[2]}]
+
+    def test_one_cluster_closing_the_circle_is_accepted(self):
+        # every arc 2*pi/3 is within tau*delta = pi, and so is every pair
+        with mp.workprec(192):
+            third = 2 * mp.pi / 3
+            nodes = NodeSet((mpf(0), third, -third))
+            spec = ClusterSpec(delta=1, theta=1, s=3, ell=3, tau=mp.pi)
+            part = validate_config(nodes, spec)
+        assert part.clusters == ((0, 1, 2),)
+        assert part.q == (1, 1, 1)
+
+    def test_one_cluster_closing_the_circle_checks_its_pairs(self):
+        # arcs pi/2 <= tau*delta = 3 chain all four round the circle, but
+        # 0 and pi are pi apart
+        with mp.workprec(192):
+            nodes = NodeSet((mpf(0), mp.pi / 2, mp.pi, -mp.pi / 2))
+            spec = ClusterSpec(delta=1, theta=1, s=4, ell=4, tau=3)
+            with pytest.raises(ConfigValidationError) as err:
+                validate_config(nodes, spec)
+        assert err.value.condition == "within-cluster diameter"
+        assert err.value.pair == (0, 2)
+
+
+def _oracle_case(rng):
+    """A seeded (nodes, spec, kind) at the ambient precision.
+
+    kind is "clustered" (random centers, gaps at delta, at the top of
+    their range or anywhere near it), "straddle" (on the circle, one
+    cluster centered within a cluster width of pi), "boundary" (full equispaced
+    clusters with tau = ell-1 whose facing edges are exactly theta
+    apart) or "closing" (nodes spread round the circle whose arcs may
+    all be within tau*delta).  About one in ten clusters outgrows ell
+    and one spec in fifty miscounts the nodes.
+    """
+    kind = rng.choice(("clustered", "straddle", "boundary", "closing"))
+    domain = rng.choice((PERIODIC, LINE)) if kind in ("clustered", "boundary") \
+        else PERIODIC
+    if kind == "closing":
+        s = rng.randint(2, 6)
+        arc = 2 * mp.pi / s
+        phase = mpf(rng.uniform(-4, 4))
+        jitter = rng.choice((0, 0.1))
+        xs = [phase + arc * (j + mpf(rng.uniform(-jitter, jitter)))
+              for j in range(s)]
+        top = rng.choice((arc, mp.pi, arc * mpf(rng.uniform(0.95, s / 2))))
+        delta = arc * mpf(rng.choice((1, rng.uniform(0.25, 1.05))))
+        tau = min(mp.pi / delta, top / delta)
+        ell = min(s, int(tau) + 1)
+        if rng.random() < 0.2:
+            ell = rng.randint(1, ell)
+        theta = mpf(rng.uniform(0.1, 2))
+    else:
+        ell = rng.randint(1, 4)
+        if kind == "boundary":
+            tau = mpf(ell - 1)
+        else:
+            tau = mpf(ell - 1) + mpf(rng.choice((0, 1, rng.uniform(0, 2))))
+        if tau == 0:
+            tau = mpf(rng.uniform(0, 1))
+        delta = mpf(10) ** -rng.uniform(1, 5)
+        if domain == PERIODIC:
+            tau = min(tau, mp.pi / delta)
+        theta = mpf(rng.uniform(0.05, 1.2))
+        n_clusters = rng.randint(1, 4)
+        lim = 3 if domain == PERIODIC else 20
+        if kind == "boundary":
+            step = theta + tau * delta
+            start = mpf(rng.uniform(-lim, lim))
+            centers = [start + j * step for j in range(n_clusters)]
+        elif kind == "straddle":
+            centers = [mp.pi + mpf(rng.uniform(-1, 1)) * tau * delta] + \
+                [mpf(rng.uniform(-lim, lim)) for _ in range(n_clusters - 1)]
+        else:
+            centers = [mpf(rng.uniform(-lim, lim)) for _ in range(n_clusters)]
+        xs = []
+        for center in centers:
+            r = ell if kind == "boundary" else \
+                rng.randint(1, ell + (rng.random() < 0.1))
+            gaps = [delta] * (r - 1) if kind == "boundary" else [
+                rng.choice((delta, tau * delta / max(r - 1, 1),
+                            delta * mpf(rng.uniform(0.8, 1.2 * float(tau) + 1))))
+                for _ in range(r - 1)]
+            x = center - mp.fsum(gaps) / 2
+            xs.append(x)
+            for g in gaps:
+                x += g
+                xs.append(x)
+        ell = min(ell, len(xs))
+    if domain == PERIODIC:
+        xs = [wrap_to_interval(x) for x in xs]
+    nodes = NodeSet(tuple(xs), domain)
+    spec = ClusterSpec(delta=delta, theta=theta,
+                       s=len(xs) + (rng.random() < 0.02), ell=ell,
+                       tau=max(tau, mpf(ell - 1)))
+    return nodes, spec, kind
+
+
+def _outcome(validate, nodes, spec):
+    try:
+        return validate(nodes, spec)
+    except VandelabError as exc:
+        return type(exc)
+
+
+class TestScanAgreesWithPairwiseOracle:
+    CASES = 20_000
+
+    def test_seeded_configs(self):
+        rng = random.Random(20240618)
+        seen = dict.fromkeys(("line", "circle", "straddle", "boundary",
+                              "closing", "rejected"), 0)
+        checked = 0
+        while checked < self.CASES:
+            with mp.workprec(rng.choice((64, 192, 600))):
+                try:
+                    nodes, spec, kind = _oracle_case(rng)
+                except VandelabError:
+                    continue  # coinciding nodes: NodeSet refuses them
+                got = _outcome(validate_config, nodes, spec)
+                want = _outcome(validate_config_reference, nodes, spec)
+                checked += 1
+                assert got == want, (kind, nodes, spec)
+                if not isinstance(got, PartitionResult):
+                    seen["rejected"] += 1
+                    continue
+                link = spec.tau * spec.delta + _distance_slack(nodes, spec.delta)
+                arcs = sorted_gaps(nodes.nodes, nodes.domain)[1]
+            seen["circle" if nodes.domain == PERIODIC else "line"] += 1
+            if kind == "straddle" and any(
+                    max(nodes.nodes[i] for i in g) -
+                    min(nodes.nodes[i] for i in g) > mp.pi
+                    for g in got.clusters):
+                seen["straddle"] += 1
+            if kind == "boundary" and got.cluster_count > 1:
+                seen["boundary"] += 1
+            if nodes.domain == PERIODIC and spec.s > 2 and max(arcs) <= link:
+                seen["closing"] += 1
+        # every kind of configuration the scan treats apart was accepted
+        # often enough, and so was a fair share rejected
+        assert min(seen.values()) >= 100, seen
+
+
 class TestGenerateConfig:
     def test_pair_centered_at_origin(self):
         with mp.workprec(192):
@@ -236,6 +415,21 @@ class TestGenerateConfig:
             spec = ClusterSpec(delta="1e-4", theta="1", s=4, ell=2, tau=1)
             with pytest.raises(ConfigValidationError):
                 generate_config(spec, EQUISPACED, [mpf(0), mpf("0.5")], seed=1)
+
+    def test_close_centers_refused_in_any_order_and_range(self):
+        with mp.workprec(192):
+            spec = ClusterSpec(delta="1e-4", theta="1", s=3, ell=1, tau=0)
+            # listed out of order: 2 and 1.9 are the close pair
+            with pytest.raises(ConfigValidationError) as err:
+                generate_config(spec, EQUISPACED,
+                                [mpf(2), mpf(0), mpf("1.9")], seed=1)
+            assert err.value.pair == (0, 2)
+            assert err.value.condition == "center separation"
+            # 3.25 lies outside (-pi, pi], 0.067 from -3.1 across +-pi
+            with pytest.raises(ConfigValidationError) as err:
+                generate_config(spec, EQUISPACED,
+                                [mpf("-3.1"), mpf(0), mpf("3.25")], seed=1)
+            assert err.value.pair == (0, 2)
 
     def test_round_trip_recovers_multiplicities(self):
         rng = random.Random(55)
