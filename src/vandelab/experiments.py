@@ -44,6 +44,7 @@ from .geometry import (
     ClusterSpec,
     NodeSet,
     generate_config,
+    sorted_gaps,
     validate_config,
 )
 from .hp import (
@@ -95,8 +96,10 @@ _GRID_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ExperimentManifest:
+    """A sweep manifest; its one kind, "sweep", is read and written but
+    not stored."""
+
     experiment_id: str
-    kind: str
     grid: dict
     precision_override: int | None = None
     created_at: str = ""
@@ -137,7 +140,6 @@ class ExperimentManifest:
                     parse_int(value, key)
         return cls(
             experiment_id=str(obj["experiment_id"]),
-            kind=str(obj["kind"]),
             grid=grid,
             precision_override=parse_bits(obj.get("precision_override"),
                                           "precision_override"),
@@ -150,7 +152,9 @@ class ExperimentManifest:
         return cls.from_json_dict(_read_json(path, "manifest"))
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        obj = asdict(self)
+        return {"experiment_id": obj.pop("experiment_id"), "kind": "sweep",
+                **obj}
 
     def points(self) -> list:
         """Cartesian product of the grid in fixed key order."""
@@ -160,7 +164,6 @@ class ExperimentManifest:
             point = dict(zip(_GRID_KEYS, combo))
             point["index"] = idx
             point["experiment_id"] = self.experiment_id
-            point["kind"] = self.kind
             point["precision_override"] = self.precision_override
             out.append(point)
         return out
@@ -212,7 +215,7 @@ def _write_json(path, obj):
 def _blank_row(point: dict) -> dict:
     row = {c: "" for c in CSV_COLUMNS}
     row["experiment_id"] = point["experiment_id"]
-    row["kind"] = point["kind"]
+    row["kind"] = "sweep"
     row["ell"] = str(point["ell"])
     row["N"] = str(point["N"])
     row["layout"] = str(point["layout"])
@@ -493,8 +496,7 @@ def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
     """Slepian comparison ratio, defined for a single equispaced cluster."""
     if partition.cluster_count != 1 or cluster.s != cluster.ell:
         return None
-    xs = sorted(nodes.nodes)
-    gaps = [xs[i + 1] - xs[i] for i in range(len(xs) - 1)]
+    _, gaps = sorted_gaps(nodes.nodes, LINE)
     if gaps:
         slack = mpf(2) ** -(bits - 16)
         g0 = gaps[0]
@@ -504,11 +506,8 @@ def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
     return lam_min / (ceq * cluster.delta ** (2 * cluster.s - 2))
 
 
-
-
-def _spectrum_body(nodes, cluster, N, bits, user_c1, N_list):
+def _spectrum_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """Full singular spectrum, bound report, and per-level counts."""
-    partition = validate_config(nodes, cluster)
     spectrum, report, (lam, _) = _vandermonde_core(
         nodes, cluster, N, bits, user_c1)
     counts, thresholds = band_counts(
@@ -536,12 +535,8 @@ def _spectrum_body(nodes, cluster, N, bits, user_c1, N_list):
     }, spectrum.headroom_bits
 
 
-def _prolate_body(nodes, cluster, N, bits, user_c1, N_list):
+def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """Eigenvalues of the generalized prolate matrix plus comparisons."""
-    if nodes.domain != LINE:
-        raise ConfigParseError("prolate runs need line-domain nodes",
-                               key="nodes")
-    partition = validate_config(nodes, cluster)
     spectrum = hermitian_eigenvalues(build_prolate(nodes, bits), bits)
     lam_min = spectrum.min_value
     ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
@@ -568,9 +563,8 @@ def _prolate_body(nodes, cluster, N, bits, user_c1, N_list):
     }, spectrum.headroom_bits
 
 
-def _bounds_body(nodes, cluster, N, bits, user_c1, N_list):
+def _bounds_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """The bound formulas for one configuration, without its spectrum."""
-    validate_config(nodes, cluster)
     report = evaluate_all(VandermondeSpec(N, nodes), cluster,
                           user_c1=user_c1, bits=bits)
     return {
@@ -582,12 +576,8 @@ def _bounds_body(nodes, cluster, N, bits, user_c1, N_list):
     }, None
 
 
-def _limit_check_body(nodes, cluster, N, bits, user_c1, N_list):
+def _limit_check_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """Prolate limit gaps over N_list, and lambda_min(G) at their bits."""
-    if nodes.domain != LINE:
-        raise ConfigParseError("limit check needs line-domain nodes",
-                               key="nodes")
-    validate_config(nodes, cluster)
     lambda_min, gaps, headroom = prolate_limit_check(
         nodes, list(N_list or ()), bits)
     return {
@@ -598,14 +588,16 @@ def _limit_check_body(nodes, cluster, N, bits, user_c1, N_list):
     }, headroom
 
 
-#: config command -> (whether it reads the config's N, its body).  A body
-#: runs at the ambient bits, takes c1 as an mpf and returns (result,
-#: headroom_bits), with None for a body that solves nothing.
+#: config command -> (the domain of its nodes, its body).  The periodic
+#: commands are the Vandermonde ones, which read the config's N.  A body
+#: runs at the ambient bits on validated nodes and their partition, takes
+#: c1 as an mpf and returns (result, headroom_bits), with None for a body
+#: that solves nothing.
 _CONFIG_BODIES = {
-    "spectrum": (True, _spectrum_body),
-    "prolate": (False, _prolate_body),
-    "bounds": (True, _bounds_body),
-    "limit-check": (False, _limit_check_body),
+    "spectrum": (PERIODIC, _spectrum_body),
+    "prolate": (LINE, _prolate_body),
+    "bounds": (PERIODIC, _bounds_body),
+    "limit-check": (LINE, _limit_check_body),
 }
 
 
@@ -619,14 +611,16 @@ def run_config(command: str, config_path, out_dir=None,
     The config is read once, and run_at_bits sizes and re-solves it: at
     bits_override, else at its precision_bits, else at policy bits for N
     when the command reads one.  Each attempt parses the config's reals
-    and user_c1, which must be above 0, at its own bits.  spectrum and
-    prolate record their runtime_ms.
+    and user_c1, which must be above 0, at its own bits, refuses nodes
+    of the other domain with a ConfigParseError on "nodes", and
+    validates the nodes once for the body.  spectrum and prolate record
+    their runtime_ms.
     """
     t0 = time.perf_counter()
-    with_N, body = _CONFIG_BODIES[command]
+    domain, body = _CONFIG_BODIES[command]
     cfg = load_config(config_path)
-    N = cfg["N"] if with_N else None
-    if with_N and N is None:
+    N = cfg["N"] if domain == PERIODIC else None
+    if domain == PERIODIC and N is None:
         raise ConfigParseError("config missing key 'N'", key="N")
 
     def read_and_run(cluster, bits):
@@ -634,7 +628,11 @@ def run_config(command: str, config_path, out_dir=None,
         c1 = parse_decimal(user_c1, bits)
         if not c1 > 0:
             raise InvalidParameterError(f"c1 must be > 0, got {user_c1!r}")
-        return body(nodes, cluster, N, bits, c1, N_list)
+        if nodes.domain != domain:
+            raise ConfigParseError(f"{command} runs need {domain}-domain "
+                                   "nodes", key="nodes")
+        return body(nodes, cluster, validate_config(nodes, cluster), N, bits,
+                    c1, N_list)
 
     result = run_at_bits(
         lambda bits: ClusterSpec.from_json_dict(cfg["cluster"], bits), N,

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .geometry import PERIODIC, sorted_gaps
 from .hp import as_mpc, as_mpf, decimal_str, pi_e
-from .matrices import _dirichlet_ratio, _sinc
+from .matrices import _dirichlet_guard, _dirichlet_ratio, _sinc
 
 DEFAULT_MAX_SUP_SAMPLES = 2_000_000
 MIN_SUP_SAMPLES = 64
@@ -149,11 +149,11 @@ def discrete_norm(P: ExpSum, N: int):
     For a unit coefficient vector this is ||V_N(x) c||_2.  Evaluated as
     the quadratic form in the Dirichlet sums sum_k e^(i k d): the phase
     e^(i N d / 2) times the ratio sin((N+1) d/2) / sin(d/2) that
-    build_dirichlet_kernel evaluates, with its 32 + log2(N) guard bits.
+    build_dirichlet_kernel evaluates, with its _dirichlet_guard(N) bits.
     """
     if N < 0:
         raise InvalidParameterError("N must be >= 0")
-    with mp.workprec(mp.prec + 32 + max(N, 1).bit_length()):
+    with mp.workprec(mp.prec + _dirichlet_guard(N)):
         form = _quadratic_form(P, mpf(N) / 2,
                                lambda d: _dirichlet_ratio(d, N), "discrete")
         val = mp.sqrt(form)

@@ -42,6 +42,25 @@ EQUISPACED = "equispaced"
 RANDOM = "random"
 
 
+def wrap_to_interval(x):
+    """Reduce an angle to the representative in (-pi, pi].
+
+    An x already inside is returned as it is.  Inputs sitting within
+    rounding distance of an odd multiple of pi can land an ulp outside
+    the half-open interval; the final adjustments fold them back.
+    """
+    x = as_mpf(x)
+    if -mp.pi < x <= mp.pi:
+        return x
+    two_pi = 2 * mp.pi
+    r = x - two_pi * mp.floor((x + mp.pi) / two_pi)
+    if r <= -mp.pi:
+        r += two_pi
+    elif r > mp.pi:
+        r -= two_pi
+    return r
+
+
 def wrap_distance(x, y):
     """Angular distance |Arg e^(i(x-y))| in [0, pi].
 
@@ -51,30 +70,7 @@ def wrap_distance(x, y):
     as a difference of two numbers near 2*pi and lose their relative
     precision entirely.
     """
-    d = as_mpf(x) - as_mpf(y)
-    two_pi = 2 * mp.pi
-    n = mp.floor((d + mp.pi) / two_pi)
-    if n != 0:
-        d = d - two_pi * n  # in [-pi, pi) up to rounding of 2*pi*n
-    return abs(d)
-
-
-def wrap_to_interval(x):
-    """Reduce an angle to the representative in (-pi, pi].
-
-    Inputs sitting within rounding distance of an odd multiple of pi can
-    land an ulp outside the half-open interval; the final adjustments
-    fold them back.
-    """
-    x = as_mpf(x)
-    two_pi = 2 * mp.pi
-    n = mp.floor((x + mp.pi) / two_pi)
-    r = x - two_pi * n if n != 0 else x
-    if r <= -mp.pi:
-        r += two_pi
-    elif r > mp.pi:
-        r -= two_pi
-    return r
+    return abs(wrap_to_interval(as_mpf(x) - as_mpf(y)))
 
 
 def sorted_gaps(points, domain: str):
@@ -86,7 +82,7 @@ def sorted_gaps(points, domain: str):
     """
     xs = [as_mpf(x) for x in points]
     if domain == PERIODIC:
-        xs = [x if -mp.pi < x <= mp.pi else wrap_to_interval(x) for x in xs]
+        xs = [wrap_to_interval(x) for x in xs]
     order = sorted(range(len(xs)), key=xs.__getitem__)
     gaps = [xs[b] - xs[a] for a, b in zip(order, order[1:])]
     if domain == PERIODIC and len(xs) > 1:

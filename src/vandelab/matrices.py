@@ -8,8 +8,10 @@ is the real Dirichlet kernel K (Slepian's discrete prolate kernel), with
 G = V^H V = U^H K U for U = diag(e^(i N x_j / 2)); G is kept as its test
 reference.  The eigenvalues are the squared singular values, which the
 precision policy already budgets for.
-Each builder returns its matrix as a tuple of rows, the real ones
-symmetric bit for bit.
+All three are kernel matrices M[j][m] = k(x_m - x_j), assembled by one
+pair loop that evaluates each distinct node difference once and fills
+(m, j) with the conjugate; each builder returns a tuple of rows, the
+real ones symmetric bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .errors import DegenerateInputError, InvalidParameterError
-from .geometry import LINE, PERIODIC, NodeSet
+from .errors import InvalidParameterError
+from .geometry import LINE, PERIODIC, NodeSet, sorted_gaps
 from .hp import decimal_str
 
 log = logging.getLogger(__name__)
@@ -56,85 +58,75 @@ def _dirichlet_ratio(delta, N: int):
     return mp.sin((N + 1) * half) / mp.sin(half)
 
 
-def _dirichlet_sum(delta, N: int):
-    """sum_{k=0}^{N} e^(i k delta) as e^(i N delta/2) times the Dirichlet
-    ratio: (e^(i(N+1)delta) - 1)/(e^(i delta) - 1) without its
-    subtractive cancellation at small delta."""
-    return mp.expj(N * delta / 2) * _dirichlet_ratio(delta, N)
+def _kernel_rows(xs, diag, kernel) -> tuple:
+    """Rows with diag on the diagonal, kernel(x_m - x_j) at (j, m) for
+    m > j and its conjugate at (m, j).  Each distinct difference, an
+    exact mpf at the ambient precision, is evaluated once: equispaced
+    clusters repeat their gaps."""
+    s = len(xs)
+    rows = [[diag] * s for _ in range(s)]
+    values = {}
+    for j in range(s):
+        for m in range(j + 1, s):
+            d = xs[m] - xs[j]
+            val = values.get(d)
+            if val is None:
+                val = values[d] = kernel(d)
+            rows[j][m], rows[m][j] = val, val.conjugate()
+    return tuple(tuple(r) for r in rows)
+
+
+def _dirichlet_guard(N: int) -> int:
+    """Guard bits of the Dirichlet kernels: sin at phase ~ N*pi loses
+    about log2(N) bits to argument reduction."""
+    return 32 + max(N, 1).bit_length()
+
+
+def _dirichlet_rows(spec: VandermondeSpec, bits: int, kernel) -> tuple:
+    """_kernel_rows of kernel(d, N), N + 1 on the diagonal, each entry
+    evaluated with _dirichlet_guard(N) guard bits and rounded to bits."""
+    def rounded(d):
+        val = kernel(d, spec.N)
+        with mp.workprec(bits):
+            return +val
+
+    with mp.workprec(bits + _dirichlet_guard(spec.N)):
+        return _kernel_rows(spec.nodes.nodes, mpf(spec.N + 1), rounded)
 
 
 def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
     """The s x s Hermitian Gram matrix V^H V with closed-form entries.
 
-    G[j][m] = sum_k e^(i k (x_m - x_j)); the diagonal is exactly N+1.
-    Entries are computed with guard bits sized to the argument reduction
-    of sin at phase ~ N*pi, then rounded to the target precision.
+    G[j][m] = sum_{k=0}^{N} e^(i k d), d = x_m - x_j, as e^(i N d/2)
+    times the Dirichlet ratio: (e^(i(N+1)d) - 1)/(e^(i d) - 1) without
+    its subtractive cancellation at small d.  The diagonal is exactly N+1.
     """
-    N, xs = spec.N, spec.nodes.nodes
-    s = len(xs)
-    guard = 32 + max(N, 1).bit_length()
-    rows = [[None] * s for _ in range(s)]
-    with mp.workprec(bits + guard):
-        for j in range(s):
-            rows[j][j] = mpf(N + 1)
-            for m in range(j + 1, s):
-                val = _dirichlet_sum(xs[m] - xs[j], N)
-                with mp.workprec(bits):
-                    val = +val
-                rows[j][m] = val
-                rows[m][j] = mp.conj(val)
-    return tuple(tuple(r) for r in rows)
+    return _dirichlet_rows(
+        spec, bits, lambda d, N: mp.expj(N * d / 2) * _dirichlet_ratio(d, N))
 
 
 def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> tuple:
     """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
     with the spectrum of G: K[j][m] = sin((N+1) d/2) / sin(d/2) for
-    d = x_m - x_j, rounded as the Gram builder rounds.  Each distinct d
-    (an exact mpf, so equal entries come out bit for bit equal) is
-    evaluated once: equispaced clusters repeat their gaps."""
-    N, xs = spec.N, spec.nodes.nodes
-    s = len(xs)
-    rows = [[mpf(N + 1) if j == m else None for m in range(s)] for j in range(s)]
-    entries = {}
-    with mp.workprec(bits + 32 + max(N, 1).bit_length()):
-        for j in range(s):
-            for m in range(j + 1, s):
-                d = xs[m] - xs[j]
-                val = entries.get(d)
-                if val is None:
-                    val = _dirichlet_ratio(d, N)
-                    with mp.workprec(bits):
-                        val = entries[d] = +val
-                rows[j][m] = rows[m][j] = val
-    return tuple(tuple(r) for r in rows)
+    d = x_m - x_j, rounded as the Gram builder rounds."""
+    return _dirichlet_rows(spec, bits, _dirichlet_ratio)
 
 
 def build_prolate(nodes: NodeSet, bits: int) -> tuple:
     """The s x s generalized prolate matrix of sinc inner products.
 
-    P[j][k] = sin(x_j - x_k)/(x_j - x_k) off the diagonal and 1 on it,
-    the closed form of (1/2) * integral_{-1}^{1} e^(i w (x_j - x_k)) dw.
-    Real symmetric and positive definite for distinct nodes.
+    P[j][k] = sin(d)/d for d = x_k - x_j off the diagonal and 1 on it,
+    the closed form of (1/2) * integral_{-1}^{1} e^(i w d) dw.  Real
+    symmetric and positive definite for distinct nodes.  Nodes closer
+    than 2^-(bits/2) draw one warning, naming the closest pair.
     """
     if nodes.domain != LINE:
         raise InvalidParameterError("prolate matrix expects line-domain nodes")
-    xs = nodes.nodes
-    s = len(xs)
-    tiny = mpf(2) ** -(bits // 2)
-    rows = [[None] * s for _ in range(s)]
     with mp.workprec(bits):
-        for j in range(s):
-            rows[j][j] = mpf(1)
-            for k in range(j + 1, s):
-                d = xs[j] - xs[k]
-                if d == 0:
-                    raise DegenerateInputError(f"nodes {j} and {k} coincide")
-                if abs(d) < tiny:
-                    log.warning(
-                        "prolate nodes %d,%d separated by %s < 2^-%d; "
-                        "consider raising precision", j, k,
-                        decimal_str(abs(d), bits), bits // 2)
-                val = _sinc(d)
-                rows[j][k] = val
-                rows[k][j] = val
-    return tuple(tuple(r) for r in rows)
+        order, gaps = sorted_gaps(nodes.nodes, LINE)
+        k = min(range(len(gaps)), key=gaps.__getitem__, default=None)
+        if k is not None and gaps[k] < mpf(2) ** -(bits // 2):
+            log.warning("prolate nodes %d,%d separated by %s < 2^-%d; "
+                        "consider raising precision", *sorted(order[k:k + 2]),
+                        decimal_str(gaps[k], bits), bits // 2)
+        return _kernel_rows(nodes.nodes, mpf(1), _sinc)

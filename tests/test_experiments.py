@@ -18,7 +18,13 @@ from vandelab.experiments import (
     run_sweep,
     write_config,
 )
-from vandelab.geometry import LINE, ClusterSpec, NodeSet, generate_config
+from vandelab.geometry import (
+    LINE,
+    PERIODIC,
+    ClusterSpec,
+    NodeSet,
+    generate_config,
+)
 from vandelab.hp import GUARD_BITS
 
 
@@ -55,6 +61,18 @@ class TestManifest:
         with pytest.raises(ConfigParseError) as err:
             ExperimentManifest.from_json_dict(manifest_dict(kind="prolate"))
         assert err.value.key == "kind"
+
+    def test_kind_is_echoed_not_stored(self):
+        # the one kind is written back in its place, and the echo loads
+        m = ExperimentManifest.from_json_dict(manifest_dict())
+        assert "kind" not in {f.name for f in dataclasses.fields(m)}
+        assert "kind" not in m.points()[0]
+        echo = m.to_json_dict()
+        assert list(echo) == ["experiment_id", "kind", "grid",
+                              "precision_override", "created_at",
+                              "tool_version"]
+        assert echo["kind"] == "sweep"
+        assert ExperimentManifest.from_json_dict(echo) == m
 
     def test_unknown_grid_key(self):
         m = manifest_dict()
@@ -483,6 +501,45 @@ class TestSingleRuns:
         reads = _count_reads(monkeypatch)
         run_config(command, path, N_list=[10])
         assert reads == ["config"]
+
+    @pytest.mark.parametrize("command, domain", [
+        ("spectrum", LINE), ("bounds", LINE),
+        ("prolate", PERIODIC), ("limit-check", PERIODIC)])
+    def test_refuses_nodes_of_the_other_domain(self, tmp_path, command,
+                                               domain):
+        path = self._config(tmp_path, domain=domain)
+        with pytest.raises(ConfigParseError) as err:
+            run_config(command, path, N_list=[10])
+        assert err.value.key == "nodes"
+
+    @pytest.mark.parametrize("command",
+                             ["spectrum", "prolate", "bounds", "limit-check"])
+    def test_validates_once_per_attempt(self, tmp_path, monkeypatch, command):
+        domain = LINE if command in ("prolate", "limit-check") else PERIODIC
+        with mp.workprec(256):
+            spec = ClusterSpec(delta="1e-6", theta="1", s=4, ell=4, tau=3)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1,
+                                       domain=domain)
+        path = tmp_path / "c.json"
+        real, calls = experiments.validate_config, []
+
+        def counted(*args):
+            calls.append(mp.prec)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "validate_config", counted)
+        write_config(path, nodes, spec, N=100, bits=256)  # one attempt
+        run_config(command, path, N_list=[10])
+        assert calls == [256]
+        if command == "spectrum":
+            # 100 bits under the policy it re-solves once: two attempts
+            real_bits = experiments.required_bits
+            monkeypatch.setattr(experiments, "required_bits",
+                                lambda *args: real_bits(*args) - 100)
+            write_config(path, nodes, spec, N=100)
+            calls.clear()
+            run_config(command, path)
+            assert len(calls) == len(set(calls)) == 2
 
     def test_load_config_errors(self, tmp_path):
         bad = tmp_path / "bad.json"

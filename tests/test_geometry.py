@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import validate_config_reference
+from conftest import validate_config_reference, wrap_distance_reference
 from vandelab.errors import (
     ConfigValidationError,
     DegenerateInputError,
@@ -67,6 +67,43 @@ class TestWrapDistance:
             assert dxy <= wrap_distance(x, z) + wrap_distance(z, y) + slack
             shifted = wrap_distance(x + 2 * mp.pi * k, y)
             assert abs(dxy - shifted) <= slack * (1 + abs(mpf(x)) + abs(mpf(y)))
+
+    def test_never_above_pi_near_odd_multiples_of_pi(self):
+        # a difference a few ulps inside an odd multiple of pi once reduced
+        # to just below -pi and came back as pi + 6.4e-58
+        with mp.workprec(192):
+            x = mpf("-0.75")
+            assert wrap_distance(x, x - mp.pi + mpf(2) ** -190) <= mp.pi
+        rng = random.Random(20261018)
+        for bits in (64, 192, 600):
+            with mp.workprec(bits):
+                for _ in range(500):
+                    x = mpf(rng.uniform(-3, 3))
+                    y = x + rng.choice((-3, -1, 1, 3)) * mp.pi + \
+                        rng.randint(-8, 8) * mp.ldexp(1, 2 - bits)
+                    assert wrap_distance(x, y) <= mp.pi
+                    assert wrap_distance(y, x) <= mp.pi
+
+    def test_agrees_with_the_first_reduction_away_from_pi(self):
+        # the one reduction moves a distance only within 2^-(p-12) of pi
+        rng = random.Random(7)
+        moved = 0
+        for bits in (64, 192, 600):
+            with mp.workprec(bits):
+                near = mp.ldexp(1, 12 - bits)
+                for _ in range(1000):
+                    x = mpf(rng.uniform(-10, 10))
+                    if rng.random() < 0.5:  # a few ulps from an odd multiple
+                        y = x + rng.choice((-3, -1, 1, 3)) * mp.pi + \
+                            rng.randint(-8, 8) * mp.ldexp(1, 2 - bits)
+                    else:
+                        y = mpf(rng.uniform(-10, 10))
+                    new, old = wrap_distance(x, y), wrap_distance_reference(x, y)
+                    if new != old:
+                        moved += 1
+                        assert abs(new - mp.pi) <= near
+                        assert abs(old - mp.pi) <= near
+        assert 0 < moved < 300
 
     def test_wrap_to_interval(self):
         with mp.workprec(128):

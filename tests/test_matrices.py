@@ -1,3 +1,6 @@
+import logging
+import random
+
 import pytest
 from mpmath import mp, mpc, mpf
 
@@ -197,6 +200,95 @@ class TestProlate:
     def test_domain_check(self):
         with pytest.raises(InvalidParameterError):
             build_prolate(NodeSet((mpf(0), mpf(1)), PERIODIC), BITS)
+
+
+def _naive_dirichlet(spec, bits, kernel):
+    """Each Dirichlet entry evaluated on its own, with no cache."""
+    N, xs = spec.N, spec.nodes.nodes
+    s = len(xs)
+    rows = [[mpf(N + 1)] * s for _ in range(s)]
+    with mp.workprec(bits + 32 + max(N, 1).bit_length()):
+        for j in range(s):
+            for m in range(j + 1, s):
+                val = kernel(xs[m] - xs[j], N)
+                with mp.workprec(bits):
+                    val = +val
+                rows[j][m], rows[m][j] = val, mp.conj(val)
+    return rows
+
+
+def _naive_prolate(xs, bits):
+    """Each sinc entry evaluated on its own, of x_j - x_k as first built."""
+    s = len(xs)
+    rows = [[mpf(1)] * s for _ in range(s)]
+    with mp.workprec(bits):
+        for j in range(s):
+            for k in range(j + 1, s):
+                rows[j][k] = rows[k][j] = matrices._sinc(xs[j] - xs[k])
+    return rows
+
+
+def _raw(rows):
+    return [[getattr(v, "_mpc_", None) or v._mpf_ for v in r] for r in rows]
+
+
+class TestOneAssembler:
+    def test_builders_bitwise_equal_naive_entries(self):
+        # 300 seeded configs at 64 to 2000 bits, a third of them exact
+        # binary equispaced clusters whose differences repeat exactly
+        rng = random.Random(20261018)
+        exact = 0
+        for i in range(300):
+            bits = (64, 192, 600, 2000)[i % 4]
+            s = rng.randint(2, 6)
+            with mp.workprec(bits):
+                if i % 3 == 0:
+                    c = mpf(rng.randint(-64, 64)) / 32
+                    step = mpf(2) ** -rng.randint(3, 40)
+                    xs = tuple(c + j * step for j in range(s))
+                    exact += 1
+                elif i % 3 == 1:
+                    xs = tuple(random_periodic_nodes(rng, s).nodes)
+                else:
+                    delta = mpf(10) ** -rng.randint(1, 12)
+                    c = mpf(rng.uniform(-3, 3))
+                    xs = tuple(c + j * delta for j in range(s))
+            spec = VandermondeSpec(rng.randint(s, 400), NodeSet(xs, PERIODIC))
+            assert _raw(build_dirichlet_kernel(spec, bits)) == _raw(
+                _naive_dirichlet(spec, bits, matrices._dirichlet_ratio))
+            assert _raw(build_gram_closed_form(spec, bits)) == _raw(
+                _naive_dirichlet(spec, bits, lambda d, N: mp.expj(N * d / 2)
+                                 * matrices._dirichlet_ratio(d, N)))
+            assert _raw(build_prolate(NodeSet(xs, LINE), bits)) == _raw(
+                _naive_prolate(xs, bits))
+        assert exact == 100
+
+    def test_prolate_evaluates_each_difference_once(self, monkeypatch):
+        # six nodes 2^-k apart have 5 distinct differences in 15 pairs
+        sinc, calls = matrices._sinc, []
+
+        def counted(d):
+            calls.append(d)
+            return sinc(d)
+
+        monkeypatch.setattr(matrices, "_sinc", counted)
+        xs = tuple(j * mpf(2) ** -7 for j in range(6))
+        G = build_prolate(NodeSet(xs, LINE), BITS)
+        assert len(calls) == len(set(calls)) == 5
+        assert _raw(G) == _raw(_naive_prolate(xs, BITS))
+
+    def test_close_prolate_nodes_warn_once(self, caplog):
+        # three pairs are below 2^-96 at 192 bits; one line names the
+        # closest pair, nodes 1 and 2
+        xs = (mpf(1), mpf(2) ** -100, mpf(0), 3 * mpf(2) ** -100)
+        with caplog.at_level(logging.WARNING, logger="vandelab.matrices"):
+            build_prolate(NodeSet(xs, LINE), BITS)
+        assert [r.getMessage().split(" separated")[0]
+                for r in caplog.records] == ["prolate nodes 1,2"]
+        assert "< 2^-96" in caplog.records[0].getMessage()
+        caplog.clear()
+        build_prolate(NodeSet((mpf(0), mpf(2) ** -90), LINE), BITS)
+        assert not caplog.records
 
 
 class TestShiftedVandermonde:
