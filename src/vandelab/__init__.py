@@ -41,6 +41,7 @@ from .bounds import (
     BoundReport,
     evaluate_all,
     lower_bound_shape,
+    prolate_lower_shape,
     slepian_constant,
     srf,
     upper_bound_explicit,

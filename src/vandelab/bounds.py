@@ -1,8 +1,8 @@
 """Evaluation of the explicit bound formulas and the window checks.
 
-Every formula runs at the ambient precision, and the scaling constant
-32*pi*e comes from ``hp.pi_e`` at that precision, never from a decimal
-literal.
+Every formula runs at the ambient precision, and 32*pi*e and 16*pi*e come
+from ``hp.pi_e``, never from decimal literals.  At ell = m each lower-bound
+shape is the scale of level m, and count_bands counts a spectrum into bands.
 
 Of the absolute constants the theory leaves non-explicit, only the
 lower-bound multiplier c1 is supplied by the caller; the ell-dependent
@@ -28,7 +28,7 @@ from .matrices import VandermondeSpec
 DEFAULT_WINDOW_FLOOR = 10
 
 
-def _check_common(N: int, delta, ell: int):
+def _check_common(N: int, delta, ell: int = 1):
     if N < 1:
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     if ell < 1:
@@ -41,6 +41,23 @@ def lower_bound_shape(N: int, delta, ell: int):
     """sqrt(N) * (N*delta / (32*pi*e))^(ell-1), the lower-bound shape."""
     _check_common(N, delta, ell)
     return mp.sqrt(N) * (N * as_mpf(delta) / pi_e(32)) ** (ell - 1)
+
+
+def prolate_lower_shape(delta, ell: int):
+    """(delta / (16*pi*e))^(2(ell-1)), the prolate lower-bound shape."""
+    _check_common(1, delta, ell)
+    return (as_mpf(delta) / pi_e(16)) ** (2 * (ell - 1))
+
+
+def count_bands(values, thresholds) -> list:
+    """Number of values in each band [t_m, t_{m-1}), with t_0 = +inf,
+    for decreasing thresholds t_1 > t_2 > ..."""
+    counts = []
+    prev = mpf("inf")
+    for t in thresholds:
+        counts.append(sum(1 for v in values if t <= v < prev))
+        prev = t
+    return counts
 
 
 def upper_bound_explicit(N: int, delta, ell: int, tau):
@@ -64,10 +81,7 @@ def slepian_constant(s: int):
 
 def srf(N: int, delta):
     """Super-resolution factor (N*delta)^-1."""
-    if N < 1:
-        raise InvalidParameterError(f"N must be >= 1, got {N}")
-    if not as_mpf(delta) > 0:
-        raise InvalidParameterError("delta must be > 0")
+    _check_common(N, delta)
     return 1 / (N * as_mpf(delta))
 
 

@@ -36,7 +36,7 @@ from .experiments import (
 )
 from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, generate_config
 from .hp import parse_bits, parse_decimal, parse_int
-from .suites import ALL_SUITES, DEFAULT_SUITE_SEED, default_centers
+from .suites import ALL_SUITES, DEFAULT_SUITE_SEED
 
 ENV_PREFIX = "VANDELAB_"
 
@@ -120,14 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_config(args) -> tuple[int, str]:
-    spec_at, N, n_clusters = point_spec({
+    spec_at, N = point_spec({
         "ell": args.ell, "N": args.N, "delta": args.delta, "s": args.s,
         "tau": args.tau, "theta": args.theta})
     path = Path(args.out) / "config.json"
 
     def generate(spec, bits):
         centers = ([parse_decimal(c, bits) for c in args.centers.split(",")]
-                   if args.centers else default_centers(n_clusters))
+                   if args.centers else None)
         nodes, _ = generate_config(spec, args.layout, centers, args.seed,
                                    args.domain)
         write_config(path, nodes, spec, N=N, bits=bits)

@@ -29,7 +29,8 @@ from pathlib import Path
 from mpmath import mp, mpf
 
 from . import __version__ as TOOL_VERSION
-from .bounds import evaluate_all, slepian_constant
+from .bounds import (count_bands, evaluate_all, lower_bound_shape,
+                     prolate_lower_shape, slepian_constant)
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -50,6 +51,7 @@ from .geometry import (
 from .hp import (
     FLOOR_BITS,
     GUARD_BITS,
+    RESOLVE_MARGIN_BITS,
     decimal_str,
     parse_bits,
     parse_decimal,
@@ -64,7 +66,7 @@ from .spectra import (
     prolate_limit_check,
     singular_values,
 )
-from .suites import DEFAULT_SUITE_SEED, band_counts, count_bands, default_centers
+from .suites import DEFAULT_SUITE_SEED
 from .svgplot import write_scatter_svg
 
 log = logging.getLogger(__name__)
@@ -224,12 +226,12 @@ def _blank_row(point: dict) -> dict:
 
 
 def point_spec(point: dict):
-    """Grid values or gen-config flags -> (spec_at, N, n_clusters).
+    """Grid values or gen-config flags -> (spec_at, N).
 
     ``spec_at(bits)`` is the ClusterSpec with the reals read at ``bits``.
     ``s``, ``tau`` and ``theta`` of None or "auto" mean s = ell, tau =
-    ell - 1, and the widest theta the n_clusters default centers allow: pi
-    for one cluster, 2*pi/M - 1 for M clusters.
+    ell - 1, and the widest theta the M = ceil(s/ell) default centers of
+    generate_config allow: pi for one cluster, 2*pi/M - 1 for more.
     """
     ell = int(point["ell"])
     if ell < 1:
@@ -259,7 +261,7 @@ def point_spec(point: dict):
             theta = parse_decimal(theta_raw, bits)
         return ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
 
-    return spec_at, N, n_clusters
+    return spec_at, N
 
 
 def run_at_bits(spec_at, N: int | None, bits: int | None, body):
@@ -272,8 +274,8 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
     s nodes, whose line-domain delta already stands for N*delta.  Policy
     bits whose headroom falls short of GUARD_BITS, or whose spectrum the
     solver refused with a PrecisionError naming its headroom_bits, are
-    raised by the shortfall and tried once more, and PrecisionError if
-    still short.
+    raised by the shortfall plus RESOLVE_MARGIN_BITS and tried once more,
+    PrecisionError if still short.
     """
     explicit = bits is not None
     if not explicit:
@@ -294,7 +296,7 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
             raise PrecisionError(
                 f"headroom of {headroom} bits at {bits} bits falls short of "
                 f"the {GUARD_BITS}-bit target; raise precision")
-        bits += GUARD_BITS - headroom
+        bits += GUARD_BITS - headroom + RESOLVE_MARGIN_BITS
         log.debug("headroom %d bits short of %d; re-solving at %d bits",
                   headroom, GUARD_BITS, bits)
 
@@ -327,8 +329,7 @@ def compute_sweep_point(point: dict) -> dict:
         row["delta"] = decimal_str(spec.delta, bits)
         row["theta"] = decimal_str(spec.theta, bits)
         row["precision_bits"] = str(bits)
-        nodes, partition = generate_config(spec, str(point["layout"]),
-                                           default_centers(n_clusters),
+        nodes, partition = generate_config(spec, str(point["layout"]), None,
                                            int(point["seed"]), PERIODIC)
         spectrum, report, (lam, log10_lam) = _vandermonde_core(
             nodes, spec, N, bits)
@@ -349,7 +350,7 @@ def compute_sweep_point(point: dict) -> dict:
         return None, spectrum.headroom_bits
 
     try:
-        spec_at, N, n_clusters = point_spec(point)
+        spec_at, N = point_spec(point)
         run_at_bits(spec_at, N, point["precision_override"], fill)
         row["status"] = STATUS_OK
     except (InvalidParameterError, ConfigValidationError, ConfigParseError) as exc:
@@ -506,12 +507,20 @@ def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
     return lam_min / (ceq * cluster.delta ** (2 * cluster.s - 2))
 
 
+def _levels(values, q, thresholds, bits):
+    """The level fields: the thresholds c1 * shape(m), m = 1..ell, the
+    count of values in each band between them, and whether that is q."""
+    counts = count_bands(values, thresholds)
+    return {"level_thresholds": [decimal_str(t, bits) for t in thresholds],
+            "level_counts": counts, "level_counts_match_q": counts == list(q)}
+
+
 def _spectrum_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """Full singular spectrum, bound report, and per-level counts."""
     spectrum, report, (lam, _) = _vandermonde_core(
         nodes, cluster, N, bits, user_c1)
-    counts, thresholds = band_counts(
-        spectrum.values, partition.q, N, cluster.delta, user_c1, bits)
+    thresholds = [user_c1 * lower_bound_shape(N, cluster.delta, m)
+                  for m in range(1, cluster.ell + 1)]
     cumulative = [sum(1 for v in spectrum.values if v >= t)
                   for t in thresholds]
     return {
@@ -526,9 +535,7 @@ def _spectrum_body(nodes, cluster, partition, N, bits, user_c1, N_list):
         "bounds": report.to_json_dict(),
         "sigma_min": decimal_str(spectrum.min_value, bits),
         "lambda": decimal_str(lam, bits),
-        "level_thresholds": [decimal_str(t, bits) for t in thresholds],
-        "level_counts": counts,
-        "level_counts_match_q": counts == list(partition.q),
+        **_levels(spectrum.values, partition.q, thresholds, bits),
         "cumulative_counts": cumulative,
         "user_c1": decimal_str(user_c1, bits),
         "runtime_ms": None,
@@ -540,10 +547,8 @@ def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     spectrum = hermitian_eigenvalues(build_prolate(nodes, bits), bits)
     lam_min = spectrum.min_value
     ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
-    base = cluster.delta / pi_e(16)
-    thresholds = [user_c1 * base ** (2 * (m - 1))
+    thresholds = [user_c1 * prolate_lower_shape(cluster.delta, m)
                   for m in range(1, cluster.ell + 1)]
-    counts = count_bands(spectrum.values, thresholds)
     return {
         "kind": "prolate",
         "precision_bits": bits,
@@ -553,11 +558,10 @@ def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
         "q": list(partition.q),
         "spectrum": spectrum.to_json_dict(),
         "lambda_min": decimal_str(lam_min, bits),
-        "lower_shape": decimal_str(base ** (2 * (cluster.ell - 1)), bits),
+        "lower_shape": decimal_str(
+            prolate_lower_shape(cluster.delta, cluster.ell), bits),
         "slepian_ratio": decimal_str(ratio, bits) if ratio is not None else None,
-        "level_thresholds": [decimal_str(t, bits) for t in thresholds],
-        "level_counts": counts,
-        "level_counts_match_q": counts == list(partition.q),
+        **_levels(spectrum.values, partition.q, thresholds, bits),
         "user_c1": decimal_str(user_c1, bits),
         "runtime_ms": None,
     }, spectrum.headroom_bits

@@ -47,18 +47,22 @@ def wrap_to_interval(x):
 
     An x already inside is returned as it is.  Inputs sitting within
     rounding distance of an odd multiple of pi can land an ulp outside
-    the half-open interval; the final adjustments fold them back.
+    the half-open interval; the final adjustments fold them back.  An x
+    above 2^16, whose reduction would lose mag(x) bits, is reduced with
+    mag(x) + 16 more and rounded back.
     """
     x = as_mpf(x)
     if -mp.pi < x <= mp.pi:
         return x
-    two_pi = 2 * mp.pi
-    r = x - two_pi * mp.floor((x + mp.pi) / two_pi)
-    if r <= -mp.pi:
-        r += two_pi
-    elif r > mp.pi:
-        r -= two_pi
-    return r
+    big = mp.isfinite(x) and mp.mag(x) > 16
+    with mp.workprec(mp.prec + (mp.mag(x) + 16 if big else 0)):
+        two_pi = 2 * mp.pi
+        r = x - two_pi * mp.floor((x + mp.pi) / two_pi)
+        if r <= -mp.pi:
+            r += two_pi
+        elif r > mp.pi:
+            r -= two_pi
+    return wrap_to_interval(+r) if big else r  # rounding back can give -pi
 
 
 def wrap_distance(x, y):
@@ -346,17 +350,25 @@ def cluster_offsets(r: int, ell: int, tau, delta, layout: str, rng) -> list:
     return [o - mid for o in offs]
 
 
+def default_centers(n_clusters: int):
+    """Evenly spread centers on the circle, center 0 for a single cluster."""
+    return tuple(-mp.pi + (2 * j + 1) * mp.pi / n_clusters
+                 for j in range(n_clusters))
+
+
 def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
                     seed: int, domain: str = PERIODIC
                     ) -> tuple[NodeSet, PartitionResult]:
     """Build a node set realizing ``spec`` around the given centers, and
-    its partition.
+    its partition.  Centers None are the ceil(s/ell) default centers.
 
     Equispaced layout puts each cluster on an arithmetic progression with
     gap exactly delta; random layout draws the gaps reproducibly from
     ``seed``.  The nodes are validated against ``spec`` before returning;
     the partition is the one validate_config found.
     """
+    if cluster_centers is None:
+        cluster_centers = default_centers(-(-spec.s // spec.ell))
     centers = [as_mpf(c) for c in cluster_centers]
     if not centers:
         raise InvalidParameterError("need at least one cluster center")

@@ -23,7 +23,7 @@ GUARD_BITS = 64 is the headroom target: the bits by which the smallest
 eigenvalue must clear that bound.  FLOOR_BITS = 192 is never undercut.
 The main term is pessimistic, so the measured headroom usually exceeds the
 target; a solve at policy bits that falls short of it is re-solved once at
-the bits the shortfall names.
+the shortfall plus RESOLVE_MARGIN_BITS = 8, as the shortfall alone can miss.
 
 Values are plain immutable mpmath numbers and safe to share; this module
 keeps no mutable state of its own.  Computations that need a specific
@@ -38,6 +38,7 @@ from .errors import ConfigParseError, InvalidParameterError
 
 FLOOR_BITS = 192
 GUARD_BITS = 64
+RESOLVE_MARGIN_BITS = 8
 #: log2 of the eigensolver's error bound over 2^-p lambda_min 2^main,
 #: rounded up; derived in PrecisionPolicy.required_bits
 SOLVER_BITS = 20

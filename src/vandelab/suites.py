@@ -26,7 +26,7 @@ from .expsums import (
     check_turan,
 )
 from .geometry import RANDOM, cluster_offsets
-from .hp import as_mpf, decimal_str, pi_e
+from .hp import decimal_str
 
 DEFAULT_SUITE_SEED = 20240601
 DEFAULT_SUITE_BITS = 192
@@ -96,14 +96,6 @@ def _clustered_expsum(rng, ell_max: int, exp_lo, exp_hi):
     delta = mpf(10) ** (-_rng_floats(rng, mpf(exp_lo), mpf(exp_hi)))
     nodes = cluster_offsets(ell, ell, tau, delta, RANDOM, rng)
     return ell, delta, ExpSum(tuple(_random_coeffs(rng, ell)), nodes)
-
-
-def default_centers(n_clusters: int):
-    """Evenly spread centers on the circle, center 0 for a single cluster."""
-    if n_clusters == 1:
-        return (mpf(0),)
-    return tuple(-mp.pi + (2 * j + 1) * mp.pi / n_clusters
-                 for j in range(n_clusters))
 
 
 def _require_instances(instances: int):
@@ -214,28 +206,3 @@ ALL_SUITES = {
     "salem": run_salem_suite,
     "riemann": functools.partial(_run, "riemann", _draw_riemann),
 }
-
-
-def band_counts(sigma, q, N, delta, c1, bits: int = DEFAULT_SUITE_BITS):
-    """Observed counts of singular values per scaling band.
-
-    Band m is [c1*shape_m, c1*shape_{m-1}) with shape_0 = +inf; matching
-    the theory means counts == q element-wise.
-    """
-    ell = len(q)
-    with mp.workprec(bits):
-        c2 = pi_e(32)
-        thresholds = [as_mpf(c1) * mp.sqrt(N) * (N * as_mpf(delta) / c2) ** (m - 1)
-                      for m in range(1, ell + 1)]
-    return count_bands(sigma, thresholds), thresholds
-
-
-def count_bands(values, thresholds) -> list:
-    """Number of values in each band [t_m, t_{m-1}), with t_0 = +inf,
-    for decreasing thresholds t_1 > t_2 > ..."""
-    counts = []
-    prev = mpf("inf")
-    for t in thresholds:
-        counts.append(sum(1 for v in values if t <= v < prev))
-        prev = t
-    return counts

@@ -35,11 +35,13 @@ from vandelab.geometry import (
     NodeSet,
     PartitionResult,
     _distance_slack,
+    default_centers,
     generate_config,
 )
-from vandelab.hp import as_mpf, decimal_str, pi_e
+from vandelab.bounds import count_bands, lower_bound_shape
+from vandelab.hp import as_mpf, decimal_str
 from vandelab.matrices import VandermondeSpec
-from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats, default_centers
+from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats
 
 
 def gram_entry_direct(delta, N, bits):
@@ -299,7 +301,6 @@ def fit_level_constant(spectra_and_partitions, bits: int = DEFAULT_SUITE_BITS) -
     lo_all, hi_all = mpf(0), mpf("inf")
     count = 0
     with mp.workprec(bits):
-        c2 = pi_e(32)
         for sigma, q, N, delta in spectra_and_partitions:
             count += 1
             s = len(sigma)
@@ -307,13 +308,21 @@ def fit_level_constant(spectra_and_partitions, bits: int = DEFAULT_SUITE_BITS) -
             cums = [sum(q[:m]) for m in range(1, ell + 1)]
             for m in range(1, ell + 1):
                 cum = cums[m - 1]
-                shape = mp.sqrt(N) * (N * as_mpf(delta) / c2) ** (m - 1)
+                shape = lower_bound_shape(N, delta, m)
                 hi_all = min(hi_all, sigma[cum - 1] / shape)
                 if cum < s:
                     lo_all = max(lo_all, sigma[cum] / shape)
         c1 = mp.sqrt(lo_all * hi_all) if 0 < lo_all < hi_all else \
             (hi_all / 2 if hi_all < mp.inf else mpf(1))
     return LevelCountFit(lo=lo_all, hi=hi_all, c1=c1, instances=count)
+
+
+def level_counts(sigma, q, N, delta, c1, bits: int = DEFAULT_SUITE_BITS) -> list:
+    """Counts of sigma in the bands of c1 * lower_bound_shape(N, delta, m),
+    m = 1..len(q), with the thresholds evaluated at bits."""
+    with mp.workprec(bits):
+        return count_bands(sigma, [as_mpf(c1) * lower_bound_shape(N, delta, m)
+                                   for m in range(1, len(q) + 1)])
 
 
 def wrap_distance_reference(x, y):

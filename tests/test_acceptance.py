@@ -14,6 +14,7 @@ from mpmath import mp, mpf
 from conftest import (
     fit_level_constant,
     gram_entry_direct,
+    level_counts,
     random_clustered_config,
 )
 from vandelab.bounds import slepian_constant, upper_bound_explicit
@@ -30,7 +31,7 @@ from vandelab.spectra import (
     prolate_limit_check,
     singular_values,
 )
-from vandelab.suites import ALL_SUITES, band_counts
+from vandelab.suites import ALL_SUITES
 
 
 def _report(num, name, ok, detail=""):
@@ -260,7 +261,7 @@ def test_09_level_counting_matches_q():
     mismatches = 0
     if ok:
         for sigma, q, N, delta in data:
-            counts, _ = band_counts(sigma, q, N, delta, fit.c1)
+            counts = level_counts(sigma, q, N, delta, fit.c1)
             if counts != list(q):
                 mismatches += 1
         ok = mismatches == 0

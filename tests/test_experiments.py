@@ -25,7 +25,7 @@ from vandelab.geometry import (
     NodeSet,
     generate_config,
 )
-from vandelab.hp import GUARD_BITS
+from vandelab.hp import GUARD_BITS, RESOLVE_MARGIN_BITS
 
 
 def manifest_dict(**overrides):
@@ -421,7 +421,8 @@ class TestHeadroom:
         [(bits, exc)] = refused
         assert "does not clear its error bound" in str(exc)
         assert exc.headroom_bits <= 0
-        assert int(row["precision_bits"]) == bits + GUARD_BITS - exc.headroom_bits
+        assert int(row["precision_bits"]) == (
+            bits + GUARD_BITS - exc.headroom_bits + RESOLVE_MARGIN_BITS)
         assert summary.min_headroom_bits >= GUARD_BITS
 
         # explicit bits are never re-solved
@@ -432,6 +433,24 @@ class TestHeadroom:
         assert [b for b, _ in refused] == [bits]
         assert summary.failed == 1
 
+    @pytest.mark.parametrize("command", ["prolate", "limit-check"])
+    def test_re_solve_clears_the_target_with_a_margin(self, tmp_path,
+                                                      monkeypatch, command):
+        # 100 bits under the policy this line config is re-solved; at the
+        # shortfall alone it came out at 63 bits of headroom at 199 bits
+        real = experiments.required_bits
+        monkeypatch.setattr(experiments, "required_bits",
+                            lambda *args: real(*args) - 100)
+        with mp.workprec(256):
+            spec = ClusterSpec(delta="1e-6", theta="1", s=4, ell=4, tau=3)
+            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1,
+                                       domain=LINE)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec)
+        doc = run_config(command, path, N_list=[10])
+        if command == "prolate":
+            assert doc["spectrum"]["headroom_bits"] >= GUARD_BITS
+
     def test_refusal_without_headroom_fails_at_once(self):
         # a Cholesky pivot that is not positive names no shortfall
         calls = []
@@ -440,7 +459,7 @@ class TestHeadroom:
             calls.append(bits)
             raise PrecisionError("Cholesky pivot 2 of 2 is -0.25")
 
-        spec_at, N, _ = experiments.point_spec(
+        spec_at, N = experiments.point_spec(
             {"ell": 4, "N": 100, "delta": "1e-6", "s": None, "tau": None,
              "theta": None})
         with pytest.raises(PrecisionError, match="pivot"):
@@ -454,7 +473,7 @@ class TestHeadroom:
         details = json.loads((tmp_path / "details.json").read_text())["details"]
         assert read_rows(tmp_path)[0]["status"] == "failed"
         assert summary.failed == 1 and summary.min_headroom_bits is None
-        assert solves[1] == solves[0] + GUARD_BITS - 10
+        assert solves[1] == solves[0] + GUARD_BITS - 10 + RESOLVE_MARGIN_BITS
         assert details[0]["reason"] == (
             f"headroom of 10 bits at {solves[1]} bits falls short of the "
             f"{GUARD_BITS}-bit target; raise precision")
@@ -531,14 +550,14 @@ class TestSingleRuns:
         write_config(path, nodes, spec, N=100, bits=256)  # one attempt
         run_config(command, path, N_list=[10])
         assert calls == [256]
-        if command == "spectrum":
+        if command != "bounds":
             # 100 bits under the policy it re-solves once: two attempts
             real_bits = experiments.required_bits
             monkeypatch.setattr(experiments, "required_bits",
                                 lambda *args: real_bits(*args) - 100)
             write_config(path, nodes, spec, N=100)
             calls.clear()
-            run_config(command, path)
+            run_config(command, path, N_list=[10])
             assert len(calls) == len(set(calls)) == 2
 
     def test_load_config_errors(self, tmp_path):

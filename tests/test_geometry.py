@@ -23,6 +23,7 @@ from vandelab.geometry import (
     PartitionResult,
     _distance_slack,
     assign_multiplicities,
+    default_centers,
     generate_config,
     scale_to_circle,
     sorted_gaps,
@@ -117,6 +118,20 @@ class TestWrapDistance:
                 assert wrap_distance(r, mp.pi) < mpf(2) ** -100
             x = mpf("0.7")
             assert abs(wrap_to_interval(x + 4 * mp.pi) - x) < mpf(2) ** -100
+
+    @pytest.mark.parametrize("bits", [64, 192])
+    @pytest.mark.parametrize("x", ["1e30", "-1e30", 2 ** 200])
+    def test_huge_angles_reduce_into_range(self, bits, x):
+        # an ulp of 1e30 at 64 bits exceeds 2*pi: one reduction gave -6.87e10
+        with mp.workprec(bits):
+            x = mpf(x)
+            r = wrap_to_interval(x)
+            assert -mp.pi < r <= mp.pi
+            assert wrap_distance(x, 0) <= mp.pi
+        with mp.workprec(2000):
+            ref = wrap_to_interval(x)
+        with mp.workprec(bits):
+            assert r == +ref
 
 
 class TestSortedGaps:
@@ -436,6 +451,15 @@ class TestGenerateConfig:
             ulp = mpf(2) ** -(192 - 4)
             for gap in (xs[1] - xs[0], xs[2] - xs[1]):
                 assert abs(gap - spec.delta) <= ulp
+
+    @pytest.mark.parametrize("s, ell, clusters", [(3, 3, 1), (7, 3, 3)])
+    def test_no_centers_are_the_default_centers(self, s, ell, clusters):
+        with mp.workprec(192):
+            spec = ClusterSpec(delta="1e-4", theta="1", s=s, ell=ell, tau=2)
+            a, _ = generate_config(spec, RANDOM, None, seed=5)
+            b, _ = generate_config(spec, RANDOM, default_centers(clusters),
+                                   seed=5)
+            assert a.nodes == b.nodes
 
     def test_determinism(self):
         with mp.workprec(192):

@@ -125,6 +125,19 @@ def test_output_matches_golden(golden, tmp_path, monkeypatch, capsys):
     assert got == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("golden", ["spectrum_s4_1e-3.json",
+                                    "prolate_s4_1e-3.json"])
+def test_last_level_threshold_is_the_lower_shape(golden, tmp_path, monkeypatch,
+                                                 capsys):
+    # at c1 = 1 the level-ell threshold is the bound shape itself
+    for key in [k for k in os.environ if k.startswith("VANDELAB_")]:
+        monkeypatch.delenv(key)
+    doc = json.loads(_run(golden, tmp_path))
+    capsys.readouterr()
+    shape = doc.get("bounds", doc)["lower_shape"]
+    assert doc["level_thresholds"][-1] == shape
+
+
 if __name__ == "__main__":
     import tempfile
 

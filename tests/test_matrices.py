@@ -20,7 +20,6 @@ from vandelab.matrices import (
     build_gram_closed_form,
     build_prolate,
 )
-from vandelab.suites import default_centers
 
 BITS = 192
 
@@ -140,13 +139,12 @@ class TestDirichletKernel:
                                                     delta, N):
         # equispaced clusters repeat node differences; the kernel is bit for
         # bit the entry-by-entry build, with one evaluation per difference
-        spec_at, N, n_clusters = point_spec({
+        spec_at, N = point_spec({
             "ell": ell, "s": s, "delta": delta, "N": N, "tau": None,
             "theta": None})
         bits = required_bits(ell, N, delta)
         with mp.workprec(bits):
-            nodes, _ = generate_config(spec_at(bits), "equispaced",
-                                       default_centers(n_clusters), 1)
+            nodes, _ = generate_config(spec_at(bits), "equispaced", None, 1)
         ratio, calls = matrices._dirichlet_ratio, []
 
         def counted(d, n):

@@ -32,7 +32,6 @@ from vandelab.spectra import (
     prolate_limit_check,
     singular_values,
 )
-from vandelab.suites import default_centers
 
 BITS = 192
 
@@ -226,14 +225,13 @@ def _assert_within_bound(M, bits):
 
 def _sweep_kernel(ell, s, delta, N):
     """(K, bits): the Dirichlet kernel of a sweep point, equispaced."""
-    spec_at, N, n_clusters = point_spec({
+    spec_at, N = point_spec({
         "ell": ell, "N": N, "delta": delta, "tau": "auto", "s": s,
         "theta": None})
     bits = required_bits(ell, N, delta)
     with mp.workprec(bits):
-        nodes, _ = generate_config(spec_at(bits), "equispaced",
-                                   default_centers(n_clusters), 20240601,
-                                   PERIODIC)
+        nodes, _ = generate_config(spec_at(bits), "equispaced", None,
+                                   20240601, PERIODIC)
     return build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits
 
 

@@ -2,12 +2,13 @@ import random
 
 from mpmath import mp, mpf
 
-from conftest import fit_level_constant, random_clustered_config
+from conftest import fit_level_constant, level_counts, random_clustered_config
+from vandelab.bounds import count_bands, lower_bound_shape
 from vandelab.geometry import validate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
-from vandelab.suites import ALL_SUITES, band_counts
+from vandelab.suites import ALL_SUITES
 
 
 class TestInstanceGenerator:
@@ -75,7 +76,9 @@ class TestLevelCounting:
             sigma = (2 * shape[0], mpf("1.5") * shape[0],
                      3 * shape[1], 5 * shape[2])
             q = (2, 1, 1)
-            counts, thresholds = band_counts(sigma, q, N, delta, 1, 192)
+            thresholds = [lower_bound_shape(N, delta, m)
+                          for m in range(1, len(q) + 1)]
+            counts = count_bands(sigma, thresholds)
             assert counts == [2, 1, 1]
             assert thresholds[0] > thresholds[1] > thresholds[2]
 
@@ -93,5 +96,5 @@ class TestLevelCounting:
         fit = fit_level_constant(data)
         assert fit.nonempty
         for sigma, q, N, delta in data:
-            counts, _ = band_counts(sigma, q, N, delta, fit.c1)
+            counts = level_counts(sigma, q, N, delta, fit.c1)
             assert counts == list(q)
