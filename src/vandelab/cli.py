@@ -3,10 +3,8 @@
 Subcommands: gen-config, sweep, spectrum, bounds, prolate, inequalities,
 limit-check.  Each takes --out; all but inequalities take
 --precision-bits; spectrum, bounds and prolate take --c1; gen-config and
-inequalities take --seed, and sweep --workers.  These five flags have
-environment-variable overrides named VANDELAB_<FLAG> (dashes become
-underscores, upper case); an explicit flag wins over the environment,
-which wins over the default.  A command refuses a flag it does not read.
+inequalities take --seed, and sweep --workers.  The command line is the
+whole input, and a command refuses a flag it does not read.
 
 Exit codes: 0 on success with no failed rows, 1 if any row failed,
 2 on usage or configuration errors.  A command prints to stdout only
@@ -38,35 +36,15 @@ from .geometry import EQUISPACED, LINE, PERIODIC, RANDOM, generate_config
 from .hp import parse_bits, parse_decimal, parse_int
 from .suites import ALL_SUITES, DEFAULT_SUITE_SEED
 
-ENV_PREFIX = "VANDELAB_"
-
-
-def _env_name(name):
-    return ENV_PREFIX + name.upper().replace("-", "_")
-
-
-def _env(name, default=None):
-    return os.environ.get(_env_name(name), default)
-
-
-def _int_env(name, default=None):
-    raw = _env(name)
-    return parse_int(raw, _env_name(name)) if raw is not None else default
-
-
 def _add_common(parser, precision_bits=True, c1=False):
     """--out, and --precision-bits and --c1 where the command reads them."""
-    parser.add_argument("--out", default=_env("out", "."),
-                        help="output directory (env VANDELAB_OUT)")
+    parser.add_argument("--out", default=".", help="output directory")
     if precision_bits:
-        parser.add_argument("--precision-bits", type=int,
-                            default=_int_env("precision_bits"),
-                            help="override working precision "
-                                 "(env VANDELAB_PRECISION_BITS)")
+        parser.add_argument("--precision-bits", type=int, default=None,
+                            help="override working precision")
     if c1:
-        parser.add_argument("--c1", default=_env("c1", "1"),
-                            help="user-supplied absolute constant "
-                                 "(env VANDELAB_C1)")
+        parser.add_argument("--c1", default="1",
+                            help="user-supplied absolute constant")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,14 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated cluster centers; default even spread")
     p.add_argument("--layout", choices=[EQUISPACED, RANDOM], default=EQUISPACED)
     p.add_argument("--domain", choices=[PERIODIC, LINE], default=PERIODIC)
-    p.add_argument("--seed", type=int, default=_int_env("seed", DEFAULT_SUITE_SEED))
+    p.add_argument("--seed", type=int, default=DEFAULT_SUITE_SEED)
     p.add_argument("--N", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("sweep", help="run a manifest grid sweep")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--workers", type=int, default=_int_env("workers", 1),
-                   help="worker processes (env VANDELAB_WORKERS)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes")
     _add_common(p)
 
     for name, help_text in (
@@ -109,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default=",".join(ALL_SUITES),
                    help=f"comma-separated subset of {sorted(ALL_SUITES)}")
     p.add_argument("--instances", type=int, default=500)
-    p.add_argument("--seed", type=int, default=_int_env("seed", DEFAULT_SUITE_SEED))
+    p.add_argument("--seed", type=int, default=DEFAULT_SUITE_SEED)
     _add_common(p, precision_bits=False)
 
     p = sub.add_parser("limit-check", help="prolate limit gaps over N")
@@ -182,7 +159,7 @@ COMMANDS = {"gen-config": _cmd_gen_config, "sweep": _cmd_sweep,
 
 
 def main(argv=None) -> int:
-    try:  # the parser reads VANDELAB_* integers, which may be malformed
+    try:  # a VandelabError from the flags or the command exits 2
         args = build_parser().parse_args(argv)
         if hasattr(args, "precision_bits"):
             args.precision_bits = parse_bits(args.precision_bits,

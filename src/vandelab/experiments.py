@@ -1,10 +1,12 @@
 """Experiment runner: manifests, sweeps, single-instance runs, reports.
 
 A sweep manifest declares a parameter grid; every grid point becomes one
-result row.  Rows carry a fixed CSV column set (documented in the README)
-and the same content is mirrored to results.json; richer per-row data
-(full spectra, skip reasons, level counts) goes to details.json so the
-CSV/JSON mirror stays exact.
+result row.  A point runs the Vandermonde body that the spectrum command
+also runs, without its level fields.  Its row is a fixed projection of
+that result: a fixed CSV column set (documented in the README), mirrored
+exactly to results.json.  details.json holds the whole result with the
+row's index (nodes, partition, full spectrum, bound report), or the
+reason the row was skipped or failed.
 
 Sweep rows, gen-config and the config commands run at one precision
 path: ``run_at_bits`` sizes the policy bits once, runs the work under
@@ -44,6 +46,7 @@ from .geometry import (
     PERIODIC,
     ClusterSpec,
     NodeSet,
+    default_theta,
     generate_config,
     sorted_gaps,
     validate_config,
@@ -182,15 +185,8 @@ class SweepSummary:
     out_dir: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "skipped": self.skipped,
-            "failed": self.failed,
-            "fitted_slope": self.fitted_slope,
-            "min_headroom_bits": self.min_headroom_bits,
-            "rows": len(self.rows),
-            "out_dir": self.out_dir,
-        }
+        """The fields in order, with rows as their count."""
+        return {**vars(self), "rows": len(self.rows)}
 
 
 def _read_json(path, what: str):
@@ -214,14 +210,20 @@ def _write_json(path, obj):
         json.dump(obj, fh, indent=2)
 
 
-def _blank_row(point: dict) -> dict:
-    row = {c: "" for c in CSV_COLUMNS}
-    row["experiment_id"] = point["experiment_id"]
-    row["kind"] = "sweep"
-    row["ell"] = str(point["ell"])
-    row["N"] = str(point["N"])
-    row["layout"] = str(point["layout"])
-    row["seed"] = str(point["seed"])
+#: the CSV columns a row copies from its grid point
+_GRID_COLUMNS = ("experiment_id", "ell", "N", "layout", "seed")
+
+
+def _row(point: dict, result: dict) -> dict:
+    """The CSV row of a grid point: its grid columns, kind "sweep", and
+    every other column found under its name in result, its "cluster" or
+    its "bounds", a bool as "true" or "false"; the rest stay blank."""
+    found = {**result.get("bounds", {}), **result.get("cluster", {}), **result,
+             "kind": "sweep", **{c: point[c] for c in _GRID_COLUMNS}}
+    row = {}
+    for column in CSV_COLUMNS:
+        value = found.get(column, "")
+        row[column] = str(value).lower() if isinstance(value, bool) else str(value)
     return row
 
 
@@ -230,8 +232,8 @@ def point_spec(point: dict):
 
     ``spec_at(bits)`` is the ClusterSpec with the reals read at ``bits``.
     ``s``, ``tau`` and ``theta`` of None or "auto" mean s = ell, tau =
-    ell - 1, and the widest theta the M = ceil(s/ell) default centers of
-    generate_config allow: pi for one cluster, 2*pi/M - 1 for more.
+    ell - 1, and geometry.default_theta, the widest theta the default
+    centers of generate_config allow.
     """
     ell = int(point["ell"])
     if ell < 1:
@@ -241,7 +243,6 @@ def point_spec(point: dict):
         raise InvalidParameterError(f"N must be >= 1, got {N}")
     s = point["s"]
     s = ell if s in (None, "auto") else int(s)
-    n_clusters = max(1, math.ceil(s / ell))
 
     def spec_at(bits):
         delta = parse_decimal(point["delta"], bits)
@@ -252,11 +253,7 @@ def point_spec(point: dict):
             tau = parse_decimal(tau_raw, bits)
         theta_raw = point["theta"]
         if theta_raw in (None, "auto"):
-            theta = mp.pi if n_clusters == 1 else 2 * mp.pi / n_clusters - 1
-            if theta <= 0:
-                raise InvalidParameterError(
-                    f"no room for {n_clusters} default cluster centers; "
-                    "set theta explicitly")
+            theta = default_theta(s, ell)
         else:
             theta = parse_decimal(theta_raw, bits)
         return ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
@@ -301,52 +298,51 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
                   headroom, GUARD_BITS, bits)
 
 
-def _vandermonde_core(nodes: NodeSet, cluster: ClusterSpec, N: int, bits: int,
-                      user_c1=1):
-    """(spectrum, bound report, (lambda, log10 lambda)) of one validated
-    configuration at the ambient ``bits``."""
+def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, partition,
+                      N: int, bits: int, user_c1=1):
+    """(result, spectrum) of one validated configuration at the ambient
+    ``bits``: the result both a sweep row and ``spectrum`` report."""
     vspec = VandermondeSpec(N, nodes)
     spectrum = singular_values(vspec, bits=bits)
     report = evaluate_all(vspec, cluster, user_c1=user_c1, bits=bits)
-    lam = normalized_lambda(spectrum.min_value, N, cluster.delta, cluster.ell)
-    return spectrum, report, lam
+    lam, log10_lam = normalized_lambda(spectrum.min_value, N, cluster.delta,
+                                       cluster.ell)
+    return {
+        "N": N,
+        "precision_bits": bits,
+        "cluster": cluster.to_json_dict(bits),
+        "nodes": nodes.to_json_dict(bits),
+        "multiplicities": list(partition.multiplicities),
+        "q": list(partition.q),
+        "spectrum": spectrum.to_json_dict(),
+        "bounds": report.to_json_dict(),
+        "sigma_min": decimal_str(spectrum.min_value, bits),
+        "lambda": decimal_str(lam, bits),
+        "log10_lambda": decimal_str(log10_lam, bits),
+    }, spectrum
 
 
 def compute_sweep_point(point: dict) -> dict:
     """One grid point end to end; returns row + details, never raises.
 
-    A failed or skipped row keeps what its last attempt filled in."""
+    The row projects the point's Vandermonde result, which details holds
+    with the row's index.  A failed or skipped row keeps what its last
+    attempt filled in: the spec columns once its spec reads, the rest
+    once its spectrum is solved."""
     t0 = time.perf_counter()
-    row = _blank_row(point)
+    row = _row(point, {})
     details = {"index": point["index"]}
 
     def fill(spec, bits):
-        row.update(_blank_row(point))
         details.clear()
         details["index"] = point["index"]
-        row["s"] = str(spec.s)
-        row["tau"] = decimal_str(spec.tau, bits)
-        row["delta"] = decimal_str(spec.delta, bits)
-        row["theta"] = decimal_str(spec.theta, bits)
-        row["precision_bits"] = str(bits)
+        row.update(_row(point, {"precision_bits": bits,
+                                "cluster": spec.to_json_dict(bits)}))
         nodes, partition = generate_config(spec, str(point["layout"]), None,
                                            int(point["seed"]), PERIODIC)
-        spectrum, report, (lam, log10_lam) = _vandermonde_core(
-            nodes, spec, N, bits)
-        row["sigma_min"] = decimal_str(spectrum.min_value, bits)
-        row["lambda"] = decimal_str(lam, bits)
-        row["log10_lambda"] = decimal_str(log10_lam, bits)
-        row["lower_shape"] = decimal_str(report.lower_shape, bits)
-        row["upper_explicit"] = decimal_str(report.upper_explicit, bits)
-        row["srf"] = decimal_str(report.srf, bits)
-        row["window_ok"] = "true" if report.window_ok else "false"
-        details.update({
-            "multiplicities": list(partition.multiplicities),
-            "q": list(partition.q),
-            "window_reason": report.window_reason,
-            "spectrum": spectrum.to_json_dict(),
-            "nodes": nodes.to_json_dict(bits),
-        })
+        result, spectrum = _vandermonde_body(nodes, spec, partition, N, bits)
+        row.update(_row(point, result))
+        details.update(result)
         return None, spectrum.headroom_bits
 
     try:
@@ -481,9 +477,11 @@ def load_config(path) -> dict:
 
 def write_config(path, nodes: NodeSet, cluster: ClusterSpec,
                  N: int | None = None, bits: int | None = None):
+    """Store a config whose reals read back at bits to the values given,
+    so a command on it solves the very nodes its writer held."""
     obj = {
-        "nodes": nodes.to_json_dict(bits),
-        "cluster": cluster.to_json_dict(bits),
+        "nodes": nodes.to_json_dict(bits, exact=True),
+        "cluster": cluster.to_json_dict(bits, exact=True),
     }
     if N is not None:
         obj["N"] = N
@@ -516,27 +514,17 @@ def _levels(values, q, thresholds, bits):
 
 
 def _spectrum_body(nodes, cluster, partition, N, bits, user_c1, N_list):
-    """Full singular spectrum, bound report, and per-level counts."""
-    spectrum, report, (lam, _) = _vandermonde_core(
-        nodes, cluster, N, bits, user_c1)
+    """The Vandermonde result plus its per-level counts."""
+    result, spectrum = _vandermonde_body(nodes, cluster, partition, N, bits,
+                                         user_c1)
     thresholds = [user_c1 * lower_bound_shape(N, cluster.delta, m)
                   for m in range(1, cluster.ell + 1)]
-    cumulative = [sum(1 for v in spectrum.values if v >= t)
-                  for t in thresholds]
+    levels = _levels(spectrum.values, partition.q, thresholds, bits)
     return {
         "kind": "spectrum",
-        "N": N,
-        "precision_bits": bits,
-        "cluster": cluster.to_json_dict(bits),
-        "nodes": nodes.to_json_dict(bits),
-        "multiplicities": list(partition.multiplicities),
-        "q": list(partition.q),
-        "spectrum": spectrum.to_json_dict(),
-        "bounds": report.to_json_dict(),
-        "sigma_min": decimal_str(spectrum.min_value, bits),
-        "lambda": decimal_str(lam, bits),
-        **_levels(spectrum.values, partition.q, thresholds, bits),
-        "cumulative_counts": cumulative,
+        **result,
+        **levels,
+        "cumulative_counts": list(itertools.accumulate(levels["level_counts"])),
         "user_c1": decimal_str(user_c1, bits),
         "runtime_ms": None,
     }, spectrum.headroom_bits

@@ -121,10 +121,10 @@ class NodeSet:
     def count(self) -> int:
         return len(self.nodes)
 
-    def to_json_dict(self, bits: int | None = None) -> dict:
+    def to_json_dict(self, bits: int | None = None, exact: bool = False) -> dict:
         return {
             "domain": self.domain,
-            "nodes": [decimal_str(x, bits) for x in self.nodes],
+            "nodes": [decimal_str(x, bits, exact) for x in self.nodes],
         }
 
     @classmethod
@@ -167,13 +167,13 @@ class ClusterSpec:
             raise InvalidParameterError(
                 f"need tau >= ell-1, got tau={decimal_str(self.tau)}, ell={self.ell}")
 
-    def to_json_dict(self, bits: int | None = None) -> dict:
+    def to_json_dict(self, bits: int | None = None, exact: bool = False) -> dict:
         return {
-            "delta": decimal_str(self.delta, bits),
-            "theta": decimal_str(self.theta, bits),
+            "delta": decimal_str(self.delta, bits, exact),
+            "theta": decimal_str(self.theta, bits, exact),
             "s": self.s,
             "ell": self.ell,
-            "tau": decimal_str(self.tau, bits),
+            "tau": decimal_str(self.tau, bits, exact),
         }
 
     @classmethod
@@ -356,6 +356,23 @@ def default_centers(n_clusters: int):
                  for j in range(n_clusters))
 
 
+def _default_count(s: int, ell: int) -> int:
+    """The M = ceil(s/ell) default centers of s nodes, at least one."""
+    return max(1, -(-s // ell))
+
+
+def default_theta(s: int, ell: int):
+    """The widest theta the default centers of s nodes in clusters of at
+    most ell allow: pi for one cluster, 2*pi/M - 1 for M."""
+    n_clusters = _default_count(s, ell)
+    theta = mp.pi if n_clusters == 1 else 2 * mp.pi / n_clusters - 1
+    if theta <= 0:
+        raise InvalidParameterError(
+            f"no room for {n_clusters} default cluster centers; "
+            "set theta explicitly")
+    return theta
+
+
 def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
                     seed: int, domain: str = PERIODIC
                     ) -> tuple[NodeSet, PartitionResult]:
@@ -368,7 +385,7 @@ def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
     the partition is the one validate_config found.
     """
     if cluster_centers is None:
-        cluster_centers = default_centers(-(-spec.s // spec.ell))
+        cluster_centers = default_centers(_default_count(spec.s, spec.ell))
     centers = [as_mpf(c) for c in cluster_centers]
     if not centers:
         raise InvalidParameterError("need at least one cluster center")

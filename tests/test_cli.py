@@ -102,20 +102,33 @@ def test_unknown_check_exits_two(tmp_path, capsys):
     assert not (tmp_path / "inequalities.json").exists()
 
 
-def test_env_override(tmp_path, capsys, monkeypatch):
-    # a random layout depends on the seed: VANDELAB_SEED=99 must act
-    # exactly as --seed 99 and unlike the default seed
-    def random_config(name, *flags):
-        argv = ["gen-config", "--delta", "1e-6", "--s", "4", "--ell", "2",
-                "--tau", "3", "--theta", "1", "--N", "100", "--layout", "random",
-                "--out", str(tmp_path / name), *flags]
-        assert main(argv) == 0
-        return (tmp_path / name / "config.json").read_text()
+@pytest.mark.parametrize("name,value", [
+    ("VANDELAB_SEED", "99"), ("VANDELAB_PRECISION_BITS", "512"),
+    ("VANDELAB_SEED", "x"), ("VANDELAB_PRECISION_BITS", "many"),
+    ("VANDELAB_PRECISION_BITS", "0"), ("VANDELAB_WORKERS", "two"),
+    ("VANDELAB_C1", "inf"),
+], ids=["seed", "precision-bits", "env-seed", "env-precision-bits",
+        "env-precision-bits-0", "env-workers", "env-c1-inf"])
+def test_environment_changes_no_output_byte(tmp_path, monkeypatch, name,
+                                            value):
+    # the command line is the whole input: a random layout depends on the
+    # seed and a spectrum on the bits, yet no variable, well-formed or
+    # not, moves a byte
+    def outputs(dirname, *flags):
+        out = tmp_path / dirname
+        assert main(["gen-config", "--delta", "1e-6", "--s", "4", "--ell", "2",
+                     "--tau", "3", "--theta", "1", "--N", "100",
+                     "--layout", "random", "--out", str(out), *flags]) == 0
+        assert main(["spectrum", "--config", str(out / "config.json"),
+                     "--out", str(out)]) == 0
+        spectrum = json.loads((out / "spectrum.json").read_text())
+        spectrum["runtime_ms"] = None
+        return (out / "config.json").read_bytes(), spectrum
 
-    default = random_config("default")
-    flag = random_config("flag", "--seed", "99")
-    monkeypatch.setenv("VANDELAB_SEED", "99")
-    assert random_config("env") == flag != default
+    clean = outputs("clean")
+    assert outputs("flags", "--seed", "99", "--precision-bits", "512") != clean
+    monkeypatch.setenv(name, value)
+    assert outputs("env") == clean
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,7 +320,6 @@ def _cluster_config(tmp_path, command, **changes):
     return argv
 
 
-# leading NAME=value words set the environment, as in a shell
 @pytest.mark.parametrize("argv", [
     lambda t: _manifest_with(t, grid=[{"ell": [1], "N": [50],
                                        "delta": ["1e-5"]}]),
@@ -327,11 +339,7 @@ def _cluster_config(tmp_path, command, **changes):
     lambda t: _cluster_config(t, "prolate", ell="x"),
     lambda t: _nodes_config(t, "prolate", 3),
     lambda t: _nodes_config(t, "limit-check", []),
-    lambda t: ["VANDELAB_WORKERS=two"] + _config_with(t, "prolate"),
-    lambda t: ["VANDELAB_SEED=x"] + _config_with(t, "prolate"),
-    lambda t: ["VANDELAB_PRECISION_BITS=many"] + _config_with(t, "prolate"),
     lambda t: _config_with(t, "prolate") + ["--precision-bits", "0"],
-    lambda t: ["VANDELAB_PRECISION_BITS=0"] + _config_with(t, "prolate"),
     lambda t: _config_with(t, "prolate", precision_bits=0),
     lambda t: _manifest_with(t, precision_override=0),
     lambda t: _manifest_with(t) + ["--precision-bits", "10"],
@@ -355,24 +363,19 @@ def _cluster_config(tmp_path, command, **changes):
     lambda t: _config_with(t, "prolate") + ["--c1", "abc"],
     lambda t: _config_with(t, "prolate") + ["--c1", "nan"],
     lambda t: _config_with(t, "prolate") + ["--c1", "0"],
-    lambda t: ["VANDELAB_C1=inf"] + _config_with(t, "prolate"),
     lambda t: _nodes_config(t, "limit-check", ["0", "0.5", "1"]),
 ], ids=["grid-list", "grid-scalar", "precision-override", "config-N",
         "config-precision-bits", "N-list", "config-not-object",
         "missing-config", "missing-manifest", "grid-ell", "grid-N",
         "cluster-s", "cluster-ell", "nodes-not-list", "limit-check-no-nodes",
-        "env-workers", "env-seed", "env-precision-bits", "precision-bits-0",
-        "env-precision-bits-0", "config-precision-bits-0",
+        "precision-bits-0", "config-precision-bits-0",
         "precision-override-0", "sweep-precision-bits-10", "workers-0",
         "workers-negative", "checks-empty", "N-list-empty", "delta-inf",
         "theta-inf", "config-theta-inf", "gen-config-ell-0",
         "gen-config-N-negative", "c1-abc",
-        "c1-nan", "c1-0", "env-c1-inf", "limit-check-count-mismatch"])
-def test_malformed_input_exits_two(tmp_path, capsys, monkeypatch, argv):
+        "c1-nan", "c1-0", "limit-check-count-mismatch"])
+def test_malformed_input_exits_two(tmp_path, capsys, argv):
     argv = argv(tmp_path)
-    while "=" in argv[0]:
-        name, value = argv.pop(0).split("=", 1)
-        monkeypatch.setenv(name, value)
     code = main(argv + ["--out", str(tmp_path / "out")])
     assert code == 2
     assert "error:" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from vandelab import experiments, geometry
+from vandelab.cli import main
 from vandelab.errors import ConfigParseError, PrecisionError
 from vandelab.experiments import (
     CSV_COLUMNS,
@@ -143,6 +144,12 @@ class TestSweep:
         assert (summary.ok, summary.skipped, summary.failed) == (0, 2, 0)
         details = json.loads((tmp_path / "details.json").read_text())["details"]
         assert [d["reason"] for d in details] == ["unknown layout 'foo'"] * 2
+        # the spec was read before the layout, and its columns stay
+        pi = "3.14159265358979323846264338327950288419716939937510582097"
+        keep = ("s", "tau", "delta", "theta", "precision_bits")
+        assert [[r[c] for c in keep] for r in read_rows(tmp_path)] == [
+            ["1", "0.0", "0.00001", pi, "192"],
+            ["2", "1.0", "0.00001", pi, "192"]]
 
     def test_N_below_one_skips_its_row(self, tmp_path):
         # at explicit bits too, with the policy path's reason and no bits
@@ -166,6 +173,40 @@ class TestSweep:
         details = json.loads((tmp_path / "details.json").read_text())["details"]
         assert details[0]["reason"] == (
             "no room for 200 default cluster centers; set theta explicitly")
+
+    @pytest.mark.parametrize("grid", [
+        {"ell": [3], "N": [100], "delta": ["1e-6"]},
+        {"ell": [2], "N": [100], "delta": ["1e-6"], "s": [5],
+         "layout": ["random"], "seed": [7]},
+    ], ids=["equispaced-one-cluster", "random-three-clusters"])
+    def test_row_is_the_spectrum_of_its_gen_config(self, tmp_path, grid):
+        # a row's details are what spectrum reports on the config gen-config
+        # writes for the same point, less the fields only spectrum adds
+        m = ExperimentManifest.from_json_dict(manifest_dict(grid=grid))
+        run_sweep(m, tmp_path)
+        [row] = read_rows(tmp_path)
+        [detail] = json.loads((tmp_path / "details.json").read_text())["details"]
+        point = m.points()[0]
+        assert main(["gen-config", "--delta", point["delta"],
+                     "--ell", str(point["ell"]),
+                     "--s", str(point["s"] or point["ell"]),
+                     "--N", str(point["N"]), "--layout", point["layout"],
+                     "--seed", str(point["seed"]),
+                     "--out", str(tmp_path / "gen")]) == 0
+        doc = run_config("spectrum", tmp_path / "gen" / "config.json")
+        only_spectrum = ("kind", "runtime_ms", "user_c1", "level_thresholds",
+                         "level_counts", "level_counts_match_q",
+                         "cumulative_counts")
+        assert detail.pop("index") == 0
+        assert detail == {k: v for k, v in doc.items()
+                          if k not in only_spectrum}
+        assert row["status"] == "ok"
+        for column in ("sigma_min", "lambda", "log10_lambda",
+                       "precision_bits"):
+            assert row[column] == str(doc[column])
+        for column in ("lower_shape", "upper_explicit", "srf"):
+            assert row[column] == doc["bounds"][column]
+        assert row["window_ok"] == str(doc["bounds"]["window_ok"]).lower()
 
     def test_desk_slope_bracket(self, tmp_path):
         # fitted slope of log10 Lambda against (ell - 1) for the desk grid
@@ -477,6 +518,12 @@ class TestHeadroom:
         assert details[0]["reason"] == (
             f"headroom of 10 bits at {solves[1]} bits falls short of the "
             f"{GUARD_BITS}-bit target; raise precision")
+        # the failed row keeps the numbers of its last attempt
+        row = read_rows(tmp_path)[0]
+        assert row["precision_bits"] == str(solves[1])
+        assert details[0]["spectrum"]["precision_bits"] == solves[1]
+        assert row["sigma_min"] == details[0]["sigma_min"] == (
+            details[0]["spectrum"]["values"][-1])
 
     def test_explicit_precision_is_never_re_solved(self, tmp_path, monkeypatch):
         solves = self._fixed_headroom(monkeypatch, 10)
@@ -647,6 +694,13 @@ class TestSingleRuns:
         assert result["q"] == [2, 1]
         assert result["level_counts"] == [2, 1]
         assert result["level_counts_match_q"]
+        # below decreasing thresholds the running sums count the values
+        # at or above each threshold
+        with mp.workprec(bits):
+            at_or_above = [sum(1 for v in result["spectrum"]["values"]
+                               if mpf(v) >= mpf(t))
+                           for t in result["level_thresholds"]]
+        assert result["cumulative_counts"] == at_or_above == [2, 3]
 
     def test_prolate_three_node_slepian_ratio(self, tmp_path):
         # s = 3 equispaced at 1e-3: ratio to the asymptotic form within 2%

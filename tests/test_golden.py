@@ -17,7 +17,6 @@ which bytes moved and why.
 import csv
 import io
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -117,9 +116,7 @@ def _run(golden, tmp):
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
-def test_output_matches_golden(golden, tmp_path, monkeypatch, capsys):
-    for key in [k for k in os.environ if k.startswith("VANDELAB_")]:
-        monkeypatch.delenv(key)
+def test_output_matches_golden(golden, tmp_path, capsys):
     got = _run(golden, tmp_path)
     capsys.readouterr()
     assert got == (GOLDEN / golden).read_text(encoding="utf-8")
@@ -127,11 +124,8 @@ def test_output_matches_golden(golden, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("golden", ["spectrum_s4_1e-3.json",
                                     "prolate_s4_1e-3.json"])
-def test_last_level_threshold_is_the_lower_shape(golden, tmp_path, monkeypatch,
-                                                 capsys):
+def test_last_level_threshold_is_the_lower_shape(golden, tmp_path, capsys):
     # at c1 = 1 the level-ell threshold is the bound shape itself
-    for key in [k for k in os.environ if k.startswith("VANDELAB_")]:
-        monkeypatch.delenv(key)
     doc = json.loads(_run(golden, tmp_path))
     capsys.readouterr()
     shape = doc.get("bounds", doc)["lower_shape"]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,25 @@ class TestDecimalRoundTrip:
         back = parse_decimal(decimal_str(x, bits), bits)
         if x != 0:
             assert abs(back - x) <= abs(x) * mpf(10) ** (-(decimal_digits(bits) - 2))
+
+
+    @pytest.mark.parametrize("bits", [64, 192, 603, 2296])
+    def test_exact_strings_read_back_to_the_value(self, bits):
+        # the default digits miss some values by a bit; exact reads back,
+        # and adds no digit to a string that already does
+        rng = random.Random(bits)
+        misses = 0
+        with mp.workprec(bits):
+            values = [mp.pi * mpf(rng.random()) * mpf(10) ** rng.randint(-30, 5)
+                      for _ in range(200)] + [mpf("0.001"), -mp.pi]
+        for x in values:
+            short, exact = decimal_str(x, bits), decimal_str(x, bits, exact=True)
+            assert parse_decimal(exact, bits) == x
+            if parse_decimal(short, bits) == x:
+                assert exact == short
+            else:
+                misses += 1
+        assert misses > 0
 
 
 class TestPrecisionDoubling:
