@@ -328,7 +328,8 @@ def compute_sweep_point(point: dict) -> dict:
     The row projects the point's Vandermonde result, which details holds
     with the row's index.  A failed or skipped row keeps what its last
     attempt filled in: the spec columns once its spec reads, the rest
-    once its spectrum is solved."""
+    once its spectrum is solved.  The result carries the spec columns,
+    so the spec is serialized for them only when the attempt raises."""
     t0 = time.perf_counter()
     row = _row(point, {})
     details = {"index": point["index"]}
@@ -336,11 +337,15 @@ def compute_sweep_point(point: dict) -> dict:
     def fill(spec, bits):
         details.clear()
         details["index"] = point["index"]
-        row.update(_row(point, {"precision_bits": bits,
-                                "cluster": spec.to_json_dict(bits)}))
-        nodes, partition = generate_config(spec, str(point["layout"]), None,
-                                           int(point["seed"]), PERIODIC)
-        result, spectrum = _vandermonde_body(nodes, spec, partition, N, bits)
+        try:
+            nodes, partition = generate_config(
+                spec, str(point["layout"]), None, int(point["seed"]), PERIODIC)
+            result, spectrum = _vandermonde_body(nodes, spec, partition, N,
+                                                 bits)
+        except Exception:
+            row.update(_row(point, {"precision_bits": bits,
+                                    "cluster": spec.to_json_dict(bits)}))
+            raise
         row.update(_row(point, result))
         details.update(result)
         return None, spectrum.headroom_bits

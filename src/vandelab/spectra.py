@@ -14,8 +14,8 @@ lambda_min by about 2^-p trace.  The recipe is Drmac-Veselic (SIMAX 29,
 2. One-sided (Hestenes) Jacobi on the columns of W = R^T, whose Gram
    R R^T has the spectrum of A.  Every column is a list of ints in one
    unit 2^e, which puts sqrt(trace / n) at q + 1 bits, q = p +
-   GUARD_BITS; the rows of R are truncated into it.  For columns x, y
-   the exact ints a = |x|^2, b = |y|^2 and d = x.y decide: |d| <=
+   COLUMN_GUARD_BITS; the rows of R are truncated into it.  For columns
+   x, y the exact ints a = |x|^2, b = |y|^2 and d = x.y decide: |d| <=
    2^-(p-8) T_W / n, T_W their first int trace, leaves the pair, else
    (x, y) -> (c x - s y, s x + c y) makes it orthogonal, with c and s
    q-bit fixed-point ints and each new entry rounded to nearest, ties to
@@ -46,7 +46,7 @@ from .matrices import VandermondeSpec, build_dirichlet_kernel, build_prolate
 
 MAX_EIGEN_DIM = 256
 #: bits each Jacobi column carries beyond the working precision
-GUARD_BITS = 24
+COLUMN_GUARD_BITS = 24
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,8 +176,8 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
     eigenvalue is positive); and an exhausted sweep budget
     ConvergenceError (carrying the final off-diagonal residual).
 
-    error_bound, with u = 2^-p, q = p + GUARD_BITS, T = trace(A), A the
-    rows at p bits, and U = 2^e <= 2^-q sqrt(T / n) the unit, sums what
+    error_bound, with u = 2^-p, q = p + COLUMN_GUARD_BITS, T = trace(A),
+    A the rows at p bits, and U = 2^e <= 2^-q sqrt(T / n) the unit, sums what
     moves an eigenvalue:
     - Cholesky: R^T R = P A P^T + E, |E| <= gamma_{n+1} |R^T| |R|
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -195,7 +195,7 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
       < 2^-(p-8) T_W U^2 <= 2^-(p-8) ||R||_F^2: truncation only shrinks.
     - Rounding the squared norms: u T.
     In all, ((2 n + 3) + 3 (sweeps n (n - 1) / 2 + 1)(isqrt(n) + 9)
-    2^-GUARD_BITS) u T + offdiag_residual.
+    2^-COLUMN_GUARD_BITS) u T + offdiag_residual.
     """
     n = len(rows)
     if n < 1:
@@ -204,7 +204,7 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
         raise InvalidParameterError(f"dimension {n} exceeds {MAX_EIGEN_DIM}")
     if any(len(row) != n for row in rows):
         raise InvalidParameterError("matrix is not square")
-    p, q = bits, bits + GUARD_BITS
+    p, q = bits, bits + COLUMN_GUARD_BITS
 
     with mp.workprec(p):
         try:
@@ -257,7 +257,7 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
                 residual=off, sweeps=sweeps)
         values = sorted((mp.make_mpf(from_man_exp(m, 2 * e, p, round_nearest))
                          for m in norms), reverse=True)
-        terms = (2 * n + 3 << GUARD_BITS) + 3 * (
+        terms = (2 * n + 3 << COLUMN_GUARD_BITS) + 3 * (
             sweeps * n * (n - 1) // 2 + 1) * (math.isqrt(n) + 9)
         bound = mp.ldexp(terms * trace, -q) + off
         result = SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)

@@ -15,6 +15,7 @@ from vandelab.expsums import (
     ExpSum,
     _float_moduli,
     _grid_max,
+    _l2_form,
     check_cor_turan,
     check_nikolskii,
     check_riemann,
@@ -25,14 +26,16 @@ from vandelab.expsums import (
     l2_norm_exact,
     linf_norm_certified,
 )
-from vandelab.geometry import LINE, NodeSet
+from vandelab.geometry import LINE, PERIODIC, RANDOM, NodeSet, cluster_offsets
 from vandelab.matrices import (
     VandermondeSpec,
+    _dirichlet_ratio,
     _sinc,
     build_gram_closed_form,
     build_prolate,
 )
 from vandelab.spectra import singular_values
+from vandelab.suites import _clustered_expsum, random_expsum
 
 BITS = 192
 
@@ -169,13 +172,16 @@ class TestL2Exact:
 
 
 class TestIntervalTransform:
-    """The L2 form's kernel e^(i m d) w sinc(w d / 2), m = (a + b)/2 and
-    w = b - a, is int_a^b e^(i d t) dt."""
+    """The L2 form's kernel is E(d) = int_a^b e^(i d t) dt: for the two-term
+    sums with frequencies (x + d, x), _l2_form is 2w + 2 Re E(d) with
+    coefficients (1, 1) and 2w + 2 Im E(d) with (1, i), w = b - a."""
 
     @staticmethod
-    def kernel(d, a, b):
+    def transform(d, x, a, b):
         w = b - a
-        return mp.expj(d * (a + b) / 2) * w * _sinc(w * d / 2)
+        re, im = (_l2_form(ExpSum((1, c), (x + d, x)), a, b) - 2 * w
+                  for c in (1, mpc(0, 1)))
+        return mpc(re, im) / 2
 
     def test_matches_naive_formula(self, rng):
         with mp.workprec(2 * BITS):
@@ -185,12 +191,103 @@ class TestIntervalTransform:
                 if d == 0:
                     continue
                 naive = naive_interval_transform(d, a, b)
-                mine = self.kernel(d, a, b)
+                mine = self.transform(d, mpf(rng.uniform(-5, 5)), a, b)
                 assert abs(mine - naive) <= mpf(2) ** -(BITS) * (abs(naive) + 1)
 
     def test_zero_frequency(self):
         with mp.workprec(BITS):
-            assert self.kernel(mpf(0), mpf(2), mpf(5)) == 3
+            assert _l2_form(ExpSum((1,), (mpf("0.7"),)), mpf(2), mpf(5)) == 3
+
+
+def pair_formula(P, m, kernel):
+    """(form, mass) summed pair by pair, each kernel value evaluated at the
+    ambient precision: the reference for the integer frame."""
+    rot = [c * mp.expj(m * x) for c, x in zip(P.coeffs, P.freqs)]
+    form = mass = mpf(0)
+    for cj, rj, xj in zip(P.coeffs, rot, P.freqs):
+        for ck, rk, xk in zip(P.coeffs, rot, P.freqs):
+            kv = kernel(xj - xk)
+            form += kv * (rj.real * rk.real + rj.imag * rk.imag)
+            mass += abs(kv) * abs(cj) * abs(ck)
+    return form, mass
+
+
+def _suite_draws(rng):
+    """(family, P, b, N) as the suites draw them, and one tighter cluster:
+    [0, b] the L2 interval and N the sample count; salem reaches |x| b ~ 4e7
+    and riemann gaps ~1e-6."""
+    for _ in range(3):
+        yield "turan", random_expsum(rng, rng.randint(2, 5)), \
+            mpf(rng.uniform(1, 4)), rng.randint(30, 300)
+        yield "nikolskii", random_expsum(rng, rng.randint(2, 5),
+                                         freq_range=20.0), mpf(1), 50
+    for delta in ("1e-2", "1e-4", "1e-6"):
+        delta = mpf(delta)
+        P = random_expsum(rng, rng.randint(2, 5), freq_range=3.1,
+                          min_sep=delta)
+        yield "salem", P, 4 * mp.pi / delta, rng.randint(30, 300)
+    for lo, hi in ((2, 5), (3, 6), (6, 6)):
+        _, _, P = _clustered_expsum(rng, 5, lo, hi)
+        N = rng.randint(50, 300)
+        yield "riemann", P, mpf(N), N
+    # gaps of 1e-12, tighter than any suite draws: the gap bits of q matter
+    nodes = cluster_offsets(4, 4, mpf(3), mpf("1e-12"), RANDOM, rng)
+    coeffs = tuple(mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in nodes)
+    yield "cluster", ExpSum(coeffs, tuple(nodes)), mpf(200), 200
+
+
+class TestFormsAgainstPairFormula:
+    """_l2_form and discrete_norm against the per-pair formula at 4p
+    bits, within 2^-(p-4) of the form's mass."""
+
+    @staticmethod
+    def variants(P):
+        zero = ExpSum((mpc(0),) + P.coeffs[1:], P.freqs)
+        return {"": P, "x2^700": scaled(P, 700), "x2^-700": scaled(P, -700),
+                "zero coefficient": zero}
+
+    def test_seeded_suite_draws(self, rng):
+        checked = 0
+        with mp.workprec(BITS):
+            draws = list(_suite_draws(rng))
+        for family, base, b, N in draws:
+            for name, P in self.variants(base).items():
+                for a in (mpf(0), -b / 3):
+                    with mp.workprec(BITS):
+                        got = _l2_form(P, a, b)
+                    with mp.workprec(4 * BITS):
+                        w = b - a
+                        form, mass = pair_formula(
+                            P, (a + b) / 2, lambda d: w * _sinc(w * d / 2))
+                        assert abs(got - form) <= mp.ldexp(mass, 4 - BITS), \
+                            (family, name, a)
+                with mp.workprec(BITS):
+                    got = discrete_norm(P, N)
+                    # the Dirichlet form itself, without discrete_norm's
+                    # extra bits
+                    bare = expsums._quadratic_form(
+                        P, mpf(N + 1) / 2, mpf(N) / 2, PERIODIC, "discrete")
+                with mp.workprec(4 * BITS):
+                    form, mass = pair_formula(
+                        P, mpf(N) / 2, lambda d: _dirichlet_ratio(d, N))
+                    for value in (got ** 2, bare):
+                        assert abs(value - form) <= mp.ldexp(mass, 4 - BITS), \
+                            (family, name, N)
+                checked += 1
+        assert checked == 4 * 13
+
+    def test_frequencies_equal_modulo_two_pi(self):
+        # the samples e^(i k x) of x = 0 and x = 2 pi agree, so the norm is
+        # (N + 1) |c_1 + c_2|^2; the frame needs their distance modulo 2 pi
+        N, c = 40, (mpc("0.6", "-0.2"), mpc("0.3", "0.5"))
+        with mp.workprec(4 * BITS):
+            P = ExpSum(c, (mpf(0), 2 * mp.pi))
+            got = discrete_norm(P, N)
+            assert abs(got ** 2 / ((N + 1) * abs(c[0] + c[1]) ** 2) - 1) \
+                <= mpf(2) ** -(4 * BITS - 8)
+        with mp.workprec(BITS):
+            with pytest.raises(PrecisionError, match="modulo 2 pi"):
+                discrete_norm(P, N)
 
 
 class TestDiscreteNorm:
