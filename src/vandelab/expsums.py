@@ -7,12 +7,11 @@ quantities checked here span hundreds of orders of magnitude, so
 quadrature error would swamp them.  The L2 norm and the integer-sample
 norm are real quadratic forms in the sinc (prolate) and Dirichlet
 kernels, after one phase rotation of the coefficients, so they are real
-by construction.  Each kernel value is sin(A d) over d/2 or sin(d/2),
-d = x_j - x_k, and sin(A d) = S_j C_k - C_j S_k: _quadratic_form
-evaluates the phases of each node once, at q = p + guard bits with the
-guard sized to the closest pair, puts them and the coefficients into
-one integer frame, forms every pair exactly and rounds the sum once, to
-p bits, within (1 + 2^-8) 2^-p of the form's term mass.  A form raises
+by construction.  Their kernels are exact int ratios from the frame the
+Dirichlet and prolate matrices are built from, _kernel_frame, and
+_quadratic_form forms every pair exactly in one integer frame and
+rounds the sum once, to p bits, within (1 + 2^-8) 2^-p of the form's
+term mass.  A form raises
 PrecisionError only when it does not clear its rounding dust.  The
 Turan, Nikolskii, cor-Turan and Riemann checks each return an
 InequalityCheck with both sides as computed; the Salem ratio is a
@@ -34,8 +33,8 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_cos_sin, mpf_mul,
-                          mpf_shift, mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_shift, mpf_sub,
+                          round_nearest, to_fixed)
 
 from .errors import (
     DegenerateInputError,
@@ -45,6 +44,7 @@ from .errors import (
 )
 from .geometry import LINE, PERIODIC, sorted_gaps
 from .hp import as_mpc, as_mpf, decimal_str, pi_e
+from .matrices import _dirichlet_guard, _kernel_frame, _phases
 
 DEFAULT_MAX_SUP_SAMPLES = 2_000_000
 MIN_SUP_SAMPLES = 64
@@ -70,7 +70,7 @@ class ExpSum:
 
     @property
     def degree(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
+        return sum(1 for c in self.coeffs if c)
 
     def coeff_norm_sq(self):
         return mp.fsum(abs(c) ** 2 for c in self.coeffs)
@@ -105,14 +105,6 @@ def evaluate(P: ExpSum, t):
 _FORM_MARGIN_BITS = 14
 
 
-def _phases(angles, q):
-    """(cos, sin) of each exact raw-mpf angle as ints in units 2^-q, each
-    within 3 units: mpf_cos_sin reduces the exact angle with the bits its
-    size needs and rounds to q bits, within an ulp, and to_fixed
-    truncates."""
-    return [tuple(to_fixed(v, q) for v in mpf_cos_sin(t, q)) for t in angles]
-
-
 def _quadratic_form(P: ExpSum, A, m, domain: str, what: str):
     """sum_{j,k} c_j conj(c_k) e^(i m d) K(d), d = x_j - x_k, for the
     real even kernel K(d) = sin(A d) / h(d/2), K(0) = 2A, whose form is
@@ -120,98 +112,49 @@ def _quadratic_form(P: ExpSum, A, m, domain: str, what: str):
     (the Dirichlet kernel).  A > 0 and m are exact mpfs.
 
     With r_j = c_j e^(i m x_j) the form is the sum of |c_j|^2 2A and, once
-    per pair j < k, 2 Re(r_j conj(r_k)) K(x_j - x_k), over the nonzero
-    c_j.  All of it is built in one integer frame from per-node phases,
-    each evaluated once by _phases at q bits, u = 2^-q, from an exact
-    angle: (C_j, S_j) = (cos, sin)(A x_j); the rotation (cos, sin)(m x_j),
-    the same phase when m = A; and the half angle (c_j, s_j), which is
-    (1, x_j/2) exactly on LINE and (cos, sin)(x_j/2) on PERIODIC.  Then
-    num = S_j C_k - C_j S_k is sin(A d) and den = s_j c_k - c_j s_k is
-    h(d/2), both exact int products; K_jk = floor(num / den) in a unit
-    2^ke that puts 2A at q bits; the coefficients are truncated into one
-    unit 2^ce that puts their largest part at q bits.  The sum is exact,
-    and rounded once, to p = mp.prec bits.
+    per pair j < k, 2 Re(r_j conj(r_k)) K_jk, over the nonzero c_j, in
+    one integer frame: K_jk = floor(num / den) from matrices._kernel_frame,
+    in the unit 2^ke that puts 2A at q bits, u = 2^-q; the rotation
+    (cos, sin)(m x_j) from _phases at q bits, the frame's when m = A; and
+    the coefficients truncated into a unit 2^ce that puts their largest
+    part at q bits.  The sum is exact, and rounded once, to p = mp.prec.
 
     The error, with c = max |c_j|, mass = sum_{j,k} |c_j| |c_k|
-    |K(x_j - x_k)| >= 2A c^2, mag(y) = floor(log2 y) + 1 and gap the
-    least distance between two frequencies (on PERIODIC the distance
-    modulo 2 pi, computed at p + 64 bits: within 2^-4 when above
-    2^-(p+40)):
-    - num is within 9u of sin(A d), from phases within 3 units (q >= 6);
-    - LINE: den is exact, so K_jk is within 18u / |d| + 2^ke, at most
-      (9 2^g + 2) u 2A for g = max(0, 2 - mag(A) - mag(gap));
-    - PERIODIC: |sin(d/2)| >= gap / pi >= 2^-g for g = max(0, 4 -
-      mag(gap)), so den is within 9u of it and at least half of it
-      (q >= g + 5), and K_jk is within 18u (1 + 2A) 2^g + 2^ke, at most
-      38 2^g u 2A;
-    - each coefficient is within 2 sqrt(2) u c, each rotated one within
-      10u c; so each of the n^2 terms is within 60 2^g u c^2 2A, and the
-      sum within 60 n^2 2^(g-q) mass.
-    q = p + g + 2 bitlen(n) + _FORM_MARGIN_BITS takes that below
-    2^-(p+8) mass: the form is within (1 + 2^-8) 2^-p mass once rounded.
-
-    A form at or below 2^-(p-16) of the mass, summed in the frame from
-    each |c_j| rounded up and each |K_jk| plus a unit, means the precision
-    cannot resolve it: PrecisionError.  So does a periodic gap below
-    2^-(p+40), which p + 64 bits do not bound.
+    |K(x_j - x_k)| >= 2A c^2 and g the frame's closest-pair guard: the
+    floor adds 2^ke <= 2u 2A to the frame's error, so K_jk is within
+    38 2^g u 2A; each coefficient is within 2 sqrt(2) u c, each rotated
+    one within 10u c; so each of the n^2 terms is within 60 2^g u c^2 2A,
+    and the sum within 60 n^2 2^(g-q) mass.  q = p + g + 2 bitlen(n) +
+    _FORM_MARGIN_BITS takes that below 2^-(p+8) mass: the form is within
+    (1 + 2^-8) 2^-p mass once rounded.  A form at or below 2^-(p-16) of
+    the mass, summed in the frame from each |c_j| rounded up and each
+    |K_jk| plus a unit, cannot be resolved: PrecisionError.
     """
     p = mp.prec
     terms = [(c, x) for c, x in zip(P.coeffs, P.freqs) if c]
     if not terms:
         return mpf(0)
     n = len(terms)
-    raw = [x._mpf_ for _, x in terms]
-    g = 0
-    if domain == LINE:
-        # the halves x_j/2 exactly, as ints in one unit 2^eh
-        eh = min((x[2] - 1 for x in raw if x[1]), default=0)
-        halves = [to_fixed(x, -1 - eh) for x in raw]
-        if n > 1:
-            hs = sorted(halves)
-            gap = min(b - a for a, b in zip(hs, hs[1:]))
-            # mag(2 gap 2^eh) = gap.bit_length() + eh + 1
-            g = max(0, 1 - mp.mag(A) - gap.bit_length() - eh)
-    elif n > 1:
-        with mp.workprec(p + 64):
-            gap = min(sorted_gaps([x for _, x in terms], PERIODIC)[1])
-        if gap < mp.ldexp(1, -(p + 40)):
-            raise PrecisionError(
-                f"{what} quadratic form: two frequencies agree modulo 2 pi "
-                f"within {decimal_str(gap)}; raise precision")
-        g = max(0, 4 - mp.mag(gap))
-    q = p + g + 2 * n.bit_length() + _FORM_MARGIN_BITS
-    C, S = zip(*_phases([mpf_mul(A._mpf_, x) for x in raw], q))
+    q, ke, (C, S), pairs = _kernel_frame(
+        [x for _, x in terms], A, domain,
+        2 * n.bit_length() + _FORM_MARGIN_BITS, f"{what} quadratic form")
     Cm, Sm = (C, S) if m == A else zip(
-        *_phases([mpf_mul(m._mpf_, x) for x in raw], q))
-    two_a = mpf_shift(A._mpf_, 1)
-    ke = two_a[2] + two_a[3] - q
-    if domain == LINE:
-        # (1, x_j/2) in a unit 2^de low enough that num << t,
-        # t = -2q - de - ke, needs no right shift
-        de = min(eh, -2 * q - ke)
-        c_half, s_half = [1] * n, [h << eh - de for h in halves]
-    else:
-        de = -2 * q
-        c_half, s_half = zip(*_phases([mpf_shift(x, -1) for x in raw], q))
-    t = -2 * q - de - ke
+        *_phases([mpf_mul(m._mpf_, x._mpf_) for _, x in terms], q))
     parts = [(c.real._mpf_, c.imag._mpf_) for c, _ in terms]
     top = max(v[2] + v[3] for pair in parts for v in pair if v[1])
     ce = top - q
     cr, ci = zip(*[(to_fixed(re, -ce), to_fixed(im, -ce)) for re, im in parts])
     rr = [(a * c - b * s) >> q for a, b, c, s in zip(cr, ci, Cm, Sm)]
     ri = [(a * s + b * c) >> q for a, b, c, s in zip(cr, ci, Cm, Sm)]
-    k0 = to_fixed(two_a, -ke)
+    k0 = to_fixed(mpf_shift(A._mpf_, 1), -ke)
     sq = [a * a + b * b for a, b in zip(cr, ci)]
     absc = [math.isqrt(v) + 3 for v in sq]  # |c_j| rounded up
     acc = k0 * sum(sq)
     mass = k0 * sum(v * v for v in absc)
-    for j in range(n):
-        for k in range(j + 1, n):
-            num = S[j] * C[k] - C[j] * S[k]
-            den = s_half[j] * c_half[k] - c_half[j] * s_half[k]
-            kv = (num << t) // den
-            acc += 2 * kv * (rr[j] * rr[k] + ri[j] * ri[k])
-            mass += 2 * (abs(kv) + 1) * absc[j] * absc[k]
+    for j, k, num, den in pairs:
+        kv = num // den
+        acc += 2 * kv * (rr[j] * rr[k] + ri[j] * ri[k])
+        mass += 2 * (abs(kv) + 1) * absc[j] * absc[k]
     unit = 2 * ce + ke
     form = mp.make_mpf(from_man_exp(acc, unit, p, round_nearest))
     if acc << (p - 16) <= mass:
@@ -247,13 +190,13 @@ def discrete_norm(P: ExpSum, N: int):
     For a unit coefficient vector this is ||V_N(x) c||_2.  Evaluated as
     the quadratic form in the Dirichlet sums sum_k e^(i k d): the phase
     e^(i N d / 2) times the ratio sin((N+1) d/2) / sin(d/2) that
-    build_dirichlet_kernel evaluates.  The form is rounded, and clears
-    its dust, at 32 + log2(N) bits over the ambient precision, the bits
-    that kernel is evaluated with.
+    build_dirichlet_kernel assembles.  The form is rounded, and clears
+    its dust, at _dirichlet_guard(N) bits over the ambient precision,
+    the guard that kernel is rounded with.
     """
     if N < 0:
         raise InvalidParameterError("N must be >= 0")
-    with mp.workprec(mp.prec + 32 + max(N, 1).bit_length()):
+    with mp.workprec(mp.prec + _dirichlet_guard(N)):
         form = _quadratic_form(P, mpf(N + 1) / 2, mpf(N) / 2, PERIODIC,
                                "discrete")
         val = mp.sqrt(form)
@@ -295,7 +238,7 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
     zs = [0j] * len(ks)
     mags, phase_err, r_max = [], 0.0, 0.0
     for c, x in zip(P.coeffs, P.freqs):
-        if c == 0:
+        if not c:
             continue
         cf = complex(float(mp.ldexp(c.real, -e)), float(mp.ldexp(c.imag, -e)))
         X = float(x)
@@ -342,7 +285,7 @@ def bernstein_factor(P: ExpSum, a, b):
     sqrt(108*ell^5 + sum of rescaled frequencies squared)."""
     ell = P.degree
     width = as_mpf(b) - as_mpf(a)
-    sq = mp.fsum((x * width) ** 2 for c, x in zip(P.coeffs, P.freqs) if c != 0)
+    sq = mp.fsum((x * width) ** 2 for c, x in zip(P.coeffs, P.freqs) if c)
     return mp.sqrt(108 * mpf(ell) ** 5 + sq)
 
 
@@ -356,7 +299,7 @@ def linf_norm_certified(P: ExpSum, a, b) -> CertifiedSup:
     a, b = as_mpf(a), as_mpf(b)
     if not b > a:
         raise InvalidParameterError("need b > a")
-    nz = [(c, x) for c, x in zip(P.coeffs, P.freqs) if c != 0]
+    nz = [(c, x) for c, x in zip(P.coeffs, P.freqs) if c]
     if len(nz) == 0:
         return CertifiedSup(mpf(0), mpf(0), 0)
     if len(nz) == 1:

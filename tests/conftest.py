@@ -1,7 +1,9 @@
 """Shared test oracles and fixtures.
 
 The oracles deliberately avoid the code paths they check: the Gram oracle
-sums the geometric series term by term, the eigenvalue oracle is mpmath's
+sums the geometric series term by term, the sinc and Dirichlet ratio are
+evaluated one pair at a time with mpmath's sin where the builders use
+per-node phases in one integer frame, the eigenvalue oracle is mpmath's
 eighe (tridiagonalization + QL, nothing like the package's Jacobi),
 the quadrature oracle integrates numerically, and the partition oracle
 compares every pair of nodes where the validator scans sorted gaps.  jacobi_reference is
@@ -42,6 +44,23 @@ from vandelab.bounds import count_bands, lower_bound_shape
 from vandelab.hp import as_mpf, decimal_str
 from vandelab.matrices import VandermondeSpec
 from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats
+
+
+def sinc(t):
+    """sin(t) / t, and its limit 1 at t = 0: the per-pair reference for
+    the prolate entries and the L2 kernel."""
+    if t == 0:
+        return mpf(1)
+    return mp.sin(t) / t
+
+
+def dirichlet_ratio(delta, N: int):
+    """sin((N+1) delta/2) / sin(delta/2), and its limit N+1 at delta = 0:
+    the per-pair reference for the Dirichlet kernel."""
+    if delta == 0:
+        return mpf(N + 1)
+    half = delta / 2
+    return mp.sin((N + 1) * half) / mp.sin(half)
 
 
 def gram_entry_direct(delta, N, bits):

@@ -3,7 +3,8 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import build_vandermonde, lq_norm_quadrature
+from conftest import (build_vandermonde, dirichlet_ratio, lq_norm_quadrature,
+                      sinc)
 from vandelab import expsums
 from vandelab.errors import (
     DegenerateInputError,
@@ -29,8 +30,6 @@ from vandelab.expsums import (
 from vandelab.geometry import LINE, PERIODIC, RANDOM, NodeSet, cluster_offsets
 from vandelab.matrices import (
     VandermondeSpec,
-    _dirichlet_ratio,
-    _sinc,
     build_gram_closed_form,
     build_prolate,
 )
@@ -258,7 +257,7 @@ class TestFormsAgainstPairFormula:
                     with mp.workprec(4 * BITS):
                         w = b - a
                         form, mass = pair_formula(
-                            P, (a + b) / 2, lambda d: w * _sinc(w * d / 2))
+                            P, (a + b) / 2, lambda d: w * sinc(w * d / 2))
                         assert abs(got - form) <= mp.ldexp(mass, 4 - BITS), \
                             (family, name, a)
                 with mp.workprec(BITS):
@@ -269,7 +268,7 @@ class TestFormsAgainstPairFormula:
                         P, mpf(N + 1) / 2, mpf(N) / 2, PERIODIC, "discrete")
                 with mp.workprec(4 * BITS):
                     form, mass = pair_formula(
-                        P, mpf(N) / 2, lambda d: _dirichlet_ratio(d, N))
+                        P, mpf(N) / 2, lambda d: dirichlet_ratio(d, N))
                     for value in (got ** 2, bare):
                         assert abs(value - form) <= mp.ldexp(mass, 4 - BITS), \
                             (family, name, N)

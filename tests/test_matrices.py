@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 
@@ -7,9 +8,10 @@ from mpmath import mp, mpc, mpf
 from conftest import (
     build_shifted_vandermonde,
     build_vandermonde,
+    dirichlet_ratio,
     gram_entry_direct,
+    sinc,
 )
-from vandelab import matrices
 from vandelab.errors import InvalidParameterError
 from vandelab.experiments import point_spec
 from vandelab.geometry import LINE, PERIODIC, NodeSet, generate_config
@@ -132,40 +134,6 @@ class TestGramClosedForm:
                         assert abs(G[j][m] - acc) <= tol * ref
 
 
-class TestDirichletKernel:
-    @pytest.mark.parametrize("ell, s, delta, N", [
-        (6, 24, "1e-10", 288), (12, 12, "1e-25", 144)])
-    def test_one_evaluation_per_distinct_difference(self, monkeypatch, ell, s,
-                                                    delta, N):
-        # equispaced clusters repeat node differences; the kernel is bit for
-        # bit the entry-by-entry build, with one evaluation per difference
-        spec_at, N = point_spec({
-            "ell": ell, "s": s, "delta": delta, "N": N, "tau": None,
-            "theta": None})
-        bits = required_bits(ell, N, delta)
-        with mp.workprec(bits):
-            nodes, _ = generate_config(spec_at(bits), "equispaced", None, 1)
-        ratio, calls = matrices._dirichlet_ratio, []
-
-        def counted(d, n):
-            calls.append(d)
-            return ratio(d, n)
-
-        monkeypatch.setattr(matrices, "_dirichlet_ratio", counted)
-        K = build_dirichlet_kernel(VandermondeSpec(N, nodes), bits)
-        xs = nodes.nodes
-        with mp.workprec(bits + 32 + N.bit_length()):
-            diffs = {xs[m] - xs[j] for j in range(s) for m in range(j + 1, s)}
-            for j in range(s):
-                assert K[j][j] == N + 1
-                for m in range(j + 1, s):
-                    entry = ratio(xs[m] - xs[j], N)
-                    with mp.workprec(bits):
-                        entry = +entry
-                    assert K[j][m]._mpf_ == K[m][j]._mpf_ == entry._mpf_
-        assert len(calls) == len(diffs) < s * (s - 1) // 2
-
-
 class TestProlate:
     def test_singleton(self):
         with mp.workprec(BITS):
@@ -201,7 +169,7 @@ class TestProlate:
 
 
 def _naive_dirichlet(spec, bits, kernel):
-    """Each Dirichlet entry evaluated on its own, with no cache."""
+    """Each Dirichlet entry evaluated on its own, one pair at a time."""
     N, xs = spec.N, spec.nodes.nodes
     s = len(xs)
     rows = [[mpf(N + 1)] * s for _ in range(s)]
@@ -215,65 +183,75 @@ def _naive_dirichlet(spec, bits, kernel):
     return rows
 
 
-def _naive_prolate(xs, bits):
-    """Each sinc entry evaluated on its own, of x_j - x_k as first built."""
-    s = len(xs)
-    rows = [[mpf(1)] * s for _ in range(s)]
-    with mp.workprec(bits):
-        for j in range(s):
-            for k in range(j + 1, s):
-                rows[j][k] = rows[k][j] = matrices._sinc(xs[j] - xs[k])
-    return rows
-
-
 def _raw(rows):
     return [[getattr(v, "_mpc_", None) or v._mpf_ for v in r] for r in rows]
 
 
+def _seeded_configs():
+    """(bits, xs, N) of 300 seeded configs at 64 to 2000 bits: a third of
+    them exact binary equispaced clusters whose differences repeat
+    exactly, a third random nodes on the circle and a third clusters
+    10^-1 to 10^-12 apart."""
+    rng = random.Random(20261018)
+    for i in range(300):
+        bits = (64, 192, 600, 2000)[i % 4]
+        s = rng.randint(2, 6)
+        with mp.workprec(bits):
+            if i % 3 == 0:
+                c = mpf(rng.randint(-64, 64)) / 32
+                step = mpf(2) ** -rng.randint(3, 40)
+                xs = tuple(c + j * step for j in range(s))
+            elif i % 3 == 1:
+                xs = tuple(random_periodic_nodes(rng, s).nodes)
+            else:
+                delta = mpf(10) ** -rng.randint(1, 12)
+                c = mpf(rng.uniform(-3, 3))
+                xs = tuple(c + j * delta for j in range(s))
+        yield bits, xs, rng.randint(s, 400)
+
+
+def _heavy_points():
+    """(bits, xs, N) of two equispaced sweep points at policy bits: s = 24
+    at N = 288, and s = 12 at N = 144 and delta 1e-25."""
+    for ell, s, delta, N in ((6, 24, "1e-10", 288), (12, 12, "1e-25", 144)):
+        spec_at, N = point_spec({"ell": ell, "s": s, "delta": delta, "N": N,
+                                 "tau": None, "theta": None})
+        bits = required_bits(ell, N, delta)
+        with mp.workprec(bits):
+            nodes, _ = generate_config(spec_at(bits), "equispaced", None, 1)
+        yield bits, nodes.nodes, N
+
+
 class TestOneAssembler:
     def test_builders_bitwise_equal_naive_entries(self):
-        # 300 seeded configs at 64 to 2000 bits, a third of them exact
-        # binary equispaced clusters whose differences repeat exactly
-        rng = random.Random(20261018)
-        exact = 0
-        for i in range(300):
-            bits = (64, 192, 600, 2000)[i % 4]
-            s = rng.randint(2, 6)
-            with mp.workprec(bits):
-                if i % 3 == 0:
-                    c = mpf(rng.randint(-64, 64)) / 32
-                    step = mpf(2) ** -rng.randint(3, 40)
-                    xs = tuple(c + j * step for j in range(s))
-                    exact += 1
-                elif i % 3 == 1:
-                    xs = tuple(random_periodic_nodes(rng, s).nodes)
-                else:
-                    delta = mpf(10) ** -rng.randint(1, 12)
-                    c = mpf(rng.uniform(-3, 3))
-                    xs = tuple(c + j * delta for j in range(s))
-            spec = VandermondeSpec(rng.randint(s, 400), NodeSet(xs, PERIODIC))
+        # the Dirichlet kernel from per-node phases is bit for bit the
+        # ratio of two sines per pair, rounded once
+        for bits, xs, N in itertools.chain(_seeded_configs(), _heavy_points()):
+            spec = VandermondeSpec(N, NodeSet(xs, PERIODIC))
             assert _raw(build_dirichlet_kernel(spec, bits)) == _raw(
-                _naive_dirichlet(spec, bits, matrices._dirichlet_ratio))
+                _naive_dirichlet(spec, bits, dirichlet_ratio))
             assert _raw(build_gram_closed_form(spec, bits)) == _raw(
                 _naive_dirichlet(spec, bits, lambda d, N: mp.expj(N * d / 2)
-                                 * matrices._dirichlet_ratio(d, N)))
-            assert _raw(build_prolate(NodeSet(xs, LINE), bits)) == _raw(
-                _naive_prolate(xs, bits))
-        assert exact == 100
+                                 * dirichlet_ratio(d, N)))
 
-    def test_prolate_evaluates_each_difference_once(self, monkeypatch):
-        # six nodes 2^-k apart have 5 distinct differences in 15 pairs
-        sinc, calls = matrices._sinc, []
-
-        def counted(d):
-            calls.append(d)
-            return sinc(d)
-
-        monkeypatch.setattr(matrices, "_sinc", counted)
-        xs = tuple(j * mpf(2) ** -7 for j in range(6))
-        G = build_prolate(NodeSet(xs, LINE), BITS)
-        assert len(calls) == len(set(calls)) == 5
-        assert _raw(G) == _raw(_naive_prolate(xs, BITS))
+    def test_prolate_entries_correctly_rounded(self):
+        # each entry within (1/2 + 2^-16) ulp of sin(d)/d at 4p bits, ulp
+        # that of the reference at bits; the diagonal is 1
+        entries, worst = 0, mpf(0)
+        for bits, xs, _ in _seeded_configs():
+            G = build_prolate(NodeSet(xs, LINE), bits)
+            s = len(xs)
+            with mp.workprec(4 * bits):
+                for j in range(s):
+                    assert G[j][j] == 1
+                    for k in range(j + 1, s):
+                        assert G[j][k]._mpf_ == G[k][j]._mpf_
+                        ref = sinc(xs[k] - xs[j])
+                        ulps = abs(G[j][k] - ref) / mp.ldexp(1, mp.mag(ref) - bits)
+                        worst = max(worst, ulps)
+                        entries += 1
+        assert entries > 1900
+        assert worst <= mpf(1) / 2 + mpf(2) ** -16, worst
 
     def test_close_prolate_nodes_warn_once(self, caplog):
         # three pairs are below 2^-96 at 192 bits; one line names the

@@ -383,6 +383,11 @@ class TestResolution:
     """The solver returns a spectrum only if its smallest eigenvalue
     clears error_bound."""
 
+    #: 2^-32 relative: far beyond a last-bit move of the solver, whose
+    #: value of diag(4, tiny) is within 2^-120 of tiny relative, and still
+    #: close to each boundary
+    NEAR = mpf(2) ** -32
+
     @staticmethod
     def _bound_at_trace_4():
         # diag(4, tiny) needs one sweep and no rotation, so its bound is
@@ -392,19 +397,26 @@ class TestResolution:
 
     def test_unresolved_raises(self):
         bound = self._bound_at_trace_4()
-        for tiny in (bound / 4, bound):
+        with mp.workprec(BITS):
+            tinies = (bound / 4, bound * (1 - self.NEAR))
+        for tiny in tinies:
             with pytest.raises(PrecisionError,
                                match=f"does not clear its error bound .* at "
                                      f"{BITS} bits; raise precision"):
                 hermitian_eigenvalues(((4, 0), (0, tiny)), BITS)
 
     def test_resolved_returned(self):
+        # just above error_bound, and just on each side of 2^10 times it
         with mp.workprec(BITS):
-            tiny = self._bound_at_trace_4() * 1024
-            eig = hermitian_eigenvalues(((4, 0), (0, tiny)), BITS)
-            assert eig.values[0] == 4
-            assert abs(eig.min_value - tiny) <= eig.error_bound < eig.min_value
-            assert eig.headroom_bits == 9
+            bound = self._bound_at_trace_4()
+            for tiny, headroom in ((bound * (1 + self.NEAR), 0),
+                                   (bound * 1024 * (1 - self.NEAR), 9),
+                                   (bound * 1024 * (1 + self.NEAR), 10)):
+                eig = hermitian_eigenvalues(((4, 0), (0, tiny)), BITS)
+                assert eig.values[0] == 4
+                assert abs(eig.min_value - tiny) <= eig.error_bound \
+                    < eig.min_value
+                assert eig.headroom_bits == headroom
 
     def test_genuinely_negative_raises(self):
         with pytest.raises(PrecisionError, match="pivot 2 of 2 is -0.25"):
