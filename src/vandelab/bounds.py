@@ -51,13 +51,15 @@ def prolate_lower_shape(delta, ell: int):
 
 def count_bands(values, thresholds) -> list:
     """Number of values in each band [t_m, t_{m-1}), with t_0 = +inf,
-    for decreasing thresholds t_1 > t_2 > ..."""
-    counts = []
-    prev = mpf("inf")
-    for t in thresholds:
-        counts.append(sum(1 for v in values if t <= v < prev))
-        prev = t
-    return counts
+    for strictly decreasing thresholds t_1 > t_2 > ..., else
+    InvalidParameterError."""
+    if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
+        raise InvalidParameterError(
+            "level thresholds do not strictly decrease: the level shapes "
+            "grow with m once N*delta >= 32*pi*e (prolate: delta >= 16*pi*e)")
+    uppers = [mpf("inf"), *thresholds[:-1]]
+    return [sum(1 for v in values if t <= v < u)
+            for t, u in zip(thresholds, uppers)]
 
 
 def upper_bound_explicit(N: int, delta, ell: int, tau):

@@ -46,9 +46,9 @@ from .geometry import (
     PERIODIC,
     ClusterSpec,
     NodeSet,
+    _distance_slack,
     default_theta,
     generate_config,
-    sorted_gaps,
     validate_config,
 )
 from .hp import (
@@ -496,18 +496,16 @@ def write_config(path, nodes: NodeSet, cluster: ClusterSpec,
 
 
 def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
-                         lam_min, bits: int):
-    """Slepian comparison ratio, defined for a single equispaced cluster."""
-    if partition.cluster_count != 1 or cluster.s != cluster.ell:
+                         lam_min):
+    """lambda_min / (C(s) delta^(2s-2)) for a single cluster equispaced at
+    delta, else None: validation put each of its s-1 arcs at delta - tol
+    or more, so a span within (s-1) tol of (s-1) delta is equispaced."""
+    s, xs = cluster.s, nodes.nodes
+    tol = _distance_slack(nodes, cluster.delta)
+    if partition.cluster_count != 1 or s != cluster.ell or \
+            abs(max(xs) - min(xs) - (s - 1) * cluster.delta) > (s - 1) * tol:
         return None
-    _, gaps = sorted_gaps(nodes.nodes, LINE)
-    if gaps:
-        slack = mpf(2) ** -(bits - 16)
-        g0 = gaps[0]
-        if any(abs(g - g0) > slack * abs(g0) for g in gaps):
-            return None
-    ceq = slepian_constant(cluster.s)
-    return lam_min / (ceq * cluster.delta ** (2 * cluster.s - 2))
+    return lam_min / (slepian_constant(s) * cluster.delta ** (2 * s - 2))
 
 
 def _levels(values, q, thresholds, bits):
@@ -539,7 +537,7 @@ def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """Eigenvalues of the generalized prolate matrix plus comparisons."""
     spectrum = hermitian_eigenvalues(build_prolate(nodes, bits), bits)
     lam_min = spectrum.min_value
-    ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min, bits)
+    ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min)
     thresholds = [user_c1 * prolate_lower_shape(cluster.delta, m)
                   for m in range(1, cluster.ell + 1)]
     return {

@@ -13,9 +13,9 @@ checked.  As admissible configurations keep the two scales apart
 partition whenever one exists.
 
 Boundary equalities (d == delta, d == tau*delta, d == theta) are valid.
-Since distances are computed in finite precision, comparisons carry a
-relative slack of 2^-(p-16) at ambient precision p so that exact-boundary
-configurations generated at the same precision validate cleanly.
+Distances are computed in finite precision, so comparisons carry the
+absolute slack max(1, |x|) 2^-(p-16) at ambient precision p, and
+configurations on a boundary, generated at that precision, validate.
 """
 
 from __future__ import annotations

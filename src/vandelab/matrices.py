@@ -13,7 +13,6 @@ rounds each entry once and returns rows symmetric bit for bit.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
@@ -23,8 +22,6 @@ from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div,
 from .errors import InvalidParameterError, PrecisionError
 from .geometry import LINE, PERIODIC, NodeSet, sorted_gaps
 from .hp import decimal_str
-
-log = logging.getLogger(__name__)
 
 #: bits a kernel entry carries beyond the working bits and the
 #: closest-pair guard (_kernel_frame)
@@ -70,8 +67,10 @@ def _kernel_frame(xs, A, domain: str, margin: int, what: str):
     is sin(A d), d = x_j - x_k, den = s_j c_k - c_j s_k is h(d/2), both
     exact ints, and num / den is K(d) in the unit 2^ke that puts 2A at q
     bits.  With mag(y) = floor(log2 y) + 1 and gap the least distance of
-    two points (on PERIODIC modulo 2 pi, computed at p + 64 bits: within
-    2^-4 when above 2^-(p+40), and PrecisionError below):
+    two points (on PERIODIC modulo 2 pi at p + 64 bits: an arc inside
+    (-pi, pi] is one rounding, within 2^-(p+63) at any size; the closing
+    arc, and every arc once a point was reduced, are within 2^-4 above
+    2^-(p+40), and PrecisionError below):
     - S_j C_k - C_j S_k is within 9u of sin(A d) (q >= 6);
     - LINE: den is exact, so num / den 2^ke is within 18u / |d|, at most
       9 2^g u 2A for g = max(0, 2 - mag(A) - mag(gap));
@@ -94,12 +93,15 @@ def _kernel_frame(xs, A, domain: str, margin: int, what: str):
             g = max(0, 1 - mp.mag(A) - gap.bit_length() - eh)
     elif n > 1:
         with mp.workprec(p + 64):
-            gap = min(sorted_gaps(xs, PERIODIC)[1])
-        if gap < mp.ldexp(1, -(p + 40)):
+            gaps = sorted_gaps(xs, PERIODIC)[1]
+            pi = +mp.pi
+            inside = all(-pi < x <= pi for x in xs)
+        blurred = gaps[-1] if inside else min(gaps)
+        if blurred < mp.ldexp(1, -(p + 40)):
             raise PrecisionError(
                 f"{what}: two frequencies agree modulo 2 pi within "
-                f"{decimal_str(gap)}; raise precision")
-        g = max(0, 4 - mp.mag(gap))
+                f"{decimal_str(blurred)}; raise precision")
+        g = max(0, 4 - mp.mag(min(gaps)))
     q = p + g + margin
     C, S = zip(*_phases([mpf_mul(A._mpf_, x) for x in raw], q))
     two_a = mpf_shift(A._mpf_, 1)
@@ -170,18 +172,11 @@ def build_prolate(nodes: NodeSet, bits: int) -> tuple:
 
     P[j][k] = sin(d)/d for d = x_k - x_j off the diagonal and 1 on it,
     (1/2) * integral_{-1}^{1} e^(i w d) dw: half the kernel of
-    _kernel_frame at A = 1.  Real symmetric and positive definite for
-    distinct nodes.  Nodes closer than 2^-(bits/2) draw one warning,
-    naming the closest pair.
+    _kernel_frame at A = 1, each entry correctly rounded at any gap.
+    Real symmetric and positive definite for distinct nodes; whether a
+    close pair is resolved is the eigensolver's error_bound to judge.
     """
     if nodes.domain != LINE:
         raise InvalidParameterError("prolate matrix expects line-domain nodes")
-    with mp.workprec(bits):
-        order, gaps = sorted_gaps(nodes.nodes, LINE)
-        k = min(range(len(gaps)), key=gaps.__getitem__, default=None)
-        if k is not None and gaps[k] < mpf(2) ** -(bits // 2):
-            log.warning("prolate nodes %d,%d separated by %s < 2^-%d; "
-                        "consider raising precision", *sorted(order[k:k + 2]),
-                        decimal_str(gaps[k], bits), bits // 2)
     return _kernel_matrix(nodes.nodes, mpf(1), LINE, bits, _KERNEL_GUARD_BITS,
                           mpf(1), shift=-1)

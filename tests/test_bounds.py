@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 from conftest import random_clustered_config
 from vandelab.bounds import (
+    count_bands,
     evaluate_all,
     lower_bound_shape,
     slepian_constant,
@@ -51,6 +52,17 @@ class TestLowerShape:
             lower_bound_shape(10, mpf(0), 1)
         with pytest.raises(InvalidParameterError):
             lower_bound_shape(10, mpf(1), 0)
+
+
+class TestCountBands:
+    def test_values_in_each_band(self):
+        values = [mpf(5), mpf(3), mpf(2), mpf("0.5")]
+        assert count_bands(values, [mpf(4), mpf(1)]) == [1, 2]
+
+    @pytest.mark.parametrize("thresholds", [(1, 1), (1, 2), (3, 1, 1)])
+    def test_thresholds_must_strictly_decrease(self, thresholds):
+        with pytest.raises(InvalidParameterError, match="strictly decrease"):
+            count_bands([mpf(1)], [mpf(t) for t in thresholds])
 
 
 class TestUpperExplicit:

@@ -237,6 +237,21 @@ def test_unresolved_spectrum_exits_two(tmp_path, capsys):
         assert f"at {bits} bits; raise precision" in captured.err
 
 
+def test_rising_level_thresholds_exit_two(tmp_path, capsys):
+    # N*delta = 300 >= 32*pi*e: the level shape of m = 2 is above that of
+    # m = 1, so there are no bands to count the spectrum into
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "nodes": {"domain": "periodic", "nodes": ["-1.5", "1.5"]},
+        "cluster": {"delta": "3", "theta": "3", "s": 2, "ell": 2, "tau": "1"},
+        "N": 100}))
+    code = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N*delta >= 32*pi*e" in captured.err
+
+
 def test_prolate_without_precision_bits(tmp_path, capsys):
     for delta, nodes in (("1e-2", ["-0.015", "-0.005", "0.005", "0.015"]),
                          ("1e-3", ["-0.0015", "-0.0005", "0.0005", "0.0015"])):

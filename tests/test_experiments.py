@@ -716,6 +716,20 @@ class TestSingleRuns:
             ratio = mpf(result["slepian_ratio"])
             assert abs(ratio - 1) < mpf("0.02")
 
+    def test_prolate_pair_two_deltas_apart_has_no_slepian_ratio(self,
+                                                                 tmp_path):
+        # +-1e-3 at delta = 1e-3: one cluster, but spaced 2 delta, which
+        # C(s) delta^(2s-2) does not describe
+        bits = 192
+        with mp.workprec(bits):
+            spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=2)
+            nodes = NodeSet((mpf("-1e-3"), mpf("1e-3")), LINE)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec, bits=bits)
+        result = run_config("prolate", path)
+        assert result["q"] == [1, 1]
+        assert result["slepian_ratio"] is None
+
     def test_limit_check(self, tmp_path):
         bits = 192
         with mp.workprec(bits):

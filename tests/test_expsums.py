@@ -296,6 +296,15 @@ class TestDiscreteNorm:
             v = discrete_norm(P, 3)
             assert abs(v - 2) <= mpf(2) ** -(BITS - 24)
 
+    def test_tiny_gap_inside_the_interval(self):
+        # frequencies 0 and 1e-100: the sum norm is sqrt(44) to the last
+        # bit, and the difference cancels into rounding dust
+        with mp.workprec(64):
+            freqs = (mpf(0), mpf("1e-100"))
+            assert discrete_norm(ExpSum((1, 1), freqs), 10) == mp.sqrt(44)
+            with pytest.raises(PrecisionError, match="rounding dust"):
+                discrete_norm(ExpSum((1, -1), freqs), 10)
+
     def test_matrix_product_oracle(self, rng):
         with mp.workprec(BITS):
             ell, N = 3, 20

@@ -396,8 +396,11 @@ class TestScanAgreesWithPairwiseOracle:
         rng = random.Random(20240618)
         seen = dict.fromkeys(("line", "circle", "straddle", "boundary",
                               "closing", "rejected"), 0)
+        # draw until every kind of configuration the scan treats apart was
+        # accepted often enough, and a fair share rejected, 100 times each
         checked = 0
-        while checked < self.CASES:
+        while min(seen.values()) < 100:
+            assert checked < self.CASES, seen
             with mp.workprec(rng.choice((64, 192, 600))):
                 try:
                     nodes, spec, kind = _oracle_case(rng)
@@ -422,9 +425,6 @@ class TestScanAgreesWithPairwiseOracle:
                 seen["boundary"] += 1
             if nodes.domain == PERIODIC and spec.s > 2 and max(arcs) <= link:
                 seen["closing"] += 1
-        # every kind of configuration the scan treats apart was accepted
-        # often enough, and so was a fair share rejected
-        assert min(seen.values()) >= 100, seen
 
 
 class TestGenerateConfig:

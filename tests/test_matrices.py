@@ -1,5 +1,4 @@
 import itertools
-import logging
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from conftest import (
     gram_entry_direct,
     sinc,
 )
-from vandelab.errors import InvalidParameterError
+from vandelab.errors import InvalidParameterError, PrecisionError
 from vandelab.experiments import point_spec
 from vandelab.geometry import LINE, PERIODIC, NodeSet, generate_config
 from vandelab.hp import required_bits
@@ -22,6 +21,7 @@ from vandelab.matrices import (
     build_gram_closed_form,
     build_prolate,
 )
+from vandelab.spectra import hermitian_eigenvalues
 
 BITS = 192
 
@@ -253,18 +253,38 @@ class TestOneAssembler:
         assert entries > 1900
         assert worst <= mpf(1) / 2 + mpf(2) ** -16, worst
 
-    def test_close_prolate_nodes_warn_once(self, caplog):
-        # three pairs are below 2^-96 at 192 bits; one line names the
-        # closest pair, nodes 1 and 2
-        xs = (mpf(1), mpf(2) ** -100, mpf(0), 3 * mpf(2) ** -100)
-        with caplog.at_level(logging.WARNING, logger="vandelab.matrices"):
-            build_prolate(NodeSet(xs, LINE), BITS)
-        assert [r.getMessage().split(" separated")[0]
-                for r in caplog.records] == ["prolate nodes 1,2"]
-        assert "< 2^-96" in caplog.records[0].getMessage()
-        caplog.clear()
-        build_prolate(NodeSet((mpf(0), mpf(2) ** -90), LINE), BITS)
-        assert not caplog.records
+    def test_close_prolate_nodes_left_to_the_solver(self):
+        # below 2^-(bits/2) apart lambda_min <= 1 - sinc(d) < 2^-bits / 6:
+        # the entries are built and the solve refuses them
+        for xs in ((mpf(1), mpf(2) ** -100, mpf(0), 3 * mpf(2) ** -100),
+                   (mpf(0), mpf(2) ** -97)):
+            P = build_prolate(NodeSet(xs, LINE), BITS)
+            with pytest.raises(PrecisionError):
+                hermitian_eigenvalues(P, BITS)
+        # 2^-90 apart, lambda_min = 1 - sinc(d) ~ 2^-182.6 is resolved
+        d = mpf(2) ** -90
+        got = hermitian_eigenvalues(build_prolate(NodeSet((0, d), LINE), BITS),
+                                    BITS).min_value
+        with mp.workprec(2 * BITS):
+            assert abs(got / (1 - sinc(d)) - 1) < mpf(2) ** -4
+
+
+class TestPeriodicGapRule:
+    def test_tiny_difference_inside_the_interval(self):
+        # 0 and 1e-100 differ by one rounding at any size: every entry of
+        # the 64-bit kernel is N + 1 = 11
+        K = build_dirichlet_kernel(
+            VandermondeSpec(10, NodeSet((mpf(0), mpf("1e-100")))), 64)
+        assert all(v == 11 for row in K for v in row)
+
+    def test_tiny_closing_arc_raises(self):
+        # nodes built at 4p bits 2^-120 from either side of +-pi: the
+        # closing arc carries the absolute error of 2 pi at p + 64 bits
+        p = 64
+        with mp.workprec(4 * p):
+            nodes = NodeSet((-mp.pi + mpf(2) ** -121, mp.pi - mpf(2) ** -121))
+        with pytest.raises(PrecisionError, match="modulo 2 pi"):
+            build_dirichlet_kernel(VandermondeSpec(10, nodes), p)
 
 
 class TestShiftedVandermonde:
