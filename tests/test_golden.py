@@ -8,6 +8,9 @@ with the wall-clock ``runtime_ms`` masked, to the copy in golden/:
 - ``inequalities.json`` of the five suites at 20 instances
 - ``limit_check.json`` of the 2-node line pair at delta 0.5, N 10, 50, 250
 - ``spectrum.json`` of a two-cluster periodic config at delta 1e-3, N 100
+- ``results.csv`` of the heavy sweep points, s up to 40 at up to 1932
+  bits, one single-point sweep each (a grid is a Cartesian product),
+  joined under one header
 
 An output that is meant to change is re-recorded with
 ``PYTHONPATH=src python tests/test_golden.py``, and the change log says
@@ -46,6 +49,26 @@ PERIODIC_CONFIG = {
 }
 
 
+#: (ell, s, delta, N) of the heavy sweep points, equispaced, tau auto
+HEAVY_POINTS = (
+    (6, 6, "1e-10", 100),
+    (12, 12, "1e-25", 144),
+    (4, 16, "1e-10", 192),
+    (6, 24, "1e-10", 288),
+    (4, 24, "1e-10", 288),
+    (8, 40, "1e-10", 480),
+)
+
+
+def heavy_manifest(ell, s, delta, N):
+    """The one-point sweep manifest of a heavy point."""
+    return {"experiment_id": "heavy", "kind": "sweep",
+            "grid": {"ell": [ell], "s": [s], "delta": [delta], "N": [N],
+                     "tau": ["auto"], "layout": ["equispaced"],
+                     "seed": [20240601]},
+            "precision_override": None}
+
+
 def _readme_manifest():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", text, re.S)
@@ -76,43 +99,62 @@ def _masked_json(text):
 def _sweep(tmp):
     (tmp / "manifest.json").write_text(json.dumps(_readme_manifest()))
     argv = ["sweep", "--manifest", str(tmp / "manifest.json"), "--workers", "1"]
-    return argv, "results.csv"
+    return [argv], "results.csv"
+
+
+def _heavy_sweep(tmp):
+    argvs = []
+    for i, point in enumerate(HEAVY_POINTS):
+        path = tmp / f"heavy-{i}.json"
+        path.write_text(json.dumps(heavy_manifest(*point)))
+        argvs.append(["sweep", "--manifest", str(path), "--workers", "1"])
+    return argvs, "results.csv"
 
 
 def _prolate(tmp):
     (tmp / "line_config.json").write_text(json.dumps(LINE_CONFIG))
-    return ["prolate", "--config", str(tmp / "line_config.json")], "prolate.json"
+    return [["prolate", "--config", str(tmp / "line_config.json")]], "prolate.json"
 
 
 def _inequalities(tmp):
-    return (["inequalities", "--checks",
-             "turan,nikolskii,cor-turan,salem,riemann", "--instances", "20"],
+    return ([["inequalities", "--checks",
+              "turan,nikolskii,cor-turan,salem,riemann", "--instances", "20"]],
             "inequalities.json")
 
 
 def _limit_check(tmp):
     (tmp / "pair_config.json").write_text(json.dumps(PAIR_CONFIG))
-    return (["limit-check", "--config", str(tmp / "pair_config.json"),
-             "--N-list", "10,50,250"], "limit_check.json")
+    return ([["limit-check", "--config", str(tmp / "pair_config.json"),
+              "--N-list", "10,50,250"]], "limit_check.json")
 
 
 def _spectrum(tmp):
     (tmp / "periodic_config.json").write_text(json.dumps(PERIODIC_CONFIG))
-    return (["spectrum", "--config", str(tmp / "periodic_config.json")],
+    return ([["spectrum", "--config", str(tmp / "periodic_config.json")]],
             "spectrum.json")
 
 
-CASES = {"readme_results.csv": _sweep, "prolate_s4_1e-3.json": _prolate,
+CASES = {"readme_results.csv": _sweep, "heavy_results.csv": _heavy_sweep,
+         "prolate_s4_1e-3.json": _prolate,
          "inequalities_20.json": _inequalities,
          "limit_check_s2_0.5.json": _limit_check,
          "spectrum_s4_1e-3.json": _spectrum}
 
 
 def _run(golden, tmp):
-    argv, name = CASES[golden](tmp)
-    assert main(argv + ["--out", str(tmp / "out")]) == 0
-    text = (tmp / "out" / name).read_text(encoding="utf-8")
-    return _masked_csv(text) if name.endswith(".csv") else _masked_json(text)
+    """The masked output of the case's commands; the CSV bodies of several
+    sweeps are joined under the first one's header."""
+    argvs, name = CASES[golden](tmp)
+    texts = []
+    for i, argv in enumerate(argvs):
+        out = tmp / "out" / str(i)
+        assert main(argv + ["--out", str(out)]) == 0
+        texts.append((out / name).read_text(encoding="utf-8"))
+    if name.endswith(".csv"):
+        return _masked_csv(texts[0] + "".join(t.split("\n", 1)[1]
+                                              for t in texts[1:]))
+    (text,) = texts
+    return _masked_json(text)
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
