@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_cos_sin, mpf_div,
+from mpmath.libmp import (from_man_exp, fzero, mpf_cos_sin, mpf_div,
                           mpf_mul, mpf_shift, round_nearest, to_fixed)
 
 from .errors import InvalidParameterError, PrecisionError
@@ -120,16 +120,27 @@ def _kernel_frame(xs, A, domain: str, margin: int, what: str):
     return q, ke, (C, S), pairs
 
 
+def _exact(man: int, exp: int):
+    """The raw mpf man 2^exp, exact.  The trailing zero bits of man (up to
+    thousands in a kernel numerator) are shifted off at once, where
+    from_man_exp strips them 8 at a time, each step a full shift."""
+    if not man:
+        return fzero
+    tz = (man & -man).bit_length() - 1
+    return from_man_exp(man >> tz, exp + tz)
+
+
 def _kernel_matrix(xs, A, domain: str, bits: int, margin: int, diag,
                    shift: int = 0) -> tuple:
     """Rows with diag on the diagonal and K(x_j - x_k) 2^shift of
-    _kernel_frame at (j, k) and (k, j), each rounded once to bits."""
+    _kernel_frame at (j, k) and (k, j), each the exact quotient num / den
+    2^(ke + shift) correctly rounded once to bits."""
     with mp.workprec(bits):
         _, ke, _, pairs = _kernel_frame(xs, A, domain, margin, "kernel matrix")
     rows = [[diag] * len(xs) for _ in xs]
     for j, k, num, den in pairs:
         rows[j][k] = rows[k][j] = mp.make_mpf(mpf_div(
-            from_man_exp(num, ke + shift), from_int(den), bits, round_nearest))
+            _exact(num, ke + shift), _exact(den, 0), bits, round_nearest))
     return tuple(tuple(r) for r in rows)
 
 

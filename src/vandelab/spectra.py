@@ -8,7 +8,9 @@ residual.  The kernel's diagonal N + 1, rounded to p bits, already moves
 lambda_min by about 2^-p trace.  The recipe is Drmac-Veselic (SIMAX 29,
 2008) with a normwise stop:
 
-1. Cholesky with diagonal pivoting in mpf at p bits, A = P^T R^T R P.  A
+1. Cholesky with diagonal pivoting at p bits, A = P^T R^T R P, on raw
+   libmp values: every square root, quotient, product and difference is
+   rounded to nearest at p bits, as the mpf operators round them.  A
    pivot that is not positive raises PrecisionError naming it and the
    bits.
 2. One-sided (Hestenes) Jacobi on the columns of W = R^T, whose Gram
@@ -19,8 +21,12 @@ lambda_min by about 2^-p trace.  The recipe is Drmac-Veselic (SIMAX 29,
    2^-(p-8) T_W / n, T_W their first int trace, leaves the pair, else
    (x, y) -> (c x - s y, s x + c y) makes it orthogonal, with c and s
    q-bit fixed-point ints and each new entry rounded to nearest, ties to
-   even.  The iteration stops after a sweep without a rotation;
-   ConvergenceError if the last sweep of the budget still rotates.
+   even.  The rotation is applied as a correction to the identity,
+   x + (-(c' x + s y)) / 2^q and y + (s x - c' y) / 2^q with
+   c' = 2^q - c, whose products are short where c is near 2^q; the
+   rounded ints are the same.  The iteration stops after a sweep without
+   a rotation; ConvergenceError if the last sweep of the budget still
+   rotates.
 3. The eigenvalues are the squared column norms, rounded to p bits.
 
 The one resolution rule: a smallest eigenvalue at or below the solve's
@@ -36,8 +42,9 @@ import math
 from operator import mul
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_int, from_man_exp, mpf_div, round_floor,
-                          round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub,
+                          round_floor, round_nearest, to_int)
 
 from .errors import ConvergenceError, InvalidParameterError, PrecisionError
 from .geometry import LINE, NodeSet, scale_to_circle
@@ -100,13 +107,21 @@ def _sweep_budget(n: int) -> int:
     return 15 + 2 * max(1, math.ceil(math.log2(n))) if n > 1 else 1
 
 
-def _rounded(vals, k):
-    """Each int of vals divided by 2^k, k >= 1, rounded to nearest with
-    ties to even."""
-    half, low = 1 << (k - 1), (1 << k) - 1
-    # w = v + 1/2 ulp; w >> k is v rounded half up, and a tie (w & low
-    # == 0) is moved down to the even neighbour by clearing the last bit
-    return [w >> k if (w := v + half) & low else w >> k & -2 for v in vals]
+def _rotated(x, y, c, s, q):
+    """The columns (c x - s y, s x + c y) / 2^q, each entry rounded to
+    nearest with ties to even, for int columns x, y and the q-bit
+    fixed-point c, s of _rotation.  Applied as a correction to the
+    identity: with c' = 2^q - c, small on the rotations that matter,
+    x' = x + (-(c' x + s y)) / 2^q and y' = y + (s x - c' y) / 2^q, and
+    as x 2^q is a multiple of 2^q, a tie is broken on the full value."""
+    c, half, low = (1 << q) - c, 1 << (q - 1), (1 << q) - 1
+    # w = correction + 1/2 ulp; u + (w >> q) is the new entry rounded half
+    # up, and a tie (w & low == 0) is moved down to the even neighbour by
+    # clearing the last bit of the sum
+    return ([u + (w >> q) if (w := half - c * u - s * v) & low
+             else u + (w >> q) & -2 for u, v in zip(x, y)],
+            [v + (w >> q) if (w := half + s * u - c * v) & low
+             else v + (w >> q) & -2 for u, v in zip(x, y)])
 
 
 def _rotation(a, b, d, q):
@@ -131,34 +146,40 @@ def _rotation(a, b, d, q):
 
 def _cholesky_rows(a, n, p):
     """The rows of R, A = P^T R^T R P by Cholesky with diagonal pivoting at
-    p bits, for a symmetric matrix a of mpf rows (overwritten); each row
-    is in pivot order.  A pivot that is not positive raises
+    p bits, for a symmetric matrix a of raw libmp rows (overwritten); each
+    row is in pivot order.  Every operation rounds to nearest at p bits,
+    as the mpf operators do.  A pivot that is not positive raises
     PrecisionError."""
     r = []
     for k in range(n):
-        j = max(range(k, n), key=lambda i: a[i][i])  # the first largest
+        j = k  # the first largest
+        for i in range(k + 1, n):
+            if mpf_cmp(a[i][i], a[j][j]) > 0:
+                j = i
         a[k], a[j] = a[j], a[k]
         for row in a + r:
             row[k], row[j] = row[j], row[k]
         pivot = a[k][k]
-        if pivot <= 0:
+        if mpf_sign(pivot) <= 0:
             raise PrecisionError(
-                f"Cholesky pivot {k + 1} of {n} is {decimal_str(pivot, p)}: "
-                f"the matrix is not positive definite at {p} bits; "
-                "raise precision")
-        d = mp.sqrt(pivot)
-        tail = [x / d for x in a[k][k + 1:]]
-        r.append([mpf(0)] * k + [d] + tail)
+                f"Cholesky pivot {k + 1} of {n} is "
+                f"{decimal_str(mp.make_mpf(pivot), p)}: the matrix is not "
+                f"positive definite at {p} bits; raise precision")
+        d = mpf_sqrt(pivot, p, round_nearest)
+        tail = [mpf_div(x, d, p, round_nearest) for x in a[k][k + 1:]]
+        r.append([fzero] * k + [d] + tail)
         for i, ri in enumerate(tail, k + 1):
             for j, rj in enumerate(tail[i - k - 1:], i):
-                a[i][j] = a[j][i] = a[i][j] - ri * rj
+                a[i][j] = a[j][i] = mpf_sub(
+                    a[i][j], mpf_mul(ri, rj, p, round_nearest), p,
+                    round_nearest)
     return r
 
 
 def _frame_column(row, e):
-    """A row of mpf entries as ints in units of 2^e, each truncated toward
-    zero: int() of the shifted mpf, which forms no large int."""
-    return [int(mp.ldexp(x, -e)) for x in row]
+    """A row of raw libmp entries as ints in units of 2^e, each truncated
+    toward zero: to_int of the shifted value, which forms no large int."""
+    return [to_int(mpf_shift(x, -e)) for x in row]
 
 
 def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
@@ -218,7 +239,8 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
         if not all(mp.isfinite(x) for row in a for x in row):
             raise InvalidParameterError("non-finite entry in an eigensolve")
         trace = mp.fsum(a[i][i] for i in range(n))
-        r = _cholesky_rows(a, n, p)  # every pivot, so the trace, positive
+        # every pivot, so the trace, positive
+        r = _cholesky_rows([[x._mpf_ for x in row] for row in a], n, p)
         # the unit 2^e puts sqrt(trace / n) at q + 1 bits: trace / n
         # rounded down keeps its floor(log2), exp + bc - 1
         _, _, exp, bc = mpf_div(trace._mpf_, from_int(n), p, round_floor)
@@ -242,9 +264,7 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
                         continue
                     rotated = True
                     c, s = _rotation(norms[i], norms[j], d, q)
-                    x, y = [_rounded([f * u + g * v for u, v in zip(x, y)], q)
-                            for f, g in ((c, -s), (s, c))]
-                    cols[i], cols[j] = x, y
+                    cols[i], cols[j] = x, y = _rotated(x, y, c, s, q)
                     norms[i], norms[j] = (sum(map(mul, v, v)) for v in (x, y))
             if sweeps >= budget:
                 break

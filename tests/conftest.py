@@ -10,10 +10,15 @@ compares every pair of nodes where the validator scans sorted gaps.  jacobi_refe
 two-sided cyclic Jacobi on the full matrix with mpf operators, another
 iteration than the package's pivoted Cholesky and one-sided Jacobi.
 
+Three oracles are the package's own earlier forms, kept to show that
+their faster successors give the same bits: the pivoted Cholesky on mpf
+operators, the rotation as four full products per entry pair, and the
+kernel entries rounded from unstripped integers.
+
 The fixtures are reference matrices and seeded instance generators that
 only tests use: the tall Vandermonde and shifted Vandermonde factors,
-the quadrature norm, random multi-cluster configurations, and the
-per-level c1 fit.
+the quadrature norm, random multi-cluster configurations, the seeded
+kernel configs and the heavy sweep points, and the per-level c1 fit.
 """
 
 import random
@@ -21,13 +26,16 @@ from dataclasses import dataclass
 
 import pytest
 from mpmath import mp, mpc, mpf, matrix
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from vandelab.errors import (
     ConfigValidationError,
     ConvergenceError,
     DegenerateInputError,
     InvalidParameterError,
+    PrecisionError,
 )
+from vandelab.experiments import point_spec
 from vandelab.expsums import ExpSum, evaluate
 from vandelab.geometry import (
     LINE,
@@ -41,8 +49,8 @@ from vandelab.geometry import (
     generate_config,
 )
 from vandelab.bounds import count_bands, lower_bound_shape
-from vandelab.hp import as_mpf, decimal_str
-from vandelab.matrices import VandermondeSpec
+from vandelab.hp import as_mpf, decimal_str, required_bits
+from vandelab.matrices import VandermondeSpec, _kernel_frame
 from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats
 
 
@@ -180,6 +188,113 @@ def random_spd(rng: random.Random, n: int, bits: int) -> tuple:
 @pytest.fixture
 def rng():
     return random.Random(987654321)
+
+
+def random_periodic_nodes(rng, s):
+    xs = set()
+    while len(xs) < s:
+        xs.add(mpf(rng.uniform(-3.1, 3.1)))
+    return NodeSet(tuple(sorted(xs)), PERIODIC)
+
+
+def seeded_configs():
+    """(bits, xs, N) of 300 seeded configs at 64 to 2000 bits: a third of
+    them exact binary equispaced clusters whose differences repeat
+    exactly, a third random nodes on the circle and a third clusters
+    10^-1 to 10^-12 apart."""
+    rng = random.Random(20261018)
+    for i in range(300):
+        bits = (64, 192, 600, 2000)[i % 4]
+        s = rng.randint(2, 6)
+        with mp.workprec(bits):
+            if i % 3 == 0:
+                c = mpf(rng.randint(-64, 64)) / 32
+                step = mpf(2) ** -rng.randint(3, 40)
+                xs = tuple(c + j * step for j in range(s))
+            elif i % 3 == 1:
+                xs = tuple(random_periodic_nodes(rng, s).nodes)
+            else:
+                delta = mpf(10) ** -rng.randint(1, 12)
+                c = mpf(rng.uniform(-3, 3))
+                xs = tuple(c + j * delta for j in range(s))
+        yield bits, xs, rng.randint(s, 400)
+
+
+#: (ell, s, delta, N) of the heavy sweep points: s up to 40, and up to
+#: 1932 bits at (12, 12, 1e-25, 144)
+HEAVY_POINTS = (
+    (6, 6, "1e-10", 100),
+    (12, 12, "1e-25", 144),
+    (4, 16, "1e-10", 192),
+    (6, 24, "1e-10", 288),
+    (4, 24, "1e-10", 288),
+    (8, 40, "1e-10", 480),
+)
+
+
+def sweep_point(ell, s, delta, N):
+    """(bits, nodes, N) of an equispaced sweep point with tau auto at the
+    policy bits, the nodes a sweep row solves."""
+    spec_at, N = point_spec({"ell": ell, "N": N, "delta": delta,
+                             "tau": "auto", "s": s, "theta": None})
+    bits = required_bits(ell, N, delta)
+    with mp.workprec(bits):
+        nodes, _ = generate_config(spec_at(bits), "equispaced", None,
+                                   20240601, PERIODIC)
+    return bits, nodes, N
+
+
+def cholesky_rows_reference(a, n, p):
+    """The eigensolver's pivoted Cholesky as it was on mpf operators at p
+    bits, kept as the oracle of the one on raw libmp values: the rows of
+    R, A = P^T R^T R P, for a symmetric matrix a of mpf rows
+    (overwritten), each in pivot order."""
+    with mp.workprec(p):
+        r = []
+        for k in range(n):
+            j = max(range(k, n), key=lambda i: a[i][i])  # the first largest
+            a[k], a[j] = a[j], a[k]
+            for row in a + r:
+                row[k], row[j] = row[j], row[k]
+            pivot = a[k][k]
+            if pivot <= 0:
+                raise PrecisionError(
+                    f"Cholesky pivot {k + 1} of {n} is {decimal_str(pivot, p)}: "
+                    f"the matrix is not positive definite at {p} bits; "
+                    "raise precision")
+            d = mp.sqrt(pivot)
+            tail = [x / d for x in a[k][k + 1:]]
+            r.append([mpf(0)] * k + [d] + tail)
+            for i, ri in enumerate(tail, k + 1):
+                for j, rj in enumerate(tail[i - k - 1:], i):
+                    a[i][j] = a[j][i] = a[i][j] - ri * rj
+        return r
+
+
+def rounded_reference(vals, k):
+    """Each int of vals divided by 2^k, k >= 1, rounded to nearest with
+    ties to even: the eigensolver's rounding as it was."""
+    half, low = 1 << (k - 1), (1 << k) - 1
+    return [w >> k if (w := v + half) & low else w >> k & -2 for v in vals]
+
+
+def rotated_reference(x, y, c, s, q):
+    """(c x - s y, s x + c y) / 2^q rounded by rounded_reference: the
+    rotation as four full products per entry pair, as it was applied."""
+    return tuple(rounded_reference([f * u + g * v for u, v in zip(x, y)], q)
+                 for f, g in ((c, -s), (s, c)))
+
+
+def kernel_matrix_reference(xs, A, domain, bits, margin, diag, shift=0):
+    """matrices._kernel_matrix as raw rows, each entry rounded from the
+    unstripped numerator and denominator of the kernel frame."""
+    with mp.workprec(bits):
+        _, ke, _, pairs = _kernel_frame(xs, A, domain, margin, "kernel matrix")
+    rows = [[diag._mpf_] * len(xs) for _ in xs]
+    for j, k, num, den in pairs:
+        rows[j][k] = rows[k][j] = mpf_div(
+            from_man_exp(num, ke + shift), from_int(den), bits, round_nearest)
+    return rows
 
 
 def build_vandermonde(spec: VandermondeSpec, bits: int | None = None) -> tuple:

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import HEAVY_POINTS
 from vandelab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,19 +50,9 @@ PERIODIC_CONFIG = {
 }
 
 
-#: (ell, s, delta, N) of the heavy sweep points, equispaced, tau auto
-HEAVY_POINTS = (
-    (6, 6, "1e-10", 100),
-    (12, 12, "1e-25", 144),
-    (4, 16, "1e-10", 192),
-    (6, 24, "1e-10", 288),
-    (4, 24, "1e-10", 288),
-    (8, 40, "1e-10", 480),
-)
-
-
 def heavy_manifest(ell, s, delta, N):
-    """The one-point sweep manifest of a heavy point."""
+    """The one-point sweep manifest of a heavy point, equispaced with tau
+    auto."""
     return {"experiment_id": "heavy", "kind": "sweep",
             "grid": {"ell": [ell], "s": [s], "delta": [delta], "N": [N],
                      "tau": ["auto"], "layout": ["equispaced"],

@@ -1,22 +1,26 @@
 import itertools
-import random
 
 import pytest
 from mpmath import mp, mpc, mpf
 
 from conftest import (
+    HEAVY_POINTS,
     build_shifted_vandermonde,
     build_vandermonde,
     dirichlet_ratio,
     gram_entry_direct,
+    kernel_matrix_reference,
+    random_periodic_nodes,
+    seeded_configs,
     sinc,
+    sweep_point,
 )
 from vandelab.errors import InvalidParameterError, PrecisionError
-from vandelab.experiments import point_spec
-from vandelab.geometry import LINE, PERIODIC, NodeSet, generate_config
-from vandelab.hp import required_bits
+from vandelab.geometry import LINE, PERIODIC, NodeSet
 from vandelab.matrices import (
+    _KERNEL_GUARD_BITS,
     VandermondeSpec,
+    _dirichlet_guard,
     build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
@@ -27,13 +31,6 @@ BITS = 192
 
 # sin(0.1)/0.1 frozen from the scalar oracle at 250 bits
 SINC_TENTH = "0.99833416646828152306814198410622026989915388"
-
-
-def random_periodic_nodes(rng, s):
-    xs = set()
-    while len(xs) < s:
-        xs.add(mpf(rng.uniform(-3.1, 3.1)))
-    return NodeSet(tuple(sorted(xs)), PERIODIC)
 
 
 class TestVandermonde:
@@ -187,38 +184,11 @@ def _raw(rows):
     return [[getattr(v, "_mpc_", None) or v._mpf_ for v in r] for r in rows]
 
 
-def _seeded_configs():
-    """(bits, xs, N) of 300 seeded configs at 64 to 2000 bits: a third of
-    them exact binary equispaced clusters whose differences repeat
-    exactly, a third random nodes on the circle and a third clusters
-    10^-1 to 10^-12 apart."""
-    rng = random.Random(20261018)
-    for i in range(300):
-        bits = (64, 192, 600, 2000)[i % 4]
-        s = rng.randint(2, 6)
-        with mp.workprec(bits):
-            if i % 3 == 0:
-                c = mpf(rng.randint(-64, 64)) / 32
-                step = mpf(2) ** -rng.randint(3, 40)
-                xs = tuple(c + j * step for j in range(s))
-            elif i % 3 == 1:
-                xs = tuple(random_periodic_nodes(rng, s).nodes)
-            else:
-                delta = mpf(10) ** -rng.randint(1, 12)
-                c = mpf(rng.uniform(-3, 3))
-                xs = tuple(c + j * delta for j in range(s))
-        yield bits, xs, rng.randint(s, 400)
-
-
 def _heavy_points():
-    """(bits, xs, N) of two equispaced sweep points at policy bits: s = 24
-    at N = 288, and s = 12 at N = 144 and delta 1e-25."""
-    for ell, s, delta, N in ((6, 24, "1e-10", 288), (12, 12, "1e-25", 144)):
-        spec_at, N = point_spec({"ell": ell, "s": s, "delta": delta, "N": N,
-                                 "tau": None, "theta": None})
-        bits = required_bits(ell, N, delta)
-        with mp.workprec(bits):
-            nodes, _ = generate_config(spec_at(bits), "equispaced", None, 1)
+    """(bits, xs, N) of two heavy sweep points: s = 24 at N = 288, and
+    s = 12 at N = 144 and delta 1e-25."""
+    for point in ((6, 24, "1e-10", 288), (12, 12, "1e-25", 144)):
+        bits, nodes, N = sweep_point(*point)
         yield bits, nodes.nodes, N
 
 
@@ -226,7 +196,7 @@ class TestOneAssembler:
     def test_builders_bitwise_equal_naive_entries(self):
         # the Dirichlet kernel from per-node phases is bit for bit the
         # ratio of two sines per pair, rounded once
-        for bits, xs, N in itertools.chain(_seeded_configs(), _heavy_points()):
+        for bits, xs, N in itertools.chain(seeded_configs(), _heavy_points()):
             spec = VandermondeSpec(N, NodeSet(xs, PERIODIC))
             assert _raw(build_dirichlet_kernel(spec, bits)) == _raw(
                 _naive_dirichlet(spec, bits, dirichlet_ratio))
@@ -238,7 +208,7 @@ class TestOneAssembler:
         # each entry within (1/2 + 2^-16) ulp of sin(d)/d at 4p bits, ulp
         # that of the reference at bits; the diagonal is 1
         entries, worst = 0, mpf(0)
-        for bits, xs, _ in _seeded_configs():
+        for bits, xs, _ in seeded_configs():
             G = build_prolate(NodeSet(xs, LINE), bits)
             s = len(xs)
             with mp.workprec(4 * bits):
@@ -267,6 +237,21 @@ class TestOneAssembler:
                                     BITS).min_value
         with mp.workprec(2 * BITS):
             assert abs(got / (1 - sinc(d)) - 1) < mpf(2) ** -4
+
+
+class TestKernelRounding:
+    def test_entries_equal_unstripped_quotients(self):
+        # num and den lose their trailing zero bits before the division,
+        # and each correctly rounded quotient stays the same
+        for point in HEAVY_POINTS:
+            bits, nodes, N = sweep_point(*point)
+            assert _raw(build_dirichlet_kernel(VandermondeSpec(N, nodes), bits)) \
+                == kernel_matrix_reference(nodes.nodes, mpf(N + 1) / 2, PERIODIC,
+                                           bits, _dirichlet_guard(N), mpf(N + 1))
+        for bits, xs, _ in seeded_configs():
+            assert _raw(build_prolate(NodeSet(xs, LINE), bits)) == \
+                kernel_matrix_reference(xs, mpf(1), LINE, bits,
+                                        _KERNEL_GUARD_BITS, mpf(1), shift=-1)
 
 
 class TestPeriodicGapRule:

@@ -6,15 +6,19 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from conftest import (
+    HEAVY_POINTS,
     build_vandermonde,
+    cholesky_rows_reference,
     eighe_eigenvalues,
     jacobi_reference,
     random_hermitian,
     random_spd,
+    rotated_reference,
+    seeded_configs,
+    sweep_point,
 )
 from vandelab import hp
 from vandelab.errors import ConvergenceError, InvalidParameterError, PrecisionError
-from vandelab.experiments import point_spec
 from vandelab.geometry import LINE, PERIODIC, ClusterSpec, NodeSet, generate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import (
@@ -24,9 +28,10 @@ from vandelab.matrices import (
     build_prolate,
 )
 from vandelab.spectra import (
+    _cholesky_rows,
     _frame_column,
+    _rotated,
     _rotation,
-    _rounded,
     hermitian_eigenvalues,
     normalized_lambda,
     prolate_limit_check,
@@ -225,13 +230,7 @@ def _assert_within_bound(M, bits):
 
 def _sweep_kernel(ell, s, delta, N):
     """(K, bits): the Dirichlet kernel of a sweep point, equispaced."""
-    spec_at, N = point_spec({
-        "ell": ell, "N": N, "delta": delta, "tau": "auto", "s": s,
-        "theta": None})
-    bits = required_bits(ell, N, delta)
-    with mp.workprec(bits):
-        nodes, _ = generate_config(spec_at(bits), "equispaced", None,
-                                   20240601, PERIODIC)
+    bits, nodes, N = sweep_point(ell, s, delta, N)
     return build_dirichlet_kernel(VandermondeSpec(N, nodes), bits), bits
 
 
@@ -251,8 +250,8 @@ class TestJacobiBitIdentity:
     def test_readme_sweep_kernel(self):
         _assert_within_bound(*_sweep_kernel(6, None, "1e-10", 100))
 
-    # heavy sweep points: n = 12 at 2296 bits, n = 16 at 395 bits and
-    # n = 24 at 391 bits, with four nearly equal singular values per level
+    # heavy sweep points: n = 12 at 1932 bits, n = 16 at 287 bits and
+    # n = 24 at 283 bits, with four nearly equal singular values per level
     @pytest.mark.parametrize("ell, s, delta, N", [
         (12, 12, "1e-25", 144), (4, 16, "1e-10", 192), (4, 24, "1e-10", 288)])
     def test_heavy_sweep_kernel(self, ell, s, delta, N):
@@ -296,10 +295,11 @@ def _assert_rounded(exact, col, e):
 
 
 class TestIntegerRounding:
-    """_rounded, _frame_column and _rotation against exact rationals:
+    """_rotated, _frame_column and _rotation against exact rationals:
     a rotated entry is the nearest multiple of the unit, ties to even."""
 
     def test_round_any_integer(self, rng):
+        # at c = 1 and s = 0 the first new column is x / 2^k
         for q in (53, 216, 637, 2320):
             for bits in (1, q - 1, q, q + 1, q + 2, 2 * q + 1, 3 * q):
                 for _ in range(10):
@@ -307,15 +307,66 @@ class TestIntegerRounding:
                            rng.choice((1, -1))
                            for _ in range(rng.randint(1, 9))]
                     k = rng.randint(1, q + 2)
-                    _assert_rounded([Fraction(m) for m in col],
-                                    _rounded(col, k), k)
+                    x, y = _rotated(col, [0] * len(col), 1, 0, k)
+                    _assert_rounded([Fraction(m) for m in col], x, k)
+                    assert y == [0] * len(col)
+
+    def test_rotate_any_integers(self, rng):
+        # both new columns are (c x - s y, s x + c y) rounded in units 2^q
+        for q in (53, 216, 637, 2320):
+            for _ in range(20):
+                n = rng.randint(1, 9)
+                x, y = ([rng.getrandbits(rng.randint(1, 2 * q)) *
+                         rng.choice((1, -1)) for _ in range(n)]
+                        for _ in range(2))
+                c = rng.randint(0, 1 << q)
+                s = rng.randint(-(1 << q), 1 << q)
+                x2, y2 = _rotated(x, y, c, s, q)
+                _assert_rounded([Fraction(c * u - s * v)
+                                 for u, v in zip(x, y)], x2, q)
+                _assert_rounded([Fraction(s * u + c * v)
+                                 for u, v in zip(x, y)], y2, q)
 
     def test_ties_and_carry(self):
         # the unit is 2^3: entries +-4, +-12 and +-20 are ties, and
         # 2^(q+3) - 1 carries to 2^q
         q = 53
         col = [(1 << q + 3) - 1, 4, 12, 20, -4, -12, -20, 5, -5]
-        assert _rounded(col, 3) == [1 << q, 0, 2, 2, 0, -2, -2, 1, -1]
+        assert _rotated(col, [0] * 9, 1, 0, 3)[0] == \
+            [1 << q, 0, 2, 2, 0, -2, -2, 1, -1]
+
+    def test_ties_on_the_full_value(self):
+        # at c = 2^3 and s = -1 the new columns are x + y / 8 and y - x / 8:
+        # 1 + 1/2 goes to 2, where 1 plus the even rounding of 1/2 is 1
+        x, y = [1, 1, -1, 3, 4, -4], [4, -4, 4, 12, 1, 2]
+        assert _rotated(x, y, 8, -1, 3) == ([2, 0, 0, 4, 4, -4],
+                                            [4, -4, 4, 12, 0, 2])
+
+    def test_matches_four_product_form(self, rng):
+        # the correction to the identity gives the ints of the four full
+        # products: on rotations of _rotation, on ties (c = 2^q and
+        # s = +-2^(q-1) halve every odd entry of y), with s < 0 and s = 0
+        ties = 0
+        for q in (53, 216, 637, 2320):
+            for _ in range(30):
+                n = rng.randint(1, 8)
+                x = [rng.getrandbits(q) * rng.choice((1, -1))
+                     for _ in range(n)]
+                y = [rng.getrandbits(rng.randint(1, q)) * rng.choice((1, -1))
+                     for _ in range(n)]
+                a = sum(u * u for u in x)
+                b = sum(v * v for v in y)
+                d = sum(u * v for u, v in zip(x, y))
+                rotations = [(1 << q, 1 << q - 1), (1 << q, -(1 << q - 1)),
+                             (rng.randint(0, 1 << q), 0),
+                             (rng.randint(0, 1 << q), -rng.randint(1, 1 << q))]
+                if d:
+                    rotations.append(_rotation(a, b, d, q))
+                for c, s in rotations:
+                    assert _rotated(x, y, c, s, q) == \
+                        rotated_reference(x, y, c, s, q)
+                ties += sum(v & 1 for v in y)
+        assert ties > 100
 
     def test_frame_column(self):
         # the first rounding truncates toward zero, so a column that is
@@ -328,20 +379,19 @@ class TestIntegerRounding:
                    mp.ldexp(1, -q), -mp.ldexp(7, -q - 1)]
             exact = [Fraction(-m if sign else m) * Fraction(2) ** e
                      for sign, m, e, _ in (x._mpf_ for x in row)]
-        col = _frame_column(row, -q)
+        col = _frame_column([x._mpf_ for x in row], -q)
         assert col == [int(x * 2 ** q) for x in exact]
         assert col[4:6] == [0, 0] and col[7:] == [1, -3]
-        assert _frame_column([mpf(0)] * 3, -q) == [0, 0, 0]
+        assert _frame_column([mpf(0)._mpf_] * 3, -q) == [0, 0, 0]
         # entries that are all multiples of the unit keep their values
-        with mp.workprec(p):
-            row = [mpf(12), mpf(-3), mpf(0)]
+        row = [mpf(12)._mpf_, mpf(-3)._mpf_, mpf(0)._mpf_]
         assert _frame_column(row, 0) == [12, -3, 0]
         assert _frame_column(row, -5) == [12 << 5, -3 << 5, 0]
 
     def test_exponent_gap_allocates_no_large_int(self):
         # aligned exactly, a 10^8-bit gap would take a 12.5 MB int
         with mp.workprec(192):
-            row = [mpf(1) / 3, mp.ldexp(1, -10 ** 8)]
+            row = [(mpf(1) / 3)._mpf_, mp.ldexp(1, -10 ** 8)._mpf_]
         tracemalloc.start()
         try:
             col = _frame_column(row, -216)
@@ -377,6 +427,68 @@ class TestIntegerRounding:
                 y2 = [(s * u + c * v) for u, v in zip(x, y)]
                 dot = mpf(sum(u * v for u, v in zip(x2, y2)))
                 assert abs(dot) <= mp.ldexp(a + b, q + 2)
+
+
+def _cholesky_outcomes(rows, p):
+    """[_cholesky_rows, cholesky_rows_reference] of rows at p bits, each
+    the rows of R as raw values or the text of its PrecisionError."""
+    with mp.workprec(p):
+        a = [[mpf(x) for x in row] for row in rows]
+    outcomes = []
+    for cholesky, entry in ((_cholesky_rows, lambda x: x._mpf_),
+                            (cholesky_rows_reference, lambda x: x)):
+        try:
+            r = cholesky([[entry(x) for x in row] for row in a], len(a), p)
+        except PrecisionError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append([[getattr(x, "_mpf_", x) for x in row]
+                             for row in r])
+    return outcomes
+
+
+class TestCholeskyOracle:
+    """The pivoted Cholesky on raw libmp values gives the bits, pivot order
+    and refusals of the one on mpf operators."""
+
+    def test_seeded_kernels(self):
+        # the Dirichlet and prolate matrices of 300 seeded configs at 64 to
+        # 2000 bits, the close clusters among them refused by a pivot
+        refused = 0
+        for bits, xs, N in seeded_configs():
+            for rows in (build_dirichlet_kernel(
+                    VandermondeSpec(N, NodeSet(xs, PERIODIC)), bits),
+                    build_prolate(NodeSet(xs, LINE), bits)):
+                new, ref = _cholesky_outcomes(rows, bits)
+                assert new == ref
+                refused += isinstance(ref, str)
+        assert refused > 10
+
+    @pytest.mark.parametrize("point", HEAVY_POINTS)
+    def test_heavy_kernels(self, point):
+        new, ref = _cholesky_outcomes(*_sweep_kernel(*point))
+        assert not isinstance(ref, str)
+        assert new == ref
+
+    @pytest.mark.parametrize("bits", [53, 192, 613])
+    def test_pivot_ties(self, rng, bits):
+        for n in range(1, 9):
+            new, ref = _cholesky_outcomes(
+                _unit_diagonal(random_spd(rng, n, bits), bits), bits)
+            assert new == ref
+
+    def test_refused_pivots(self, rng):
+        # zero, exactly singular and indefinite matrices raise the same
+        # text, which names the pivot, its value and the bits
+        cases = [identity(3), ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
+                 ((1, 1), (1, 1)), ((1, 2), (2, 1)),
+                 ((4, 0), (0, mpf("-0.25")))]
+        cases += [random_hermitian(rng, n, BITS) for n in (3, 5, 8)]
+        for rows in cases[1:]:
+            new, ref = _cholesky_outcomes(rows, BITS)
+            assert isinstance(ref, str) and new == ref
+        assert _cholesky_outcomes(cases[0], BITS)[0] == \
+            [[mpf(v)._mpf_ for v in row] for row in cases[0]]
 
 
 class TestResolution:
