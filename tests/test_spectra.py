@@ -480,15 +480,12 @@ class TestCholeskyOracle:
     def test_refused_pivots(self, rng):
         # zero, exactly singular and indefinite matrices raise the same
         # text, which names the pivot, its value and the bits
-        cases = [identity(3), ((0, 0, 0), (0, 0, 0), (0, 0, 0)),
-                 ((1, 1), (1, 1)), ((1, 2), (2, 1)),
-                 ((4, 0), (0, mpf("-0.25")))]
+        cases = [((0, 0, 0), (0, 0, 0), (0, 0, 0)), ((1, 1), (1, 1)),
+                 ((1, 2), (2, 1)), ((4, 0), (0, mpf("-0.25")))]
         cases += [random_hermitian(rng, n, BITS) for n in (3, 5, 8)]
-        for rows in cases[1:]:
+        for rows in cases:
             new, ref = _cholesky_outcomes(rows, BITS)
             assert isinstance(ref, str) and new == ref
-        assert _cholesky_outcomes(cases[0], BITS)[0] == \
-            [[mpf(v)._mpf_ for v in row] for row in cases[0]]
 
 
 class TestResolution:
