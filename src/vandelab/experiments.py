@@ -8,6 +8,11 @@ exactly to results.json.  details.json holds the whole result with the
 row's index (nodes, partition, full spectrum, bound report), or the
 reason the row was skipped or failed.
 
+The rows of one grid cell (ell, tau, N, delta, s, theta) differ only in
+their layout and seed.  Within a sweep they share what depends on the
+cell and the working bits alone: the spec read at those bits, and the
+"cluster" and "bounds" fields of their results.
+
 Sweep rows, gen-config and the config commands run at one precision
 path: ``run_at_bits`` sizes the policy bits once, runs the work under
 ``mp.workprec`` and re-solves once on a headroom shortfall.
@@ -213,6 +218,47 @@ def _write_json(path, obj):
 #: the CSV columns a row copies from its grid point
 _GRID_COLUMNS = ("experiment_id", "ell", "N", "layout", "seed")
 
+#: the grid keys of a cell, whose rows differ only in layout and seed
+_CELL_KEYS = ("ell", "tau", "N", "delta", "s", "theta")
+#: JSON's scalar types; a grid value of another type keeps its row out
+#: of the cell memo
+_SCALARS = (str, int, float, bool, type(None))
+
+#: (cell, bits, what) -> what the rows of a grid cell share at bits: its
+#: spec, and the "cluster" and "bounds" of their results.  A dict while
+#: run_sweep runs, in its own process and in each pool worker, and None
+#: otherwise, so a sweep reads no other's and a row run on its own
+#: shares nothing.  Shared values are never modified.
+_CELL_MEMO = None
+
+
+def _set_cell_memo(memo):
+    """Install memo, a dict or None, as this process's cell memo."""
+    global _CELL_MEMO
+    _CELL_MEMO = memo
+
+
+def _cell_key(point: dict):
+    """The point's grid cell, each value paired with its type, so that
+    1, 1.0 and True, which compare equal, name different cells; None
+    when a value is not a JSON scalar."""
+    values = [point[k] for k in _CELL_KEYS]
+    if not all(type(v) in _SCALARS for v in values):
+        return None
+    return tuple((type(v), v) for v in values)
+
+
+def _shared(cell, bits: int, what: str, make):
+    """make(), once per (cell, bits, what) in a sweep; computed afresh
+    for a cell of None or outside a sweep.  A make() that raises stores
+    nothing."""
+    if cell is None or _CELL_MEMO is None:
+        return make()
+    key = (cell, bits, what)
+    if key not in _CELL_MEMO:
+        _CELL_MEMO[key] = make()
+    return _CELL_MEMO[key]
+
 
 def _row(point: dict, result: dict) -> dict:
     """The CSV row of a grid point: its grid columns, kind "sweep", and
@@ -230,10 +276,11 @@ def _row(point: dict, result: dict) -> dict:
 def point_spec(point: dict):
     """Grid values or gen-config flags -> (spec_at, N).
 
-    ``spec_at(bits)`` is the ClusterSpec with the reals read at ``bits``.
-    ``s``, ``tau`` and ``theta`` of None or "auto" mean s = ell, tau =
-    ell - 1, and geometry.default_theta, the widest theta the default
-    centers of generate_config allow.
+    ``spec_at(bits)`` is the ClusterSpec with the reals read and the
+    default theta evaluated at ``bits``, so the same bits give the same
+    spec at any ambient precision.  ``s``, ``tau`` and ``theta`` of None
+    or "auto" mean s = ell, tau = ell - 1, and geometry.default_theta,
+    the widest theta the default centers of generate_config allow.
     """
     ell = int(point["ell"])
     if ell < 1:
@@ -245,18 +292,19 @@ def point_spec(point: dict):
     s = ell if s in (None, "auto") else int(s)
 
     def spec_at(bits):
-        delta = parse_decimal(point["delta"], bits)
-        tau_raw = point["tau"]
-        if tau_raw in (None, "auto"):
-            tau = mpf(ell - 1)
-        else:
-            tau = parse_decimal(tau_raw, bits)
-        theta_raw = point["theta"]
-        if theta_raw in (None, "auto"):
-            theta = default_theta(s, ell)
-        else:
-            theta = parse_decimal(theta_raw, bits)
-        return ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
+        with mp.workprec(bits):
+            delta = parse_decimal(point["delta"], bits)
+            tau_raw = point["tau"]
+            if tau_raw in (None, "auto"):
+                tau = mpf(ell - 1)
+            else:
+                tau = parse_decimal(tau_raw, bits)
+            theta_raw = point["theta"]
+            if theta_raw in (None, "auto"):
+                theta = default_theta(s, ell)
+            else:
+                theta = parse_decimal(theta_raw, bits)
+            return ClusterSpec(delta=delta, theta=theta, s=s, ell=ell, tau=tau)
 
     return spec_at, N
 
@@ -299,23 +347,27 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
 
 
 def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, partition,
-                      N: int, bits: int, user_c1=1):
+                      N: int, bits: int, user_c1=1, cell=None):
     """(result, spectrum) of one validated configuration at the ambient
-    ``bits``: the result both a sweep row and ``spectrum`` report."""
+    ``bits``: the result both a sweep row and ``spectrum`` report.  Its
+    "cluster" and "bounds" read the spec, N and bits but not the nodes,
+    so the rows of a sweep's grid ``cell`` share them."""
     vspec = VandermondeSpec(N, nodes)
     spectrum = singular_values(vspec, bits=bits)
-    report = evaluate_all(vspec, cluster, user_c1=user_c1, bits=bits)
+    bounds = _shared(cell, bits, "bounds", lambda: evaluate_all(
+        vspec, cluster, user_c1=user_c1, bits=bits).to_json_dict())
     lam, log10_lam = normalized_lambda(spectrum.min_value, N, cluster.delta,
                                        cluster.ell)
     return {
         "N": N,
         "precision_bits": bits,
-        "cluster": cluster.to_json_dict(bits),
+        "cluster": _shared(cell, bits, "cluster",
+                           lambda: cluster.to_json_dict(bits)),
         "nodes": nodes.to_json_dict(bits),
         "multiplicities": list(partition.multiplicities),
         "q": list(partition.q),
         "spectrum": spectrum.to_json_dict(),
-        "bounds": report.to_json_dict(),
+        "bounds": bounds,
         "sigma_min": decimal_str(spectrum.min_value, bits),
         "lambda": decimal_str(lam, bits),
         "log10_lambda": decimal_str(log10_lam, bits),
@@ -329,10 +381,13 @@ def compute_sweep_point(point: dict) -> dict:
     with the row's index.  A failed or skipped row keeps what its last
     attempt filled in: the spec columns once its spec reads, the rest
     once its spectrum is solved.  The result carries the spec columns,
-    so the spec is serialized for them only when the attempt raises."""
+    so the spec is serialized for them only when the attempt raises.
+    The spec and the fields its cell shares come from the sweep's cell
+    memo."""
     t0 = time.perf_counter()
     row = _row(point, {})
     details = {"index": point["index"]}
+    cell = _cell_key(point)
 
     def fill(spec, bits):
         details.clear()
@@ -341,7 +396,7 @@ def compute_sweep_point(point: dict) -> dict:
             nodes, partition = generate_config(
                 spec, str(point["layout"]), None, int(point["seed"]), PERIODIC)
             result, spectrum = _vandermonde_body(nodes, spec, partition, N,
-                                                 bits)
+                                                 bits, cell=cell)
         except Exception:
             row.update(_row(point, {"precision_bits": bits,
                                     "cluster": spec.to_json_dict(bits)}))
@@ -352,7 +407,9 @@ def compute_sweep_point(point: dict) -> dict:
 
     try:
         spec_at, N = point_spec(point)
-        run_at_bits(spec_at, N, point["precision_override"], fill)
+        run_at_bits(lambda bits: _shared(cell, bits, "spec",
+                                         lambda: spec_at(bits)),
+                    N, point["precision_override"], fill)
         row["status"] = STATUS_OK
     except (InvalidParameterError, ConfigValidationError, ConfigParseError) as exc:
         row["status"] = STATUS_SKIPPED
@@ -369,7 +426,7 @@ def compute_sweep_point(point: dict) -> dict:
 
 def _fit_slope(rows) -> float | None:
     """Least-squares slope of log10(lambda) against (ell - 1)."""
-    pts = [(int(r["ell"]) - 1, float(mpf(r["log10_lambda"])))
+    pts = [(int(r["ell"]) - 1, float(r["log10_lambda"]))
            for r in rows
            if r["status"] == STATUS_OK and int(r["ell"]) > 1 and r["log10_lambda"]]
     if len({x for x, _ in pts}) < 2:
@@ -393,11 +450,13 @@ def _write_outputs(out_dir: Path, manifest: ExperimentManifest, rows, details):
 
 
 def _write_figure(out_dir: Path, manifest: ExperimentManifest, rows):
-    pts = [(float(r["ell"]), float(mpf(r["log10_lambda"])))
+    # float() reads decimals of any length, where mpf() refuses more
+    # than 4300 digits
+    pts = [(float(r["ell"]), float(r["log10_lambda"]))
            for r in rows if r["status"] == STATUS_OK and r["log10_lambda"]]
     with mp.workprec(64):
         lower_slope = -float(mp.log10(pi_e(16)))
-    taus = [float(mpf(r["tau"])) for r in rows
+    taus = [float(r["tau"]) for r in rows
             if r["status"] == STATUS_OK and r["tau"]]
     tau_max = max(taus) if taus else 1.0
     upper_slope = math.log10(tau_max) if tau_max > 0 else 0.0
@@ -417,7 +476,8 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
 
     Per-point failures are recorded in their rows and never abort the
     sweep.  With workers > 1, points run in separate processes; output
-    order is independent of scheduling.
+    order is independent of scheduling.  The points run with an empty
+    cell memo in each process, which ends with the sweep.
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
@@ -428,15 +488,21 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
         log.warning("grid exceeds the desk-scale envelope (ell <= %d, "
                     "precision <= %d); expect a long run",
                     DESK_MAX_ELL, DESK_MAX_PRECISION)
-    if workers > 1:
-        # imported here: loading it with multiprocessing slows the start-up
-        # of every command, and only this path uses it
-        from concurrent.futures import ProcessPoolExecutor
+    _set_cell_memo({})
+    try:
+        if workers > 1:
+            # imported here: loading it with multiprocessing slows the
+            # start-up of every command, and only this path uses it
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(compute_sweep_point, points))
-    else:
-        outcomes = [compute_sweep_point(p) for p in points]
+            with ProcessPoolExecutor(max_workers=workers,
+                                     initializer=_set_cell_memo,
+                                     initargs=({},)) as pool:
+                outcomes = list(pool.map(compute_sweep_point, points))
+        else:
+            outcomes = [compute_sweep_point(p) for p in points]
+    finally:
+        _set_cell_memo(None)
     rows = [o["row"] for o in outcomes]
     details = [o["details"] for o in outcomes]
     _write_outputs(out_dir, manifest, rows, details)

@@ -107,8 +107,9 @@ class NodeSet:
         nodes = tuple(as_mpf(x) for x in self.nodes)
         object.__setattr__(self, "nodes", nodes)
         if self.domain == PERIODIC:
+            pi = +mp.pi
             for x in nodes:
-                if not (-mp.pi < x <= mp.pi):
+                if not (-pi < x <= pi):
                     raise InvalidParameterError(
                         f"periodic node {decimal_str(x)} outside (-pi, pi]")
         seen = set()
@@ -352,8 +353,8 @@ def cluster_offsets(r: int, ell: int, tau, delta, layout: str, rng) -> list:
 
 def default_centers(n_clusters: int):
     """Evenly spread centers on the circle, center 0 for a single cluster."""
-    return tuple(-mp.pi + (2 * j + 1) * mp.pi / n_clusters
-                 for j in range(n_clusters))
+    pi = +mp.pi
+    return tuple(-pi + (2 * j + 1) * pi / n_clusters for j in range(n_clusters))
 
 
 def _default_count(s: int, ell: int) -> int:
@@ -420,10 +421,11 @@ def scale_to_circle(nodes: NodeSet, N: int) -> NodeSet:
         raise InvalidParameterError("scale_to_circle expects line-domain nodes")
     if N < 1:
         raise InvalidParameterError("N must be >= 1")
+    pi = +mp.pi
     scaled = []
     for x in nodes.nodes:
         xi = x / N
-        if not (-mp.pi < xi <= mp.pi):
+        if not (-pi < xi <= pi):
             raise InvalidParameterError(
                 f"scaled node {decimal_str(xi)} outside (-pi, pi]; increase N")
         scaled.append(xi)

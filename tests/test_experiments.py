@@ -273,11 +273,17 @@ class TestSweep:
         assert masked(tmp_path / "r1") == masked(tmp_path / "r2")
 
     def test_workers_match_serial(self, tmp_path):
-        grid = {"ell": [1, 2], "N": [60, 80], "delta": ["1e-5"]}
+        # three seeds per cell, with room for random gaps: the rows of a
+        # cell share its spec and bound report in whichever process runs
+        # them, and each row is also what a sweep of that row alone gives
+        grid = {"ell": [2, 3], "N": [60, 80], "delta": ["1e-5"], "tau": ["4"],
+                "layout": ["random"], "seed": [1, 2, 3]}
         run_sweep(ExperimentManifest.from_json_dict(
             manifest_dict(grid=dict(grid))), tmp_path / "serial", workers=1)
         run_sweep(ExperimentManifest.from_json_dict(
             manifest_dict(grid=dict(grid))), tmp_path / "par", workers=2)
+        run_sweep(ExperimentManifest.from_json_dict(
+            manifest_dict(grid=dict(grid, seed=[3]))), tmp_path / "alone")
 
         def masked(path):
             rows = read_rows(path)
@@ -285,7 +291,82 @@ class TestSweep:
                 r["runtime_ms"] = "X"
             return rows
 
-        assert masked(tmp_path / "serial") == masked(tmp_path / "par")
+        def details(path):
+            return json.loads((path / "details.json").read_text())["details"]
+
+        serial = masked(tmp_path / "serial")
+        assert len({r["sigma_min"] for r in serial}) == 12
+        assert serial == masked(tmp_path / "par")
+        assert details(tmp_path / "serial") == details(tmp_path / "par")
+        alone = details(tmp_path / "alone")
+        for one, shared in zip(alone, details(tmp_path / "serial")[2::3]):
+            assert {**one, "index": 0} == {**shared, "index": 0}
+
+    def test_cell_memo_lasts_one_sweep(self, tmp_path, monkeypatch):
+        # the bound report of a cell is evaluated once per sweep, and a
+        # later sweep of the same cell evaluates it again, with whatever
+        # evaluate_all is by then
+        real, calls = experiments.evaluate_all, []
+
+        def counted(tag):
+            def evaluate(*args, **kwargs):
+                calls.append(tag)
+                return real(*args, **kwargs)
+            return evaluate
+
+        m = ExperimentManifest.from_json_dict(manifest_dict(grid={
+            "ell": [2], "N": [100], "delta": ["1e-6"], "tau": ["4"],
+            "layout": ["random"], "seed": [1, 2, 3]}))
+        monkeypatch.setattr(experiments, "evaluate_all", counted("first"))
+        assert run_sweep(m, tmp_path / "one").ok == 3
+        monkeypatch.setattr(experiments, "evaluate_all", counted("second"))
+        assert run_sweep(m, tmp_path / "two").ok == 3
+        assert calls == ["first", "second"]
+        assert experiments._CELL_MEMO is None
+        for a, b in zip(read_rows(tmp_path / "one"), read_rows(tmp_path / "two")):
+            assert {**a, "runtime_ms": ""} == {**b, "runtime_ms": ""}
+
+    def test_float_grid_values_skip_their_rows(self, tmp_path):
+        # 1, 1.0 and True compare equal, but only the int and the bool
+        # are decimals a row reads; every row holding a float is skipped
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [2], "N": [10], "delta": [1, 1.0],
+                  "tau": [1, 1.0, True]}))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (2, 4, 0)
+        rows = read_rows(tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert [(r["tau"], r["delta"], r["status"]) for r in rows] == [
+            ("1.0", "1.0", "ok"), ("", "", "skipped"), ("", "", "skipped"),
+            ("", "", "skipped"), ("1.0", "1.0", "ok"), ("", "", "skipped")]
+        assert [d.get("reason") for d in details] == [None] + [
+            "pass decimal values as str or int, not float"] * 3 + [
+            None, "pass decimal values as str or int, not float"]
+
+    @pytest.mark.parametrize("key", ["delta", "tau", "theta"])
+    def test_non_scalar_grid_values_skip_their_rows(self, tmp_path, key):
+        grid = {"ell": [2], "N": [100], "delta": ["1e-6"],
+                key: [["1"], ["1"], {"a": 1}]}
+        summary = run_sweep(ExperimentManifest.from_json_dict(
+            manifest_dict(grid=grid)), tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (0, 3, 0)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert [d["reason"] for d in details] == [
+            "not a decimal number: ['1']", "not a decimal number: ['1']",
+            "not a decimal number: {'a': 1}"]
+
+    def test_figure_and_fit_read_long_decimals(self, tmp_path):
+        # a row at the envelope corner (12, 40, 1e-222, 100) runs at
+        # 16,341 bits and prints 4919 digits, past the 4300 digits that
+        # int() reads
+        tail = "1" * 4918
+        rows = [{"status": "ok", "ell": str(ell), "tau": f"{ell - 1}.{tail}",
+                 "log10_lambda": f"-{ell}.{tail}"} for ell in (2, 3)]
+        assert len(rows[0]["log10_lambda"].strip("-").replace(".", "")) == 4919
+        experiments._write_figure(tmp_path, ExperimentManifest.from_json_dict(
+            manifest_dict()), rows)
+        ET.parse(tmp_path / "figure.svg")
+        assert experiments._fit_slope(rows) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("bits", [192, 256])
     def test_under_resolved_row_is_not_ok(self, tmp_path, bits):
