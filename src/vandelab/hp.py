@@ -32,7 +32,10 @@ precision run inside ``with mp.workprec(bits):`` blocks.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, mpf_shift, round_nearest
 
 from .errors import ConfigParseError, InvalidParameterError
 
@@ -43,6 +46,8 @@ RESOLVE_MARGIN_BITS = 8
 #: rounded up; derived in PrecisionPolicy.required_bits
 SOLVER_BITS = 20
 MIN_BITS = 64
+#: the largest decimal order of magnitude parse_decimal reads
+MAX_DECIMAL_EXPONENT = 100_000
 
 #: bits of precision at which the policy formula itself is evaluated;
 #: only the integer ceiling matters, 80 bits is far more than enough.
@@ -128,27 +133,46 @@ def as_mpc(x):
 
 
 def parse_decimal(text, bits: int):
-    """Parse a decimal string into an mpf, correctly rounded at ``bits``.
+    """Parse a decimal string (or an int) into an mpf, correctly rounded
+    at ``bits``.
 
-    The string goes straight to mpmath's decimal reader, never through a
-    binary64 float, so e.g. "1e-25" lands on the closest ``bits``-bit
-    value of 10^-25.  "inf" and "nan", which that reader accepts, are no
-    decimal number here.
+    The decimal is read exactly, as a ratio of ints, never through a
+    binary64 float or int()'s 4300-digit limit, so "1e-25" lands on the
+    closest ``bits``-bit value of 10^-25 and a decimal of any length
+    reads.  Where mpmath's own reader rounds correctly, up to a decimal
+    exponent of 400, the two agree.  Infinities, NaNs and decimals past
+    10^+-MAX_DECIMAL_EXPONENT, whose exact ratio would not fit in memory,
+    are no decimal number here.
     """
     if bits < MIN_BITS:
         raise InvalidParameterError(
             f"precision must be >= {MIN_BITS} bits, got {bits}")
+    return _read_decimal(text, bits)
+
+
+def _read_decimal(text, bits: int):
+    """parse_decimal at any bits, also below MIN_BITS."""
     if isinstance(text, float):
         # refuse silent binary64 round-trips for strings the caller had
         raise InvalidParameterError("pass decimal values as str or int, not float")
-    with mp.workprec(bits):
-        try:
-            value = mpf(text)
-        except (ValueError, TypeError) as exc:
-            raise InvalidParameterError(f"not a decimal number: {text!r}") from exc
-    if not mp.isfinite(value):
+    try:
+        if not isinstance(text, (str, int)):
+            raise TypeError(type(text).__name__)
+        value = Decimal(text)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"not a decimal number: {text!r}") from exc
+    if not value.is_finite():
         raise InvalidParameterError(f"not a finite decimal number: {text!r}")
-    return value
+    if value and abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise InvalidParameterError(
+            f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}: {text!r}")
+    num, den = value.as_integer_ratio()
+    # the powers of two go in as a shift: mpmath strips trailing zero
+    # bits a byte at a time, quadratic in the length of a long decimal
+    twos = (num & -num).bit_length() - 1 if num else 0
+    halves = (den & -den).bit_length() - 1
+    raw = from_rational(num >> twos, den >> halves, bits, round_nearest)
+    return mp.make_mpf(mpf_shift(raw, twos - halves))
 
 
 def parse_int(value, key: str) -> int:
@@ -194,7 +218,7 @@ def decimal_str(x, bits: int | None = None, exact: bool = False) -> str:
         text = mp.nstr(x, decimal_digits(p))
         if exact:  # floor(p log10 2) + 2 digits read back to any p-bit x
             for more in (1, 2):
-                if mpf(text) == x:
+                if _read_decimal(text, p) == x:
                     break
                 text = mp.nstr(x, decimal_digits(p) + more)
         return text

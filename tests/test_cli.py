@@ -424,3 +424,16 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
         assert proc.wait(timeout=300) == code, err
     assert "Traceback" not in err and "Exception ignored" not in err, err
     assert any((tmp_path / "out").iterdir())
+
+
+def test_envelope_corner_config_reads_back(tmp_path, capsys):
+    # the corner (12, 40, 1e-222, 100) runs at 16,341 bits, and its
+    # config's decimals of 4919 digits must read back for bounds
+    assert main(["gen-config", "--delta", "1e-222", "--s", "40", "--ell", "12",
+                 "--N", "100", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "config.json").read_text())
+    assert config["precision_bits"] == 16341
+    assert max(len(x) for x in config["nodes"]["nodes"]) > 4300
+    assert main(["bounds", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()

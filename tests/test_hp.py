@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +130,74 @@ class TestDecimalRoundTrip:
             else:
                 misses += 1
         assert misses > 0
+
+
+def _int_of_digits(digits: str) -> int:
+    """The int of a digit string of any length, read in chunks below
+    int()'s 4300-digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def _is_nearest(x, exact: Fraction, bits: int) -> bool:
+    """Whether the mpf x is a bits-bit value no farther from exact than
+    either of its bits-bit neighbours."""
+    man, exp = int(x.man), int(x.exp)
+    shift = bits - man.bit_length()
+    man, exp = man << shift, exp - shift
+    below = (2 * man - 1, exp - 1) if man == 1 << (bits - 1) else (man - 1, exp)
+    value, up, down = (Fraction(m) * Fraction(2) ** e
+                       for m, e in ((man, exp), (man + 1, exp), below))
+    return abs(value - exact) <= min(abs(up - exact), abs(down - exact))
+
+
+class TestDecimalsOfAnyLength:
+    # the envelope corner (12, 40, 1e-222, 100) runs at 16,341 bits and
+    # writes 4919 digits, past the 4300 digits that int() reads
+
+    def test_long_decimal_reads_correctly_rounded(self):
+        rng = random.Random(4919)
+        digits = "".join(rng.choice("0123456789") for _ in range(4919))
+        bits = 16341
+        x = parse_decimal("-0." + digits, bits)
+        assert x < 0
+        with mp.workprec(bits):
+            x = -x
+        assert _is_nearest(x, Fraction(_int_of_digits(digits),
+                                       10 ** len(digits)), bits)
+
+    def test_exact_string_reads_back_at_16384_bits(self):
+        with mp.workprec(16384):
+            x = mp.pi * mpf("1e-222")
+        text = decimal_str(x, 16384, exact=True)
+        assert len(text) > 4300
+        assert parse_decimal(text, 16384) == x
+
+    @given(st.integers(0, 10 ** 60), st.integers(0, 60), st.integers(-340, 340),
+           st.sampled_from([64, 192, 603, 2296]))
+    @settings(max_examples=200, deadline=None)
+    def test_short_decimals_read_as_mpmath_reads_them(self, man, point, exp,
+                                                      bits):
+        # where mpmath's own reader rounds correctly, a decimal exponent
+        # of at most 400 after the point's digits, both give the same bits
+        digits = str(man).rjust(point + 1, "0")
+        text = f"{digits[:-point or None]}.{digits[len(digits) - point:]}e{exp}"
+        with mp.workprec(bits):
+            assert parse_decimal(text, bits) == mpf(text)
+            assert parse_decimal("-" + text, bits) == -mpf(text)
+
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "snan", "1e",
+                                       "1/3", "0x10", [0, [1], -3], None])
+    def test_refused(self, value):
+        with pytest.raises(InvalidParameterError):
+            parse_decimal(value, 192)
+
+    def test_huge_exponent_refused(self):
+        with pytest.raises(InvalidParameterError, match="exponent"):
+            parse_decimal("1e-1000000000", 192)
 
 
 class TestPrecisionDoubling:
