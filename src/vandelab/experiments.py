@@ -1,12 +1,19 @@
 """Experiment runner: manifests, sweeps, single-instance runs, reports.
 
+Every result starts with one config header: N (periodic only),
+precision_bits, cluster, nodes, multiplicities and q, in a config file's
+key order.  A body returns (fields, headroom_bits), the fields it
+computes and nothing of the header.  A config command's document is
+{"kind", header, fields, "runtime_ms"}, so it is itself a config that
+the command reads back.
+
 A sweep manifest declares a parameter grid; every grid point becomes one
 result row.  A point runs the Vandermonde body that the spectrum command
 also runs, without its level fields.  Its row is a fixed projection of
 that result: a fixed CSV column set (documented in the README), mirrored
 exactly to results.json.  details.json holds the whole result with the
-row's index (nodes, partition, full spectrum, bound report), or the
-reason the row was skipped or failed.
+row's index, {"index", header, fields}, or the reason the row was
+skipped or failed.
 
 The rows of one grid cell (ell, tau, N, delta, s, theta) differ only in
 their layout and seed.  Within a sweep they share what depends on the
@@ -346,11 +353,23 @@ def run_at_bits(spec_at, N: int | None, bits: int | None, body):
                   headroom, GUARD_BITS, bits)
 
 
-def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, partition,
-                      N: int, bits: int, user_c1=1, cell=None):
-    """(result, spectrum) of one validated configuration at the ambient
-    ``bits``: the result both a sweep row and ``spectrum`` report.  Its
-    "cluster" and "bounds" read the spec, N and bits but not the nodes,
+def _header(nodes: NodeSet, cluster_json: dict, partition, N: int | None,
+            bits: int) -> dict:
+    """The fields of a config file, in its key order, that every result
+    starts with: N (periodic only), precision_bits, cluster, nodes,
+    multiplicities and q.  load_config reads them back, so a config
+    command's document is itself a config."""
+    return {**({} if N is None else {"N": N}), "precision_bits": bits,
+            "cluster": cluster_json, "nodes": nodes.to_json_dict(bits),
+            "multiplicities": list(partition.multiplicities),
+            "q": list(partition.q)}
+
+
+def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, N: int,
+                      bits: int, user_c1=1, cell=None):
+    """(fields, spectrum) of one validated configuration at the ambient
+    ``bits``: what both a sweep row and ``spectrum`` report below the
+    header.  Its "bounds" read the spec, N and bits but not the nodes,
     so the rows of a sweep's grid ``cell`` share them."""
     vspec = VandermondeSpec(N, nodes)
     spectrum = singular_values(vspec, bits=bits)
@@ -359,13 +378,6 @@ def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, partition,
     lam, log10_lam = normalized_lambda(spectrum.min_value, N, cluster.delta,
                                        cluster.ell)
     return {
-        "N": N,
-        "precision_bits": bits,
-        "cluster": _shared(cell, bits, "cluster",
-                           lambda: cluster.to_json_dict(bits)),
-        "nodes": nodes.to_json_dict(bits),
-        "multiplicities": list(partition.multiplicities),
-        "q": list(partition.q),
         "spectrum": spectrum.to_json_dict(),
         "bounds": bounds,
         "sigma_min": decimal_str(spectrum.min_value, bits),
@@ -377,13 +389,12 @@ def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, partition,
 def compute_sweep_point(point: dict) -> dict:
     """One grid point end to end; returns row + details, never raises.
 
-    The row projects the point's Vandermonde result, which details holds
-    with the row's index.  A failed or skipped row keeps what its last
-    attempt filled in: the spec columns once its spec reads, the rest
-    once its spectrum is solved.  The result carries the spec columns,
-    so the spec is serialized for them only when the attempt raises.
-    The spec and the fields its cell shares come from the sweep's cell
-    memo."""
+    The row projects the point's Vandermonde result, the config header
+    and the body's fields, which details holds with the row's index.  A
+    failed or skipped row keeps what its last attempt filled in: the
+    spec columns once its spec reads, the rest once its spectrum is
+    solved.  The spec and the fields its cell shares come from the
+    sweep's cell memo."""
     t0 = time.perf_counter()
     row = _row(point, {})
     details = {"index": point["index"]}
@@ -392,17 +403,20 @@ def compute_sweep_point(point: dict) -> dict:
     def fill(spec, bits):
         details.clear()
         details["index"] = point["index"]
+        cluster = _shared(cell, bits, "cluster",
+                          lambda: spec.to_json_dict(bits))
         try:
             nodes, partition = generate_config(
                 spec, str(point["layout"]), None, int(point["seed"]), PERIODIC)
-            result, spectrum = _vandermonde_body(nodes, spec, partition, N,
-                                                 bits, cell=cell)
+            fields, spectrum = _vandermonde_body(nodes, spec, N, bits,
+                                                 cell=cell)
         except Exception:
             row.update(_row(point, {"precision_bits": bits,
-                                    "cluster": spec.to_json_dict(bits)}))
+                                    "cluster": cluster}))
             raise
-        row.update(_row(point, result))
-        details.update(result)
+        details.update({**_header(nodes, cluster, partition, N, bits),
+                        **fields})
+        row.update(_row(point, details))
         return None, spectrum.headroom_bits
 
     try:
@@ -524,7 +538,8 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
 
 
 def load_config(path) -> dict:
-    """Read a single-instance config file (nodes + cluster + N).
+    """Read a single-instance config file (nodes + cluster + N); other
+    keys, such as those of a result document, are ignored.
 
     Its reals stay decimal strings until ``run_config`` reads them at the
     bits the command runs at.
@@ -574,29 +589,26 @@ def _ratio_if_equispaced(nodes: NodeSet, partition, cluster: ClusterSpec,
     return lam_min / (slepian_constant(s) * cluster.delta ** (2 * s - 2))
 
 
-def _levels(values, q, thresholds, bits):
+def _levels(values, partition, cluster: ClusterSpec, shape, user_c1, bits):
     """The level fields: the thresholds c1 * shape(m), m = 1..ell, the
-    count of values in each band between them, and whether that is q."""
+    count of values in each band between them, whether that is q, the
+    running counts, and c1."""
+    thresholds = [user_c1 * shape(m) for m in range(1, cluster.ell + 1)]
     counts = count_bands(values, thresholds)
     return {"level_thresholds": [decimal_str(t, bits) for t in thresholds],
-            "level_counts": counts, "level_counts_match_q": counts == list(q)}
+            "level_counts": counts,
+            "level_counts_match_q": counts == list(partition.q),
+            "cumulative_counts": list(itertools.accumulate(counts)),
+            "user_c1": decimal_str(user_c1, bits)}
 
 
 def _spectrum_body(nodes, cluster, partition, N, bits, user_c1, N_list):
-    """The Vandermonde result plus its per-level counts."""
-    result, spectrum = _vandermonde_body(nodes, cluster, partition, N, bits,
-                                         user_c1)
-    thresholds = [user_c1 * lower_bound_shape(N, cluster.delta, m)
-                  for m in range(1, cluster.ell + 1)]
-    levels = _levels(spectrum.values, partition.q, thresholds, bits)
-    return {
-        "kind": "spectrum",
-        **result,
-        **levels,
-        "cumulative_counts": list(itertools.accumulate(levels["level_counts"])),
-        "user_c1": decimal_str(user_c1, bits),
-        "runtime_ms": None,
-    }, spectrum.headroom_bits
+    """The Vandermonde fields plus their per-level counts."""
+    fields, spectrum = _vandermonde_body(nodes, cluster, N, bits, user_c1)
+    levels = _levels(spectrum.values, partition, cluster,
+                     lambda m: lower_bound_shape(N, cluster.delta, m),
+                     user_c1, bits)
+    return {**fields, **levels}, spectrum.headroom_bits
 
 
 def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
@@ -604,23 +616,15 @@ def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     spectrum = hermitian_eigenvalues(build_prolate(nodes, bits), bits)
     lam_min = spectrum.min_value
     ratio = _ratio_if_equispaced(nodes, partition, cluster, lam_min)
-    thresholds = [user_c1 * prolate_lower_shape(cluster.delta, m)
-                  for m in range(1, cluster.ell + 1)]
     return {
-        "kind": "prolate",
-        "precision_bits": bits,
-        "cluster": cluster.to_json_dict(bits),
-        "nodes": nodes.to_json_dict(bits),
-        "multiplicities": list(partition.multiplicities),
-        "q": list(partition.q),
         "spectrum": spectrum.to_json_dict(),
         "lambda_min": decimal_str(lam_min, bits),
         "lower_shape": decimal_str(
             prolate_lower_shape(cluster.delta, cluster.ell), bits),
         "slepian_ratio": decimal_str(ratio, bits) if ratio is not None else None,
-        **_levels(spectrum.values, partition.q, thresholds, bits),
-        "user_c1": decimal_str(user_c1, bits),
-        "runtime_ms": None,
+        **_levels(spectrum.values, partition, cluster,
+                  lambda m: prolate_lower_shape(cluster.delta, m), user_c1,
+                  bits),
     }, spectrum.headroom_bits
 
 
@@ -628,13 +632,7 @@ def _bounds_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """The bound formulas for one configuration, without its spectrum."""
     report = evaluate_all(VandermondeSpec(N, nodes), cluster,
                           user_c1=user_c1, bits=bits)
-    return {
-        "kind": "bounds",
-        "N": N,
-        "precision_bits": bits,
-        "cluster": cluster.to_json_dict(bits),
-        "bounds": report.to_json_dict(),
-    }, None
+    return {"bounds": report.to_json_dict()}, None
 
 
 def _limit_check_body(nodes, cluster, partition, N, bits, user_c1, N_list):
@@ -642,8 +640,6 @@ def _limit_check_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     lambda_min, gaps, headroom = prolate_limit_check(
         nodes, list(N_list or ()), bits)
     return {
-        "kind": "limit-check",
-        "nodes": nodes.to_json_dict(bits),
         "lambda_min": decimal_str(lambda_min, bits),
         "gaps": [{"N": n, "gap": decimal_str(g, bits)} for n, g in gaps],
     }, headroom
@@ -652,8 +648,8 @@ def _limit_check_body(nodes, cluster, partition, N, bits, user_c1, N_list):
 #: config command -> (the domain of its nodes, its body).  The periodic
 #: commands are the Vandermonde ones, which read the config's N.  A body
 #: runs at the ambient bits on validated nodes and their partition, takes
-#: c1 as an mpf and returns (result, headroom_bits), with None for a body
-#: that solves nothing.
+#: c1 as an mpf and returns (fields, headroom_bits), with None for a body
+#: that solves nothing; its fields follow the config header.
 _CONFIG_BODIES = {
     "spectrum": (PERIODIC, _spectrum_body),
     "prolate": (LINE, _prolate_body),
@@ -674,8 +670,8 @@ def run_config(command: str, config_path, out_dir=None,
     when the command reads one.  Each attempt parses the config's reals
     and user_c1, which must be above 0, at its own bits, refuses nodes
     of the other domain with a ConfigParseError on "nodes", and
-    validates the nodes once for the body.  spectrum and prolate record
-    their runtime_ms.
+    validates the nodes once for the body.  The document is
+    {"kind", the config header, the body's fields, "runtime_ms"}.
     """
     t0 = time.perf_counter()
     domain, body = _CONFIG_BODIES[command]
@@ -692,14 +688,16 @@ def run_config(command: str, config_path, out_dir=None,
         if nodes.domain != domain:
             raise ConfigParseError(f"{command} runs need {domain}-domain "
                                    "nodes", key="nodes")
-        return body(nodes, cluster, validate_config(nodes, cluster), N, bits,
-                    c1, N_list)
+        partition = validate_config(nodes, cluster)
+        fields, headroom = body(nodes, cluster, partition, N, bits, c1, N_list)
+        return {"kind": command, **_header(nodes, cluster.to_json_dict(bits),
+                                           partition, N, bits),
+                **fields}, headroom
 
     result = run_at_bits(
         lambda bits: ClusterSpec.from_json_dict(cfg["cluster"], bits), N,
         bits_override or cfg["precision_bits"], read_and_run)
-    if "runtime_ms" in result:
-        result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
+    result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     if out_dir is not None:
         _write_json(Path(out_dir) / (command.replace("-", "_") + ".json"),
                     result)

@@ -12,6 +12,9 @@ with the wall-clock ``runtime_ms`` masked, to the copy in golden/:
   bits, one single-point sweep each (a grid is a Cartesian product),
   joined under one header
 
+Each config command's document, fed back as its --config, gives the same
+document again.
+
 An output that is meant to change is re-recorded with
 ``PYTHONPATH=src python tests/test_golden.py``, and the change log says
 which bytes moved and why.
@@ -163,6 +166,33 @@ def test_last_level_threshold_is_the_lower_shape(golden, tmp_path, capsys):
     capsys.readouterr()
     shape = doc.get("bounds", doc)["lower_shape"]
     assert doc["level_thresholds"][-1] == shape
+
+
+#: config command -> (its config, its extra flags, its document's name)
+REPLAYS = {
+    "spectrum": (PERIODIC_CONFIG, [], "spectrum.json"),
+    "bounds": (PERIODIC_CONFIG, [], "bounds.json"),
+    "prolate": (LINE_CONFIG, [], "prolate.json"),
+    "limit-check": (PAIR_CONFIG, ["--N-list", "10,50,250"], "limit_check.json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYS))
+def test_document_replays_as_its_own_config(command, tmp_path, capsys):
+    # every document starts with the config header, so fed back as
+    # --config it gives the same document
+    config, flags, name = REPLAYS[command]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    docs = []
+    for run, source in (("first", tmp_path / "config.json"),
+                        ("replay", tmp_path / "first" / name)):
+        assert main([command, "--config", str(source), *flags,
+                     "--out", str(tmp_path / run)]) == 0
+        docs.append(_masked_json((tmp_path / run / name).read_text()))
+    capsys.readouterr()
+    first, replay = docs
+    assert replay == first
+    assert json.loads(first)["runtime_ms"] is None
 
 
 if __name__ == "__main__":
