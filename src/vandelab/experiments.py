@@ -1,11 +1,9 @@
 """Experiment runner: manifests, sweeps, single-instance runs, reports.
 
-Every result starts with one config header: N (periodic only),
-precision_bits, cluster, nodes, multiplicities and q, in a config file's
-key order.  A body returns (fields, headroom_bits), the fields it
-computes and nothing of the header.  A config command's document is
-{"kind", header, fields, "runtime_ms"}, so it is itself a config that
-the command reads back.
+Every result starts with the config header of ``_header``.  A body
+returns (fields, headroom_bits), the fields it computes and none of the
+header.  A config command's document, {"kind", header, fields,
+"runtime_ms"}, is itself a config.
 
 A sweep manifest declares a parameter grid; every grid point becomes one
 result row.  A point runs the Vandermonde body that the spectrum command

@@ -141,8 +141,8 @@ def parse_decimal(text, bits: int):
     closest ``bits``-bit value of 10^-25 and a decimal of any length
     reads.  Where mpmath's own reader rounds correctly, up to a decimal
     exponent of 400, the two agree.  Infinities, NaNs and decimals past
-    10^+-MAX_DECIMAL_EXPONENT, whose exact ratio would not fit in memory,
-    are no decimal number here.
+    10^+-MAX_DECIMAL_EXPONENT, whose exact ratio takes time and memory
+    that grow with the exponent, are no decimal number here.
     """
     if bits < MIN_BITS:
         raise InvalidParameterError(
@@ -159,7 +159,7 @@ def _read_decimal(text, bits: int):
         if not isinstance(text, (str, int)):
             raise TypeError(type(text).__name__)
         value = Decimal(text)
-    except (ArithmeticError, TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError) as exc:
         raise InvalidParameterError(f"not a decimal number: {text!r}") from exc
     if not value.is_finite():
         raise InvalidParameterError(f"not a finite decimal number: {text!r}")

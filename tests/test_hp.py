@@ -184,7 +184,8 @@ class TestDecimalsOfAnyLength:
         # where mpmath's own reader rounds correctly, a decimal exponent
         # of at most 400 after the point's digits, both give the same bits
         digits = str(man).rjust(point + 1, "0")
-        text = f"{digits[:-point or None]}.{digits[len(digits) - point:]}e{exp}"
+        cut = len(digits) - point
+        text = f"{digits[:cut]}.{digits[cut:]}e{exp}"
         with mp.workprec(bits):
             assert parse_decimal(text, bits) == mpf(text)
             assert parse_decimal("-" + text, bits) == -mpf(text)
