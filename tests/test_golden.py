@@ -11,6 +11,8 @@ with the wall-clock ``runtime_ms`` masked, to the copy in golden/:
 - ``results.csv`` of the heavy sweep points, s up to 40 at up to 1932
   bits, one single-point sweep each (a grid is a Cartesian product),
   joined under one header
+- ``results.csv`` and ``details.json`` of a random-layout sweep, two
+  seeds in each of six cells, the path most desk rows take
 
 Each config command's document, fed back as its --config, gives the same
 document again.
@@ -63,6 +65,13 @@ def heavy_manifest(ell, s, delta, N):
             "precision_override": None}
 
 
+#: a random layout at three cluster sizes and two deltas, two seeds a cell
+RANDOM_MANIFEST = {"experiment_id": "random", "kind": "sweep",
+                   "grid": {"ell": [2, 4, 6], "N": [100],
+                            "delta": ["1e-6", "1e-10"], "tau": ["8"],
+                            "layout": ["random"], "seed": [1, 2]}}
+
+
 def _readme_manifest():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", text, re.S)
@@ -105,6 +114,15 @@ def _heavy_sweep(tmp):
     return argvs, "results.csv"
 
 
+def _random_sweep(name):
+    """The case of the random-layout sweep's output file name."""
+    def case(tmp):
+        (tmp / "random.json").write_text(json.dumps(RANDOM_MANIFEST))
+        return ([["sweep", "--manifest", str(tmp / "random.json"),
+                  "--workers", "1"]], name)
+    return case
+
+
 def _prolate(tmp):
     (tmp / "line_config.json").write_text(json.dumps(LINE_CONFIG))
     return [["prolate", "--config", str(tmp / "line_config.json")]], "prolate.json"
@@ -129,6 +147,8 @@ def _spectrum(tmp):
 
 
 CASES = {"readme_results.csv": _sweep, "heavy_results.csv": _heavy_sweep,
+         "random_results.csv": _random_sweep("results.csv"),
+         "random_details.json": _random_sweep("details.json"),
          "prolate_s4_1e-3.json": _prolate,
          "inequalities_20.json": _inequalities,
          "limit_check_s2_0.5.json": _limit_check,
