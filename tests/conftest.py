@@ -10,10 +10,11 @@ compares every pair of nodes where the validator scans sorted gaps.  jacobi_refe
 two-sided cyclic Jacobi on the full matrix with mpf operators, another
 iteration than the package's pivoted Cholesky and one-sided Jacobi.
 
-Three oracles are the package's own earlier forms, kept to show that
+Four oracles are the package's own earlier forms, kept to show that
 their faster successors give the same bits: the pivoted Cholesky on mpf
-operators, the rotation as four full products per entry pair, and the
-kernel entries rounded from unstripped integers.
+operators, the rotation as four full products per entry pair, the
+kernel entries rounded from unstripped integers, and the reduction into
+(-pi, pi] evaluating pi at each use.
 
 The fixtures are reference matrices and seeded instance generators that
 only tests use: the tall Vandermonde and shifted Vandermonde factors,
@@ -457,6 +458,24 @@ def level_counts(sigma, q, N, delta, c1, bits: int = DEFAULT_SUITE_BITS) -> list
     with mp.workprec(bits):
         return count_bands(sigma, [as_mpf(c1) * lower_bound_shape(N, delta, m)
                                    for m in range(1, len(q) + 1)])
+
+
+def wrap_to_interval_reference(x):
+    """The geometry module's wrap_to_interval as it was before it kept pi
+    per precision, evaluating mp.pi at each use: the oracle that the
+    cached pi gives the same bits."""
+    x = as_mpf(x)
+    if -mp.pi < x <= mp.pi:
+        return x
+    big = mp.isfinite(x) and mp.mag(x) > 16
+    with mp.workprec(mp.prec + (mp.mag(x) + 16 if big else 0)):
+        two_pi = 2 * mp.pi
+        r = x - two_pi * mp.floor((x + mp.pi) / two_pi)
+        if r <= -mp.pi:
+            r += two_pi
+        elif r > mp.pi:
+            r -= two_pi
+    return wrap_to_interval_reference(+r) if big else r
 
 
 def wrap_distance_reference(x, y):

@@ -59,6 +59,14 @@ class TestCountBands:
         values = [mpf(5), mpf(3), mpf(2), mpf("0.5")]
         assert count_bands(values, [mpf(4), mpf(1)]) == [1, 2]
 
+    def test_bands_are_closed_below(self):
+        # band m is [t_m, t_{m-1}): a value at t_m counts in band m, and a
+        # value at t_{m-1} in band m - 1
+        thresholds = [mpf(4), mpf(1)]
+        assert count_bands([mpf(1)], thresholds) == [0, 1]
+        assert count_bands([mpf(4)], thresholds) == [1, 0]
+        assert count_bands([mpf(4), mpf(1), mpf("0.5")], thresholds) == [1, 1]
+
     @pytest.mark.parametrize("thresholds", [(1, 1), (1, 2), (3, 1, 1)])
     def test_thresholds_must_strictly_decrease(self, thresholds):
         with pytest.raises(InvalidParameterError, match="strictly decrease"):
@@ -143,6 +151,23 @@ class TestEvaluateAll:
             rep2 = evaluate_all(VandermondeSpec(100, nodes2), tight, bits=BITS)
             assert not rep2.window_ok
             assert "window_floor" in rep2.window_reason
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_window_edge_at_two_pi(self, side):
+        # N*tau*delta a hair (2^-(BITS-10) relative) below or above 2*pi;
+        # N*theta = 100 clears s*window_floor = 20
+        with mp.workprec(BITS):
+            delta = 2 * mp.pi / 100 * (1 + side * mp.ldexp(1, 10 - BITS))
+            spec = ClusterSpec(delta=delta, theta="1", s=2, ell=2, tau=1)
+            nodes = NodeSet((-delta / 2, delta / 2))
+            rep = evaluate_all(VandermondeSpec(100, nodes), spec, bits=BITS)
+        if side < 0:
+            assert rep.window_ok
+            assert rep.window_reason == "in window"
+        else:
+            assert not rep.window_ok
+            assert rep.window_reason == \
+                "N*tau*delta = 6.283185307179586477 exceeds 2*pi"
 
     def test_slepian_field(self):
         with mp.workprec(BITS):

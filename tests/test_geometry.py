@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from conftest import validate_config_reference, wrap_distance_reference
+from conftest import (validate_config_reference, wrap_distance_reference,
+                      wrap_to_interval_reference)
 from vandelab.errors import (
     ConfigValidationError,
     DegenerateInputError,
@@ -132,6 +133,57 @@ class TestWrapDistance:
             ref = wrap_to_interval(x)
         with mp.workprec(bits):
             assert r == +ref
+
+
+#: precisions in an order that changes the precision between any two calls
+_PI_PRECISIONS = (53, 613, 192, 2000)
+
+
+def _pi_cases():
+    """(name, x) at the ambient precision p: +-pi rounded at p, one ulp
+    either side of each, and points reduced from outside."""
+    pi = +mp.pi
+    ulp = mp.ldexp(1, mp.mag(pi) - mp.prec)
+    return [("pi", pi), ("pi-ulp", pi - ulp), ("pi+ulp", pi + ulp),
+            ("-pi", -pi), ("-pi-ulp", -pi - ulp), ("-pi+ulp", -pi + ulp),
+            ("3pi", 3 * pi), ("-7pi/2", -7 * pi / 2), ("2^20", mpf(2) ** 20)]
+
+
+class TestWrapMatchesPiAtEachUse:
+    """wrap_to_interval gives the bits of its earlier form, which
+    evaluated mp.pi at each comparison, whatever precision ran before."""
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_alternating_precisions(self, case):
+        for bits in _PI_PRECISIONS * 2:
+            with mp.workprec(bits):
+                name, x = _pi_cases()[case]
+                got, want = wrap_to_interval(x), wrap_to_interval_reference(x)
+                assert got._mpf_ == want._mpf_, (name, bits)
+                if -mp.pi < x <= mp.pi:
+                    assert got is x, (name, bits)
+
+    def test_in_range_input_is_returned_as_it_is(self):
+        for bits in _PI_PRECISIONS:
+            with mp.workprec(bits):
+                for name, x in _pi_cases():
+                    if name in ("pi", "pi-ulp", "-pi+ulp"):
+                        assert wrap_to_interval(x) is x, (name, bits)
+                    else:
+                        assert wrap_to_interval(x) is not x, (name, bits)
+
+    @pytest.mark.parametrize("bits", _PI_PRECISIONS)
+    def test_inside_a_raised_workprec(self, bits):
+        # inputs rounded at bits, reduced at 2 bits + 1, and again at bits
+        with mp.workprec(bits):
+            cases = _pi_cases()
+        for raised in (2 * bits + 1, bits):
+            with mp.workprec(raised):
+                for name, x in cases:
+                    got = wrap_to_interval(x)
+                    assert got._mpf_ == wrap_to_interval_reference(x)._mpf_, \
+                        (name, bits, raised)
+                    assert -mp.pi < got <= mp.pi
 
 
 class TestSortedGaps:
