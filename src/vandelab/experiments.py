@@ -15,8 +15,9 @@ skipped or failed.
 
 The rows of one grid cell (ell, tau, N, delta, s, theta) differ only in
 their layout and seed.  Within a sweep they share what depends on the
-cell and the working bits alone: the spec read at those bits, and the
-"cluster" and "bounds" fields of their results.
+cell and the working bits alone: the spec read at those bits, the policy
+bits sized from it, the lambda scale, and the "cluster" and "bounds"
+fields of their results.
 
 Sweep rows, gen-config and the config commands run at one precision
 path: ``run_at_bits`` sizes the policy bits once, runs the work under
@@ -75,6 +76,7 @@ from .hp import (
 from .matrices import VandermondeSpec, build_prolate
 from .spectra import (
     hermitian_eigenvalues,
+    lambda_scale,
     normalized_lambda,
     prolate_limit_check,
     singular_values,
@@ -230,7 +232,9 @@ _CELL_KEYS = ("ell", "tau", "N", "delta", "s", "theta")
 _SCALARS = (str, int, float, bool, type(None))
 
 #: (cell, bits, what) -> what the rows of a grid cell share at bits: its
-#: spec, and the "cluster" and "bounds" of their results.  A dict while
+#: spec, its policy bits (at FLOOR_BITS, the bits they are sized from),
+#: the lambda scale, and the "cluster" and "bounds" of their results.
+#: Re-solve bits are a row's own.  A dict while
 #: run_sweep runs, in its own process and in each pool worker, and None
 #: otherwise, so a sweep reads no other's and a row run on its own
 #: shares nothing.  Shared values are never modified.
@@ -314,24 +318,31 @@ def point_spec(point: dict):
     return spec_at, N
 
 
-def run_at_bits(spec_at, N: int | None, bits: int | None, body):
+def policy_bits(spec_at, N: int | None) -> int:
+    """The policy bits of a spec, sized from spec_at(FLOOR_BITS): with N
+    for the Vandermonde spectrum at cluster size ell, without N for the
+    prolate matrix of all s nodes, whose line-domain delta already stands
+    for N*delta."""
+    probe = spec_at(FLOOR_BITS)
+    return (required_bits(probe.s, 1, probe.delta) if N is None
+            else required_bits(probe.ell, N, probe.delta))
+
+
+def run_at_bits(spec_at, N: int | None, bits: int | None, body,
+                sized=policy_bits):
     """The result of ``body(spec_at(b), b)`` run under ``mp.workprec(b)``;
     body returns (result, its headroom_bits, or None if it solved nothing).
 
-    Explicit bits are used as given.  bits None leaves them to the policy,
-    sized once from spec_at(FLOOR_BITS): with N for the Vandermonde
-    spectrum at cluster size ell, without N for the prolate matrix of all
-    s nodes, whose line-domain delta already stands for N*delta.  Policy
-    bits whose headroom falls short of GUARD_BITS, or whose spectrum the
-    solver refused with a PrecisionError naming its headroom_bits, are
-    raised by the shortfall plus RESOLVE_MARGIN_BITS and tried once more,
+    Explicit bits are used as given.  bits None leaves them to
+    ``sized(spec_at, N)``, the policy bits, once.  Policy bits whose
+    headroom falls short of GUARD_BITS, or whose spectrum the solver
+    refused with a PrecisionError naming its headroom_bits, are raised by
+    the shortfall plus RESOLVE_MARGIN_BITS and tried once more,
     PrecisionError if still short.
     """
     explicit = bits is not None
     if not explicit:
-        probe = spec_at(FLOOR_BITS)
-        bits = (required_bits(probe.s, 1, probe.delta) if N is None
-                else required_bits(probe.ell, N, probe.delta))
+        bits = sized(spec_at, N)
     for retry in (False, True):
         try:
             with mp.workprec(bits):
@@ -367,18 +378,21 @@ def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, N: int,
                       bits: int, user_c1=1, cell=None):
     """(fields, spectrum) of one validated configuration at the ambient
     ``bits``: what both a sweep row and ``spectrum`` report below the
-    header.  Its "bounds" read the spec, N and bits but not the nodes,
-    so the rows of a sweep's grid ``cell`` share them."""
+    header.  Its "bounds" and lambda scale read the spec, N and bits but
+    not the nodes, so the rows of a sweep's grid ``cell`` share them;
+    sigma_min is the spectrum's last value."""
     vspec = VandermondeSpec(N, nodes)
     spectrum = singular_values(vspec, bits=bits)
     bounds = _shared(cell, bits, "bounds", lambda: evaluate_all(
         vspec, cluster, user_c1=user_c1, bits=bits).to_json_dict())
-    lam, log10_lam = normalized_lambda(spectrum.min_value, N, cluster.delta,
-                                       cluster.ell)
+    scale = _shared(cell, bits, "lambda scale", lambda: lambda_scale(
+        N, cluster.delta, cluster.ell))
+    lam, log10_lam = normalized_lambda(spectrum.min_value, scale)
+    spectrum_json = spectrum.to_json_dict()
     return {
-        "spectrum": spectrum.to_json_dict(),
+        "spectrum": spectrum_json,
         "bounds": bounds,
-        "sigma_min": decimal_str(spectrum.min_value, bits),
+        "sigma_min": spectrum_json["values"][-1],
         "lambda": decimal_str(lam, bits),
         "log10_lambda": decimal_str(log10_lam, bits),
     }, spectrum
@@ -391,8 +405,8 @@ def compute_sweep_point(point: dict) -> dict:
     and the body's fields, which details holds with the row's index.  A
     failed or skipped row keeps what its last attempt filled in: the
     spec columns once its spec reads, the rest once its spectrum is
-    solved.  The spec and the fields its cell shares come from the
-    sweep's cell memo."""
+    solved.  The spec, the policy bits and the fields its cell shares
+    come from the sweep's cell memo; re-solve bits are the row's own."""
     t0 = time.perf_counter()
     row = _row(point, {})
     details = {"index": point["index"]}
@@ -419,9 +433,16 @@ def compute_sweep_point(point: dict) -> dict:
 
     try:
         spec_at, N = point_spec(point)
-        run_at_bits(lambda bits: _shared(cell, bits, "spec",
-                                         lambda: spec_at(bits)),
-                    N, point["precision_override"], fill)
+
+        def cell_spec_at(bits):
+            return _shared(cell, bits, "spec", lambda: spec_at(bits))
+
+        def cell_bits(spec_at, N):
+            return _shared(cell, FLOOR_BITS, "policy bits",
+                           lambda: policy_bits(spec_at, N))
+
+        run_at_bits(cell_spec_at, N, point["precision_override"], fill,
+                    cell_bits)
         row["status"] = STATUS_OK
     except (InvalidParameterError, ConfigValidationError, ConfigParseError) as exc:
         row["status"] = STATUS_SKIPPED

@@ -20,6 +20,7 @@ configurations on a boundary, generated at that precision, validate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -42,25 +43,41 @@ EQUISPACED = "equispaced"
 RANDOM = "random"
 
 
+@functools.lru_cache(maxsize=64)
+def _pi_at(prec: int):
+    with mp.workprec(prec):
+        return +mp.pi
+
+
+def _pi():
+    """pi rounded at the ambient precision, the value mp.pi takes in an
+    operation there, evaluated once per precision: an mp.pi operand costs
+    a constant evaluation each time."""
+    return _pi_at(mp.prec)
+
+
 def wrap_to_interval(x):
     """Reduce an angle to the representative in (-pi, pi].
 
-    An x already inside is returned as it is.  Inputs sitting within
-    rounding distance of an odd multiple of pi can land an ulp outside
-    the half-open interval; the final adjustments fold them back.  An x
+    An x already inside, by two comparisons with pi at the ambient
+    precision, is returned as it is.  Inputs sitting within rounding
+    distance of an odd multiple of pi can land an ulp outside the
+    half-open interval; the final adjustments fold them back.  An x
     above 2^16, whose reduction would lose mag(x) bits, is reduced with
     mag(x) + 16 more and rounded back.
     """
     x = as_mpf(x)
-    if -mp.pi < x <= mp.pi:
+    pi = _pi()
+    if -pi < x <= pi:
         return x
     big = mp.isfinite(x) and mp.mag(x) > 16
     with mp.workprec(mp.prec + (mp.mag(x) + 16 if big else 0)):
-        two_pi = 2 * mp.pi
-        r = x - two_pi * mp.floor((x + mp.pi) / two_pi)
-        if r <= -mp.pi:
+        pi = _pi()
+        two_pi = 2 * pi
+        r = x - two_pi * mp.floor((x + pi) / two_pi)
+        if r <= -pi:
             r += two_pi
-        elif r > mp.pi:
+        elif r > pi:
             r -= two_pi
     return wrap_to_interval(+r) if big else r  # rounding back can give -pi
 
@@ -90,7 +107,7 @@ def sorted_gaps(points, domain: str):
     order = sorted(range(len(xs)), key=xs.__getitem__)
     gaps = [xs[b] - xs[a] for a, b in zip(order, order[1:])]
     if domain == PERIODIC and len(xs) > 1:
-        gaps.append(2 * mp.pi - (xs[order[-1]] - xs[order[0]]))
+        gaps.append(2 * _pi() - (xs[order[-1]] - xs[order[0]]))
     return order, gaps
 
 
@@ -107,7 +124,7 @@ class NodeSet:
         nodes = tuple(as_mpf(x) for x in self.nodes)
         object.__setattr__(self, "nodes", nodes)
         if self.domain == PERIODIC:
-            pi = +mp.pi
+            pi = _pi()
             for x in nodes:
                 if not (-pi < x <= pi):
                     raise InvalidParameterError(
@@ -223,7 +240,7 @@ def _distance_slack(nodes: NodeSet, delta):
     cannot resolve the configuration at all.
     """
     scale = max([mpf(1)] + [abs(x) for x in nodes.nodes])
-    tol = scale * mpf(2) ** -(mp.prec - 16)
+    tol = scale * mp.ldexp(1, -(mp.prec - 16))
     if tol >= as_mpf(delta) / 4:
         raise PrecisionError(
             f"cannot validate separations of {decimal_str(as_mpf(delta))} at "
@@ -242,7 +259,7 @@ def validate_config(nodes: NodeSet, spec: ClusterSpec) -> PartitionResult:
     if nodes.count != spec.s:
         raise ConfigValidationError(
             f"node count {nodes.count} differs from spec s={spec.s}")
-    if nodes.domain == PERIODIC and spec.tau > mp.pi / spec.delta:
+    if nodes.domain == PERIODIC and spec.tau > _pi() / spec.delta:
         raise InvalidParameterError(
             "periodic domain requires tau <= pi/delta")
     dist = wrap_distance if nodes.domain == PERIODIC else lambda x, y: abs(x - y)
@@ -353,7 +370,7 @@ def cluster_offsets(r: int, ell: int, tau, delta, layout: str, rng) -> list:
 
 def default_centers(n_clusters: int):
     """Evenly spread centers on the circle, center 0 for a single cluster."""
-    pi = +mp.pi
+    pi = _pi()
     return tuple(-pi + (2 * j + 1) * pi / n_clusters for j in range(n_clusters))
 
 
@@ -391,7 +408,7 @@ def generate_config(spec: ClusterSpec, layout: str, cluster_centers,
     if not centers:
         raise InvalidParameterError("need at least one cluster center")
     margin = spec.theta + spec.tau * spec.delta
-    slack = mpf(2) ** -(mp.prec - 16)
+    slack = mp.ldexp(1, -(mp.prec - 16))
     order, gaps = sorted_gaps(centers, domain)
     for k, g in enumerate(gaps):
         if g < margin * (1 - slack):
@@ -421,7 +438,7 @@ def scale_to_circle(nodes: NodeSet, N: int) -> NodeSet:
         raise InvalidParameterError("scale_to_circle expects line-domain nodes")
     if N < 1:
         raise InvalidParameterError("N must be >= 1")
-    pi = +mp.pi
+    pi = _pi()
     scaled = []
     for x in nodes.nodes:
         xi = x / N

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, fzero, mpf_cos_sin, mpf_div,
-                          mpf_mul, mpf_shift, round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, fzero, mpf_cos_sin, mpf_mul,
+                          mpf_shift, round_nearest, to_fixed)
 
 from .errors import InvalidParameterError, PrecisionError
-from .geometry import LINE, PERIODIC, NodeSet, sorted_gaps
+from .geometry import LINE, PERIODIC, NodeSet, _pi, sorted_gaps
 from .hp import decimal_str
 
 #: bits a kernel entry carries beyond the working bits and the
@@ -94,7 +94,7 @@ def _kernel_frame(xs, A, domain: str, margin: int, what: str):
     elif n > 1:
         with mp.workprec(p + 64):
             gaps = sorted_gaps(xs, PERIODIC)[1]
-            pi = +mp.pi
+            pi = _pi()
             inside = all(-pi < x <= pi for x in xs)
         blurred = gaps[-1] if inside else min(gaps)
         if blurred < mp.ldexp(1, -(p + 40)):
@@ -120,27 +120,34 @@ def _kernel_frame(xs, A, domain: str, margin: int, what: str):
     return q, ke, (C, S), pairs
 
 
-def _exact(man: int, exp: int):
-    """The raw mpf man 2^exp, exact.  The trailing zero bits of man (up to
-    thousands in a kernel numerator) are shifted off at once, where
-    from_man_exp strips them 8 at a time, each step a full shift."""
-    if not man:
+def _quotient(num: int, den: int, exp: int, bits: int):
+    """The raw mpf num / den 2^exp for ints num and den != 0, correctly
+    rounded to nearest at bits by one integer division: its quotient
+    has at least bits + 2 bits, and a sticky bit below them records a
+    nonzero remainder, which is all rounding to bits can see of the
+    rest."""
+    if not num:
         return fzero
-    tz = (man & -man).bit_length() - 1
-    return from_man_exp(man >> tz, exp + tz)
+    a, b = abs(num), abs(den)
+    # a / b > 2^(a.bit_length() - 1 - b.bit_length()), so q >= 2^(bits + 1)
+    k = bits + 2 - a.bit_length() + b.bit_length()
+    q, r = divmod(a << k, b) if k >= 0 else divmod(a, b << -k)
+    man = q << 1 | (r != 0)
+    return from_man_exp(-man if (num < 0) != (den < 0) else man,
+                        exp - k - 1, bits, round_nearest)
 
 
 def _kernel_matrix(xs, A, domain: str, bits: int, margin: int, diag,
                    shift: int = 0) -> tuple:
     """Rows with diag on the diagonal and K(x_j - x_k) 2^shift of
     _kernel_frame at (j, k) and (k, j), each the exact quotient num / den
-    2^(ke + shift) correctly rounded once to bits."""
+    2^(ke + shift) rounded once to bits by _quotient."""
     with mp.workprec(bits):
         _, ke, _, pairs = _kernel_frame(xs, A, domain, margin, "kernel matrix")
     rows = [[diag] * len(xs) for _ in xs]
     for j, k, num, den in pairs:
-        rows[j][k] = rows[k][j] = mp.make_mpf(mpf_div(
-            _exact(num, ke + shift), _exact(den, 0), bits, round_nearest))
+        rows[j][k] = rows[k][j] = mp.make_mpf(
+            _quotient(num, den, ke + shift, bits))
     return tuple(tuple(r) for r in rows)
 
 

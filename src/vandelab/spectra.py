@@ -38,6 +38,7 @@ returns is resolved at p bits, and its callers take it as it is.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from operator import mul
 
@@ -79,10 +80,11 @@ class SpectrumResult:
     def min_value(self):
         return self.values[-1]
 
-    @property
+    @functools.cached_property
     def headroom_bits(self) -> int:
         """floor(log2(lambda_min / error_bound)), lambda_min the smallest
-        eigenvalue (squared singular value), which clears error_bound."""
+        eigenvalue (squared singular value), which clears error_bound;
+        computed once per result."""
         with mp.workprec(self.precision_bits):
             lam = self.min_value
             if self.kind == "singular":
@@ -300,10 +302,17 @@ def singular_values(spec: VandermondeSpec, bits: int) -> SpectrumResult:
     return dataclasses.replace(eig, values=vals, kind="singular")
 
 
-def normalized_lambda(sigma_min, N: int, delta, ell: int):
+def lambda_scale(N: int, delta, ell: int):
+    """sqrt(N) (N delta)^(ell-1) at the ambient precision, the scale of
+    normalized_lambda."""
+    return mp.sqrt(N) * (N * delta) ** (ell - 1)
+
+
+def normalized_lambda(sigma_min, scale):
     """(lambda, log10 lambda) at the ambient precision, where lambda is
-    sigma_min / (sqrt(N) (N delta)^(ell-1)) for a resolved sigma_min."""
-    lam = sigma_min / (mp.sqrt(N) * (N * delta) ** (ell - 1))
+    sigma_min / scale for a resolved sigma_min and scale the
+    lambda_scale of its N, delta and ell."""
+    lam = sigma_min / scale
     return lam, mp.log10(lam)
 
 

@@ -326,6 +326,50 @@ class TestSweep:
         for a, b in zip(read_rows(tmp_path / "one"), read_rows(tmp_path / "two")):
             assert {**a, "runtime_ms": ""} == {**b, "runtime_ms": ""}
 
+    #: two cells of three random-layout rows each
+    SHARED_GRID = {"ell": [2, 4], "N": [100], "delta": ["1e-6"],
+                   "tau": ["8"], "layout": ["random"], "seed": [1, 2, 3]}
+
+    def test_rows_shared_in_a_sweep_equal_rows_run_alone(self, tmp_path):
+        # a row that took its cell's spec, policy bits, lambda scale and
+        # bound report from the memo equals the row computed afresh
+        m = ExperimentManifest.from_json_dict(
+            manifest_dict(grid=self.SHARED_GRID))
+        run_sweep(m, tmp_path)
+        rows = read_rows(tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert experiments._CELL_MEMO is None
+        assert len(rows) == 6 and len({r["sigma_min"] for r in rows}) == 6
+        for point, row, detail in zip(m.points(), rows, details):
+            alone = compute_sweep_point(point)
+            assert alone["details"] == detail
+            assert {**alone["row"], "runtime_ms": ""} == {**row,
+                                                          "runtime_ms": ""}
+
+    def test_policy_bits_and_lambda_scale_once_per_cell(self, tmp_path,
+                                                        monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(experiments, name)
+
+            def count(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(experiments, name, count)
+
+        counted("required_bits")
+        counted("lambda_scale")
+        m = ExperimentManifest.from_json_dict(
+            manifest_dict(grid=self.SHARED_GRID))
+        assert run_sweep(m, tmp_path).ok == 6
+        assert sorted(calls) == ["lambda_scale"] * 2 + ["required_bits"] * 2
+        # outside a sweep every row sizes and scales its own
+        calls.clear()
+        for point in m.points():
+            assert compute_sweep_point(point)["row"]["status"] == "ok"
+        assert sorted(calls) == ["lambda_scale"] * 6 + ["required_bits"] * 6
+
     def test_float_grid_values_skip_their_rows(self, tmp_path):
         # 1, 1.0 and True compare equal, but only the int and the bool
         # are decimals a row reads; every row holding a float is skipped

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from conftest import (
     HEAVY_POINTS,
@@ -21,6 +23,7 @@ from vandelab.matrices import (
     _KERNEL_GUARD_BITS,
     VandermondeSpec,
     _dirichlet_guard,
+    _quotient,
     build_dirichlet_kernel,
     build_gram_closed_form,
     build_prolate,
@@ -241,8 +244,8 @@ class TestOneAssembler:
 
 class TestKernelRounding:
     def test_entries_equal_unstripped_quotients(self):
-        # num and den lose their trailing zero bits before the division,
-        # and each correctly rounded quotient stays the same
+        # each entry, rounded from num and den by one integer division,
+        # is the correctly rounded quotient of the unstripped ints
         for point in HEAVY_POINTS:
             bits, nodes, N = sweep_point(*point)
             assert _raw(build_dirichlet_kernel(VandermondeSpec(N, nodes), bits)) \
@@ -252,6 +255,26 @@ class TestKernelRounding:
             assert _raw(build_prolate(NodeSet(xs, LINE), bits)) == \
                 kernel_matrix_reference(xs, mpf(1), LINE, bits,
                                         _KERNEL_GUARD_BITS, mpf(1), shift=-1)
+
+
+    @pytest.mark.parametrize("bits", [53, 192, 613])
+    def test_one_division_rounds_as_mpf_div(self, bits):
+        # exact quotients, ties to even either way, remainders just off a
+        # tie, both signs and random sizes: the bits of mpf_div
+        half = 1 << bits - 1
+        cases = [(0, 7), (1, 3), (-1, 3), (1, -3), (-6, -3), (1 << 500, 1)]
+        for m in (half, half + 1):  # (2m + 1) / 2 is a tie between m, m + 1
+            cases += [(2 * m + 1, 2), (-(2 * m + 1), 2), (6 * m + 3, 6),
+                      (6 * m + 2, 6), (6 * m + 4, -6)]
+        rng = random.Random(bits)
+        for _ in range(300):
+            num = rng.getrandbits(rng.randint(1, 3 * bits)) * rng.choice((-1, 1))
+            cases.append((num, rng.getrandbits(rng.randint(1, 2 * bits)) | 1))
+        for num, den in cases:
+            for exp in (-bits, 0, 7):
+                assert _quotient(num, den, exp, bits) == mpf_div(
+                    from_man_exp(num, exp), from_int(den), bits,
+                    round_nearest), (num, den, exp)
 
 
 class TestPeriodicGapRule:

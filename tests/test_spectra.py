@@ -33,6 +33,7 @@ from vandelab.spectra import (
     _rotated,
     _rotation,
     hermitian_eigenvalues,
+    lambda_scale,
     normalized_lambda,
     prolate_limit_check,
     singular_values,
@@ -595,7 +596,8 @@ class TestSingularValues:
 def _lambda(nodes, N, spec, bits):
     sv = singular_values(VandermondeSpec(N, nodes), bits)
     with mp.workprec(bits):
-        return normalized_lambda(sv.min_value, N, spec.delta, spec.ell)[0]
+        return normalized_lambda(
+            sv.min_value, lambda_scale(N, spec.delta, spec.ell))[0]
 
 
 class TestNormalizedMinSV:
