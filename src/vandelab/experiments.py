@@ -437,9 +437,9 @@ def compute_sweep_point(point: dict) -> dict:
         def cell_spec_at(bits):
             return _shared(cell, bits, "spec", lambda: spec_at(bits))
 
-        def cell_bits(spec_at, N):
+        def cell_bits(at, N):
             return _shared(cell, FLOOR_BITS, "policy bits",
-                           lambda: policy_bits(spec_at, N))
+                           lambda: policy_bits(at, N))
 
         run_at_bits(cell_spec_at, N, point["precision_override"], fill,
                     cell_bits)
