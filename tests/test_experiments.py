@@ -3,13 +3,15 @@ import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import pytest
 from mpmath import mp, mpf
 
 from vandelab import experiments, geometry
 from vandelab.cli import main
-from vandelab.errors import ConfigParseError, PrecisionError
+from vandelab.errors import (ConfigParseError, InvalidParameterError,
+                             PrecisionError)
 from vandelab.experiments import (
     CSV_COLUMNS,
     ExperimentManifest,
@@ -164,6 +166,20 @@ class TestSweep:
         assert [r["precision_bits"] for r in rows] == ["", "256"]
         assert details[0]["reason"] == "N must be >= 1, got 0"
 
+    def test_N_below_s_minus_one_skips_its_row(self, tmp_path):
+        # six nodes need N >= 5; the spec is read and sized, so the row
+        # keeps its spec columns and bits
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid={"ell": [2], "s": [6], "N": [3], "delta": ["1e-6"]}))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped, summary.failed) == (0, 1, 0)
+        [row] = read_rows(tmp_path)
+        details = json.loads((tmp_path / "details.json").read_text())["details"]
+        assert details == [{"index": 0,
+                            "reason": "need N >= s-1, got N=3, s=6"}]
+        assert [row[c] for c in ("s", "tau", "N", "precision_bits",
+                                 "sigma_min")] == ["6", "1.0", "3", "192", ""]
+
     def test_no_room_for_default_centers_skips_its_row(self, tmp_path):
         m = ExperimentManifest.from_json_dict(manifest_dict(
             grid={"ell": [2], "s": [400], "theta": [None], "N": [50],
@@ -301,6 +317,49 @@ class TestSweep:
         alone = details(tmp_path / "alone")
         for one, shared in zip(alone, details(tmp_path / "serial")[2::3]):
             assert {**one, "index": 0} == {**shared, "index": 0}
+
+    #: ok cells beside cells that fail: ell 0, delta "x", tau past
+    #: pi/delta (or wider than the centers allow) and s = 6 with N = 3
+    FAILING_GRID = {"ell": [0, 2], "N": [3, 100], "delta": ["1e-10", "x"],
+                    "tau": ["auto", "1e11"], "s": [None, 6],
+                    "layout": ["random"], "seed": [1, 2]}
+
+    @pytest.mark.parametrize("bits, reasons", [
+        (None, {"ell must be >= 1, got 0": 32,
+                "not a decimal number: 'x'": 16,
+                "periodic domain requires tau <= pi/delta": 4,
+                "cluster centers 0,1 closer than theta + tau*delta": 4,
+                "need N >= s-1, got N=3, s=6": 2, None: 6}),
+        (64, {"ell must be >= 1, got 0": 32,
+              "not a decimal number: 'x'": 16,
+              "periodic domain requires tau <= pi/delta": 4,
+              "cluster centers 0,1 closer than theta + tau*delta": 4,
+              "need N >= s-1, got N=3, s=6": 2,
+              "Cholesky pivot 2 of 2 is 0.0: the matrix is not positive "
+              "definite at 64 bits; raise precision": 2,
+              "smallest Gram eigenvalue 4.258992721663452378e-16 does not "
+              "clear its error bound 5.283465985943689812e-16 at 64 bits; "
+              "raise precision": 2, None: 2}),
+    ], ids=["policy", "64-bits"])
+    def test_failing_cells_match_across_workers(self, tmp_path, bits,
+                                                reasons):
+        # a row of a cell that cannot be read, sized or laid out reports
+        # the same status and reason whichever process runs it
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid=self.FAILING_GRID, precision_override=bits))
+        run_sweep(m, tmp_path / "serial", workers=1)
+        run_sweep(m, tmp_path / "par", workers=2)
+        serial, par = (read_rows(tmp_path / d) for d in ("serial", "par"))
+        for r in serial + par:
+            r["runtime_ms"] = "X"
+        assert serial == par
+        assert (tmp_path / "serial" / "details.json").read_bytes() == (
+            tmp_path / "par" / "details.json").read_bytes()
+        details = json.loads(
+            (tmp_path / "serial" / "details.json").read_text())["details"]
+        assert Counter(d.get("reason") for d in details) == reasons
+        statuses = [r["status"] for r in serial]
+        assert statuses.count("failed") == (0 if bits is None else 4)
 
     def test_cell_memo_lasts_one_sweep(self, tmp_path, monkeypatch):
         # the bound report of a cell is evaluated once per sweep, and a
@@ -787,6 +846,22 @@ class TestSingleRuns:
         result = run_config("bounds", path, out_dir=tmp_path)
         assert result["bounds"]["window_ok"] is True
         assert (tmp_path / "bounds.json").exists()
+
+    def test_bounds_refuses_N_below_s_minus_one(self, tmp_path, capsys):
+        # bounds solves nothing, but six nodes still need N >= 5
+        with mp.workprec(192):
+            spec = ClusterSpec(delta="1e-6", theta="1", s=6, ell=2, tau=1)
+            nodes, _ = generate_config(spec, "equispaced", None, seed=1)
+        path = tmp_path / "c.json"
+        write_config(path, nodes, spec, N=3, bits=192)
+        with pytest.raises(InvalidParameterError) as err:
+            run_config("bounds", path)
+        assert str(err.value) == "need N >= s-1, got N=3, s=6"
+        assert main(["bounds", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: need N >= s-1, got N=3, s=6\n")
+        assert not (tmp_path / "out" / "bounds.json").exists()
 
     def test_spectrum_level_counts_with_fitted_c1(self, tmp_path):
         # two clusters of sizes {2,1}: q = [2,1]; with a fitted constant
