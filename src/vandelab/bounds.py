@@ -21,7 +21,6 @@ from mpmath import mp, mpf
 from .errors import InvalidParameterError
 from .geometry import ClusterSpec
 from .hp import as_mpf, decimal_str, pi_e
-from .matrices import VandermondeSpec
 
 #: stand-in for the non-explicit window constant: the window check asks
 #: N*theta >= s * DEFAULT_WINDOW_FLOOR.  Advisory only.
@@ -115,9 +114,10 @@ class BoundReport:
         }
 
 
-def evaluate_all(spec: VandermondeSpec, cluster: ClusterSpec, bits: int,
+def evaluate_all(N: int, cluster: ClusterSpec, bits: int,
                  user_c1=1) -> BoundReport:
-    """Populate a BoundReport for a validated configuration at ``bits``.
+    """Populate a BoundReport for frequency cutoff N and a cluster spec
+    at ``bits``; it reads no nodes.
 
     window_ok combines the checkable parts of the admissible N-window:
     N*tau*delta <= 2*pi (the single-cluster upper condition) and
@@ -126,13 +126,13 @@ def evaluate_all(spec: VandermondeSpec, cluster: ClusterSpec, bits: int,
     raw products so callers can judge window membership themselves.
     """
     with mp.workprec(bits):
-        lower = lower_bound_shape(spec.N, cluster.delta, cluster.ell)
-        upper = upper_bound_explicit(spec.N, cluster.delta, cluster.ell, cluster.tau)
+        lower = lower_bound_shape(N, cluster.delta, cluster.ell)
+        upper = upper_bound_explicit(N, cluster.delta, cluster.ell, cluster.tau)
         slep = slepian_constant(cluster.s) * cluster.delta ** (2 * cluster.s - 2)
-        srf_val = srf(spec.N, cluster.delta)
+        srf_val = srf(N, cluster.delta)
         wf = as_mpf(DEFAULT_WINDOW_FLOOR)
-        ntd = spec.N * cluster.tau * cluster.delta
-        nth = spec.N * cluster.theta
+        ntd = N * cluster.tau * cluster.delta
+        nth = N * cluster.theta
         reasons = []
         if ntd > 2 * mp.pi:
             reasons.append(

@@ -27,6 +27,7 @@ from .experiments import (
     ExperimentManifest,
     _write_json,
     point_spec,
+    policy_bits,
     run_at_bits,
     run_config,
     run_sweep,
@@ -110,7 +111,8 @@ def _cmd_gen_config(args) -> tuple[int, str]:
         write_config(path, nodes, spec, N=N, bits=bits)
         return None, None
 
-    run_at_bits(spec_at, N, args.precision_bits, generate)
+    run_at_bits(spec_at, args.precision_bits or policy_bits(spec_at, N),
+                generate, args.precision_bits is None)
     return 0, f"wrote {path}"
 
 

@@ -14,14 +14,13 @@ row's index, {"index", header, fields}, or the reason the row was
 skipped or failed.
 
 The rows of one grid cell (ell, tau, N, delta, s, theta) differ only in
-their layout and seed.  Within a sweep they share what depends on the
-cell and the working bits alone: the spec read at those bits, the policy
-bits sized from it, the lambda scale, and the "cluster" and "bounds"
-fields of their results.
+their layout and seed.  A sweep builds each cell's ``Cell`` once and
+hands it to its rows: the policy bits, the spec read at those bits, the
+lambda scale, and the "cluster" and "bounds" fields of their results.
 
 Sweep rows, gen-config and the config commands run at one precision
-path: ``run_at_bits`` sizes the policy bits once, runs the work under
-``mp.workprec`` and re-solves once on a headroom shortfall.
+path: ``run_at_bits`` runs the work under ``mp.workprec`` at the bits
+given and re-solves policy bits once on a headroom shortfall.
 
 Reproducibility contract: identical manifest plus seed produces identical
 CSV bodies, except the runtime_ms column, which is wall-clock timing.
@@ -227,46 +226,19 @@ _GRID_COLUMNS = ("experiment_id", "ell", "N", "layout", "seed")
 
 #: the grid keys of a cell, whose rows differ only in layout and seed
 _CELL_KEYS = ("ell", "tau", "N", "delta", "s", "theta")
-#: JSON's scalar types; a grid value of another type keeps its row out
-#: of the cell memo
+#: JSON's scalar types; a grid value of another type puts its row in a
+#: cell of its own
 _SCALARS = (str, int, float, bool, type(None))
-
-#: (cell, bits, what) -> what the rows of a grid cell share at bits: its
-#: spec, its policy bits (at FLOOR_BITS, the bits they are sized from),
-#: the lambda scale, and the "cluster" and "bounds" of their results.
-#: Re-solve bits are a row's own.  A dict while
-#: run_sweep runs, in its own process and in each pool worker, and None
-#: otherwise, so a sweep reads no other's and a row run on its own
-#: shares nothing.  Shared values are never modified.
-_CELL_MEMO = None
-
-
-def _set_cell_memo(memo):
-    """Install memo, a dict or None, as this process's cell memo."""
-    global _CELL_MEMO
-    _CELL_MEMO = memo
 
 
 def _cell_key(point: dict):
     """The point's grid cell, each value paired with its type, so that
-    1, 1.0 and True, which compare equal, name different cells; None
-    when a value is not a JSON scalar."""
+    1, 1.0 and True, which compare equal, name different cells; its
+    index, a cell of its own, when a value is not a JSON scalar."""
     values = [point[k] for k in _CELL_KEYS]
     if not all(type(v) in _SCALARS for v in values):
-        return None
+        return point["index"]
     return tuple((type(v), v) for v in values)
-
-
-def _shared(cell, bits: int, what: str, make):
-    """make(), once per (cell, bits, what) in a sweep; computed afresh
-    for a cell of None or outside a sweep.  A make() that raises stores
-    nothing."""
-    if cell is None or _CELL_MEMO is None:
-        return make()
-    key = (cell, bits, what)
-    if key not in _CELL_MEMO:
-        _CELL_MEMO[key] = make()
-    return _CELL_MEMO[key]
 
 
 def _row(point: dict, result: dict) -> dict:
@@ -328,30 +300,25 @@ def policy_bits(spec_at, N: int | None) -> int:
             else required_bits(probe.ell, N, probe.delta))
 
 
-def run_at_bits(spec_at, N: int | None, bits: int | None, body,
-                sized=policy_bits):
-    """The result of ``body(spec_at(b), b)`` run under ``mp.workprec(b)``;
-    body returns (result, its headroom_bits, or None if it solved nothing).
+def run_at_bits(at, bits: int, body, resolve: bool):
+    """The result of ``body(at(b), b)`` run under ``mp.workprec(b)`` at
+    b = bits; body returns (result, its headroom_bits, or None if it
+    solved nothing).
 
-    Explicit bits are used as given.  bits None leaves them to
-    ``sized(spec_at, N)``, the policy bits, once.  Policy bits whose
-    headroom falls short of GUARD_BITS, or whose spectrum the solver
-    refused with a PrecisionError naming its headroom_bits, are raised by
-    the shortfall plus RESOLVE_MARGIN_BITS and tried once more,
-    PrecisionError if still short.
+    Without resolve the bits are used as given.  With it, a headroom
+    short of GUARD_BITS, or a spectrum the solver refused with a
+    PrecisionError naming its headroom_bits, raises them by the shortfall
+    plus RESOLVE_MARGIN_BITS for one more try, PrecisionError if still short.
     """
-    explicit = bits is not None
-    if not explicit:
-        bits = sized(spec_at, N)
     for retry in (False, True):
         try:
             with mp.workprec(bits):
-                result, headroom = body(spec_at(bits), bits)
+                result, headroom = body(at(bits), bits)
         except PrecisionError as exc:
-            if explicit or retry or exc.headroom_bits is None:
+            if not resolve or retry or exc.headroom_bits is None:
                 raise
             result, headroom = None, exc.headroom_bits
-        if explicit or headroom is None or headroom >= GUARD_BITS:
+        if not resolve or headroom is None or headroom >= GUARD_BITS:
             return result
         if retry:
             raise PrecisionError(
@@ -374,75 +341,99 @@ def _header(nodes: NodeSet, cluster_json: dict, partition, N: int | None,
             "q": list(partition.q)}
 
 
-def _vandermonde_body(nodes: NodeSet, cluster: ClusterSpec, N: int,
-                      bits: int, user_c1=1, cell=None):
-    """(fields, spectrum) of one validated configuration at the ambient
-    ``bits``: what both a sweep row and ``spectrum`` report below the
-    header.  Its "bounds" and lambda scale read the spec, N and bits but
-    not the nodes, so the rows of a sweep's grid ``cell`` share them;
-    sigma_min is the spectrum's last value."""
-    vspec = VandermondeSpec(N, nodes)
-    spectrum = singular_values(vspec, bits=bits)
-    bounds = _shared(cell, bits, "bounds", lambda: evaluate_all(
-        vspec, cluster, user_c1=user_c1, bits=bits).to_json_dict())
-    scale = _shared(cell, bits, "lambda scale", lambda: lambda_scale(
-        N, cluster.delta, cluster.ell))
-    lam, log10_lam = normalized_lambda(spectrum.min_value, scale)
+@dataclass(frozen=True)
+class Cell:
+    """N, a spec read at bits, and what their Vandermonde results share:
+    the lambda scale sqrt(N) (N delta)^(ell-1) and the "cluster" and
+    "bounds" fields.  The rows of a sweep's grid cell share one."""
+
+    N: int
+    bits: int
+    spec: ClusterSpec
+    scale: object
+    cluster: dict
+    bounds: dict
+
+    @classmethod
+    def at(cls, N: int, spec: ClusterSpec, bits: int, user_c1=1) -> "Cell":
+        """The cell of N and spec read at bits, its bounds for c1."""
+        with mp.workprec(bits):
+            scale = lambda_scale(N, spec.delta, spec.ell)
+        return cls(N, bits, spec, scale, spec.to_json_dict(bits),
+                   evaluate_all(N, spec, bits, user_c1).to_json_dict())
+
+
+def point_cell(point: dict):
+    """The Cell of a grid point, at the manifest's precision_override or
+    else at policy bits; or the exception building it raised, which each
+    row of the cell reports."""
+    try:
+        spec_at, N = point_spec(point)
+        bits = point["precision_override"] or policy_bits(spec_at, N)
+        return Cell.at(N, spec_at(bits), bits)
+    except Exception as exc:
+        return exc
+
+
+def _vandermonde_body(nodes: NodeSet, cell: Cell):
+    """(fields, spectrum) of one validated configuration of cell's spec
+    at the ambient cell.bits: what both a sweep row and ``spectrum``
+    report below the header.  Its "bounds" and lambda scale are the
+    cell's; sigma_min is the spectrum's last value."""
+    spectrum = singular_values(VandermondeSpec(cell.N, nodes), bits=cell.bits)
+    lam, log10_lam = normalized_lambda(spectrum.min_value, cell.scale)
     spectrum_json = spectrum.to_json_dict()
     return {
         "spectrum": spectrum_json,
-        "bounds": bounds,
+        "bounds": cell.bounds,
         "sigma_min": spectrum_json["values"][-1],
-        "lambda": decimal_str(lam, bits),
-        "log10_lambda": decimal_str(log10_lam, bits),
+        "lambda": decimal_str(lam, cell.bits),
+        "log10_lambda": decimal_str(log10_lam, cell.bits),
     }, spectrum
 
 
-def compute_sweep_point(point: dict) -> dict:
-    """One grid point end to end; returns row + details, never raises.
+def compute_sweep_point(point: dict, cell) -> dict:
+    """One grid point end to end at its point_cell; returns row + details,
+    never raises.
 
     The row projects the point's Vandermonde result, the config header
     and the body's fields, which details holds with the row's index.  A
-    failed or skipped row keeps what its last attempt filled in: the
-    spec columns once its spec reads, the rest once its spectrum is
-    solved.  The spec, the policy bits and the fields its cell shares
-    come from the sweep's cell memo; re-solve bits are the row's own."""
+    cell that is an exception skips or fails the row; a re-solve builds
+    the row's own Cell.  A failed or skipped row keeps what its last
+    attempt filled in: the spec columns once its spec reads, the rest
+    once its spectrum is solved."""
     t0 = time.perf_counter()
     row = _row(point, {})
     details = {"index": point["index"]}
-    cell = _cell_key(point)
 
-    def fill(spec, bits):
+    def fill(attempt, bits):
         details.clear()
         details["index"] = point["index"]
-        cluster = _shared(cell, bits, "cluster",
-                          lambda: spec.to_json_dict(bits))
         try:
             nodes, partition = generate_config(
-                spec, str(point["layout"]), None, int(point["seed"]), PERIODIC)
-            fields, spectrum = _vandermonde_body(nodes, spec, N, bits,
-                                                 cell=cell)
+                attempt.spec, str(point["layout"]), None, int(point["seed"]),
+                PERIODIC)
+            fields, spectrum = _vandermonde_body(nodes, attempt)
         except Exception:
             row.update(_row(point, {"precision_bits": bits,
-                                    "cluster": cluster}))
+                                    "cluster": attempt.cluster}))
             raise
-        details.update({**_header(nodes, cluster, partition, N, bits),
-                        **fields})
+        details.update({**_header(nodes, attempt.cluster, partition,
+                                  attempt.N, bits), **fields})
         row.update(_row(point, details))
         return None, spectrum.headroom_bits
 
-    try:
+    def cell_at(bits):
+        if bits == cell.bits:
+            return cell
         spec_at, N = point_spec(point)
+        return Cell.at(N, spec_at(bits), bits)
 
-        def cell_spec_at(bits):
-            return _shared(cell, bits, "spec", lambda: spec_at(bits))
-
-        def cell_bits(at, N):
-            return _shared(cell, FLOOR_BITS, "policy bits",
-                           lambda: policy_bits(at, N))
-
-        run_at_bits(cell_spec_at, N, point["precision_override"], fill,
-                    cell_bits)
+    try:
+        if isinstance(cell, Exception):  # shared by the cell's rows
+            raise cell.with_traceback(None)
+        run_at_bits(cell_at, cell.bits, fill,
+                    point["precision_override"] is None)
         row["status"] = STATUS_OK
     except (InvalidParameterError, ConfigValidationError, ConfigParseError) as exc:
         row["status"] = STATUS_SKIPPED
@@ -507,10 +498,11 @@ def _write_figure(out_dir: Path, manifest: ExperimentManifest, rows):
 def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepSummary:
     """Execute every grid point, write CSV/JSON/SVG, return counts.
 
-    Per-point failures are recorded in their rows and never abort the
-    sweep.  With workers > 1, points run in separate processes; output
-    order is independent of scheduling.  The points run with an empty
-    cell memo in each process, which ends with the sweep.
+    Each grid cell is built once, here, and each point runs as
+    compute_sweep_point(point, its cell).  Per-point failures are
+    recorded in their rows and never abort the sweep.  With workers > 1,
+    points run in separate processes; output order is independent of
+    scheduling.
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
@@ -521,21 +513,19 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
         log.warning("grid exceeds the desk-scale envelope (ell <= %d, "
                     "precision <= %d); expect a long run",
                     DESK_MAX_ELL, DESK_MAX_PRECISION)
-    _set_cell_memo({})
-    try:
-        if workers > 1:
-            # imported here: loading it with multiprocessing slows the
-            # start-up of every command, and only this path uses it
-            from concurrent.futures import ProcessPoolExecutor
+    # in grid order, each from the cell's last point: any gives the same
+    keys = [_cell_key(p) for p in points]
+    built = {key: point_cell(p) for key, p in dict(zip(keys, points)).items()}
+    cells = [built[key] for key in keys]
+    if workers > 1:
+        # imported here: loading it with multiprocessing slows the
+        # start-up of every command, and only this path uses it
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers,
-                                     initializer=_set_cell_memo,
-                                     initargs=({},)) as pool:
-                outcomes = list(pool.map(compute_sweep_point, points))
-        else:
-            outcomes = [compute_sweep_point(p) for p in points]
-    finally:
-        _set_cell_memo(None)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(compute_sweep_point, points, cells))
+    else:
+        outcomes = list(map(compute_sweep_point, points, cells))
     rows = [o["row"] for o in outcomes]
     details = [o["details"] for o in outcomes]
     _write_outputs(out_dir, manifest, rows, details)
@@ -623,7 +613,7 @@ def _levels(values, partition, cluster: ClusterSpec, shape, user_c1, bits):
 
 def _spectrum_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """The Vandermonde fields plus their per-level counts."""
-    fields, spectrum = _vandermonde_body(nodes, cluster, N, bits, user_c1)
+    fields, spectrum = _vandermonde_body(nodes, Cell.at(N, cluster, bits, user_c1))
     levels = _levels(spectrum.values, partition, cluster,
                      lambda m: lower_bound_shape(N, cluster.delta, m),
                      user_c1, bits)
@@ -649,8 +639,8 @@ def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
 
 def _bounds_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """The bound formulas for one configuration, without its spectrum."""
-    report = evaluate_all(VandermondeSpec(N, nodes), cluster,
-                          user_c1=user_c1, bits=bits)
+    VandermondeSpec(N, nodes)  # refuses N < s - 1, as spectrum does
+    report = evaluate_all(N, cluster, bits, user_c1)
     return {"bounds": report.to_json_dict()}, None
 
 
@@ -684,13 +674,13 @@ def run_config(command: str, config_path, out_dir=None,
     limit-check) on one config file, written to <command>.json under
     out_dir when one is given.
 
-    The config is read once, and run_at_bits sizes and re-solves it: at
-    bits_override, else at its precision_bits, else at policy bits for N
-    when the command reads one.  Each attempt parses the config's reals
-    and user_c1, which must be above 0, at its own bits, refuses nodes
-    of the other domain with a ConfigParseError on "nodes", and
-    validates the nodes once for the body.  The document is
-    {"kind", the config header, the body's fields, "runtime_ms"}.
+    The config is read once.  run_at_bits runs it at bits_override, else
+    at its precision_bits, else at policy bits for N when the command
+    reads one, and re-solves policy bits on a shortfall.  Each attempt
+    parses the config's reals and user_c1, which must be above 0, at its
+    own bits, refuses nodes of the other domain with a ConfigParseError
+    on "nodes", and validates the nodes once for the body.  The document
+    is {"kind", the config header, the body's fields, "runtime_ms"}.
     """
     t0 = time.perf_counter()
     domain, body = _CONFIG_BODIES[command]
@@ -713,9 +703,12 @@ def run_config(command: str, config_path, out_dir=None,
                                            partition, N, bits),
                 **fields}, headroom
 
-    result = run_at_bits(
-        lambda bits: ClusterSpec.from_json_dict(cfg["cluster"], bits), N,
-        bits_override or cfg["precision_bits"], read_and_run)
+    def spec_at(bits):
+        return ClusterSpec.from_json_dict(cfg["cluster"], bits)
+
+    bits = bits_override or cfg["precision_bits"]
+    result = run_at_bits(spec_at, bits or policy_bits(spec_at, N),
+                         read_and_run, bits is None)
     result["runtime_ms"] = int((time.perf_counter() - t0) * 1000)
     if out_dir is not None:
         _write_json(Path(out_dir) / (command.replace("-", "_") + ".json"),

@@ -130,8 +130,7 @@ class TestEvaluateAll:
     def test_single_node_specializations(self):
         with mp.workprec(BITS):
             cluster = ClusterSpec(delta="1e-4", theta="3", s=1, ell=1, tau=0)
-            nodes = NodeSet((mpf(0),))
-            rep = evaluate_all(VandermondeSpec(100, nodes), cluster, bits=BITS)
+            rep = evaluate_all(100, cluster, bits=BITS)
             assert abs(rep.lower_shape - 10) <= mpf(2) ** -(BITS - 16)
             assert abs(rep.upper_explicit - mp.sqrt(100 * mp.e) / 2) \
                 <= mpf(2) ** -(BITS - 16)
@@ -140,15 +139,13 @@ class TestEvaluateAll:
     def test_window_flag(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=2)
-            rep = evaluate_all(VandermondeSpec(100, nodes), spec, bits=BITS)
+            rep = evaluate_all(100, spec, bits=BITS)
             # N*theta = 100 >= 10*s = 20 and N*tau*delta = 1e-4 <= 2*pi
             assert rep.window_ok
             assert rep.window_reason == "in window"
             assert abs(rep.srf - 10 ** 4) <= 1
             tight = ClusterSpec(delta="1e-6", theta="0.1", s=2, ell=2, tau=1)
-            nodes2, _ = generate_config(tight, "equispaced", [mpf(0)], seed=2)
-            rep2 = evaluate_all(VandermondeSpec(100, nodes2), tight, bits=BITS)
+            rep2 = evaluate_all(100, tight, bits=BITS)
             assert not rep2.window_ok
             assert "window_floor" in rep2.window_reason
 
@@ -159,8 +156,7 @@ class TestEvaluateAll:
         with mp.workprec(BITS):
             delta = 2 * mp.pi / 100 * (1 + side * mp.ldexp(1, 10 - BITS))
             spec = ClusterSpec(delta=delta, theta="1", s=2, ell=2, tau=1)
-            nodes = NodeSet((-delta / 2, delta / 2))
-            rep = evaluate_all(VandermondeSpec(100, nodes), spec, bits=BITS)
+            rep = evaluate_all(100, spec, bits=BITS)
         if side < 0:
             assert rep.window_ok
             assert rep.window_reason == "in window"
@@ -172,8 +168,7 @@ class TestEvaluateAll:
     def test_slepian_field(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=1)
-            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=2)
-            rep = evaluate_all(VandermondeSpec(100, nodes), spec, bits=BITS)
+            rep = evaluate_all(100, spec, bits=BITS)
             expect = mpf(1) / 6 * mpf("1e-3") ** 2
             assert abs(rep.slepian_asymptotic - expect) <= \
                 expect * mpf(2) ** -(BITS - 16)
@@ -181,8 +176,7 @@ class TestEvaluateAll:
     def test_json_fields(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=2)
-            obj = evaluate_all(VandermondeSpec(100, nodes), spec,
+            obj = evaluate_all(100, spec,
                                bits=BITS).to_json_dict()
             for key in ("lower_shape", "upper_explicit", "slepian_asymptotic",
                         "srf", "window_ok", "window_reason", "user_c1"):

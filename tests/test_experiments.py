@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -17,6 +18,7 @@ from vandelab.experiments import (
     ExperimentManifest,
     compute_sweep_point,
     load_config,
+    point_cell,
     run_config,
     run_sweep,
     write_config,
@@ -361,73 +363,82 @@ class TestSweep:
         statuses = [r["status"] for r in serial]
         assert statuses.count("failed") == (0 if bits is None else 4)
 
-    def test_cell_memo_lasts_one_sweep(self, tmp_path, monkeypatch):
-        # the bound report of a cell is evaluated once per sweep, and a
-        # later sweep of the same cell evaluates it again, with whatever
-        # evaluate_all is by then
-        real, calls = experiments.evaluate_all, []
-
-        def counted(tag):
-            def evaluate(*args, **kwargs):
-                calls.append(tag)
-                return real(*args, **kwargs)
-            return evaluate
-
-        m = ExperimentManifest.from_json_dict(manifest_dict(grid={
-            "ell": [2], "N": [100], "delta": ["1e-6"], "tau": ["4"],
-            "layout": ["random"], "seed": [1, 2, 3]}))
-        monkeypatch.setattr(experiments, "evaluate_all", counted("first"))
-        assert run_sweep(m, tmp_path / "one").ok == 3
-        monkeypatch.setattr(experiments, "evaluate_all", counted("second"))
-        assert run_sweep(m, tmp_path / "two").ok == 3
-        assert calls == ["first", "second"]
-        assert experiments._CELL_MEMO is None
-        for a, b in zip(read_rows(tmp_path / "one"), read_rows(tmp_path / "two")):
-            assert {**a, "runtime_ms": ""} == {**b, "runtime_ms": ""}
-
     #: two cells of three random-layout rows each
     SHARED_GRID = {"ell": [2, 4], "N": [100], "delta": ["1e-6"],
                    "tau": ["8"], "layout": ["random"], "seed": [1, 2, 3]}
 
     def test_rows_shared_in_a_sweep_equal_rows_run_alone(self, tmp_path):
         # a row that took its cell's spec, policy bits, lambda scale and
-        # bound report from the memo equals the row computed afresh
+        # bound report from the sweep equals the row computed afresh
         m = ExperimentManifest.from_json_dict(
             manifest_dict(grid=self.SHARED_GRID))
         run_sweep(m, tmp_path)
         rows = read_rows(tmp_path)
         details = json.loads((tmp_path / "details.json").read_text())["details"]
-        assert experiments._CELL_MEMO is None
         assert len(rows) == 6 and len({r["sigma_min"] for r in rows}) == 6
         for point, row, detail in zip(m.points(), rows, details):
-            alone = compute_sweep_point(point)
+            alone = compute_sweep_point(point, point_cell(point))
             assert alone["details"] == detail
             assert {**alone["row"], "runtime_ms": ""} == {**row,
                                                           "runtime_ms": ""}
 
     def test_policy_bits_and_lambda_scale_once_per_cell(self, tmp_path,
                                                         monkeypatch):
+        # each sweep sizes, scales and bounds each of its two cells once,
+        # a later sweep of the same cells again, with whatever the
+        # functions are by then, and gives the same rows
+        names = ("required_bits", "lambda_scale", "evaluate_all")
+        real = {name: getattr(experiments, name) for name in names}
         calls = []
 
-        def counted(name):
-            real = getattr(experiments, name)
+        def counted(tag):
+            for name in names:
+                def count(*args, name=name):
+                    calls.append((tag, name))
+                    return real[name](*args)
+                monkeypatch.setattr(experiments, name, count)
 
-            def count(*args):
-                calls.append(name)
-                return real(*args)
-            monkeypatch.setattr(experiments, name, count)
-
-        counted("required_bits")
-        counted("lambda_scale")
         m = ExperimentManifest.from_json_dict(
             manifest_dict(grid=self.SHARED_GRID))
-        assert run_sweep(m, tmp_path).ok == 6
-        assert sorted(calls) == ["lambda_scale"] * 2 + ["required_bits"] * 2
-        # outside a sweep every row sizes and scales its own
+        for tag in ("one", "two"):
+            counted(tag)
+            assert run_sweep(m, tmp_path / tag).ok == 6
+        assert Counter(calls) == {(tag, name): 2 for tag in ("one", "two")
+                                  for name in names}
+        for a, b in zip(read_rows(tmp_path / "one"),
+                        read_rows(tmp_path / "two"), strict=True):
+            assert {**a, "runtime_ms": ""} == {**b, "runtime_ms": ""}
+        # a row run on its own sizes, scales and bounds its own cell
         calls.clear()
         for point in m.points():
-            assert compute_sweep_point(point)["row"]["status"] == "ok"
-        assert sorted(calls) == ["lambda_scale"] * 6 + ["required_bits"] * 6
+            out = compute_sweep_point(point, point_cell(point))
+            assert out["row"]["status"] == "ok"
+        assert Counter(calls) == {("two", name): 6 for name in names}
+
+    def test_no_module_global_changes_during_a_sweep(self, tmp_path,
+                                                     monkeypatch):
+        # a row's result depends on its point and its cell alone: no
+        # name in experiments is rebound or mutated while rows run
+        real, seen = experiments.compute_sweep_point, []
+
+        def state():
+            return {name: (id(value), copy.deepcopy(value)
+                           if isinstance(value, (dict, list, set)) else None)
+                    for name, value in vars(experiments).items()
+                    if not name.startswith("__")}
+
+        def checked(point, cell):
+            seen.append(state() == before)
+            return real(point, cell)
+
+        monkeypatch.setattr(experiments, "compute_sweep_point", checked)
+        before = state()
+        m = ExperimentManifest.from_json_dict(manifest_dict(
+            grid=dict(self.SHARED_GRID, delta=["1e-6", "x"])))
+        summary = run_sweep(m, tmp_path)
+        assert (summary.ok, summary.skipped) == (6, 6)
+        assert seen == [True] * 12
+        assert state() == before
 
     def test_float_grid_values_skip_their_rows(self, tmp_path):
         # 1, 1.0 and True compare equal, but only the int and the bool
@@ -522,7 +533,8 @@ class TestSweep:
         m = ExperimentManifest.from_json_dict(manifest_dict(grid={
             "ell": [ell], "s": [s], "delta": [delta], "N": [N],
             "tau": ["auto"], "layout": ["equispaced"], "seed": [20240601]}))
-        out = compute_sweep_point(m.points()[0])
+        point = m.points()[0]
+        out = compute_sweep_point(point, point_cell(point))
         assert out["row"]["status"] == "ok", out["details"].get("reason")
         assert out["details"]["spectrum"]["sweeps_used"] <= 12
 
@@ -599,14 +611,27 @@ class TestHeadroom:
             return undersized[-1]
 
         monkeypatch.setattr(experiments, "required_bits", smaller)
-        m = ExperimentManifest.from_json_dict(manifest_dict(grid=self.GRID))
-        summary = run_sweep(m, tmp_path)
-        row = read_rows(tmp_path)[0]
-        details = json.loads((tmp_path / "details.json").read_text())["details"]
-        assert row["status"] == "ok"
-        assert details[0]["spectrum"]["precision_bits"] == int(row["precision_bits"])
-        assert int(row["precision_bits"]) > undersized[0]
-        assert summary.min_headroom_bits >= GUARD_BITS
+        # one row, and two cells of three rows: every row of a cell
+        # re-solves at its own bits, above its cell's, and is the row
+        # computed on its own
+        for grid in (self.GRID, TestSweep.SHARED_GRID):
+            undersized.clear()
+            m = ExperimentManifest.from_json_dict(manifest_dict(grid=grid))
+            summary = run_sweep(m, tmp_path / str(len(grid)))
+            rows = read_rows(tmp_path / str(len(grid)))
+            details = json.loads((tmp_path / str(len(grid)) /
+                                  "details.json").read_text())["details"]
+            sized = dict(zip(dict.fromkeys(r["ell"] for r in rows),
+                             undersized, strict=True))
+            for point, row, detail in zip(m.points(), rows, details):
+                assert row["status"] == "ok"
+                assert detail["spectrum"]["precision_bits"] == int(
+                    row["precision_bits"]) > sized[row["ell"]]
+                alone = compute_sweep_point(point, point_cell(point))
+                assert alone["details"] == detail
+                assert {**alone["row"], "runtime_ms": ""} == {
+                    **row, "runtime_ms": ""}
+            assert summary.min_headroom_bits >= GUARD_BITS
 
         # the spectrum command re-solves the same way, reading its config
         # once for both solves
@@ -688,7 +713,8 @@ class TestHeadroom:
             {"ell": 4, "N": 100, "delta": "1e-6", "s": None, "tau": None,
              "theta": None})
         with pytest.raises(PrecisionError, match="pivot"):
-            experiments.run_at_bits(spec_at, N, None, body)
+            experiments.run_at_bits(
+                spec_at, experiments.policy_bits(spec_at, N), body, True)
         assert len(calls) == 1
 
     def test_still_short_after_the_re_solve_fails(self, tmp_path, monkeypatch):
