@@ -513,7 +513,8 @@ def run_sweep(manifest: ExperimentManifest, out_dir, workers: int = 1) -> SweepS
         log.warning("grid exceeds the desk-scale envelope (ell <= %d, "
                     "precision <= %d); expect a long run",
                     DESK_MAX_ELL, DESK_MAX_PRECISION)
-    # in grid order, each from the cell's last point: any gives the same
+    # one Cell per key, in grid order, built from the cell's last point:
+    # every point of a cell reads the same grid values
     keys = [_cell_key(p) for p in points]
     built = {key: point_cell(p) for key, p in dict(zip(keys, points)).items()}
     cells = [built[key] for key in keys]

@@ -292,8 +292,9 @@ class TestSweep:
 
     def test_workers_match_serial(self, tmp_path):
         # three seeds per cell, with room for random gaps: the rows of a
-        # cell share its spec and bound report in whichever process runs
-        # them, and each row is also what a sweep of that row alone gives
+        # cell are handed the one cell the sweep built, in whichever
+        # process runs them, and each row is also what a sweep of that
+        # row alone gives
         grid = {"ell": [2, 3], "N": [60, 80], "delta": ["1e-5"], "tau": ["4"],
                 "layout": ["random"], "seed": [1, 2, 3]}
         run_sweep(ExperimentManifest.from_json_dict(
