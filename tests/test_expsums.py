@@ -34,7 +34,8 @@ from vandelab.matrices import (
     build_prolate,
 )
 from vandelab.spectra import singular_values
-from vandelab.suites import _clustered_expsum, random_expsum
+from vandelab.suites import (ALL_SUITES, DEFAULT_SUITE_SEED, _clustered_expsum,
+                             random_expsum)
 
 BITS = 192
 
@@ -421,15 +422,17 @@ class TestCertifiedSup:
 
 
 class TestGridMaxPrescreen:
-    @pytest.mark.parametrize("chunk", [1 << 14, 7])
+    @pytest.mark.parametrize("chunk", [1 << 14, 7, 45, 1000])
     def test_random_sums_match_full_grid(self, rng, monkeypatch, chunk):
+        # chunks of 7, 45 and 1000 points start and end off the float
+        # pass's 32-point blocks
         monkeypatch.setattr(expsums, "_CHUNK", chunk)
         with mp.workprec(BITS):
-            for _ in range(12):
+            for i in range(12):
                 P = random_sum(rng, rng.randint(1, 6), freq_range=20.0)
                 a = mpf(rng.uniform(-3, 3))
                 b = a + mpf(rng.uniform(0.1, 4))
-                samples = rng.randint(64, 300)
+                samples = rng.randint(64, 2000 if i % 4 == 3 else 300)
                 assert _grid_max(P, a, b, samples) == \
                     recurrence_grid_max(P, a, b, samples)
 
@@ -492,15 +495,52 @@ class TestGridMaxPrescreen:
                 a = mpf(rng.uniform(-3e3, 3e3) if wide else rng.uniform(-50, 50))
                 b = a + mpf(rng.uniform(0.1, 10))
                 samples = rng.randint(64, 200)
-                h = (b - a) / samples
-                f, E, e = _float_moduli(P, a, h, range(samples + 1), samples,
-                                        BITS + 16 + samples.bit_length())
-                S = mp.fsum(abs(c) for c in P.coeffs)
-                assert E < 1e-6 * float(mp.ldexp(S, -e))
-                with mp.workprec(4 * BITS):
-                    for k, fk in enumerate(f):
-                        exact = mp.ldexp(abs(evaluate(P, a + k * h)), -e)
-                        assert abs(fk - exact) <= E
+                self._check_float_moduli(P, a, b, samples, range(samples + 1))
+            # past 1000 samples, on ranges that start off a multiple of 32
+            # and end inside a block
+            for i in range(6):
+                wide = i % 3 == 2
+                P = random_sum(rng, rng.randint(2, 6),
+                               freq_range=3e4 if wide else 30.0)
+                a = mpf(rng.uniform(-3e3, 3e3) if wide else rng.uniform(-50, 50))
+                b = a + mpf(rng.uniform(0.1, 10))
+                samples = rng.randint(1001, 2000)
+                lo = 32 * rng.randint(0, 25) + rng.randint(1, 31)
+                hi = lo + 32 * rng.randint(1, 4) + rng.randint(1, 31)
+                self._check_float_moduli(P, a, b, samples, range(lo, hi))
+
+    @staticmethod
+    def _check_float_moduli(P, a, b, samples, ks):
+        h = (b - a) / samples
+        f, E, e = _float_moduli(P, a, h, ks, samples,
+                                BITS + 16 + samples.bit_length())
+        assert len(f) == len(ks)
+        S = mp.fsum(abs(c) for c in P.coeffs)
+        assert E < 1e-6 * float(mp.ldexp(S, -e))
+        with mp.workprec(4 * BITS):
+            for k, fk in zip(ks, f):
+                exact = mp.ldexp(abs(evaluate(P, a + k * h)), -e)
+                assert abs(fk - exact) <= E
+
+    def test_mp_pass_evaluates_one_point_per_call(self, monkeypatch):
+        # E separates the grid maximum from every other point on the first
+        # 50 Turan and 50 Nikolskii draws: a looser E would send more
+        # points to the mp pass, each about 1000 times a binary64 point
+        counts = {"evaluate": 0, "grid_max": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(expsums, "evaluate",
+                            counting("evaluate", expsums.evaluate))
+        monkeypatch.setattr(expsums, "_grid_max",
+                            counting("grid_max", expsums._grid_max))
+        for name, calls in (("turan", 82), ("nikolskii", 121)):
+            ALL_SUITES[name](instances=50, seed=DEFAULT_SUITE_SEED)
+            assert counts == {"evaluate": calls, "grid_max": calls}
 
 class TestTuran:
     def test_degree_one_equality(self):
