@@ -23,6 +23,9 @@ into the two-sided enclosure grid_max <= sup <= grid_max / (1 - h*B/2).
 A binary64 pass over the grid with a proven error bound E keeps only
 the points within 2E of the float maximum for evaluation at mp
 precision, so the result is still the mp maximum over the whole grid.
+That pass steps each term's phase by a table of 32 points: libm's cos
+and sin run once per 32-point block and once per table entry, and each
+point costs one complex product per term.
 Inequality verdicts always use the conservative side of each enclosure,
 so a reported violation is a real violation and never a grid artifact.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_shift, mpf_sub,
@@ -205,6 +209,7 @@ def discrete_norm(P: ExpSum, N: int):
 
 _U = 2.0 ** -53  # unit roundoff of binary64
 _CHUNK = 1 << 14  # grid points per float pass
+_BLOCK = 32  # grid points per phase table in the float pass
 
 
 def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
@@ -212,30 +217,38 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
     within 0..samples, with |f_k - 2^-e |P(a + k h)|| <= E at every k.
 
     2^-e puts every coefficient part below 1, so nothing overflows.  The
-    phase of term j at point k is fl(fl(x_j a) + k fl(x_j h)), so its
-    error does not grow with k.  With u = 2^-53, n nonzero terms,
-    S = sum_j |c_j| after scaling and r_j = |x_j| (|a| + samples |h|),
-    E adds up:
+    points are taken in blocks of _BLOCK, counted from ks.start.  Term j
+    has one table T_j[m] = c_j e^(i fl(m beta_j)) for m < _BLOCK, and one
+    base e^(i fl(alpha_j + k0 beta_j)) per block start k0, with
+    alpha_j = fl(x_j a) and beta_j = fl(x_j h): its value at k = k0 + m
+    is base * T_j[m], one complex product, so libm runs once per block
+    and once per table entry.  The phase error does not grow with k.
+    With u = 2^-53, n nonzero terms, S = sum_j |c_j| after scaling and
+    r_j = |x_j| (|a| + samples |h|), E adds up:
 
-    - phase: float(mpf) truncates x_j, a and h (2u each), then two
-      products, k * beta and a sum: 7u r_j, taken as 10u r_j.  A term
-      whose bound reaches 2 gets phase 0 and is charged 2 |c_j|;
-    - libm cos and sin within 2 ulp (3u), coefficient rounding (2u), the
-      complex product (3u) and hypot within 1 ulp (2u): 10u S, taken as
-      12u S;
+    - phase: float(mpf) truncates x_j, a and h (2u each); alpha_j, beta_j,
+      k0 beta_j, their sum and m beta_j are rounded once each.  The two
+      parts add up to the phase at k in the product, exactly but for its
+      rounding below: 7u r_j, taken as 10u r_j.  A term whose bound
+      reaches 2 gets phase 0 and is charged 2 |c_j|;
+    - coefficient rounding (2u), libm cos and sin within 2 ulp (3u) for
+      the table and again for the base, the table's complex product (3u)
+      and the base's (3u), and hypot within 1 ulp (2u): 16u S, taken as
+      20u S;
     - recursive summation (Higham): gamma_{n-1} S;
     - an underflowing coefficient or product: 2^-1060 per term;
     - the mp evaluation of a point at p bits, so that the point of the
       mp maximum is kept too: 2^-(p-2) (max_j r_j + n + 4) S.
 
-    E = (1 + 2^-20) (S (12u + gamma_{n-1} + 2^-(p-2) (max_j r_j + n + 4))
+    E = (1 + 2^-20) (S (20u + gamma_{n-1} + 2^-(p-2) (max_j r_j + n + 4))
     + sum_j |c_j| min(10u r_j, 2) + n 2^-1060).  The factor 1 + 2^-20
     covers the (1 + O(u)) factors and the float evaluation of E.
     """
     peak = max((max(abs(c.real), abs(c.imag)) for c in P.coeffs), default=0)
     e = mp.frexp(peak)[1] if peak else 0
     A, H = float(a), float(h)
-    zs = [0j] * len(ks)
+    starts = range(ks.start, ks.stop, _BLOCK)
+    zs = None
     mags, phase_err, r_max = [], 0.0, 0.0
     for c, x in zip(P.coeffs, P.freqs):
         if not c:
@@ -250,13 +263,17 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
         mags.append(abs(cf))
         phase_err += abs(cf) * d
         r_max = max(r_max, r)
-        zs = [z + cf * complex(math.cos(t), math.sin(t))
-              for z, t in zip(zs, [alpha + k * beta for k in ks])]
+        table = [cf * complex(math.cos(t), math.sin(t))
+                 for t in [m * beta for m in range(_BLOCK)]]
+        bases = [complex(math.cos(t), math.sin(t))
+                 for t in [alpha + k0 * beta for k0 in starts]]
+        terms = [w * v for w in bases for v in table]
+        zs = terms[:len(ks)] if zs is None else list(map(add, zs, terms))
     n, S = len(mags), sum(mags)
     gamma = (n - 1) * _U / (1 - (n - 1) * _U) if n else 0.0
     E = (1 + 2.0 ** -20) * (phase_err + n * 2.0 ** -1060 + S * (
-        12 * _U + gamma + math.ldexp(r_max + n + 4, 2 - p)))
-    return [abs(z) for z in zs], E, e
+        20 * _U + gamma + math.ldexp(r_max + n + 4, 2 - p)))
+    return [0.0] * len(ks) if zs is None else list(map(abs, zs)), E, e
 
 
 def _grid_max(P: ExpSum, a, b, samples: int):
@@ -273,10 +290,11 @@ def _grid_max(P: ExpSum, a, b, samples: int):
         ks = range(lo, min(lo + _CHUNK, samples + 1))
         f, E, _ = _float_moduli(P, a, h, ks, samples, p)
         top = max(top, max(f))
-        kept += [(k, fk) for k, fk in zip(ks, f) if fk >= top - 2 * E]
+        cut = top - 2 * E
+        kept += [(k, fk) for k, fk in zip(ks, f) if fk >= cut]
+    cut = top - 2 * E
     with mp.workprec(p):
-        best = max(abs(evaluate(P, a + k * h))
-                   for k, fk in kept if fk >= top - 2 * E)
+        best = max(abs(evaluate(P, a + k * h)) for k, fk in kept if fk >= cut)
     return +best
 
 
@@ -348,7 +366,7 @@ def check_nikolskii(P: ExpSum) -> InequalityCheck:
 
 
 def _require_separated(P: ExpSum, delta_sep):
-    slack = mpf(2) ** -(mp.prec - 16)
+    slack = mp.ldexp(1, -(mp.prec - 16))
     floor = as_mpf(delta_sep) * (1 - slack)
     order, gaps = sorted_gaps(P.freqs, PERIODIC)
     for k, g in enumerate(gaps):
