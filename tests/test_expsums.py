@@ -542,6 +542,7 @@ class TestGridMaxPrescreen:
             ALL_SUITES[name](instances=50, seed=DEFAULT_SUITE_SEED)
             assert counts == {"evaluate": calls, "grid_max": calls}
 
+
 class TestTuran:
     def test_degree_one_equality(self):
         with mp.workprec(BITS):
