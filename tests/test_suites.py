@@ -1,14 +1,18 @@
 import random
 
+import pytest
 from mpmath import mp, mpf
 
 from conftest import fit_level_constant, level_counts, random_clustered_config
 from vandelab.bounds import count_bands, lower_bound_shape
+from vandelab.expsums import check_salem_ratio
 from vandelab.geometry import validate_config
-from vandelab.hp import required_bits
+from vandelab.hp import decimal_str, required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
-from vandelab.suites import ALL_SUITES
+from vandelab.suites import (ALL_SUITES, DEFAULT_SUITE_BITS,
+                             SALEM_SEPARATIONS, random_expsum,
+                             run_salem_suite)
 
 
 class TestInstanceGenerator:
@@ -63,6 +67,33 @@ class TestInequalitySuites:
         c = ALL_SUITES["turan"](instances=10, seed=78)
         assert [r.to_json_dict() for r in a.records] != \
             [r.to_json_dict() for r in c.records]
+
+
+def salem_draws(seed, instances, delta):
+    """run_salem_suite's draws at one separation, by the same rng calls."""
+    rng = random.Random(seed)
+    for _ in range(instances):
+        yield random_expsum(rng, rng.randint(1, 5), freq_range=3.1,
+                            min_sep=delta)
+
+
+class TestSalemMinimum:
+    @pytest.mark.parametrize("seed", [20240601, 7, 11])
+    def test_minimum_is_the_least_exact_ratio(self, seed):
+        # the suite's minimum, to the last printed digit, is the least
+        # check_salem_ratio over every draw, each evaluated in full
+        instances = 150
+        res = run_salem_suite(instances, seed)
+        bits = DEFAULT_SUITE_BITS
+        with mp.workprec(bits):
+            want = []
+            for delta_text in SALEM_SEPARATIONS:
+                delta = mpf(delta_text)
+                lo = min(check_salem_ratio(P, delta)
+                         for P in salem_draws(seed, instances, delta))
+                want.append(decimal_str(lo, bits))
+        assert [r.lhs for r in res.records] == want
+        assert res.summary["minima"] == want
 
 
 class TestLevelCounting:
