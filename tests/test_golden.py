@@ -22,12 +22,12 @@ An output that is meant to change is re-recorded with
 which bytes moved and why.
 
 CI also guards ``inequalities.json`` of the five suites at 500 instances,
-seeds 20240601 and 7, by its SHA-256 in golden/inequalities_500.sha256;
-the two runs take seconds, too long for tier-1.  To re-record the
-digests, run this in a scratch directory; its last command prints the
-file's two lines::
+seeds 20240601, 7 and 11, by its SHA-256 in golden/inequalities_500.sha256;
+the three runs take seconds, too long for tier-1.  To re-record the
+digests, install the package, run this in a scratch directory and
+replace the file's three lines with the three its last command prints::
 
-    for seed in 20240601 7; do
+    for seed in 20240601 7 11; do
         vandelab inequalities --instances 500 --seed $seed --out ineq500-$seed
     done
     sha256sum ineq500-*/inequalities.json
