@@ -58,6 +58,7 @@ from .expsums import (
     evaluate,
     l2_norm_exact,
     linf_norm_certified,
+    min_salem_ratio,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

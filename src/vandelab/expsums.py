@@ -38,7 +38,7 @@ from operator import add
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_mul, mpf_shift, mpf_sub,
-                          round_nearest, to_fixed)
+                          round_nearest, to_fixed, to_float)
 
 from .errors import (
     DegenerateInputError,
@@ -276,6 +276,85 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
     return [0.0] * len(ks) if zs is None else list(map(abs, zs)), E, e
 
 
+def _float_salem(P: ExpSum, W):
+    """(r, E): a binary64 r of the Salem ratio of P on [0, W], with
+    |r - R| <= E for R the mpf check_salem_ratio returns at p = mp.prec
+    when W = 4 pi/delta_sep at p bits.  P has a nonzero coefficient.
+
+    With c2 = sum_j |c_j|^2 and phi = W (x_j - x_k), the ratio is
+    1 + sum_{j<k} Re(c_j conj(c_k) h(phi)) / c2 over the nonzero terms,
+    h(phi) = 2 (e^(i phi) - 1)/(i phi) = 2 (sin phi + i (1 - cos phi))/phi,
+    the cross terms of int_0^W |P|^2 dt / (W c2); |h| <= min(2, 4/|phi|).
+    The coefficients are scaled by 2^-e so that their largest part is in
+    [1/2, 1): nothing overflows and c2 >= 1/4.  With u = 2^-53, n nonzero
+    terms and, per pair j < k, w = |C_j| |C_k|, s = |X_j| + |X_k|, the
+    float phase Phi = fl(fl(W) fl(X_j - X_k)) and H = |h_re| + |h_im| of
+    its float h, E adds up:
+
+    - inputs: C_j, X_j and fl(W) round the mp values once, within u;
+    - phase: X_j - X_k is within 2u s of x_j - x_k, and rounds within
+      u s; the product adds u |Phi| and fl(W)'s rounding u |Phi|: Phi is
+      within 5u fl(W) s of phi, taken as D = 8u fl(W) s, up to 1e-8 rad
+      at |phi| ~ 8e7 (delta = 1e-6, |x| ~ 3.1).  With v = |Phi| - D
+      <= |phi|, |h(phi) - h(Phi)| <= 2 |e^(i phi) - e^(i Phi)| / |phi| +
+      4 |1/phi - 1/Phi| <= (2 min(D, 2) + 4 D/|Phi|) / v.  A pair with
+      v <= 0, or Phi not finite, gets E = inf;
+    - h(Phi): libm cos and sin within 2 ulp (4u), 1 - cos rounded (2u),
+      the two divisions by Phi (u each, of a numerator up to 2): within
+      26.5u / |Phi|, taken as 28u / |Phi|;
+    - the pair's product: C_j conj(C_k) is within 2u w of c_j conj(c_k)
+      and rounds within sqrt(2) gamma_2 w; Re of its product with h
+      rounds within gamma_2 w H; math.fsum of the pairs rounds once,
+      within u of sum_pairs w H: 9u w H, taken as 10u w H;
+    - the ratio: the float c2 is within 5u of c2 (rounded parts, squares,
+      fsum), so R = fl(sum / c2) adds 8u |R| beside the pairs' errors
+      divided by c2, and r = fl(1 + R) adds u |r|: taken as 10u |R| and
+      2u |r|;
+    - the mp value: _quadratic_form is within (1 + 2^-8) 2^-p of its mass
+      <= W (sum_j |c_j|)^2 <= W n c2, and the divisions, the square root,
+      the square and c2 at p bits add about 10 roundings of the ratio:
+      within 2^-p (1.01 n + 10 (|r| + 1)), taken as 2^-(p-8) (n + |r| + 1);
+    - an underflowing coefficient part, product or quotient: 2^-1074
+      each, at most 2^-1000 n^2 in all once divided by c2 >= 1/4.
+
+    E = (1 + 2^-20) (sum_pairs w ((2 min(D, 2) + 4 D/|Phi|)/v +
+    28u/|Phi| + 10u H) / c2 + 10u |R| + 2u |r| + 2^-(p-8) (n + |r| + 1)
+    + 2^-1000 n^2).  The factor 1 + 2^-20 covers the (1 + O(u)) factors,
+    c2 for the exact c2 and the float evaluation of E.
+    """
+    terms = [((c.real._mpf_, c.imag._mpf_), x._mpf_)
+             for c, x in zip(P.coeffs, P.freqs) if c]
+    n = len(terms)
+    e = max(v[2] + v[3] for pair, _ in terms for v in pair if v[1])
+    cs = [tuple(to_float(mpf_shift(v, -e), rnd=round_nearest) for v in pair)
+          for pair, _ in terms]
+    xs = [to_float(x, rnd=round_nearest) for _, x in terms]
+    mags = [math.hypot(a, b) for a, b in cs]
+    Wf = float(W)
+    parts, err = [], 0.0
+    for j, ((a, b), X) in enumerate(zip(cs, xs)):
+        for k in range(j + 1, n):
+            (ak, bk), Xk = cs[k], xs[k]
+            ph = Wf * (X - Xk)
+            D = 8 * _U * Wf * (abs(X) + abs(Xk))
+            v = abs(ph) - D
+            if not (math.isfinite(ph) and v > 0):
+                return 1.0, math.inf
+            hr, hi = 2 * math.sin(ph) / ph, 2 * (1 - math.cos(ph)) / ph
+            zr, zi = a * ak + b * bk, b * ak - a * bk
+            parts.append(zr * hr - zi * hi)
+            err += mags[j] * mags[k] * (
+                (2 * min(D, 2.0) + 4 * D / abs(ph)) / v + 28 * _U / abs(ph)
+                + 10 * _U * (abs(hr) + abs(hi)))
+    c2 = math.fsum([a * a for a, _ in cs] + [b * b for _, b in cs])
+    R = math.fsum(parts) / c2
+    r = 1 + R
+    E = (1 + 2.0 ** -20) * (err / c2 + 10 * _U * abs(R) + 2 * _U * abs(r)
+                            + math.ldexp(n + abs(r) + 1, 8 - mp.prec)
+                            + n * n * 2.0 ** -1000)
+    return r, E
+
+
 def _grid_max(P: ExpSum, a, b, samples: int):
     """max |P| over samples+1 uniform points on [a, b], evaluated at
     prec + 16 + log2(samples) bits only where the float modulus is within
@@ -393,6 +472,45 @@ def check_salem_ratio(P: ExpSum, delta_sep):
         raise DegenerateInputError("all coefficients are zero")
     norm = l2_norm_exact(P, mpf(0), 4 * mp.pi / delta_sep)
     return norm ** 2 / c2
+
+
+def min_salem_ratio(sums, delta_sep):
+    """The least check_salem_ratio over the sums, the same mpf, with each
+    sum refused as check_salem_ratio refuses it.
+
+    The first sum is evaluated exactly.  Each later sum gets a binary64
+    ratio r within E of its exact one (_float_salem), and is skipped when
+    r - E exceeds the running minimum lo rounded up to binary64: its
+    ratio is above lo, so the minimum cannot move.  Otherwise it is
+    evaluated exactly.  A skipped sum's form is then above lo/(2n) of its
+    mass, so skipping only while lo > 2n 2^-(p-16) loses no PrecisionError
+    an exact evaluation would raise.
+    """
+    delta_sep = as_mpf(delta_sep)
+    if not delta_sep > 0:
+        raise InvalidParameterError("delta_sep must be > 0")
+    W = 4 * mp.pi / delta_sep
+    lo = None
+    for P in sums:
+        if lo is not None:
+            _require_separated(P, delta_sep)
+            n = P.degree
+            if not n:
+                raise DegenerateInputError("all coefficients are zero")
+            r, E = _float_salem(P, W)
+            if r - E > lo_up and n < n_cap:
+                continue
+        ratio = check_salem_ratio(P, delta_sep)
+        if lo is None or ratio < lo:
+            lo = ratio
+            lo_up = float(lo)
+            if lo_up < lo:
+                lo_up = math.nextafter(lo_up, math.inf)
+            # lo > 2n 2^-(p-16) for every n below n_cap
+            n_cap = int(mp.ldexp(lo, mp.prec - 17))
+    if lo is None:
+        raise InvalidParameterError("no sums to take the minimum of")
+    return lo
 
 
 def check_riemann(P: ExpSum, N: int) -> InequalityCheck:

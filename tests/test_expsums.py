@@ -26,6 +26,7 @@ from vandelab.expsums import (
     evaluate,
     l2_norm_exact,
     linf_norm_certified,
+    min_salem_ratio,
 )
 from vandelab.geometry import LINE, PERIODIC, RANDOM, NodeSet, cluster_offsets
 from vandelab.matrices import (
@@ -580,6 +581,33 @@ class TestNikolskii:
             assert chk.holds
 
 
+def fine(rng, lo, hi):
+    """Uniform in [lo, hi] with BITS random bits: not a binary64 value."""
+    return lo + (hi - lo) * mp.ldexp(rng.getrandbits(BITS), -BITS)
+
+
+def salem_stress_sum(rng, delta):
+    """2 to 8 terms whose closest pair is exactly delta apart, half the
+    other frequencies within 0.5 of +-3.1, where the float phase
+    W (x_j - x_k) loses most, and every part at full precision."""
+    ell = rng.randint(2, 8)
+    while True:
+        x0 = fine(rng, 2.6, 3.1) * rng.choice((1, -1))
+        freqs = [x0, x0 - delta if x0 > 0 else x0 + delta]
+        while len(freqs) < ell:
+            x = (fine(rng, 2.6, 3.1) * rng.choice((1, -1))
+                 if rng.random() < 0.5 else fine(rng, -3.1, 3.1))
+            if all(abs(x - y) >= 2 * delta for y in freqs):
+                freqs.append(x)
+        coeffs = [mpc(fine(rng, -1, 1), fine(rng, -1, 1)) for _ in freqs]
+        P = ExpSum(tuple(coeffs), tuple(freqs))
+        try:
+            expsums._require_separated(P, delta)
+        except InvalidParameterError:  # the closing arc across +-pi
+            continue
+        return P
+
+
 class TestSalem:
     def test_single_term_ratio_one(self):
         with mp.workprec(BITS):
@@ -614,6 +642,69 @@ class TestSalem:
             P = ExpSum((1, 1), (mpf("3.1"), mpf("-3.1")))
             with pytest.raises(InvalidParameterError, match="frequencies 0,1"):
                 check_salem_ratio(P, mpf("0.1"))
+
+    @pytest.mark.parametrize("delta", ["1e-1", "1e-2", "1e-4", "1e-6"])
+    def test_float_ratio_within_stated_bound(self, rng, delta):
+        # at delta 1e-6 the phase W (x_j - x_k) reaches 8e7 rad and the
+        # frequencies' rounding to binary64 moves it by up to 1e-8: the
+        # phase term of E dominates; every fourth sum is scaled by 2^+-700
+        worst = 0
+        with mp.workprec(BITS):
+            delta = mpf(delta)
+            W = 4 * mp.pi / delta
+            for i in range(40):
+                P = salem_stress_sum(rng, delta)
+                if i % 4 == 3:
+                    P = scaled(P, rng.choice((700, -700)))
+                r, E = expsums._float_salem(P, W)
+                err = abs(r - check_salem_ratio(P, delta))
+                assert E < 1e-6 and err <= E, (i, err, E)
+                worst = max(worst, err / E)
+        # the draws come near enough to E to fail a looser one
+        assert worst > 1e-3
+
+    def test_float_ratio_refuses_frequencies_equal_in_binary64(self):
+        # 1 and 1 + 2^-60 are one float: the float phase is 0, E infinite
+        with mp.workprec(BITS):
+            P = ExpSum((1, mpc(0, 1)), (mpf(1), 1 + mp.ldexp(1, -60)))
+            assert expsums._float_salem(P, 4 * mp.pi / mp.ldexp(1, -61)) \
+                == (1.0, float("inf"))
+
+    def test_minimum_is_exact_in_any_order(self, rng):
+        # ascending, the first sum is the minimum and the rest are decided
+        # in binary64; descending, every sum is the running minimum
+        with mp.workprec(BITS):
+            delta = mpf("1e-4")
+            sums = [random_expsum(rng, rng.randint(1, 5), freq_range=3.1,
+                                  min_sep=delta) for _ in range(30)]
+            ratios = [check_salem_ratio(P, delta) for P in sums]
+            least = min(ratios)
+            order = sorted(range(len(sums)), key=ratios.__getitem__)
+            for idx in (order, order[::-1], list(range(len(sums)))):
+                got = min_salem_ratio((sums[i] for i in idx), delta)
+                assert got == least and got.man == least.man
+            assert min_salem_ratio(sums[1:2], delta) == ratios[1]
+
+    def test_minimum_refuses_later_sums_as_check_salem_ratio(self):
+        # the bad sums come after one of ratio 1 - 2/(5 pi), and the
+        # unseparated one has a float ratio near 2: only the refusals stop
+        # them
+        with mp.workprec(BITS):
+            delta = mpf("1e-2")
+            low = ExpSum((1, mpc(0, 1)), (mpf(0), mpf("0.0125")))
+            close = ExpSum((1, 1), (mpf(0), mpf("1e-4")))
+            zero = ExpSum((0, 0), (mpf(0), mpf(1)))
+            lo = check_salem_ratio(low, delta)
+            r, E = expsums._float_salem(close, 4 * mp.pi / delta)
+            assert lo < 1 and r - E > lo + 1 / 2
+            with pytest.raises(InvalidParameterError, match="frequencies 0,1"):
+                min_salem_ratio([low, close], delta)
+            with pytest.raises(DegenerateInputError, match="all coefficients"):
+                min_salem_ratio([low, zero], delta)
+            with pytest.raises(InvalidParameterError, match="delta_sep"):
+                min_salem_ratio([low], 0)
+            with pytest.raises(InvalidParameterError, match="no sums"):
+                min_salem_ratio([], delta)
 
 
 class TestRiemannGap:

@@ -1,9 +1,11 @@
+import collections
 import random
 
 import pytest
 from mpmath import mp, mpf
 
 from conftest import fit_level_constant, level_counts, random_clustered_config
+from vandelab import expsums
 from vandelab.bounds import count_bands, lower_bound_shape
 from vandelab.expsums import check_salem_ratio
 from vandelab.geometry import validate_config
@@ -11,8 +13,8 @@ from vandelab.hp import decimal_str, required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
 from vandelab.suites import (ALL_SUITES, DEFAULT_SUITE_BITS,
-                             SALEM_SEPARATIONS, random_expsum,
-                             run_salem_suite)
+                             DEFAULT_SUITE_SEED, SALEM_SEPARATIONS,
+                             random_expsum, run_salem_suite)
 
 
 class TestInstanceGenerator:
@@ -94,6 +96,19 @@ class TestSalemMinimum:
                 want.append(decimal_str(lo, bits))
         assert [r.lhs for r in res.records] == want
         assert res.summary["minima"] == want
+
+    def test_exact_evaluations_at_500_instances(self, monkeypatch):
+        # the binary64 prescreen decides all but these draws of 500 per
+        # separation; a looser bound E sends more to the exact L2 form
+        calls = collections.Counter()
+
+        def counting(P, delta):
+            calls[float(delta)] += 1
+            return check_salem_ratio(P, delta)
+
+        monkeypatch.setattr(expsums, "check_salem_ratio", counting)
+        run_salem_suite(500, DEFAULT_SUITE_SEED)
+        assert calls == {1e-2: 4, 1e-4: 9, 1e-6: 6}
 
 
 class TestLevelCounting:
