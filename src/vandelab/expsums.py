@@ -15,7 +15,11 @@ term mass.  A form raises
 PrecisionError only when it does not clear its rounding dust.  The
 Turan, Nikolskii, cor-Turan and Riemann checks each return an
 InequalityCheck with both sides as computed; the Salem ratio is a
-measured constant, not a verdict.
+measured constant, not a verdict.  Its minimum over many sums,
+min_salem_ratio, is exact, but most sums are decided in binary64: a
+float ratio with a proven error bound shows that a sum lies above the
+running minimum, and only the sums it cannot rule out get the exact L2
+form.
 
 Sup norms are certified from a uniform grid: a derivative bound B for
 the [0,1]-rescaled sum (the Bernstein factor) turns the grid maximum
@@ -294,8 +298,8 @@ def _float_salem(P: ExpSum, W):
     - inputs: C_j, X_j and fl(W) round the mp values once, within u;
     - phase: X_j - X_k is within 2u s of x_j - x_k, and rounds within
       u s; the product adds u |Phi| and fl(W)'s rounding u |Phi|: Phi is
-      within 5u fl(W) s of phi, taken as D = 8u fl(W) s, up to 1e-8 rad
-      at |phi| ~ 8e7 (delta = 1e-6, |x| ~ 3.1).  With v = |Phi| - D
+      within 5u fl(W) s of phi, taken as D = 8u fl(W) s, about 7e-8 rad
+      where |phi| reaches 8e7 (delta = 1e-6, |x| ~ 3.1).  With v = |Phi| - D
       <= |phi|, |h(phi) - h(Phi)| <= 2 |e^(i phi) - e^(i Phi)| / |phi| +
       4 |1/phi - 1/Phi| <= (2 min(D, 2) + 4 D/|Phi|) / v.  A pair with
       v <= 0, or Phi not finite, gets E = inf;
@@ -306,8 +310,8 @@ def _float_salem(P: ExpSum, W):
       and rounds within sqrt(2) gamma_2 w; Re of its product with h
       rounds within gamma_2 w H; math.fsum of the pairs rounds once,
       within u of sum_pairs w H: 9u w H, taken as 10u w H;
-    - the ratio: the float c2 is within 5u of c2 (rounded parts, squares,
-      fsum), so R = fl(sum / c2) adds 8u |R| beside the pairs' errors
+    - the ratio: the float c2 is within 5u c2 of c2 (rounded parts,
+      squares, fsum), so R = fl(sum / c2) adds 8u |R| beside the pairs' errors
       divided by c2, and r = fl(1 + R) adds u |r|: taken as 10u |R| and
       2u |r|;
     - the mp value: _quadratic_form is within (1 + 2^-8) 2^-p of its mass
