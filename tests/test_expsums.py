@@ -727,6 +727,100 @@ class TestSalem:
                 min_salem_ratio([], delta)
 
 
+def _boundary_sum(gap, x0=mpf(1)):
+    """Three terms whose closest pair, x0 and x0 + gap, is frequencies
+    0,1; the third is far from both."""
+    return ExpSum((1, mpc(0, 1), 2), (x0, x0 + gap, mpf(-2)))
+
+
+class TestSeparationBoundary:
+    # the closest gap is delta (1 + k 2^-52) for k = -1, 0, 1: one
+    # binary64 ulp of delta below, at and above it, and 1 + gap rounds to
+    # the same binary64 value in all three, so only the mp gap decides
+    REFUSED = "frequencies 0,1 closer than the required separation 0.0078125"
+
+    @pytest.mark.parametrize("k, ok", [(-1, False), (0, True), (1, True)])
+    def test_check_salem_ratio(self, k, ok):
+        with mp.workprec(BITS):
+            delta = mp.ldexp(1, -7)
+            P = _boundary_sum(delta * (1 + k * mp.ldexp(1, -52)))
+            if ok:
+                ratio = check_salem_ratio(P, delta)
+                assert ratio == min_salem_ratio([P, P], delta)
+                assert abs(ratio - 1) < mp.ldexp(1, -100)
+            else:
+                for run in (lambda: check_salem_ratio(P, delta),
+                            lambda: min_salem_ratio([P], delta),
+                            lambda: min_salem_ratio([_boundary_sum(
+                                2 * delta), P], delta)):
+                    with pytest.raises(InvalidParameterError) as err:
+                        run()
+                    assert str(err.value) == self.REFUSED
+
+    @pytest.mark.parametrize("k, ok", [(-1, False), (0, True), (1, True)])
+    def test_check_cor_turan(self, k, ok):
+        with mp.workprec(BITS):
+            delta = mp.ldexp(1, -7)
+            P = _boundary_sum(delta * (1 + k * mp.ldexp(1, -52)))
+            if ok:
+                assert check_cor_turan(P, 100, delta).holds
+            else:
+                with pytest.raises(InvalidParameterError) as err:
+                    check_cor_turan(P, 100, delta)
+                assert str(err.value) == self.REFUSED
+
+    @pytest.mark.parametrize("k, ok", [(-1, False), (0, True), (1, True)])
+    def test_decimal_separation(self, k, ok):
+        # delta = 1e-2 at BITS is no binary64 value; the gap from 0 is
+        # delta itself, or delta moved by one binary64 ulp of it
+        with mp.workprec(BITS):
+            delta = mpf("1e-2")
+            P = _boundary_sum(delta * (1 + k * mp.ldexp(1, -52)), mpf(0))
+            if ok:
+                assert check_salem_ratio(P, delta) > 0
+            else:
+                with pytest.raises(InvalidParameterError) as err:
+                    check_salem_ratio(P, delta)
+                assert str(err.value) == ("frequencies 0,1 closer than the "
+                                          "required separation 0.01")
+
+    @pytest.mark.parametrize("k, ok", [(-1, False), (1, True)])
+    def test_wrap_around_pair(self, k, ok):
+        # pi - d/2 and -pi + d/2 (1 + k 2^-40) are d (1 + k 2^-41) apart
+        # across +-pi and 2 pi - d apart on the line; the third term sits
+        # in between
+        with mp.workprec(BITS):
+            delta = mpf("1e-3")
+            half = delta / 2
+            P = ExpSum((1, mpc(0, 1), 2),
+                       (mp.pi - half, -mp.pi + half * (1 + k * mp.ldexp(1, -40)),
+                        mpf("0.5")))
+            if ok:
+                assert check_salem_ratio(P, delta) > 0
+                assert check_cor_turan(P, 50, delta).holds
+            else:
+                for run in (lambda: check_salem_ratio(P, delta),
+                            lambda: check_cor_turan(P, 50, delta)):
+                    with pytest.raises(InvalidParameterError) as err:
+                        run()
+                    assert str(err.value) == (
+                        "frequencies 0,1 closer than the required "
+                        "separation 0.001")
+
+    @pytest.mark.parametrize("delta, ok", [("0.08", True), ("0.09", False)])
+    def test_frequency_beyond_pi(self, delta, ok):
+        # 3.2 reduces to 3.2 - 2 pi = -3.0832, 0.0832 from -3
+        with mp.workprec(BITS):
+            P = ExpSum((1, 1), (mpf("-3"), mpf("3.2")))
+            if ok:
+                assert check_salem_ratio(P, mpf(delta)) > 0
+            else:
+                with pytest.raises(InvalidParameterError) as err:
+                    check_salem_ratio(P, mpf(delta))
+                assert str(err.value) == ("frequencies 0,1 closer than the "
+                                          "required separation 0.09")
+
+
 class TestRiemannGap:
     def test_constant_gap_exact(self):
         # T == |c|^2, so the (N+1)/N overcount is the whole gap

@@ -1,8 +1,10 @@
 import collections
+import dataclasses
+import math
 import random
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from conftest import fit_level_constant, level_counts, random_clustered_config
 from vandelab import expsums
@@ -69,6 +71,71 @@ class TestInequalitySuites:
         c = ALL_SUITES["turan"](instances=10, seed=78)
         assert [r.to_json_dict() for r in a.records] != \
             [r.to_json_dict() for r in c.records]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", sorted(ALL_SUITES))
+    def test_json_dict_is_asdict(self, name):
+        res = ALL_SUITES[name](instances=20, seed=DEFAULT_SUITE_SEED)
+        for rec in res.records:
+            got = rec.to_json_dict()
+            assert got == dataclasses.asdict(rec)
+            assert list(got) == [f.name for f in dataclasses.fields(rec)]
+            assert got["params"] is not rec.params
+
+
+class ScriptedRng:
+    """Hands out the given uniforms in order and records each range."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = []
+
+    def uniform(self, lo, hi):
+        self.calls.append((lo, hi))
+        return self.values.pop(0)
+
+
+G = 2.0 ** -7
+
+
+class TestRandomExpsumSeparation:
+    # the second draw is G = 2^-7 from the first in binary64 and in mp:
+    # it is kept when G >= min_sep, else the third draw is
+    @staticmethod
+    def _draw(min_sep, kept):
+        rng = ScriptedRng([1.0, 1.0 + G, -2.0, 0.5, -0.25, 0.75, 0.125])
+        P = random_expsum(rng, 2, min_sep=min_sep)
+        second, coeffs = (1.0 + G, (-2.0, 0.5, -0.25, 0.75)) if kept else \
+            (-2.0, (0.5, -0.25, 0.75, 0.125))
+        assert P.freqs == (mpf(1.0), mpf(second))
+        assert P.coeffs == (mpc(*coeffs[:2]), mpc(*coeffs[2:]))
+        draws = 2 if kept else 3
+        assert rng.calls == [(-5.0, 5.0)] * draws + [(-1, 1)] * 4
+
+    @pytest.mark.parametrize("min_sep, kept", [
+        (G, True),
+        (math.nextafter(G, math.inf), False),
+        (math.nextafter(G, 0), True),
+    ])
+    @pytest.mark.parametrize("bits", [53, DEFAULT_SUITE_BITS])
+    def test_gap_at_the_boundary(self, min_sep, kept, bits):
+        with mp.workprec(bits):
+            self._draw(min_sep, kept)
+
+    @pytest.mark.parametrize("k, kept", [(1, False), (-1, True)])
+    def test_gap_below_binary64_resolution(self, k, kept):
+        # min_sep = G (1 + k 2^-100) rounds to G in binary64: only the mp
+        # comparison decides
+        with mp.workprec(DEFAULT_SUITE_BITS):
+            self._draw(mp.ldexp(1 + k * mp.ldexp(1, -100), -7), kept)
+
+    def test_gap_against_each_earlier_draw(self):
+        # the third draw clears the first but not the second
+        with mp.workprec(DEFAULT_SUITE_BITS):
+            rng = ScriptedRng([0.0, 1.0, 1.0 - G / 2, -1.0] + [0.5] * 6)
+            P = random_expsum(rng, 3, min_sep=G)
+        assert P.freqs == (mpf(0), mpf(1), mpf(-1))
 
 
 def salem_draws(seed, instances, delta):
