@@ -19,7 +19,9 @@ measured constant, not a verdict.  Its minimum over many sums,
 min_salem_ratio, is exact, but most sums are decided in binary64: a
 float ratio with a proven error bound shows that a sum lies above the
 running minimum, and only the sums it cannot rule out get the exact L2
-form.
+form.  The Salem and cor-Turan checks refuse frequencies closer than
+delta around the circle; binary64 gaps with a proven margin pass most
+sums, and only the others get the mp gaps and their refusal.
 
 Sup norms are certified from a uniform grid: a derivative bound B for
 the [0,1]-rescaled sum (the Bernstein factor) turns the grid maximum
@@ -29,7 +31,10 @@ the points within 2E of the float maximum for evaluation at mp
 precision, so the result is still the mp maximum over the whole grid.
 That pass steps each term's phase by a table of 32 points: libm's cos
 and sin run once per 32-point block and once per table entry, and each
-point costs one complex product per term.
+point costs one complex product per term.  It evaluates every 8th point
+first, and the 7 between two of them only when their ends and the
+Lipschitz bound |h| sum_j |c_j| |x_j| of |P| leave them able to reach
+the cut: the points it skips would not have been kept.
 Inequality verdicts always use the conservative side of each enclosure,
 so a reported violation is a real violation and never a grid artifact.
 """
@@ -214,11 +219,15 @@ def discrete_norm(P: ExpSum, N: int):
 _U = 2.0 ** -53  # unit roundoff of binary64
 _CHUNK = 1 << 14  # grid points per float pass
 _BLOCK = 32  # grid points per phase table in the float pass
+_RUN = 8  # grid points per run between coarse points of the float pass
 
 
-def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
+def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
+                  top=0.0):
     """(f, E, e): binary64 f_k ~ 2^-e |P(a + k h)| for k in ks, a range
-    within 0..samples, with |f_k - 2^-e |P(a + k h)|| <= E at every k.
+    within 0..samples, with |f_k - 2^-e |P(a + k h)|| <= E at every k,
+    and f_k = -inf at the points it skips, each of which lies below
+    fl(max(top, max f) - 2E), the cut of _grid_max.
 
     2^-e puts every coefficient part below 1, so nothing overflows.  The
     points are taken in blocks of _BLOCK, counted from ks.start.  Term j
@@ -247,13 +256,31 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
     E = (1 + 2^-20) (S (20u + gamma_{n-1} + 2^-(p-2) (max_j r_j + n + 4))
     + sum_j |c_j| min(10u r_j, 2) + n 2^-1060).  The factor 1 + 2^-20
     covers the (1 + O(u)) factors and the float evaluation of E.
+
+    Runs.  The coarse points, every _RUN-th point of each block and the
+    last point, are evaluated first; each run of up to _RUN - 1 points
+    between two of them, k_L < k < k_R, only when it can reach the cut.
+    With v_k = 2^-e |P(a + k h)|, |v_k - v_L| <= sum_j |c_j 2^-e| |x_j|
+    (k - k_L) |h|, and the same from k_R, so v_k <= (v_L + v_R + _RUN L)/2
+    with L = |h| sum_j |c_j 2^-e| |x_j|, and f_k <= v_k + E <=
+    (f_L + f_R)/2 + 2E + _RUN L/2.  With M_j = |C_j| and H = fl(h),
+    (1 + 8u) |H| sum_j M_j |X_j| bounds L but for underflow: a
+    coefficient part below 2^-1074, or a product M_j |X_j| or x_j in the
+    subnormal range, adds at most 2^-1068 (1 + |H|) per term, so at most
+    n 2^-66 to v_k when 2^-1000 <= |H| <= 2^1000; for other H no run is
+    skipped.  A run is skipped when, with lam = fl(sum_j M_j |X_j|),
+    (1 + 2^-20) ((f_L + f_R)/2 + 2E + _RUN |H| lam/2) + n 2^-60 lies below
+    the cut fl(top' - 2E), top' the largest of top and the coarse f: the
+    factor and n 2^-60 cover the roundings of the bound and the
+    underflow, so every f_k it skips is below the cut, and below the cut
+    of every later chunk.  So the largest f_k is always evaluated, and
+    _grid_max keeps the same points as a pass that evaluates them all.
     """
     peak = max((max(abs(c.real), abs(c.imag)) for c in P.coeffs), default=0)
     e = mp.frexp(peak)[1] if peak else 0
     A, H = float(a), float(h)
     starts = range(ks.start, ks.stop, _BLOCK)
-    zs = None
-    mags, phase_err, r_max = [], 0.0, 0.0
+    terms, mags, phase_err, r_max, lam = [], [], 0.0, 0.0, 0.0
     for c, x in zip(P.coeffs, P.freqs):
         if not c:
             continue
@@ -267,17 +294,54 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int):
         mags.append(abs(cf))
         phase_err += abs(cf) * d
         r_max = max(r_max, r)
+        lam += abs(cf) * abs(X)
         table = [cf * complex(math.cos(t), math.sin(t))
                  for t in [m * beta for m in range(_BLOCK)]]
         bases = [complex(math.cos(t), math.sin(t))
                  for t in [alpha + k0 * beta for k0 in starts]]
-        terms = [w * v for w in bases for v in table]
-        zs = terms[:len(ks)] if zs is None else list(map(add, zs, terms))
+        terms.append((bases, table))
     n, S = len(mags), sum(mags)
     gamma = (n - 1) * _U / (1 - (n - 1) * _U) if n else 0.0
     E = (1 + 2.0 ** -20) * (phase_err + n * 2.0 ** -1060 + S * (
         20 * _U + gamma + math.ldexp(r_max + n + 4, 2 - p)))
-    return [0.0] * len(ks) if zs is None else list(map(abs, zs)), E, e
+    if not terms:
+        return [0.0] * len(ks), E, e
+
+    def moduli(cols):
+        # |sum_j cols(bases_j, table_j)|, summed term by term in order
+        zs = None
+        for bases, table in terms:
+            col = cols(bases, table)
+            zs = col if zs is None else list(map(add, zs, col))
+        return list(map(abs, zs))
+
+    last = len(ks) - 1
+    coarse = list(range(0, last, _RUN)) + [last]
+    fc = moduli(lambda bases, table: [
+        w * v for w in bases for v in table[::_RUN]][:len(coarse) - 1]
+        + [bases[last // _BLOCK] * table[last % _BLOCK]])
+    f = [-math.inf] * len(ks)
+    f[:last:_RUN] = fc[:-1]
+    f[last] = fc[-1]
+    top = max(top, max(fc))
+    cut = top - 2 * E
+    runs = list(zip(coarse, coarse[1:], fc, fc[1:]))
+    if 2.0 ** -1000 <= abs(H) <= 2.0 ** 1000:
+        reach = 2 * E + _RUN / 2 * abs(H) * lam
+        slop = n * 2.0 ** -60
+        runs = [run for run in runs
+                if (1 + 2.0 ** -20) * ((run[2] + run[3]) / 2 + reach) + slop
+                >= cut]
+    runs = [(i, j) for i, j, _, _ in runs if j - i > 1]
+    if runs:
+        fe = moduli(lambda bases, table: [
+            bases[i // _BLOCK] * v for i, j in runs
+            for v in table[i % _BLOCK + 1:j - i // _BLOCK * _BLOCK]])
+        pos = 0
+        for i, j in runs:
+            f[i + 1:j] = fe[pos:pos + j - i - 1]
+            pos += j - i - 1
+    return f, E, e
 
 
 def _float_salem(P: ExpSum, W):
@@ -371,7 +435,7 @@ def _grid_max(P: ExpSum, a, b, samples: int):
     top, kept = 0.0, []
     for lo in range(0, samples + 1, _CHUNK):
         ks = range(lo, min(lo + _CHUNK, samples + 1))
-        f, E, _ = _float_moduli(P, a, h, ks, samples, p)
+        f, E, _ = _float_moduli(P, a, h, ks, samples, p, top)
         top = max(top, max(f))
         cut = top - 2 * E
         kept += [(k, fk) for k, fk in zip(ks, f) if fk >= cut]
@@ -449,6 +513,26 @@ def check_nikolskii(P: ExpSum) -> InequalityCheck:
 
 
 def _require_separated(P: ExpSum, delta_sep):
+    """Refuse P unless its frequencies, reduced to (-pi, pi], are at least
+    delta_sep (1 - 2^-(p-16)) apart around the circle, p = mp.prec.
+
+    Binary64 passes most sums first.  With u = 2^-53, p >= 53 and every
+    X_j = fl(x_j) within 3.1415 of 0, no x_j is reduced, and positive
+    float gaps keep the mp order.  Each mp gap, and the closing arc
+    2 pi - (x_last - x_first), is then within 51u < 2^-47 of its float
+    value: X_j within 4u of x_j, each float subtraction within 7u, 2 fl(pi)
+    within 7u of 2 pi, the mp roundings within 22 2^-p.  So when every
+    float gap and the arc reach T = fl(fl(D (1 + 2^-50)) + 2^-46), with
+    D = fl(delta_sep), every mp one is above T - 2^-47 >= D (1 + 5u) +
+    2^-48 > delta_sep, and P passes.  Otherwise the mp test decides.
+    """
+    xs = sorted(to_float(x._mpf_, rnd=round_nearest) for x in P.freqs)
+    if mp.prec >= 53 and xs and -3.1415 <= xs[0] and xs[-1] <= 3.1415:
+        T = to_float(as_mpf(delta_sep)._mpf_, rnd=round_nearest) \
+            * (1 + 2.0 ** -50) + 2.0 ** -46
+        if len(xs) < 2 or (2 * math.pi - (xs[-1] - xs[0]) >= T and all(
+                b - a >= T for a, b in zip(xs, xs[1:]))):
+            return
     slack = mp.ldexp(1, -(mp.prec - 16))
     floor = as_mpf(delta_sep) * (1 - slack)
     order, gaps = sorted_gaps(P.freqs, PERIODIC)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
+from mpmath.libmp import from_float
 
 from .errors import InvalidParameterError
 from .expsums import (
@@ -44,7 +45,9 @@ class SuiteRecord:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"check": self.check, "index": self.index,
+                "params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs,
+                "holds": self.holds, "seed": self.seed}
 
 
 @dataclass
@@ -73,19 +76,41 @@ def _rng_floats(rng, lo, hi):
 
 
 def _random_coeffs(rng, ell: int) -> list:
-    """ell coefficients drawn uniformly from the unit square."""
-    return [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(ell)]
+    """ell coefficients drawn uniformly from the unit square, each read
+    as mpc(re, im) would read it."""
+    prec, rnd = mp._prec_rounding
+    return [mp.make_mpc((from_float(rng.uniform(-1, 1), prec, rnd),
+                         from_float(rng.uniform(-1, 1), prec, rnd)))
+            for _ in range(ell)]
 
 
 def random_expsum(rng, ell: int, freq_range=5.0, min_sep=1e-3) -> ExpSum:
     """ell terms, coefficients in the unit square, frequencies separated
-    by at least min_sep inside [-freq_range, freq_range]."""
-    freqs = []
-    while len(freqs) < ell:
-        x = mpf(rng.uniform(-freq_range, freq_range))
-        if all(abs(x - y) >= min_sep for y in freqs):
-            freqs.append(x)
-    return ExpSum(tuple(_random_coeffs(rng, ell)), tuple(freqs))
+    by at least min_sep inside [-freq_range, freq_range].
+
+    Each candidate x is drawn as a binary64 float and kept when
+    abs(mpf(x) - mpf(y)) >= min_sep at the ambient precision p for every
+    kept y.  At p >= 53 the mpfs are the floats, and a binary64 gap
+    d = fl(|x - y|) >= far = fl(m (1 + 2^-50)), m = float(min_sep), decides
+    that comparison: with u = 2^-53, far >= m (1 + 8u)(1 - u), |x - y| >=
+    d/(1 + u), the mp gap is |x - y| rounded within 2^-p <= u, min_sep <=
+    m/(1 - u), and (1 + 8u)(1 - u)^2/(1 + u) > 1/(1 - u).  Only the other
+    gaps, and every gap when p < 53 or m is not within 2^+-1000, get the
+    mp comparison.  Frequencies and coefficients are the mpfs of the
+    floats, and the rng is called as before, so every draw is the same.
+    """
+    prec, rnd = mp._prec_rounding
+    m = float(min_sep)
+    far = m * (1 + 2.0 ** -50) \
+        if prec >= 53 and 2.0 ** -1000 <= m <= 2.0 ** 1000 else math.inf
+    xs = []
+    while len(xs) < ell:
+        x = rng.uniform(-freq_range, freq_range)
+        if all(abs(x - y) >= far or abs(mpf(x) - mpf(y)) >= min_sep
+               for y in xs):
+            xs.append(x)
+    freqs = tuple(mp.make_mpf(from_float(x, prec, rnd)) for x in xs)
+    return ExpSum(tuple(_random_coeffs(rng, ell)), freqs)
 
 
 def _clustered_expsum(rng, ell_max: int, exp_lo, exp_hi):

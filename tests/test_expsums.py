@@ -1,4 +1,6 @@
+import math
 import random
+from unittest import mock
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -491,6 +493,7 @@ class TestGridMaxPrescreen:
     def test_float_moduli_within_stated_bound(self, rng):
         # every third sum has |x| |t| up to ~1e8, where the phase term of
         # E dominates; every third has its coefficients scaled by 2^+-k
+        skipped = 0
         with mp.workprec(BITS):
             for i in range(12):
                 wide = i % 3 == 2
@@ -501,9 +504,11 @@ class TestGridMaxPrescreen:
                 a = mpf(rng.uniform(-3e3, 3e3) if wide else rng.uniform(-50, 50))
                 b = a + mpf(rng.uniform(0.1, 10))
                 samples = rng.randint(64, 200)
-                self._check_float_moduli(P, a, b, samples, range(samples + 1))
+                skipped += self._check_float_moduli(P, a, b, samples,
+                                                    range(samples + 1))
             # past 1000 samples, on ranges that start off a multiple of 32
-            # and end inside a block
+            # and end inside a block, as a later chunk after the grid's
+            # largest float modulus
             for i in range(6):
                 wide = i % 3 == 2
                 P = random_sum(rng, rng.randint(2, 6),
@@ -513,7 +518,34 @@ class TestGridMaxPrescreen:
                 samples = rng.randint(1001, 2000)
                 lo = 32 * rng.randint(0, 25) + rng.randint(1, 31)
                 hi = lo + 32 * rng.randint(1, 4) + rng.randint(1, 31)
-                self._check_float_moduli(P, a, b, samples, range(lo, hi))
+                p = BITS + 16 + samples.bit_length()
+                with mock.patch.object(expsums, "_RUN", 1):
+                    top = max(_float_moduli(P, a, (b - a) / samples,
+                                            range(samples + 1), samples, p)[0])
+                skipped += self._check_float_moduli(P, a, b, samples,
+                                                    range(lo, hi), top)
+        # the runs were tested: some points were skipped
+        assert skipped > 100
+
+    def test_run_around_a_sharp_peak_is_evaluated(self):
+        # |P(t)| = |sin 2t / sin(t/2)| peaks at t = 0, 0.3 h past grid point
+        # 16 and 7.3 h before its zero at grid point 24, with h = pi/14.6:
+        # f_16 - f_24 is near 4, above half the Lipschitz reach
+        # 8 h sum_j |x_j| = 3.44 of the run, so only the full reach
+        # keeps its largest point
+        samples = 32
+        with mp.workprec(BITS):
+            P = ExpSum((1, 1, 1, 1), tuple(mpf(j) - mpf("1.5")
+                                           for j in range(4)))
+            h = mp.pi / mpf("14.6")
+            a = -mpf("16.7") * h
+            b = a + samples * h
+            f, E, e = _float_moduli(P, a, h, range(samples + 1), samples,
+                                    BITS + 16 + samples.bit_length())
+            assert max(f) == f[17] > f[16] > f[24] + 3.9 / 2
+            got = _grid_max(P, a, b, samples)
+            assert got == recurrence_grid_max(P, a, b, samples)
+            assert got == abs(evaluate(P, a + 17 * h))
 
     def test_float_moduli_constant_term_of_the_bound(self):
         # one term of frequency below 1e-9 on [0, 1]: |P| is the constant
@@ -536,17 +568,29 @@ class TestGridMaxPrescreen:
         assert worst > E / 8
 
     @staticmethod
-    def _check_float_moduli(P, a, b, samples, ks):
+    def _check_float_moduli(P, a, b, samples, ks, top=0.0):
+        """The number of points the pass skips.  Every point it evaluates
+        is the value a pass over every point gives, bit for bit, within E
+        of the exact modulus; every point it skips is below the cut by
+        more than E, so its float value could not reach it."""
         h = (b - a) / samples
-        f, E, e = _float_moduli(P, a, h, ks, samples,
-                                BITS + 16 + samples.bit_length())
-        assert len(f) == len(ks)
+        p = BITS + 16 + samples.bit_length()
+        f, E, e = _float_moduli(P, a, h, ks, samples, p, top)
+        with mock.patch.object(expsums, "_RUN", 1):
+            full, E_full, e_full = _float_moduli(P, a, h, ks, samples, p, top)
+        assert (E_full, e_full) == (E, e) and len(f) == len(full) == len(ks)
         S = mp.fsum(abs(c) for c in P.coeffs)
         assert E < 1e-6 * float(mp.ldexp(S, -e))
+        cut = max(top, max(f)) - 2 * E
         with mp.workprec(4 * BITS):
-            for k, fk in zip(ks, f):
+            for k, fk, gk in zip(ks, f, full):
                 exact = mp.ldexp(abs(evaluate(P, a + k * h)), -e)
-                assert abs(fk - exact) <= E
+                assert abs(gk - exact) <= E
+                if fk == -math.inf:
+                    assert exact + E < cut
+                else:
+                    assert fk == gk
+        return f.count(-math.inf)
 
     def test_mp_pass_evaluates_one_point_per_call(self, monkeypatch):
         # E separates the grid maximum from every other point on the first
