@@ -22,8 +22,9 @@ An output that is meant to change is re-recorded with
 which bytes moved and why.
 
 CI also guards ``inequalities.json`` of the five suites at 500 instances,
-seeds 20240601, 7 and 11, by its SHA-256 in golden/inequalities_500.sha256;
-the three runs take seconds, too long for tier-1.  To re-record the
+seeds 20240601, 7 and 11, by its SHA-256 in golden/inequalities_500.sha256,
+on every Python version of its matrix, since the suites decide much in
+binary64; the three runs take seconds, too long for tier-1.  To re-record the
 digests, install the package, run this in a scratch directory and
 replace the file's three lines with the three its last command prints::
 
