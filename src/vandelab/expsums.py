@@ -325,14 +325,12 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
     f[last] = fc[-1]
     top = max(top, max(fc))
     cut = top - 2 * E
-    runs = list(zip(coarse, coarse[1:], fc, fc[1:]))
-    if 2.0 ** -1000 <= abs(H) <= 2.0 ** 1000:
-        reach = 2 * E + _RUN / 2 * abs(H) * lam
-        slop = n * 2.0 ** -60
-        runs = [run for run in runs
-                if (1 + 2.0 ** -20) * ((run[2] + run[3]) / 2 + reach) + slop
-                >= cut]
-    runs = [(i, j) for i, j, _, _ in runs if j - i > 1]
+    reach = 2 * E + _RUN / 2 * abs(H) * lam \
+        if 2.0 ** -1000 <= abs(H) <= 2.0 ** 1000 else math.inf
+    slop = n * 2.0 ** -60
+    runs = [(i, j) for i, j, f_l, f_r in zip(coarse, coarse[1:], fc, fc[1:])
+            if j - i > 1
+            and not (1 + 2.0 ** -20) * ((f_l + f_r) / 2 + reach) + slop < cut]
     if runs:
         fe = moduli(lambda bases, table: [
             bases[i // _BLOCK] * v for i, j in runs

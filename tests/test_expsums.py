@@ -836,9 +836,8 @@ class TestSeparationBoundary:
         with mp.workprec(BITS):
             delta = mpf("1e-3")
             half = delta / 2
-            P = ExpSum((1, mpc(0, 1), 2),
-                       (mp.pi - half, -mp.pi + half * (1 + k * mp.ldexp(1, -40)),
-                        mpf("0.5")))
+            far = -mp.pi + half * (1 + k * mp.ldexp(1, -40))
+            P = ExpSum((1, mpc(0, 1), 2), (mp.pi - half, far, mpf("0.5")))
             if ok:
                 assert check_salem_ratio(P, delta) > 0
                 assert check_cor_turan(P, 50, delta).holds
