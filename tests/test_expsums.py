@@ -528,11 +528,11 @@ class TestGridMaxPrescreen:
         assert skipped > 100
 
     def test_run_around_a_sharp_peak_is_evaluated(self):
-        # |P(t)| = |sin 2t / sin(t/2)| peaks at t = 0, 0.3 h past grid point
-        # 16 and 7.3 h before its zero at grid point 24, with h = pi/14.6:
-        # f_16 - f_24 is near 4, above half the Lipschitz reach
-        # 8 h sum_j |x_j| = 3.44 of the run, so only the full reach
-        # keeps its largest point
+        # |P(t)| = |sin 2t / sin(t/2)| peaks at 4 at t = 0, 0.3 h before
+        # grid point 17 and 7.3 h before its zero at grid point 24, with
+        # h = pi/14.6: |P| falls by more than 3.9 from point 16 to 24, over
+        # half the run's Lipschitz reach 8 h sum_j |x_j| = 6.89, so only the
+        # full reach keeps the largest point (f is |P| scaled by 1/2)
         samples = 32
         with mp.workprec(BITS):
             P = ExpSum((1, 1, 1, 1), tuple(mpf(j) - mpf("1.5")
