@@ -612,6 +612,22 @@ class TestGridMaxPrescreen:
             ALL_SUITES[name](instances=50, seed=DEFAULT_SUITE_SEED)
             assert counts == {"evaluate": calls, "grid_max": calls}
 
+    def test_float_pass_points_at_the_suite_seed(self, monkeypatch):
+        # the grid points the binary64 pass evaluates on the first 50 Turan
+        # and 50 Nikolskii draws: a looser E or a weaker run test would
+        # evaluate more of them
+        points = [0]
+
+        def counting(*args):
+            f, E, e = _float_moduli(*args)
+            points[0] += sum(fk != -math.inf for fk in f)
+            return f, E, e
+
+        monkeypatch.setattr(expsums, "_float_moduli", counting)
+        for name, want in (("turan", 6492), ("nikolskii", 9877)):
+            ALL_SUITES[name](instances=50, seed=DEFAULT_SUITE_SEED)
+            assert points[0] == want
+
 
 class TestTuran:
     def test_degree_one_equality(self):
