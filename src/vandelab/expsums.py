@@ -29,12 +29,10 @@ into the two-sided enclosure grid_max <= sup <= grid_max / (1 - h*B/2).
 A binary64 pass over the grid with a proven error bound E keeps only
 the points within 2E of the float maximum for evaluation at mp
 precision, so the result is still the mp maximum over the whole grid.
-That pass steps each term's phase by a table of 32 points: libm's cos
-and sin run once per 32-point block and once per table entry, and each
-point costs one complex product per term.  It evaluates every 8th point
-first, and the 7 between two of them only when their ends and the
-Lipschitz bound |h| sum_j |c_j| |x_j| of |P| leave them able to reach
-the cut: the points it skips would not have been kept.
+That pass evaluates every 8th point first, and the 7 between two of
+them only when their ends and the Lipschitz bound |h| sum_j |c_j| |x_j|
+of |P| leave them able to reach the cut: the points it skips would not
+have been kept.
 Inequality verdicts always use the conservative side of each enclosure,
 so a reported violation is a real violation and never a grid artifact.
 """
@@ -42,6 +40,7 @@ so a reported violation is a real violation and never a grid artifact.
 from __future__ import annotations
 
 import math
+from cmath import rect
 from dataclasses import dataclass
 from operator import add
 
@@ -218,48 +217,41 @@ def discrete_norm(P: ExpSum, N: int):
 
 _U = 2.0 ** -53  # unit roundoff of binary64
 _CHUNK = 1 << 14  # grid points per float pass
-_BLOCK = 32  # grid points per phase table in the float pass
 _RUN = 8  # grid points per run between coarse points of the float pass
 
 
 def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
                   top=0.0):
-    """(f, E, e): binary64 f_k ~ 2^-e |P(a + k h)| for k in ks, a range
-    within 0..samples, with |f_k - 2^-e |P(a + k h)|| <= E at every k,
-    and f_k = -inf at the points it skips, each of which lies below
-    fl(max(top, max f) - 2E), the cut of _grid_max.
+    """(f, E, e): binary64 f[k] ~ 2^-e |P(a + k h)| at the points k of ks,
+    a range within 0..samples, that the pass evaluates, with
+    |f[k] - 2^-e |P(a + k h)|| <= E at each; every point of ks that f
+    leaves out lies below fl(max(top, max f) - 2E), the cut of _grid_max.
 
     2^-e puts every coefficient part below 1, so nothing overflows.  The
-    points are taken in blocks of _BLOCK, counted from ks.start.  Term j
-    has one table T_j[m] = c_j e^(i fl(m beta_j)) for m < _BLOCK, and one
-    base e^(i fl(alpha_j + k0 beta_j)) per block start k0, with
-    alpha_j = fl(x_j a) and beta_j = fl(x_j h): its value at k = k0 + m
-    is base * T_j[m], one complex product, so libm runs once per block
-    and once per table entry.  The phase error does not grow with k.
-    With u = 2^-53, n nonzero terms, S = sum_j |c_j| after scaling and
+    phase of term j at point k is fl(fl(x_j a) + k fl(x_j h)), so its
+    error does not grow with k, and the term is C_j times
+    cmath.rect(1, phase), libm's cos and sin.  With u = 2^-53, n nonzero
+    terms, S = sum_j |c_j| after scaling and
     r_j = |x_j| (|a| + samples |h|), E adds up:
 
-    - phase: float(mpf) truncates x_j, a and h (2u each); alpha_j, beta_j,
-      k0 beta_j, their sum and m beta_j are rounded once each.  The two
-      parts add up to the phase at k in the product, exactly but for its
-      rounding below: 7u r_j, taken as 10u r_j.  A term whose bound
-      reaches 2 gets phase 0 and is charged 2 |c_j|;
-    - coefficient rounding (2u), libm cos and sin within 2 ulp (3u) for
-      the table and again for the base, the table's complex product (3u)
-      and the base's (3u), and hypot within 1 ulp (2u): 16u S, taken as
-      20u S;
+    - phase: float(mpf) truncates x_j, a and h (2u each), then two
+      products, k * beta and a sum: 7u r_j, taken as 10u r_j.  A term
+      whose bound reaches 2 gets phase 0 and is charged 2 |c_j|;
+    - libm cos and sin within 2 ulp (3u), coefficient rounding (2u), the
+      complex product (3u) and hypot within 1 ulp (2u): 10u S, taken as
+      12u S;
     - recursive summation (Higham): gamma_{n-1} S;
     - an underflowing coefficient or product: 2^-1060 per term;
     - the mp evaluation of a point at p bits, so that the point of the
       mp maximum is kept too: 2^-(p-2) (max_j r_j + n + 4) S.
 
-    E = (1 + 2^-20) (S (20u + gamma_{n-1} + 2^-(p-2) (max_j r_j + n + 4))
+    E = (1 + 2^-20) (S (12u + gamma_{n-1} + 2^-(p-2) (max_j r_j + n + 4))
     + sum_j |c_j| min(10u r_j, 2) + n 2^-1060).  The factor 1 + 2^-20
     covers the (1 + O(u)) factors and the float evaluation of E.
 
-    Runs.  The coarse points, every _RUN-th point of each block and the
-    last point, are evaluated first; each run of up to _RUN - 1 points
-    between two of them, k_L < k < k_R, only when it can reach the cut.
+    Runs.  The coarse points, every _RUN-th point of ks and its last, are
+    evaluated first; each run of up to _RUN - 1 points between two of
+    them, k_L < k < k_R, only when it can reach the cut.
     With v_k = 2^-e |P(a + k h)|, |v_k - v_L| <= sum_j |c_j 2^-e| |x_j|
     (k - k_L) |h|, and the same from k_R, so v_k <= (v_L + v_R + _RUN L)/2
     with L = |h| sum_j |c_j 2^-e| |x_j|, and f_k <= v_k + E <=
@@ -279,7 +271,6 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
     peak = max((max(abs(c.real), abs(c.imag)) for c in P.coeffs), default=0)
     e = mp.frexp(peak)[1] if peak else 0
     A, H = float(a), float(h)
-    starts = range(ks.start, ks.stop, _BLOCK)
     terms, mags, phase_err, r_max, lam = [], [], 0.0, 0.0, 0.0
     for c, x in zip(P.coeffs, P.freqs):
         if not c:
@@ -295,50 +286,35 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
         phase_err += abs(cf) * d
         r_max = max(r_max, r)
         lam += abs(cf) * abs(X)
-        table = [cf * complex(math.cos(t), math.sin(t))
-                 for t in [m * beta for m in range(_BLOCK)]]
-        bases = [complex(math.cos(t), math.sin(t))
-                 for t in [alpha + k0 * beta for k0 in starts]]
-        terms.append((bases, table))
+        terms.append((cf, alpha, beta))
     n, S = len(mags), sum(mags)
     gamma = (n - 1) * _U / (1 - (n - 1) * _U) if n else 0.0
     E = (1 + 2.0 ** -20) * (phase_err + n * 2.0 ** -1060 + S * (
-        20 * _U + gamma + math.ldexp(r_max + n + 4, 2 - p)))
+        12 * _U + gamma + math.ldexp(r_max + n + 4, 2 - p)))
     if not terms:
-        return [0.0] * len(ks), E, e
+        return dict.fromkeys(ks, 0.0), E, e
 
-    def moduli(cols):
-        # |sum_j cols(bases_j, table_j)|, summed term by term in order
+    def moduli(points):
+        # |sum_j c_j e^(i (alpha_j + k beta_j))| at each k, summed term by term
         zs = None
-        for bases, table in terms:
-            col = cols(bases, table)
+        for cf, alpha, beta in terms:
+            col = [cf * rect(1.0, alpha + k * beta) for k in points]
             zs = col if zs is None else list(map(add, zs, col))
         return list(map(abs, zs))
 
-    last = len(ks) - 1
-    coarse = list(range(0, last, _RUN)) + [last]
-    fc = moduli(lambda bases, table: [
-        w * v for w in bases for v in table[::_RUN]][:len(coarse) - 1]
-        + [bases[last // _BLOCK] * table[last % _BLOCK]])
-    f = [-math.inf] * len(ks)
-    f[:last:_RUN] = fc[:-1]
-    f[last] = fc[-1]
+    coarse = [*ks[:-1:_RUN], ks[-1]]
+    fc = moduli(coarse)
+    f = dict(zip(coarse, fc))
     top = max(top, max(fc))
     cut = top - 2 * E
     reach = 2 * E + _RUN / 2 * abs(H) * lam \
         if 2.0 ** -1000 <= abs(H) <= 2.0 ** 1000 else math.inf
     slop = n * 2.0 ** -60
-    runs = [(i, j) for i, j, f_l, f_r in zip(coarse, coarse[1:], fc, fc[1:])
-            if j - i > 1
-            and not (1 + 2.0 ** -20) * ((f_l + f_r) / 2 + reach) + slop < cut]
+    runs = [k for i, j, f_l, f_r in zip(coarse, coarse[1:], fc, fc[1:])
+            if not (1 + 2.0 ** -20) * ((f_l + f_r) / 2 + reach) + slop < cut
+            for k in range(i + 1, j)]
     if runs:
-        fe = moduli(lambda bases, table: [
-            bases[i // _BLOCK] * v for i, j in runs
-            for v in table[i % _BLOCK + 1:j - i // _BLOCK * _BLOCK]])
-        pos = 0
-        for i, j in runs:
-            f[i + 1:j] = fe[pos:pos + j - i - 1]
-            pos += j - i - 1
+        f.update(zip(runs, moduli(runs)))
     return f, E, e
 
 
@@ -434,9 +410,9 @@ def _grid_max(P: ExpSum, a, b, samples: int):
     for lo in range(0, samples + 1, _CHUNK):
         ks = range(lo, min(lo + _CHUNK, samples + 1))
         f, E, _ = _float_moduli(P, a, h, ks, samples, p, top)
-        top = max(top, max(f))
+        top = max(top, max(f.values()))
         cut = top - 2 * E
-        kept += [(k, fk) for k, fk in zip(ks, f) if fk >= cut]
+        kept += [(k, fk) for k, fk in f.items() if fk >= cut]
     cut = top - 2 * E
     with mp.workprec(p):
         best = max(abs(evaluate(P, a + k * h)) for k, fk in kept if fk >= cut)
@@ -543,26 +519,20 @@ def _require_separated(P: ExpSum, delta_sep):
 
 
 def check_salem_ratio(P: ExpSum, delta_sep):
-    """||P||^2_{L2(0, 4pi/delta)} / ||c||^2, the empirical Salem ratio.
+    """||P||^2_{L2(0, 4pi/delta)} / ||c||^2, the empirical Salem ratio:
+    min_salem_ratio of the one sum.
 
     Frequencies must be pairwise separated by at least delta_sep in the
     wrap-around sense.  Suites record the minimum ratio over instances as
     the empirical constant.
     """
-    delta_sep = as_mpf(delta_sep)
-    if not delta_sep > 0:
-        raise InvalidParameterError("delta_sep must be > 0")
-    _require_separated(P, delta_sep)
-    c2 = P.coeff_norm_sq()
-    if c2 == 0:
-        raise DegenerateInputError("all coefficients are zero")
-    norm = l2_norm_exact(P, mpf(0), 4 * mp.pi / delta_sep)
-    return norm ** 2 / c2
+    return min_salem_ratio((P,), delta_sep)
 
 
 def min_salem_ratio(sums, delta_sep):
-    """The least check_salem_ratio over the sums, the same mpf, with each
-    sum refused as check_salem_ratio refuses it.
+    """The least Salem ratio over the sums, each refused unless its
+    frequencies are delta_sep apart (_require_separated) and some
+    coefficient is nonzero.
 
     The first sum is evaluated exactly.  Each later sum gets a binary64
     ratio r within E of its exact one (_float_salem), and is skipped when
@@ -578,15 +548,15 @@ def min_salem_ratio(sums, delta_sep):
     W = 4 * mp.pi / delta_sep
     lo = None
     for P in sums:
+        _require_separated(P, delta_sep)
+        n = P.degree
+        if not n:
+            raise DegenerateInputError("all coefficients are zero")
         if lo is not None:
-            _require_separated(P, delta_sep)
-            n = P.degree
-            if not n:
-                raise DegenerateInputError("all coefficients are zero")
             r, E = _float_salem(P, W)
             if r - E > lo_up and n < n_cap:
                 continue
-        ratio = check_salem_ratio(P, delta_sep)
+        ratio = l2_norm_exact(P, mpf(0), W) ** 2 / P.coeff_norm_sq()
         if lo is None or ratio < lo:
             lo = ratio
             lo_up = float(lo)

@@ -9,7 +9,7 @@ from mpmath import mp, mpc, mpf
 from conftest import fit_level_constant, level_counts, random_clustered_config
 from vandelab import expsums
 from vandelab.bounds import count_bands, lower_bound_shape
-from vandelab.expsums import check_salem_ratio
+from vandelab.expsums import check_salem_ratio, l2_norm_exact
 from vandelab.geometry import validate_config
 from vandelab.hp import decimal_str, required_bits
 from vandelab.matrices import VandermondeSpec
@@ -169,11 +169,12 @@ class TestSalemMinimum:
         # separation; a looser bound E sends more to the exact L2 form
         calls = collections.Counter()
 
-        def counting(P, delta):
-            calls[float(delta)] += 1
-            return check_salem_ratio(P, delta)
+        def counting(P, a, b):
+            # the window is [0, 4 pi/delta]: count by delta
+            calls[round(float(4 * mp.pi / b), 12)] += 1
+            return l2_norm_exact(P, a, b)
 
-        monkeypatch.setattr(expsums, "check_salem_ratio", counting)
+        monkeypatch.setattr(expsums, "l2_norm_exact", counting)
         run_salem_suite(500, DEFAULT_SUITE_SEED)
         assert calls == {1e-2: 4, 1e-4: 9, 1e-6: 6}
 
