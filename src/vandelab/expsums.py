@@ -234,9 +234,10 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
     terms, S = sum_j |c_j| after scaling and
     r_j = |x_j| (|a| + samples |h|), E adds up:
 
-    - phase: float(mpf) truncates x_j, a and h (2u each), then two
-      products, k * beta and a sum: 7u r_j, taken as 10u r_j.  A term
-      whose bound reaches 2 gets phase 0 and is charged 2 |c_j|;
+    - phase: float(mpf) truncates x_j, a and h (2u each); alpha_j =
+      fl(x_j a), beta_j = fl(x_j h), k beta_j and their sum are rounded
+      once each: 7u r_j, taken as 10u r_j.  A term whose bound reaches 2
+      gets phase 0 and is charged 2 |c_j|;
     - libm cos and sin within 2 ulp (3u), coefficient rounding (2u), the
       complex product (3u) and hypot within 1 ulp (2u): 10u S, taken as
       12u S;
@@ -313,8 +314,7 @@ def _float_moduli(P: ExpSum, a, h, ks: range, samples: int, p: int,
     runs = [k for i, j, f_l, f_r in zip(coarse, coarse[1:], fc, fc[1:])
             if not (1 + 2.0 ** -20) * ((f_l + f_r) / 2 + reach) + slop < cut
             for k in range(i + 1, j)]
-    if runs:
-        f.update(zip(runs, moduli(runs)))
+    f.update(zip(runs, moduli(runs)))
     return f, E, e
 
 

@@ -1,4 +1,3 @@
-import math
 import random
 from unittest import mock
 
@@ -433,8 +432,8 @@ class TestCertifiedSup:
 class TestGridMaxPrescreen:
     @pytest.mark.parametrize("chunk", [1 << 14, 7, 45, 1000])
     def test_random_sums_match_full_grid(self, rng, monkeypatch, chunk):
-        # chunks of 7, 45 and 1000 points each start their every-8th
-        # coarse points off a multiple of 8 and end inside a run
+        # chunks of 7, 45 and 1000 points restart the every-8th coarse
+        # points off a multiple of 8 and end in a short run
         monkeypatch.setattr(expsums, "_CHUNK", chunk)
         with mp.workprec(BITS):
             for i in range(12):
