@@ -10,11 +10,12 @@ compares every pair of nodes where the validator scans sorted gaps.  jacobi_refe
 two-sided cyclic Jacobi on the full matrix with mpf operators, another
 iteration than the package's pivoted Cholesky and one-sided Jacobi.
 
-Four oracles are the package's own earlier forms, kept to show that
+Five oracles are the package's own earlier forms, kept to show that
 their faster successors give the same bits: the pivoted Cholesky on mpf
 operators, the rotation as four full products per entry pair, the
-kernel entries rounded from unstripped integers, and the reduction into
-(-pi, pi] evaluating pi at each use.
+kernel entries rounded from unstripped integers, the reduction into
+(-pi, pi] evaluating pi at each use, and decimal_str reading its value
+under a working precision.
 
 The fixtures are reference matrices and seeded instance generators that
 only tests use: the tall Vandermonde and shifted Vandermonde factors,
@@ -50,7 +51,8 @@ from vandelab.geometry import (
     generate_config,
 )
 from vandelab.bounds import count_bands, lower_bound_shape
-from vandelab.hp import as_mpf, decimal_str, required_bits
+from vandelab.hp import (_read_decimal, as_mpf, decimal_digits, decimal_str,
+                         required_bits)
 from vandelab.matrices import VandermondeSpec, _kernel_frame
 from vandelab.suites import DEFAULT_SUITE_BITS, _rng_floats
 
@@ -271,6 +273,20 @@ def cholesky_rows_reference(a, n, p):
                     a[i][j] = a[j][i] = a[i][j] - ri * rj
         return r
 
+
+def decimal_str_reference(x, bits: int, exact: bool = False) -> str:
+    """decimal_str as it was, reading x as mpf(x) under workprec(bits)
+    and formatting it there: the oracle that the string depends only on
+    x and bits."""
+    with mp.workprec(bits):
+        x = mpf(x)
+        text = mp.nstr(x, decimal_digits(bits))
+        if exact:
+            for more in (1, 2):
+                if _read_decimal(text, bits) == x:
+                    break
+                text = mp.nstr(x, decimal_digits(bits) + more)
+        return text
 
 def rounded_reference(vals, k):
     """Each int of vals divided by 2^k, k >= 1, rounded to nearest with

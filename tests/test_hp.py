@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from conftest import decimal_str_reference
 from vandelab.errors import InvalidParameterError
 from vandelab.hp import (
     FLOOR_BITS,
@@ -131,6 +132,53 @@ class TestDecimalRoundTrip:
                 misses += 1
         assert misses > 0
 
+
+def _seeded_values():
+    """mpfs made at 53 to 4096 bits, ints, decimal strings, +-0, +-inf
+    and nan: the inputs decimal_str is called on."""
+    rng = random.Random(20240601)
+    values = []
+    for prec in (53, 64, 192, 613, 2000, 4096):
+        with mp.workprec(prec):
+            for _ in range(3):
+                x = mp.pi * mpf(rng.random()) * mpf(10) ** rng.randint(-40, 40)
+                values.append(x if rng.random() < 0.5 else -x)
+            values.append(mpf(1) / 3)
+    values += [0, 7, -123456789, 3 ** 2000 + 1]
+    values += ["1e-25", "0.1", "-2.5e10", "3.14159265358979323846264338327950"]
+    values += [mpf(0), -mpf(0), mpf("inf"), mpf("-inf"), mpf("nan")]
+    return values
+
+
+def _outcome(f, *args):
+    """f(*args), or the refusal it raises."""
+    try:
+        return f(*args)
+    except InvalidParameterError as exc:
+        return "refused", str(exc)
+
+
+class TestDecimalStrOfValueAndBits:
+    # the string depends only on the value and bits: not on the ambient
+    # precision, which each call leaves as it found it
+
+    @pytest.mark.parametrize("bits", [16, 64, 192, 613, 2000, 16384])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_reading_under_workprec(self, bits, exact):
+        for x in _seeded_values():
+            want = _outcome(decimal_str_reference, x, bits, exact)
+            for ambient in (max(8, bits // 2), bits, 2 * bits + 64):
+                with mp.workprec(ambient):
+                    assert _outcome(decimal_str, x, bits, exact) == want, (
+                        x, ambient)
+                    assert mp.prec == ambient
+
+    def test_default_bits_are_the_ambient_precision(self):
+        for x in _seeded_values():
+            for ambient in (53, 192, 613):
+                with mp.workprec(ambient):
+                    assert decimal_str(x) == decimal_str_reference(x, ambient)
+                    assert mp.prec == ambient
 
 def _int_of_digits(digits: str) -> int:
     """The int of a digit string of any length, read in chunks below

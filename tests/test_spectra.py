@@ -122,6 +122,26 @@ class TestJacobi:
         with pytest.raises(InvalidParameterError):
             hermitian_eigenvalues(M, BITS)
 
+    @pytest.mark.parametrize("entry", [mpc(0, 1), mpc(2, 0), 1j, complex(2)])
+    def test_refuses_complex_entry_by_name(self, entry):
+        # an mpc or Python complex entry, even with no imaginary part
+        M = ((mpf(3), entry), (entry, mpf(3)))
+        with pytest.raises(InvalidParameterError,
+                           match="complex entry in a real eigensolve"):
+            hermitian_eigenvalues(M, BITS)
+
+    def test_entries_are_read_at_the_working_precision(self, rng):
+        # rows given at 2p bits solve as the same rows rounded to p first
+        for n in (1, 3, 6):
+            with mp.workprec(2 * BITS):
+                wide = tuple(tuple(x * mp.pi for x in row)
+                             for row in random_spd(rng, n, 2 * BITS))
+            with mp.workprec(BITS):
+                narrow = tuple(tuple(+x for x in row) for row in wide)
+            assert narrow != wide
+            assert hermitian_eigenvalues(wide, BITS) == \
+                hermitian_eigenvalues(narrow, BITS)
+
     def test_rejects_asymmetric_entry(self):
         # one off-diagonal entry moved by one ulp: a[0][2] != a[2][0]
         with mp.workprec(BITS):
