@@ -6,6 +6,9 @@ limit-check.  Each takes --out; all but inequalities take
 inequalities take --seed, and sweep --workers.  The command line is the
 whole input, and a command refuses a flag it does not read.
 
+The parser is built once per process, on the first call of main, and
+reused by every later call; -v sets the log level on each call.
+
 Exit codes: 0 on success with no failed rows, 1 if any row failed,
 2 on usage or configuration errors.  A command prints to stdout only
 after its result files are written; a reader that closes the pipe early
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -160,15 +164,22 @@ COMMANDS = {"gen-config": _cmd_gen_config, "sweep": _cmd_sweep,
             "inequalities": _cmd_inequalities}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main call of a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:  # a VandelabError from the flags or the command exits 2
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if hasattr(args, "precision_bits"):
             args.precision_bits = parse_bits(args.precision_bits,
                                              "--precision-bits")
-        logging.basicConfig(
-            level=logging.DEBUG if args.verbose else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s")
+        # basicConfig adds the handler once; the level is each call's own
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger().setLevel(
+            logging.DEBUG if args.verbose else logging.INFO)
         code, text = COMMANDS.get(args.command, _cmd_config)(args)
     except VandelabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -207,18 +207,20 @@ def decimal_digits(bits: int) -> int:
 def decimal_str(x, bits: int | None = None, exact: bool = False) -> str:
     """Serialize an mpf to a decimal string with precision-matched digits.
 
-    Deterministic: the same value and bit count always produce the same
-    string, which is what the CSV/JSON reproducibility contract needs.
-    Those digits need not read back to x; exact adds the fewest, at most
-    two, with which parse_decimal at the same bits gives x itself.
+    The string depends only on the value and ``bits`` (by default the
+    ambient precision): x is read once, rounded to nearest at ``bits``
+    as mpf(x) rounds it under workprec(bits), and formatted with no
+    precision context, so the ambient precision never enters.  That is
+    what the CSV/JSON reproducibility contract needs.  Those digits need
+    not read back to x; exact adds the fewest, at most two, with which
+    parse_decimal at the same bits gives x itself.
     """
     p = bits if bits is not None else mp.prec
-    with mp.workprec(p):
-        x = mpf(x)
-        text = mp.nstr(x, decimal_digits(p))
-        if exact:  # floor(p log10 2) + 2 digits read back to any p-bit x
-            for more in (1, 2):
-                if _read_decimal(text, p) == x:
-                    break
-                text = mp.nstr(x, decimal_digits(p) + more)
-        return text
+    x = mpf(x, prec=p)
+    text = mp.nstr(x, decimal_digits(p))
+    if exact:  # floor(p log10 2) + 2 digits read back to any p-bit x
+        for more in (1, 2):
+            if _read_decimal(text, p) == x:
+                break
+            text = mp.nstr(x, decimal_digits(p) + more)
+    return text

@@ -45,7 +45,7 @@ from operator import mul
 from mpmath import mp, mpf
 from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_cmp, mpf_div,
                           mpf_mul, mpf_shift, mpf_sign, mpf_sqrt, mpf_sub,
-                          round_floor, round_nearest, to_int)
+                          mpf_sum, round_floor, round_nearest, to_int)
 
 from .errors import ConvergenceError, InvalidParameterError, PrecisionError
 from .geometry import LINE, NodeSet, scale_to_circle
@@ -229,23 +229,24 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
         raise InvalidParameterError("matrix is not square")
     p, q = bits, bits + COLUMN_GUARD_BITS
 
+    try:  # each entry a raw libmp value rounded at p, as mpf(x) rounds it
+        a = [[mpf(x, prec=p)._mpf_ for x in row] for row in rows]
+    except TypeError as exc:  # mpf() refuses mpc and complex entries
+        raise InvalidParameterError("complex entry in a real eigensolve") from exc
+    # normalized raw values are equal iff their values are
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise InvalidParameterError("matrix is not symmetric")
+    # the raw infinities and nan are the values with no mantissa but an
+    # exponent
+    if any(not man and exp for row in a for _, man, exp, _ in row):
+        raise InvalidParameterError("non-finite entry in an eigensolve")
+    trace = mpf_sum([a[i][i] for i in range(n)], p, round_nearest)
+    # every pivot, so the trace, positive
+    r = _cholesky_rows(a, n, p)
     with mp.workprec(p):
-        try:
-            a = [[mpf(x) for x in row] for row in rows]
-        except TypeError as exc:  # mpf() refuses mpc and complex entries
-            raise InvalidParameterError("complex entry in a real eigensolve") from exc
-        # raw libmp values: normalized ones are equal iff their values are
-        if any(a[i][j]._mpf_ != a[j][i]._mpf_
-               for i in range(n) for j in range(i)):
-            raise InvalidParameterError("matrix is not symmetric")
-        if not all(mp.isfinite(x) for row in a for x in row):
-            raise InvalidParameterError("non-finite entry in an eigensolve")
-        trace = mp.fsum(a[i][i] for i in range(n))
-        # every pivot, so the trace, positive
-        r = _cholesky_rows([[x._mpf_ for x in row] for row in a], n, p)
         # the unit 2^e puts sqrt(trace / n) at q + 1 bits: trace / n
         # rounded down keeps its floor(log2), exp + bc - 1
-        _, _, exp, bc = mpf_div(trace._mpf_, from_int(n), p, round_floor)
+        _, _, exp, bc = mpf_div(trace, from_int(n), p, round_floor)
         e = (exp + bc - 1) // 2 - q
         cols = [_frame_column(row, e) for row in r]
         del a, r  # the sweeps need only the int columns
@@ -281,7 +282,7 @@ def hermitian_eigenvalues(rows, bits: int) -> SpectrumResult:
                          for m in norms), reverse=True)
         terms = (2 * n + 3 << COLUMN_GUARD_BITS) + 3 * (
             sweeps * n * (n - 1) // 2 + 1) * (math.isqrt(n) + 9)
-        bound = mp.ldexp(terms * trace, -q) + off
+        bound = mp.ldexp(terms * mp.make_mpf(trace), -q) + off
         result = SpectrumResult(tuple(values), "eigen", p, off, sweeps, bound)
         if values[-1] <= bound:
             raise PrecisionError(
@@ -297,8 +298,9 @@ def singular_values(spec: VandermondeSpec, bits: int) -> SpectrumResult:
     of the eigenvalues of its Dirichlet kernel K, which has the Gram
     spectrum."""
     eig = hermitian_eigenvalues(build_dirichlet_kernel(spec, bits), bits)
-    with mp.workprec(bits):
-        vals = tuple(mp.sqrt(lam) for lam in eig.values)
+    # mpf_sqrt rounds to nearest at bits, as mp.sqrt under workprec(bits)
+    vals = tuple(mp.make_mpf(mpf_sqrt(lam._mpf_, bits, round_nearest))
+                 for lam in eig.values)
     return dataclasses.replace(eig, values=vals, kind="singular")
 
 

@@ -1,10 +1,12 @@
 import json
+import logging
 import subprocess
 import sys
 
 import pytest
 from mpmath import mp, mpf
 
+from vandelab import cli, experiments
 from vandelab.cli import main
 from vandelab.experiments import write_config
 from vandelab.geometry import ClusterSpec, NodeSet, generate_config
@@ -167,6 +169,48 @@ def test_import_leaves_the_process_pool_out():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["inequalities", "--checks", "turan", "--instances",
+                         "2", "--out", str(tmp_path)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    capsys.readouterr()
+
+
+def test_verbose_flag_holds_on_every_call(tmp_path, capsys, caplog,
+                                          monkeypatch):
+    # basicConfig sets no level once the root logger has a handler, so
+    # each call sets it: a -v call after a plain one logs the re-solve's
+    # debug line, and the plain call after it is back at INFO
+    real = experiments.required_bits
+    monkeypatch.setattr(experiments, "required_bits",
+                        lambda *args: real(*args) - 100)
+    with mp.workprec(256):
+        spec = ClusterSpec(delta="1e-6", theta="1", s=4, ell=4, tau=3)
+        nodes, _ = generate_config(spec, "equispaced", [mpf(0)], seed=1)
+    path = tmp_path / "c.json"
+    write_config(path, nodes, spec, N=100)
+    root = logging.getLogger()
+    level = root.level
+    try:
+        for verbose in (False, True, False):
+            caplog.clear()
+            assert main(["-v"] * verbose + [
+                "spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+            assert root.level == (logging.DEBUG if verbose else logging.INFO)
+            assert sum("re-solving" in r.getMessage()
+                       for r in caplog.records) == verbose
+    finally:
+        root.setLevel(level)
+    capsys.readouterr()
 
 def _line_config(path, nodes, delta):
     s = len(nodes)
