@@ -52,7 +52,10 @@ def _add_common(parser, precision_bits=True, c1=False):
                             help="user-supplied absolute constant")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call in a process
+    and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="vandelab",
         description="High-precision Vandermonde / prolate spectrum laboratory")
@@ -164,15 +167,9 @@ COMMANDS = {"gen-config": _cmd_gen_config, "sweep": _cmd_sweep,
             "inequalities": _cmd_inequalities}
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """build_parser(), built on the first main call of a process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:  # a VandelabError from the flags or the command exits 2
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if hasattr(args, "precision_bits"):
             args.precision_bits = parse_bits(args.precision_bits,
                                              "--precision-bits")

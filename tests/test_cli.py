@@ -170,18 +170,12 @@ def test_import_leaves_the_process_pool_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
-    built, real = [], cli.build_parser
-    monkeypatch.setattr(cli, "build_parser",
-                        lambda: built.append(1) or real())
-    cli._parser.cache_clear()
-    try:
-        for _ in range(3):
-            assert main(["inequalities", "--checks", "turan", "--instances",
-                         "2", "--out", str(tmp_path)]) == 0
-    finally:
-        cli._parser.cache_clear()
-    assert built == [1]
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["inequalities", "--checks", "turan", "--instances", "2",
+                     "--out", str(tmp_path)]) == 0
+    assert cli.build_parser.cache_info().misses == 1
     capsys.readouterr()
 
 
