@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPSUMS = "src/vandelab/expsums.py"
 PRESCREEN = "tests/test_expsums.py::TestGridMaxPrescreen::"
 SPECTRA = "src/vandelab/spectra.py"
+BOUNDS = "src/vandelab/bounds.py"
 JACOBI = "tests/test_spectra.py::TestJacobi::"
 
 #: (file, old line, new line, the tests that must fail)
@@ -81,6 +82,30 @@ MUTANTS = [
      "    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):",
      "    if False:",
      [JACOBI + "test_rejects_asymmetric_entry"]),
+    # the sup enclosure 1/(1 - h B/2) as 1/(1 - h B/4)
+    (EXPSUMS,
+     "    upper = lower / (1 - h * B / 2)",
+     "    upper = lower / (1 - h * B / 4)",
+     ["tests/test_expsums.py::TestCertifiedSup"
+      "::test_upper_is_lower_over_one_minus_half_hb"]),
+    # the prolate lower-bound shape's 16 pi e as 8 pi e
+    (BOUNDS,
+     "    return (as_mpf(delta) / pi_e(16)) ** (2 * (ell - 1))",
+     "    return (as_mpf(delta) / pi_e(8)) ** (2 * (ell - 1))",
+     ["tests/test_bounds.py::TestProlateLowerShape"
+      "::test_constant_sixteen_pi_e"]),
+    # the cor-Turan constant 16 pi e as 32 pi e
+    (EXPSUMS,
+     "    rhs = 2 / (mp.pi * ell) * (N * delta / pi_e(16)) ** (ell - 1) * big",
+     "    rhs = 2 / (mp.pi * ell) * (N * delta / pi_e(32)) ** (ell - 1) * big",
+     ["tests/test_expsums.py::TestCorTuran"
+      "::test_equispaced_pair_rhs_written_out"]),
+    # the Nikolskii constant pi ell / 2 as pi ell
+    (EXPSUMS,
+     "    rhs = mp.pi * P.degree / 2 * l2_norm_exact(P, 0, 1)",
+     "    rhs = mp.pi * P.degree * l2_norm_exact(P, 0, 1)",
+     ["tests/test_expsums.py::TestNikolskii"
+      "::test_one_term_rhs_is_half_pi_times_l2"]),
 ]
 
 

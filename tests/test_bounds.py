@@ -8,13 +8,14 @@ from vandelab.bounds import (
     count_bands,
     evaluate_all,
     lower_bound_shape,
+    prolate_lower_shape,
     slepian_constant,
     srf,
     upper_bound_explicit,
 )
 from vandelab.errors import InvalidParameterError
 from vandelab.geometry import ClusterSpec, NodeSet, generate_config
-from vandelab.hp import required_bits
+from vandelab.hp import pi_e, required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
 
@@ -52,6 +53,16 @@ class TestLowerShape:
             lower_bound_shape(10, mpf(0), 1)
         with pytest.raises(InvalidParameterError):
             lower_bound_shape(10, mpf(1), 0)
+
+
+class TestProlateLowerShape:
+    def test_constant_sixteen_pi_e(self):
+        # (delta / (16 pi e))^(2(ell-1)) at delta = 16 pi e / 4, ell = 2:
+        # (1/4)^2, exactly, as pi_e(16) / 4 is exact
+        with mp.workprec(BITS):
+            assert prolate_lower_shape(pi_e(16) / 4, 2) == mpf(1) / 16
+            assert prolate_lower_shape(pi_e(16) / 4, 3) == mpf(1) / 256
+            assert prolate_lower_shape(mpf("1e-3"), 1) == 1
 
 
 class TestCountBands:

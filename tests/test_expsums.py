@@ -18,6 +18,7 @@ from vandelab.expsums import (
     _float_moduli,
     _grid_max,
     _l2_form,
+    bernstein_factor,
     check_cor_turan,
     check_nikolskii,
     check_riemann,
@@ -421,6 +422,19 @@ class TestCertifiedSup:
                 assert cert.lower <= denser * (1 + mpf(2) ** -(BITS - 24))
                 assert denser <= cert.upper
 
+    def test_upper_is_lower_over_one_minus_half_hb(self, rng):
+        # the enclosure 1/(1 - h B/2), h = 1/samples, B the Bernstein
+        # factor: upper is the grid maximum inflated by exactly that
+        with mp.workprec(BITS):
+            for ell in (2, 3, 5):
+                P = random_sum(rng, ell)
+                a, b = mpf(0), mpf(rng.uniform(0.5, 2))
+                cert = linf_norm_certified(P, a, b)
+                B = bernstein_factor(P, a, b)
+                h = mpf(1) / cert.samples
+                want = cert.lower / (1 - h * B / 2)
+                assert abs(cert.upper - want) <= want * mpf(2) ** -(BITS - 8)
+
     def test_budget(self, rng, monkeypatch):
         monkeypatch.setattr(expsums, "DEFAULT_MAX_SUP_SAMPLES", 10)
         with mp.workprec(BITS):
@@ -669,6 +683,14 @@ class TestNikolskii:
             P = ExpSum((mpc(0, "1.5"),), (mpf(7),))
             chk = check_nikolskii(P)
             assert chk.holds
+
+    def test_one_term_rhs_is_half_pi_times_l2(self):
+        # ||P||_inf <= (pi ell / 2) ||P||_2 with ell = 1: P = (3 + 4i)
+        # e^(7 i t) has ||P||_2 = 5 on [0, 1], so rhs = 5 pi / 2
+        with mp.workprec(BITS):
+            chk = check_nikolskii(ExpSum((mpc(3, 4),), (mpf(7),)))
+            assert chk.lhs == 5
+            assert abs(chk.rhs - 5 * mp.pi / 2) <= mpf(2) ** -(BITS - 8)
 
 
 def salem_stress_sum(rng, delta):
@@ -944,6 +966,21 @@ class TestCorTuran:
             P = ExpSum((mpc(1), mpc(-1)), (mpf(0), delta))
             chk = check_cor_turan(P, 100, delta)
             assert chk.holds
+
+    def test_equispaced_pair_rhs_written_out(self):
+        # P = 1 - e^(i delta t): |P|^2 = 2 - 2 cos(delta t) has mean
+        # 2 - 2 sin(delta T)/(delta T) on [0, T], so the normalized
+        # ||P||_{L2(0, 4 pi/delta)} is sqrt(2), and with ell = 2 the right
+        # side is 2/(2 pi) (N delta/(16 pi e)) sqrt(2)
+        with mp.workprec(BITS):
+            N, delta = 100, mpf("1e-4")
+            chk = check_cor_turan(ExpSum((mpc(1), mpc(-1)), (mpf(0), delta)),
+                                  N, delta)
+            rhs = 2 / (2 * mp.pi) * (N * delta / (16 * mp.pi * mp.e)) \
+                * mp.sqrt(2)
+            lhs = mp.sqrt(2 - 2 * mp.sin(delta * N) / (delta * N))
+            assert abs(chk.rhs - rhs) <= rhs * mpf(2) ** -(BITS - 16)
+            assert abs(chk.lhs - lhs) <= lhs * mpf(2) ** -(BITS - 40)
 
     def test_window_violation(self):
         with mp.workprec(BITS):

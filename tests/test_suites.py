@@ -1,7 +1,11 @@
+import cmath
 import collections
 import dataclasses
+import json
 import math
 import random
+import types
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -177,6 +181,50 @@ class TestSalemMinimum:
         monkeypatch.setattr(expsums, "l2_norm_exact", counting)
         run_salem_suite(500, DEFAULT_SUITE_SEED)
         assert calls == {1e-2: 4, 1e-4: 9, 1e-6: 6}
+
+
+def _moved(v, ulps):
+    """v moved by |ulps| ulp toward the sign of ulps."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, toward)
+    return v
+
+
+class TestLibmPerturbation:
+    # the binary64 decisions of the suites carry margins wider than libm's
+    # error: with every cmath.rect, math.sin and math.cos result expsums
+    # uses moved by 2 ulp, the 20-instance document is the golden one
+    @pytest.mark.parametrize("mode", ["seeded", "upward"])
+    def test_suites_document_unchanged(self, mode, monkeypatch):
+        rng = random.Random(DEFAULT_SUITE_SEED)
+        calls = collections.Counter()
+
+        def ulps():
+            return 2 if mode == "upward" else rng.choice((-2, 2))
+
+        def moved(name, f):
+            def g(*args):
+                calls[name] += 1
+                v = f(*args)
+                if isinstance(v, complex):
+                    return complex(_moved(v.real, ulps()),
+                                   _moved(v.imag, ulps()))
+                return _moved(v, ulps())
+            return g
+
+        libm = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                        if not k.startswith("_")})
+        libm.sin, libm.cos = moved("sin", math.sin), moved("cos", math.cos)
+        monkeypatch.setattr(expsums, "math", libm)
+        monkeypatch.setattr(expsums, "rect", moved("rect", cmath.rect))
+        doc = [suite(instances=20, seed=DEFAULT_SUITE_SEED).to_json_dict()
+               for suite in ALL_SUITES.values()]
+        golden = Path(__file__).resolve().parent / "golden"
+        want = json.loads((golden / "inequalities_20.json").read_text(
+            encoding="utf-8"))
+        assert set(calls) == {"rect", "sin", "cos"}
+        assert json.loads(json.dumps(doc)) == want
 
 
 class TestLevelCounting:
