@@ -38,7 +38,6 @@ from .spectra import (
     singular_values,
 )
 from .bounds import (
-    BoundReport,
     evaluate_all,
     lower_bound_shape,
     prolate_lower_shape,

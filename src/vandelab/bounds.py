@@ -3,6 +3,8 @@
 Every formula runs at the ambient precision, and 32*pi*e and 16*pi*e come
 from ``hp.pi_e``, never from decimal literals.  At ell = m each lower-bound
 shape is the scale of level m, and count_bands counts a spectrum into bands.
+evaluate_all gives every formula for one configuration as the "bounds"
+fields of a result document.
 
 Of the absolute constants the theory leaves non-explicit, only the
 lower-bound multiplier c1 is supplied by the caller; the ell-dependent
@@ -13,7 +15,6 @@ never asserted: experiments measure them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf
@@ -86,44 +87,16 @@ def srf(N: int, delta):
     return 1 / (N * as_mpf(delta))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every explicit bound formula evaluated for one configuration."""
-
-    lower_shape: object
-    upper_explicit: object
-    slepian_asymptotic: object
-    srf: object
-    window_ok: bool
-    window_reason: str
-    user_c1: object
-    window_floor: object
-    precision_bits: int
-
-    def to_json_dict(self) -> dict:
-        bits = self.precision_bits
-        return {
-            "lower_shape": decimal_str(self.lower_shape, bits),
-            "upper_explicit": decimal_str(self.upper_explicit, bits),
-            "slepian_asymptotic": decimal_str(self.slepian_asymptotic, bits),
-            "srf": decimal_str(self.srf, bits),
-            "window_ok": self.window_ok,
-            "window_reason": self.window_reason,
-            "user_c1": decimal_str(self.user_c1, bits),
-            "window_floor": decimal_str(self.window_floor, bits),
-        }
-
-
-def evaluate_all(N: int, cluster: ClusterSpec, bits: int,
-                 user_c1=1) -> BoundReport:
-    """Populate a BoundReport for frequency cutoff N and a cluster spec
-    at ``bits``; it reads no nodes.
+def evaluate_all(N: int, cluster: ClusterSpec, bits: int, user_c1=1) -> dict:
+    """The "bounds" fields of a result document for frequency cutoff N and
+    a cluster spec at ``bits``, each number as decimal_str(., bits); it
+    reads no nodes.
 
     window_ok combines the checkable parts of the admissible N-window:
     N*tau*delta <= 2*pi (the single-cluster upper condition) and
     N*theta >= s*DEFAULT_WINDOW_FLOOR, where the floor stands in for the
-    non-explicit ell-dependent constant.  The report also records the
-    raw products so callers can judge window membership themselves.
+    non-explicit ell-dependent constant.  window_reason states the raw
+    products that fail, so callers can judge window membership themselves.
     """
     with mp.workprec(bits):
         lower = lower_bound_shape(N, cluster.delta, cluster.ell)
@@ -141,16 +114,13 @@ def evaluate_all(N: int, cluster: ClusterSpec, bits: int,
             reasons.append(
                 f"N*theta = {decimal_str(nth, 64)} below s*window_floor = "
                 f"{decimal_str(cluster.s * wf, 64)}")
-        ok = not reasons
-        reason = "in window" if ok else "; ".join(reasons)
-        return BoundReport(
-            lower_shape=lower,
-            upper_explicit=upper,
-            slepian_asymptotic=slep,
-            srf=srf_val,
-            window_ok=ok,
-            window_reason=reason,
-            user_c1=as_mpf(user_c1),
-            window_floor=wf,
-            precision_bits=bits,
-        )
+        return {
+            "lower_shape": decimal_str(lower, bits),
+            "upper_explicit": decimal_str(upper, bits),
+            "slepian_asymptotic": decimal_str(slep, bits),
+            "srf": decimal_str(srf_val, bits),
+            "window_ok": not reasons,
+            "window_reason": "; ".join(reasons) or "in window",
+            "user_c1": decimal_str(as_mpf(user_c1), bits),
+            "window_floor": decimal_str(wf, bits),
+        }

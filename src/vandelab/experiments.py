@@ -360,7 +360,7 @@ class Cell:
         with mp.workprec(bits):
             scale = lambda_scale(N, spec.delta, spec.ell)
         return cls(N, bits, spec, scale, spec.to_json_dict(bits),
-                   evaluate_all(N, spec, bits, user_c1).to_json_dict())
+                   evaluate_all(N, spec, bits, user_c1))
 
 
 def point_cell(point: dict):
@@ -641,8 +641,7 @@ def _prolate_body(nodes, cluster, partition, N, bits, user_c1, N_list):
 def _bounds_body(nodes, cluster, partition, N, bits, user_c1, N_list):
     """The bound formulas for one configuration, without its spectrum."""
     VandermondeSpec(N, nodes)  # refuses N < s - 1, as spectrum does
-    report = evaluate_all(N, cluster, bits, user_c1)
-    return {"bounds": report.to_json_dict()}, None
+    return {"bounds": evaluate_all(N, cluster, bits, user_c1)}, None
 
 
 def _limit_check_body(nodes, cluster, partition, N, bits, user_c1, N_list):

@@ -5,10 +5,10 @@ closed-form entries rather than the tall (N+1) x s factor: the node
 counts here are small (s <= 40) while N reaches a few hundred, and a
 closed-form entry carries no accumulated summation error.  That matrix
 is the real Dirichlet kernel K (Slepian's discrete prolate kernel), with
-G = V^H V = U^H K U for U = diag(e^(i N x_j / 2)); G is kept as its
-per-pair test reference.  K, the prolate matrix and the exp-sum norms
-all take their kernel from one integer frame (_kernel_frame); a builder
-rounds each entry once and returns rows symmetric bit for bit.
+G = V^H V = U^H K U for U = diag(e^(i N x_j / 2)); G is built as K under
+those phases.  K, the prolate matrix and the exp-sum norms all take
+their kernel from one integer frame (_kernel_frame); a builder rounds
+each entry once and returns rows symmetric bit for bit.
 """
 
 from __future__ import annotations
@@ -137,42 +137,19 @@ def _quotient(num: int, den: int, exp: int, bits: int):
                         exp - k - 1, bits, round_nearest)
 
 
-def _kernel_matrix(xs, A, domain: str, bits: int, margin: int, diag,
+def _kernel_matrix(xs, A, domain: str, bits: int, margin: int,
                    shift: int = 0) -> tuple:
-    """Rows with diag on the diagonal and K(x_j - x_k) 2^shift of
-    _kernel_frame at (j, k) and (k, j), each the exact quotient num / den
-    2^(ke + shift) rounded once to bits by _quotient."""
+    """Rows with K(x_j - x_k) 2^shift of _kernel_frame at (j, k) and
+    (k, j), each the exact quotient num / den 2^(ke + shift) rounded once
+    to bits by _quotient, and K(0) 2^shift = 2A 2^shift, exact, on the
+    diagonal."""
     with mp.workprec(bits):
         _, ke, _, pairs = _kernel_frame(xs, A, domain, margin, "kernel matrix")
+    diag = mp.make_mpf(mpf_shift(A._mpf_, 1 + shift))
     rows = [[diag] * len(xs) for _ in xs]
     for j, k, num, den in pairs:
         rows[j][k] = rows[k][j] = mp.make_mpf(
             _quotient(num, den, ke + shift, bits))
-    return tuple(tuple(r) for r in rows)
-
-
-def _dirichlet_ratio(delta, N: int):
-    """sin((N+1) delta/2) / sin(delta/2) for delta != 0."""
-    half = delta / 2
-    return mp.sin((N + 1) * half) / mp.sin(half)
-
-
-def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
-    """The s x s Hermitian Gram matrix V^H V, build_dirichlet_kernel's
-    per-pair reference: G[j][m] = sum_{k=0}^{N} e^(i k d), d = x_m - x_j,
-    as e^(i N d/2) times the Dirichlet ratio, evaluated with
-    _dirichlet_guard(N) guard bits and rounded to bits, its conjugate at
-    (m, j), and exactly N+1 on the diagonal."""
-    N, xs = spec.N, spec.nodes.nodes
-    rows = [[mpf(N + 1)] * len(xs) for _ in xs]
-    with mp.workprec(bits + _dirichlet_guard(N)):
-        for j in range(len(xs)):
-            for m in range(j + 1, len(xs)):
-                d = xs[m] - xs[j]
-                val = mp.expj(N * d / 2) * _dirichlet_ratio(d, N)
-                with mp.workprec(bits):
-                    val = +val
-                rows[j][m], rows[m][j] = val, val.conjugate()
     return tuple(tuple(r) for r in rows)
 
 
@@ -182,7 +159,26 @@ def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> tuple:
     _kernel_frame with _dirichlet_guard(N) bits, and N + 1 on the diagonal."""
     N = spec.N
     return _kernel_matrix(spec.nodes.nodes, mpf(N + 1) / 2, PERIODIC, bits,
-                          _dirichlet_guard(N), mpf(N + 1))
+                          _dirichlet_guard(N))
+
+
+def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
+    """The s x s Hermitian Gram matrix V^H V: build_dirichlet_kernel's K
+    under its phases, G[j][m] = e^(i N d/2) K[j][m], d = x_m - x_j, with K
+    and the product at _dirichlet_guard(N) guard bits and rounded once to
+    bits, its conjugate at (m, j), and exactly N+1 on the diagonal."""
+    N, xs = spec.N, spec.nodes.nodes
+    wp = bits + _dirichlet_guard(N)
+    K = build_dirichlet_kernel(spec, wp)
+    rows = [list(r) for r in K]
+    with mp.workprec(wp):
+        for j in range(len(xs)):
+            for m in range(j + 1, len(xs)):
+                val = mp.expj(N * (xs[m] - xs[j]) / 2) * K[j][m]
+                with mp.workprec(bits):
+                    val = +val
+                rows[j][m], rows[m][j] = val, val.conjugate()
+    return tuple(tuple(r) for r in rows)
 
 
 def build_prolate(nodes: NodeSet, bits: int) -> tuple:
@@ -197,4 +193,4 @@ def build_prolate(nodes: NodeSet, bits: int) -> tuple:
     if nodes.domain != LINE:
         raise InvalidParameterError("prolate matrix expects line-domain nodes")
     return _kernel_matrix(nodes.nodes, mpf(1), LINE, bits, _KERNEL_GUARD_BITS,
-                          mpf(1), shift=-1)
+                          shift=-1)

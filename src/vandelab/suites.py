@@ -3,8 +3,10 @@
 Each suite draws reproducible random instances from a stated seed,
 evaluates one inequality or spectral property on every instance, and
 returns the verdicts together with the empirical constants it measured
-(the minimum Salem ratio, the smallest rhs/lhs margin).  The seed is part of
-every record so a report can be replayed.
+(the minimum Salem ratio, the smallest rhs/lhs margin).  Each record is
+built as the JSON object it is written as, with the keys check, index,
+params, lhs, rhs, holds and seed; the seed is part of every record so a
+report can be replayed.
 """
 
 from __future__ import annotations
@@ -34,22 +36,6 @@ DEFAULT_SUITE_BITS = 192
 SALEM_SEPARATIONS = ("1e-2", "1e-4", "1e-6")
 
 
-@dataclass(frozen=True)
-class SuiteRecord:
-    check: str
-    index: int
-    params: dict
-    lhs: str
-    rhs: str
-    holds: bool
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {"check": self.check, "index": self.index,
-                "params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs,
-                "holds": self.holds, "seed": self.seed}
-
-
 @dataclass
 class SuiteResult:
     name: str
@@ -59,7 +45,7 @@ class SuiteResult:
 
     @property
     def all_hold(self) -> bool:
-        return all(r.holds for r in self.records)
+        return all(r["holds"] for r in self.records)
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,7 +53,7 @@ class SuiteResult:
             "seed": self.seed,
             "all_hold": self.all_hold,
             "summary": self.summary,
-            "records": [r.to_json_dict() for r in self.records],
+            "records": self.records,
         }
 
 
@@ -142,9 +128,11 @@ def _run(name: str, draw, instances: int, seed: int,
         for i in range(instances):
             params, chk = draw(rng)
             checks.append(chk)
-            out.records.append(SuiteRecord(
-                name, i, params, decimal_str(chk.lhs, bits),
-                decimal_str(chk.rhs, bits), chk.holds, seed))
+            out.records.append({
+                "check": name, "index": i, "params": params,
+                "lhs": decimal_str(chk.lhs, bits),
+                "rhs": decimal_str(chk.rhs, bits), "holds": chk.holds,
+                "seed": seed})
         out.summary = {"instances": instances}
         if margin:
             worst = min(c.rhs / c.lhs if c.lhs > 0 else mpf("inf")
@@ -207,10 +195,11 @@ def run_salem_suite(instances: int, seed: int) -> SuiteResult:
                                min_sep=delta) for _ in range(instances)),
                 delta)
             minima.append(lo)
-            out.records.append(SuiteRecord(
-                "salem", len(out.records),
-                {"delta": delta_text, "instances": instances},
-                decimal_str(lo, bits), "0", bool(lo > 0), seed))
+            out.records.append({
+                "check": "salem", "index": len(out.records),
+                "params": {"delta": delta_text, "instances": instances},
+                "lhs": decimal_str(lo, bits), "rhs": "0",
+                "holds": bool(lo > 0), "seed": seed})
         mean = mp.fsum(minima) / len(minima)
         spread = max(abs(x - mean) / mean for x in minima)
         out.summary = {

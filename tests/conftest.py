@@ -1,9 +1,10 @@
 """Shared test oracles and fixtures.
 
 The oracles deliberately avoid the code paths they check: the Gram oracle
-sums the geometric series term by term, the sinc and Dirichlet ratio are
-evaluated one pair at a time with mpmath's sin where the builders use
-per-node phases in one integer frame, the eigenvalue oracle is mpmath's
+sums the geometric series term by term, the sinc and Dirichlet ratio, and
+the Gram matrix and Dirichlet kernel built from them, are evaluated one
+pair at a time with mpmath's sin where the builders use per-node phases
+in one integer frame, the eigenvalue oracle is mpmath's
 eighe (tridiagonalization + QL, nothing like the package's Jacobi),
 the quadrature oracle integrates numerically, and the partition oracle
 compares every pair of nodes where the validator scans sorted gaps.  jacobi_reference is
@@ -72,6 +73,31 @@ def dirichlet_ratio(delta, N: int):
         return mpf(N + 1)
     half = delta / 2
     return mp.sin((N + 1) * half) / mp.sin(half)
+
+
+def gram_ratio(delta, N: int):
+    """e^(i N delta/2) dirichlet_ratio(delta, N): sum_{k=0}^{N} e^(i k delta)
+    in closed form, the per-pair reference for the Gram matrix."""
+    return mp.expj(N * delta / 2) * dirichlet_ratio(delta, N)
+
+
+def naive_dirichlet(spec: VandermondeSpec, bits: int, kernel):
+    """The s x s rows of kernel(x_m - x_j, N) at (j, m), j < m, and its
+    conjugate at (m, j), each entry evaluated on its own with 32 + log2(N)
+    guard bits and rounded once to bits, and N + 1 on the diagonal: the
+    Dirichlet kernel for kernel = dirichlet_ratio, the Gram matrix V^H V
+    for gram_ratio."""
+    N, xs = spec.N, spec.nodes.nodes
+    s = len(xs)
+    rows = [[mpf(N + 1)] * s for _ in range(s)]
+    with mp.workprec(bits + 32 + max(N, 1).bit_length()):
+        for j in range(s):
+            for m in range(j + 1, s):
+                val = kernel(xs[m] - xs[j], N)
+                with mp.workprec(bits):
+                    val = +val
+                rows[j][m], rows[m][j] = val, mp.conj(val)
+    return rows
 
 
 def gram_entry_direct(delta, N, bits):

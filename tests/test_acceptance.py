@@ -23,7 +23,7 @@ from vandelab.geometry import LINE, NodeSet, validate_config
 from vandelab.hp import required_bits
 from vandelab.matrices import (
     VandermondeSpec,
-    build_gram_closed_form,
+    build_dirichlet_kernel,
     build_prolate,
 )
 from vandelab.spectra import (
@@ -197,20 +197,25 @@ def test_06_gram_closed_form_vs_direct_summation():
                 base = mpf(rng.uniform(-1, 1))
                 gap = mpf(10) ** mpf(-rng.uniform(2, 6))
                 nodes = NodeSet(tuple(base + k * gap for k in range(s)))
-            G = build_gram_closed_form(VandermondeSpec(N, nodes), bits)
+            # the kernel the program solves, K = U G U^H: at (j, m) the
+            # sum of e^(i k d), d = x_m - x_j, under the phase e^(-i N d/2)
+            K = build_dirichlet_kernel(VandermondeSpec(N, nodes), bits)
             tol = mpf(2) ** -(bits - 16)
             for j in range(s):
                 for m in range(s):
-                    direct = gram_entry_direct(
-                        nodes.nodes[m] - nodes.nodes[j], N, bits)
-                    scale = max(abs(direct), abs(G[j][m]))
+                    with mp.workprec(2 * bits):
+                        d = nodes.nodes[m] - nodes.nodes[j]
+                    direct = gram_entry_direct(d, N, bits)
+                    with mp.workprec(2 * bits):
+                        want = mp.expj(-N * d / 2) * direct
+                    scale = max(abs(want), abs(K[j][m]))
                     if scale == 0:
                         continue
-                    rel = abs(G[j][m] - direct) / scale
+                    rel = abs(K[j][m] - want) / scale
                     worst = max(worst, rel / tol)
                     if rel > tol:
                         ok = False
-    _report(6, "gram closed form vs direct summation", ok,
+    _report(6, "program's kernel U G U^H vs direct summation", ok,
             f"worst rel/tol {mp.nstr(worst, 3)} over 100 instances")
 
 

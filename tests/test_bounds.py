@@ -15,7 +15,7 @@ from vandelab.bounds import (
 )
 from vandelab.errors import InvalidParameterError
 from vandelab.geometry import ClusterSpec, NodeSet, generate_config
-from vandelab.hp import pi_e, required_bits
+from vandelab.hp import parse_decimal, pi_e, required_bits
 from vandelab.matrices import VandermondeSpec
 from vandelab.spectra import singular_values
 
@@ -137,28 +137,34 @@ class TestSrf:
             assert srf(2, mpf("0.5")) == 1
 
 
+def _field(doc, key):
+    """A number of evaluate_all's document, parsed at BITS."""
+    return parse_decimal(doc[key], BITS)
+
+
 class TestEvaluateAll:
     def test_single_node_specializations(self):
         with mp.workprec(BITS):
             cluster = ClusterSpec(delta="1e-4", theta="3", s=1, ell=1, tau=0)
-            rep = evaluate_all(100, cluster, bits=BITS)
-            assert abs(rep.lower_shape - 10) <= mpf(2) ** -(BITS - 16)
-            assert abs(rep.upper_explicit - mp.sqrt(100 * mp.e) / 2) \
-                <= mpf(2) ** -(BITS - 16)
-            assert abs(rep.srf - 100) <= mpf(2) ** -(BITS - 16) * 100
+            doc = evaluate_all(100, cluster, bits=BITS)
+            tol = mpf(2) ** -(BITS - 16)
+            assert abs(_field(doc, "lower_shape") - 10) <= tol
+            assert abs(_field(doc, "upper_explicit")
+                       - mp.sqrt(100 * mp.e) / 2) <= tol
+            assert abs(_field(doc, "srf") - 100) <= tol * 100
 
     def test_window_flag(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            rep = evaluate_all(100, spec, bits=BITS)
+            doc = evaluate_all(100, spec, bits=BITS)
             # N*theta = 100 >= 10*s = 20 and N*tau*delta = 1e-4 <= 2*pi
-            assert rep.window_ok
-            assert rep.window_reason == "in window"
-            assert abs(rep.srf - 10 ** 4) <= 1
+            assert doc["window_ok"] is True
+            assert doc["window_reason"] == "in window"
+            assert abs(_field(doc, "srf") - 10 ** 4) <= 1
             tight = ClusterSpec(delta="1e-6", theta="0.1", s=2, ell=2, tau=1)
-            rep2 = evaluate_all(100, tight, bits=BITS)
-            assert not rep2.window_ok
-            assert "window_floor" in rep2.window_reason
+            doc2 = evaluate_all(100, tight, bits=BITS)
+            assert doc2["window_ok"] is False
+            assert "window_floor" in doc2["window_reason"]
 
     @pytest.mark.parametrize("side", [-1, 1])
     def test_window_edge_at_two_pi(self, side):
@@ -167,31 +173,31 @@ class TestEvaluateAll:
         with mp.workprec(BITS):
             delta = 2 * mp.pi / 100 * (1 + side * mp.ldexp(1, 10 - BITS))
             spec = ClusterSpec(delta=delta, theta="1", s=2, ell=2, tau=1)
-            rep = evaluate_all(100, spec, bits=BITS)
+            doc = evaluate_all(100, spec, bits=BITS)
         if side < 0:
-            assert rep.window_ok
-            assert rep.window_reason == "in window"
+            assert doc["window_ok"] is True
+            assert doc["window_reason"] == "in window"
         else:
-            assert not rep.window_ok
-            assert rep.window_reason == \
+            assert doc["window_ok"] is False
+            assert doc["window_reason"] == \
                 "N*tau*delta = 6.283185307179586477 exceeds 2*pi"
 
     def test_slepian_field(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-3", theta="1", s=2, ell=2, tau=1)
-            rep = evaluate_all(100, spec, bits=BITS)
+            doc = evaluate_all(100, spec, bits=BITS)
             expect = mpf(1) / 6 * mpf("1e-3") ** 2
-            assert abs(rep.slepian_asymptotic - expect) <= \
+            assert abs(_field(doc, "slepian_asymptotic") - expect) <= \
                 expect * mpf(2) ** -(BITS - 16)
 
     def test_json_fields(self):
         with mp.workprec(BITS):
             spec = ClusterSpec(delta="1e-6", theta="1", s=2, ell=2, tau=1)
-            obj = evaluate_all(100, spec,
-                               bits=BITS).to_json_dict()
-            for key in ("lower_shape", "upper_explicit", "slepian_asymptotic",
-                        "srf", "window_ok", "window_reason", "user_c1"):
-                assert key in obj
+            doc = evaluate_all(100, spec, bits=BITS)
+            assert list(doc) == [
+                "lower_shape", "upper_explicit", "slepian_asymptotic", "srf",
+                "window_ok", "window_reason", "user_c1", "window_floor"]
+            assert doc["user_c1"] == "1.0" and doc["window_floor"] == "10.0"
 
 
 class TestBoundInvariants:

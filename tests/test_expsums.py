@@ -4,8 +4,8 @@ from unittest import mock
 import pytest
 from mpmath import mp, mpc, mpf
 
-from conftest import (build_vandermonde, dirichlet_ratio, lq_norm_quadrature,
-                      sinc)
+from conftest import (build_vandermonde, dirichlet_ratio, gram_ratio,
+                      lq_norm_quadrature, naive_dirichlet, sinc)
 from vandelab import expsums
 from vandelab.errors import (
     DegenerateInputError,
@@ -31,11 +31,7 @@ from vandelab.expsums import (
     min_salem_ratio,
 )
 from vandelab.geometry import LINE, PERIODIC, RANDOM, NodeSet, cluster_offsets
-from vandelab.matrices import (
-    VandermondeSpec,
-    build_gram_closed_form,
-    build_prolate,
-)
+from vandelab.matrices import VandermondeSpec, build_prolate
 from vandelab.spectra import singular_values
 from vandelab.suites import (ALL_SUITES, DEFAULT_SUITE_SEED, _clustered_expsum,
                              random_expsum)
@@ -372,8 +368,8 @@ class TestDiscreteNorm:
         ell, N, ref_bits = 5, 300, 4 * BITS
         with mp.workprec(ref_bits):
             freqs = tuple(mpf("0.3") + k * mpf("1e-6") for k in range(ell))
-            G = build_gram_closed_form(VandermondeSpec(N, NodeSet(freqs)),
-                                       ref_bits)
+            G = naive_dirichlet(VandermondeSpec(N, NodeSet(freqs)),
+                                ref_bits, gram_ratio)
             M = mp.matrix(ell, ell)
             for i in range(ell):
                 for j in range(ell):

@@ -11,7 +11,9 @@ from conftest import (
     build_vandermonde,
     dirichlet_ratio,
     gram_entry_direct,
+    gram_ratio,
     kernel_matrix_reference,
+    naive_dirichlet,
     random_periodic_nodes,
     seeded_configs,
     sinc,
@@ -168,21 +170,6 @@ class TestProlate:
             build_prolate(NodeSet((mpf(0), mpf(1)), PERIODIC), BITS)
 
 
-def _naive_dirichlet(spec, bits, kernel):
-    """Each Dirichlet entry evaluated on its own, one pair at a time."""
-    N, xs = spec.N, spec.nodes.nodes
-    s = len(xs)
-    rows = [[mpf(N + 1)] * s for _ in range(s)]
-    with mp.workprec(bits + 32 + max(N, 1).bit_length()):
-        for j in range(s):
-            for m in range(j + 1, s):
-                val = kernel(xs[m] - xs[j], N)
-                with mp.workprec(bits):
-                    val = +val
-                rows[j][m], rows[m][j] = val, mp.conj(val)
-    return rows
-
-
 def _raw(rows):
     return [[getattr(v, "_mpc_", None) or v._mpf_ for v in r] for r in rows]
 
@@ -202,10 +189,9 @@ class TestOneAssembler:
         for bits, xs, N in itertools.chain(seeded_configs(), _heavy_points()):
             spec = VandermondeSpec(N, NodeSet(xs, PERIODIC))
             assert _raw(build_dirichlet_kernel(spec, bits)) == _raw(
-                _naive_dirichlet(spec, bits, dirichlet_ratio))
+                naive_dirichlet(spec, bits, dirichlet_ratio))
             assert _raw(build_gram_closed_form(spec, bits)) == _raw(
-                _naive_dirichlet(spec, bits, lambda d, N: mp.expj(N * d / 2)
-                                 * dirichlet_ratio(d, N)))
+                naive_dirichlet(spec, bits, gram_ratio))
 
     def test_prolate_entries_correctly_rounded(self):
         # each entry within (1/2 + 2^-16) ulp of sin(d)/d at 4p bits, ulp

@@ -10,7 +10,9 @@ from conftest import (
     build_vandermonde,
     cholesky_rows_reference,
     eighe_eigenvalues,
+    gram_ratio,
     jacobi_reference,
+    naive_dirichlet,
     random_hermitian,
     random_spd,
     rotated_reference,
@@ -24,7 +26,6 @@ from vandelab.hp import required_bits
 from vandelab.matrices import (
     VandermondeSpec,
     build_dirichlet_kernel,
-    build_gram_closed_form,
     build_prolate,
 )
 from vandelab.spectra import (
@@ -96,7 +97,8 @@ class TestJacobi:
             spec = VandermondeSpec(N, nodes)
             mine = hermitian_eigenvalues(
                 build_dirichlet_kernel(spec, bits), bits).values
-            ref = eighe_eigenvalues(build_gram_closed_form(spec, bits), bits)
+            ref = eighe_eigenvalues(naive_dirichlet(spec, bits, gram_ratio),
+                                    bits)
             for a, b in zip(mine, ref):
                 assert b > 0
                 assert abs(a - b) / b < mpf(10) ** -30
