@@ -153,15 +153,6 @@ def _kernel_matrix(xs, A, domain: str, bits: int, margin: int,
     return tuple(tuple(r) for r in rows)
 
 
-def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> tuple:
-    """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
-    with the spectrum of G: sin((N+1) d/2) / sin(d/2), d = x_m - x_j, by
-    _kernel_frame with _dirichlet_guard(N) bits, and N + 1 on the diagonal."""
-    N = spec.N
-    return _kernel_matrix(spec.nodes.nodes, mpf(N + 1) / 2, PERIODIC, bits,
-                          _dirichlet_guard(N))
-
-
 def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
     """The s x s Hermitian Gram matrix V^H V: build_dirichlet_kernel's K
     under its phases, G[j][m] = e^(i N d/2) K[j][m], d = x_m - x_j, with K
@@ -179,6 +170,15 @@ def build_gram_closed_form(spec: VandermondeSpec, bits: int) -> tuple:
                     val = +val
                 rows[j][m], rows[m][j] = val, val.conjugate()
     return tuple(tuple(r) for r in rows)
+
+
+def build_dirichlet_kernel(spec: VandermondeSpec, bits: int) -> tuple:
+    """The s x s real symmetric kernel K = U G U^H, U = diag(e^(i N x_j/2)),
+    with the spectrum of G: sin((N+1) d/2) / sin(d/2), d = x_m - x_j, by
+    _kernel_frame with _dirichlet_guard(N) bits, and N + 1 on the diagonal."""
+    N = spec.N
+    return _kernel_matrix(spec.nodes.nodes, mpf(N + 1) / 2, PERIODIC, bits,
+                          _dirichlet_guard(N))
 
 
 def build_prolate(nodes: NodeSet, bits: int) -> tuple:
